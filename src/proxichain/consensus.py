@@ -21,6 +21,7 @@ from .ledger import (
     Block,
     Chain,
     encode_block_full,
+    make_genesis,
     verify_transaction,
     whash_preimage_prefix,
 )
@@ -126,11 +127,6 @@ def _check_block(
     def reject(reason: str, detail: str = "") -> ValidationResult:
         return ValidationResult(False, reason, detail)
 
-    if block.index != len(blocks):
-        return reject("index", f"expected {len(blocks)}, got {block.index}")
-    prev = blocks[block.index - 1] if block.index >= 1 else None
-    if prev is not None and block.prev_hash != prev.block_hash:
-        return reject("stale", "prev_hash does not match the tip")
     if not 0 <= block.whash_window <= 100:
         return reject("window", f"window {block.whash_window} outside [0, 100]")
     if max(block.whash_window - 1, 0) > block.index:
@@ -181,6 +177,10 @@ def validate_block(
     ("prefix" or "entitlement"), transaction signatures ("signature").
     """
     blocks = chain.blocks if isinstance(chain, Chain) else chain
+    if block.index != len(blocks):
+        return ValidationResult(False, "index", f"expected {len(blocks)}, got {block.index}")
+    if blocks and block.prev_hash != blocks[-1].block_hash:
+        return ValidationResult(False, "stale", "prev_hash does not match the tip")
     return _check_block(blocks, block, expected_level, registry, miner_credit, alpha_d)
 
 
@@ -197,29 +197,27 @@ def verify_chain(
 ) -> list[ChainViolation]:
     """Re-validate a persisted chain end to end, returning every violation.
 
-    Entitlement is not re-checked here: credit at mining time is not part of
-    the chain record. Every mined block must still clear at least the easy
-    prefix, and every digest, linkage, size and signature rule applies.
+    Block 0 must equal the fixed genesis block. Entitlement is not
+    re-checked: credit at mining time is not part of the chain record. Every
+    mined block must still clear at least the easy prefix, and every digest,
+    linkage, window, size and signature rule applies; a block with a broken
+    link is still checked against every other rule.
     """
     blocks = chain.blocks if isinstance(chain, Chain) else chain
     violations: list[ChainViolation] = []
-    for i, block in enumerate(blocks):
+    if blocks and blocks[0] != make_genesis():
+        violations.append(ChainViolation(0, "genesis", "block 0 is not the fixed genesis"))
+    for i in range(1, len(blocks)):
+        block = blocks[i]
         if block.index != i:
             violations.append(ChainViolation(i, "index", f"stored index {block.index}"))
-            continue
-        if i == 0:
-            expected = hashlib.sha256(
-                whash_preimage_prefix((), block) + struct.pack("<Q", block.nonce)
-            ).digest()
-            if expected != block.block_hash:
-                violations.append(ChainViolation(0, "digest", "genesis digest mismatch"))
             continue
         if block.prev_hash != blocks[i - 1].block_hash:
             violations.append(ChainViolation(i, "linkage", "prev_hash mismatch"))
         result = _check_block(
             blocks[:i], block, DL_EASY, registry, miner_credit=None, alpha_d=0.0
         )
-        if not result.accepted and result.reason not in ("stale", "index"):
+        if not result.accepted:
             violations.append(ChainViolation(i, result.reason, result.detail))
     return violations
 

@@ -10,7 +10,7 @@ recent history but fades instead of banning a node forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -109,29 +109,3 @@ def total_credit(state: CreditState, now: int, policy: CreditPolicy) -> float:
 
 def record_event(state: CreditState, kind: EventKind, tick: int) -> CreditState:
     return replace(state, events=state.events + (CreditEvent(kind, tick),))
-
-
-@dataclass
-class CreditBook:
-    """Mutable per-node credit table used by the simulation scheduler."""
-
-    policy: CreditPolicy
-    states: dict[bytes, CreditState] = field(default_factory=dict)
-
-    def get(self, node: bytes) -> CreditState:
-        return self.states.setdefault(node, CreditState(node=node))
-
-    def add_proximity(self, node: bytes, gained: float) -> None:
-        state = self.get(node)
-        self.states[node] = replace(state, prox_credit=state.prox_credit + gained)
-
-    def punish(self, node: bytes, kind: EventKind, tick: int) -> None:
-        self.states[node] = record_event(self.get(node), kind, tick)
-
-    def total(self, node: bytes, now: int) -> float:
-        return total_credit(self.get(node), now, self.policy)
-
-    def breakdown(self, node: bytes, now: int) -> tuple[float, float, float]:
-        state = self.get(node)
-        neg = negative_credit(state.events, now, self.policy)
-        return state.prox_credit, neg, state.prox_credit + neg

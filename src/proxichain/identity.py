@@ -77,10 +77,6 @@ class NodeIdentity:
         # Managers hold authorized privileges implicitly.
         return self.role in (Role.AUTHORIZED, Role.MANAGER)
 
-    def public_view(self) -> "NodeIdentity":
-        """Copy of this identity with the secret key stripped."""
-        return NodeIdentity(self.node_id, self.public_key, self.role)
-
 
 def _scalar_from_seed(role: Role, seed: int) -> int:
     material = _SEED_DOMAIN + role.value.encode() + seed.to_bytes(8, "little", signed=True)

@@ -36,6 +36,8 @@ from .identity import AuthorizedRegistry, NodeIdentity, sign, verify, node_id_fo
 MAX_BLOCK_BYTES = 1_048_576
 WINDOW_MAX = 100
 ZERO_HASH = bytes(32)
+_U64_MAX = 2**64 - 1
+_PUBKEY_BYTES = 33  # compressed secp256k1 point
 
 
 class TxKind(Enum):
@@ -302,14 +304,7 @@ def append_block(
         expected = difficulty_for(credit_view(block.miner), alpha_d, is_auth)
     else:
         expected = DL_EASY
-    result = validate_block(
-        chain,
-        block,
-        expected,
-        registry,
-        miner_credit=credit_view(block.miner) if credit_view is not None else None,
-        alpha_d=alpha_d,
-    )
+    result = validate_block(chain, block, expected, registry)
     if not result.accepted:
         raise BlockRejectedError(result.reason, result.detail)
     chain.blocks.append(block)
@@ -331,14 +326,39 @@ def transaction_to_dict(tx: Transaction) -> dict:
     }
 
 
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _uint(d: dict, key: str, high: int = _U64_MAX) -> int:
+    value = d[key]
+    if type(value) is not int or not 0 <= value <= high:
+        raise ValueError(f"{key} must be an integer in [0, {high}], got {value!r}")
+    return value
+
+
+def _hex(d: dict, key: str, size: Optional[int] = None) -> bytes:
+    value = d[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a hex string, got {value!r}")
+    raw = bytes.fromhex(value)
+    if size is not None and len(raw) != size:
+        raise ValueError(f"{key} must be {size} bytes, got {len(raw)}")
+    return raw
+
+
 def transaction_from_dict(d: dict) -> Transaction:
+    """Inverse of :func:`transaction_to_dict`; ValueError on malformed input."""
+    d = _object(d, "transaction")
     return Transaction(
         kind=TxKind(d["kind"]),
-        sender=bytes.fromhex(d["sender"]),
-        sender_pubkey=bytes.fromhex(d["sender_pubkey"]),
-        payload=bytes.fromhex(d["payload"]),
-        timestamp=int(d["timestamp"]),
-        signature=bytes.fromhex(d["signature"]),
+        sender=_hex(d, "sender", 32),
+        sender_pubkey=_hex(d, "sender_pubkey", _PUBKEY_BYTES),
+        payload=_hex(d, "payload"),
+        timestamp=_uint(d, "timestamp"),
+        signature=_hex(d, "signature"),
     )
 
 
@@ -356,15 +376,25 @@ def block_to_dict(block: Block) -> dict:
 
 
 def block_from_dict(d: dict) -> Block:
+    """Inverse of :func:`block_to_dict`; ValueError on malformed input.
+
+    Checks types, byte lengths and integer ranges, so that every block it
+    returns can be encoded; whether the block is valid is for
+    :func:`proxichain.consensus.verify_chain` to say.
+    """
+    d = _object(d, "block")
+    txs = d["transactions"]
+    if not isinstance(txs, list):
+        raise ValueError("transactions must be a JSON array")
     return Block(
-        index=int(d["index"]),
-        prev_hash=bytes.fromhex(d["prev_hash"]),
-        whash_window=int(d["whash_window"]),
-        nonce=int(d["nonce"]),
-        transactions=tuple(transaction_from_dict(t) for t in d["transactions"]),
-        miner=bytes.fromhex(d["miner"]),
-        timestamp=int(d["timestamp"]),
-        block_hash=bytes.fromhex(d["block_hash"]),
+        index=_uint(d, "index"),
+        prev_hash=_hex(d, "prev_hash", 32),
+        whash_window=_uint(d, "whash_window", WINDOW_MAX),
+        nonce=_uint(d, "nonce"),
+        transactions=tuple(transaction_from_dict(t) for t in txs),
+        miner=_hex(d, "miner", 32),
+        timestamp=_uint(d, "timestamp"),
+        block_hash=_hex(d, "block_hash", 32),
     )
 
 
@@ -418,13 +448,6 @@ class InfectedUsersPool:
             for n, t in sorted(self.entries, key=lambda e: (e[1], e[0]))
         ]
         return json.dumps(rows, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str, retention_ticks: int) -> "InfectedUsersPool":
-        pool = cls(retention_ticks=retention_ticks)
-        for row in json.loads(text):
-            pool.add(bytes.fromhex(row["node_id"]), int(row["tick"]))
-        return pool
 
 
 def save_iup(pool: InfectedUsersPool, path: str) -> None:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .consensus import difficulty_for, mine
 from .credit import (
-    CreditBook,
+    CreditEvent,
     CreditPolicy,
     EventKind,
     MIN_SEPARATION_M,
@@ -61,28 +60,11 @@ class EmptyMetricsError(Exception):
     """Statistics were requested from a run that produced no rows."""
 
 
-class InfectionStatus(Enum):
-    SUSCEPTIBLE = "susceptible"
-    INFECTED = "infected"
-    NOTIFIED = "notified"
-
-
-class Behavior(Enum):
-    HONEST = "honest"
-    DISTANCE_VIOLATOR = "distance_violator"
-    FALSE_CLAIMER = "false_claimer"
-    ATTACKER = "attacker"
-
-
 @dataclass(frozen=True)
 class Venue:
     width: float = 10.0
     height: float = 10.0
     zone_size: float = 0.5
-
-    @property
-    def zone_count(self) -> int:
-        return round(self.width / self.zone_size) * round(self.height / self.zone_size)
 
     def zone_of(self, position: np.ndarray) -> int:
         cols = round(self.width / self.zone_size)
@@ -102,17 +84,6 @@ class Venue:
         coords = start + pitch * np.arange(count_per_side)
         xs, ys = np.meshgrid(coords, coords)
         return np.stack([xs.ravel(), ys.ravel()], axis=1)
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Read-only view of one participant's simulation state."""
-
-    id: bytes
-    position: np.ndarray
-    infection: InfectionStatus
-    behavior: Behavior
-    contact_log: tuple[tuple[bytes, float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -145,17 +116,55 @@ class SimConfig:
             raise ValueError("infection radius must be positive")
 
 
+class CreditStore:
+    """The one credit record of a run: proximity totals plus penalty events.
+
+    Proximity totals live in an array indexed like ``world.identities`` so
+    the per-tick scoring can add into it in bulk; penalty events are kept
+    per node id. Nodes outside the agent list (authorized nodes, the
+    manager) have no proximity credit.
+    """
+
+    def __init__(self, policy: CreditPolicy, node_ids: Sequence[bytes]):
+        self.policy = policy
+        self.index_of = {node: idx for idx, node in enumerate(node_ids)}
+        self.prox = np.zeros(len(node_ids))
+        self.events: dict[bytes, list[CreditEvent]] = {}
+
+    def punish(self, node: bytes, kind: EventKind, tick: int) -> None:
+        self.events.setdefault(node, []).append(CreditEvent(kind, tick))
+
+    def breakdown(self, node: bytes, now: int) -> tuple[float, float, float]:
+        """(proximity, penalty, total) credit of one node at tick ``now``."""
+        idx = self.index_of.get(node)
+        prox = float(self.prox[idx]) if idx is not None else 0.0
+        events = self.events.get(node)
+        neg = negative_credit(events, now, self.policy) if events else 0.0
+        return prox, neg, prox + neg
+
+    def total(self, node: bytes, now: int) -> float:
+        return self.breakdown(node, now)[2]
+
+    def totals(self, now: int) -> np.ndarray:
+        """Total credit of every agent, in ``world.identities`` order."""
+        totals = self.prox.copy()
+        for node, events in self.events.items():
+            idx = self.index_of.get(node)
+            if idx is not None:
+                totals[idx] += negative_credit(events, now, self.policy)
+        return totals
+
+
 @dataclass
 class WorldState:
     config: SimConfig
     venue: Venue
     positions: np.ndarray                 # (n, 2) meters
-    behaviors: list[Behavior]
     infections: dict[float, np.ndarray]   # exposure radius -> infected mask
     notified: np.ndarray                  # bool (n,)
     tick: int
     streams: dict[str, np.random.Generator]
-    credit: CreditBook
+    credit: CreditStore
     iup: InfectedUsersPool
     last_contact_tick: np.ndarray         # int32 (n, n), -1 = never immediate
     last_contact_dist: np.ndarray         # float32 (n, n)
@@ -173,35 +182,6 @@ class WorldState:
     def infected(self, radius: Optional[float] = None) -> np.ndarray:
         radius = self.config.infection_radius if radius is None else radius
         return self.infections[radius]
-
-    def status_of(self, i: int) -> InfectionStatus:
-        if self.infected()[i]:
-            return InfectionStatus.INFECTED
-        if self.notified[i]:
-            return InfectionStatus.NOTIFIED
-        return InfectionStatus.SUSCEPTIBLE
-
-    def agent_view(self, i: int) -> Agent:
-        """Materialize one agent, reconstructing its retained contact log."""
-        horizon = max(self.tick - self.config.retention_ticks, 0)
-        peers = np.nonzero(self.last_contact_tick[i] >= horizon)[0]
-        node = self.identities[i].node_id if self.identities else bytes(32)
-        log = tuple(
-            (
-                self.identities[j].node_id if self.identities else j.to_bytes(32, "little"),
-                float(self.last_contact_dist[i, j]),
-                int(self.last_contact_tick[i, j]),
-            )
-            for j in peers
-            if j != i
-        )
-        return Agent(
-            id=node,
-            position=self.positions[i].copy(),
-            infection=self.status_of(i),
-            behavior=self.behaviors[i],
-            contact_log=log,
-        )
 
 
 TRACKED_DEFAULT = 8
@@ -221,14 +201,6 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     positions = streams["misc"].uniform(
         [0.0, 0.0], [venue.width, venue.height], size=(n, 2)
     )
-
-    behaviors = [Behavior.HONEST] * n
-    if config.attacker_id is not None:
-        behaviors[config.attacker_id] = Behavior.ATTACKER
-    if config.false_claimer_id is not None:
-        behaviors[config.false_claimer_id] = Behavior.FALSE_CLAIMER
-    if config.violator_id is not None:
-        behaviors[config.violator_id] = Behavior.DISTANCE_VIOLATOR
 
     infections = {}
     for r in {2.0, 5.0, config.infection_radius}:
@@ -250,12 +222,11 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         config=config,
         venue=venue,
         positions=positions,
-        behaviors=behaviors,
         infections=infections,
         notified=np.zeros(n, dtype=bool),
         tick=0,
         streams=streams,
-        credit=CreditBook(policy=config.policy),
+        credit=CreditStore(config.policy, [i.node_id for i in identities or ()]),
         iup=InfectedUsersPool(retention_ticks=config.retention_ticks),
         last_contact_tick=np.full((n, n), -1, dtype=np.int32),
         last_contact_dist=np.zeros((n, n), dtype=np.float32),
@@ -365,43 +336,6 @@ def _tracked_ids(config: SimConfig) -> tuple[int, ...]:
     return tuple(ids)
 
 
-class _CreditLens:
-    """Live credit lookup backed by the run's proximity array and event book.
-
-    The proximity totals live in a numpy array for speed; penalty events
-    stay in the credit book. This object joins the two views so mining
-    entitlement and reporting always see the current tick's numbers.
-    """
-
-    def __init__(self, world: WorldState, prox: np.ndarray, index_of: dict[bytes, int]):
-        self.world = world
-        self.prox = prox
-        self.index_of = index_of
-
-    def total(self, node_id: bytes, now: int) -> float:
-        idx = self.index_of.get(node_id)
-        base = float(self.prox[idx]) if idx is not None else 0.0
-        events = self.world.credit.get(node_id).events
-        return base + (negative_credit(events, now, self.world.config.policy) if events else 0.0)
-
-    def breakdown(self, node_id: bytes, now: int) -> tuple[float, float, float]:
-        idx = self.index_of.get(node_id)
-        base = float(self.prox[idx]) if idx is not None else 0.0
-        events = self.world.credit.get(node_id).events
-        neg = negative_credit(events, now, self.world.config.policy) if events else 0.0
-        return base, neg, base + neg
-
-    def totals_array(self, now: int) -> np.ndarray:
-        totals = self.prox.copy()
-        for node, state in self.world.credit.states.items():
-            idx = self.index_of.get(node)
-            if idx is not None and state.events:
-                totals[idx] += negative_credit(
-                    state.events, now, self.world.config.policy
-                )
-        return totals
-
-
 def _emit_trace(
     world: WorldState, i: int, now: int, metrics: RunMetrics
 ) -> None:
@@ -459,7 +393,6 @@ def _mine_pending(
     world: WorldState,
     chain: Chain,
     miner_pool: list[NodeIdentity],
-    lens: _CreditLens,
     now: int,
     flush: bool,
 ) -> int:
@@ -474,7 +407,7 @@ def _mine_pending(
         miner = miner_pool[int(world.streams["misc"].integers(len(miner_pool)))]
         is_auth = miner.role in (Role.AUTHORIZED, Role.MANAGER)
         level = difficulty_for(
-            lens.total(miner.node_id, credit_now), config.policy.alpha_d, is_auth
+            world.credit.total(miner.node_id, credit_now), config.policy.alpha_d, is_auth
         )
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
@@ -493,7 +426,7 @@ def _mine_pending(
             chain,
             result.block,
             world.registry,
-            credit_view=lambda node: lens.total(node, credit_now),
+            credit_view=lambda node: world.credit.total(node, credit_now),
             alpha_d=config.policy.alpha_d,
         )
         mined += 1
@@ -525,9 +458,7 @@ def run_epoch(
     n = world.n
 
     node_ids = [ident.node_id for ident in world.identities]
-    index_of = {node: idx for idx, node in enumerate(node_ids)}
-    prox = np.zeros(n)
-    lens = _CreditLens(world, prox, index_of)
+    prox = world.credit.prox
     interactions = np.zeros(n, dtype=np.int64)
 
     world.registry = publish_registry(
@@ -625,15 +556,13 @@ def run_epoch(
         if miners is not None:
             pool.extend(world.identities[m] for m in miners)
         else:
-            totals = lens.totals_array(now=t + 1)
+            totals = world.credit.totals(now=t + 1)
             top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
             pool.extend(world.identities[int(m)] for m in top)
-        blocks = _mine_pending(
-            world, chain, pool, lens, t, flush=(t == config.ticks - 1)
-        )
+        blocks = _mine_pending(world, chain, pool, t, flush=(t == config.ticks - 1))
 
         for idx in metrics.tracked:
-            p, neg, tot = lens.breakdown(node_ids[idx], t + 1)
+            p, neg, tot = world.credit.breakdown(node_ids[idx], t + 1)
             metrics.credit_rows.append((t, node_ids[idx].hex(), p, neg, tot))
 
         metrics.rows.append(
@@ -647,14 +576,6 @@ def run_epoch(
         )
         metrics.tx_total += tx_count
         metrics.blocks_total += blocks
-
-    # Fold the array totals back into the book so post-run inspection of
-    # CreditState objects agrees with what the run used.
-    for idx, node in enumerate(node_ids):
-        state = world.credit.get(node)
-        world.credit.states[node] = type(state)(
-            node=node, prox_credit=float(prox[idx]), events=state.events
-        )
 
     world.iup.prune(config.ticks)
     metrics.interactions_per_agent = interactions

@@ -239,10 +239,32 @@ class TestVerifyChain:
         assert (5, "linkage") in reasons
 
     def test_tampered_genesis_is_caught(self):
-        chain = _grow(3)
-        chain.blocks[0] = dataclasses.replace(chain.blocks[0], timestamp=1)
+        for change in ({"timestamp": 1}, {"whash_window": 5}):
+            chain = _grow(3)
+            chain.blocks[0] = dataclasses.replace(chain.blocks[0], **change)
+            reasons = {(v.index, v.reason) for v in verify_chain(chain)}
+            assert (0, "genesis") in reasons
+
+    def test_bad_link_does_not_hide_other_checks(self):
+        # Block 3 re-mined with a zeroed prev_hash and a forged signature:
+        # the broken link must not mask the signature failure.
+        chain = Chain()
+        for i in range(6):
+            tx = make_transaction(MINER, TxKind.ST, bytes([i]), i)
+            candidate = _candidate(chain, window=min(i, 2), txs=[tx], timestamp=i + 1)
+            append_block(chain, mine(chain, candidate, DL_EASY).block)
+        block = chain.blocks[3]
+        tx = block.transactions[0]
+        sig = bytearray(tx.signature)
+        sig[len(sig) // 2] ^= 0x01
+        forged = dataclasses.replace(
+            block,
+            prev_hash=bytes(32),
+            transactions=(dataclasses.replace(tx, signature=bytes(sig)),) + block.transactions[1:],
+        )
+        chain.blocks[3] = mine(chain.blocks[:3], forged, DL_EASY).block
         reasons = {(v.index, v.reason) for v in verify_chain(chain)}
-        assert (0, "digest") in reasons
+        assert {(3, "linkage"), (3, "signature")} <= reasons
 
 
 class TestAnalyticModel:

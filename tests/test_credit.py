@@ -3,7 +3,6 @@ import pytest
 
 from proxichain.credit import (
     MIN_SEPARATION_M,
-    CreditBook,
     CreditEvent,
     CreditPolicy,
     CreditState,
@@ -154,24 +153,3 @@ class TestPenaltyProperties:
         state = accumulate_proximity(state, contacts, POLICY)
         state = record_event(state, EventKind.NETWORK_ATTACK, tick=99)
         assert total_credit(state, now=100, policy=POLICY) < 0
-
-
-class TestCreditBook:
-    def test_breakdown_sums_to_total(self):
-        book = CreditBook(policy=POLICY)
-        book.add_proximity(b"a", 12.5)
-        book.punish(b"a", EventKind.CONTACT_VIOLATION, tick=5)
-        prox, neg, total = book.breakdown(b"a", now=10)
-        assert prox == 12.5
-        assert neg == pytest.approx(-2.0)
-        assert total == pytest.approx(book.total(b"a", now=10))
-
-    def test_unknown_node_starts_at_zero(self):
-        book = CreditBook(policy=POLICY)
-        assert book.total(b"new", now=1) == 0.0
-
-    def test_punishments_accumulate(self):
-        book = CreditBook(policy=POLICY)
-        book.punish(b"a", EventKind.FALSE_CLAIM, tick=0)
-        book.punish(b"a", EventKind.FALSE_CLAIM, tick=1)
-        assert book.total(b"a", now=2) == pytest.approx(-25.0 - 50.0)

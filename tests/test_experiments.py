@@ -258,3 +258,61 @@ class TestCli:
 
     def test_loc_eval_too_few_trials(self):
         assert cli.main(["loc-eval", "--snr", "inf", "--trials", "5"]) == cli.EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def tiny_chain_blocks(tmp_path_factory) -> list[dict]:
+    out = tmp_path_factory.mktemp("tiny_chain")
+    paths, _ = run_ct_experiment(_tiny_spec(str(out)))
+    with open(paths.chain_jsonl) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _set(index: int, key: str, value):
+    def mangle(blocks: list) -> list:
+        blocks[index] = dict(blocks[index], **{key: value})
+        return blocks
+    return mangle
+
+
+def _array_line(blocks: list) -> list:
+    blocks[1] = [1, 2, 3]
+    return blocks
+
+
+def _deep_line(blocks: list) -> list:
+    blocks[1] = "[" * 100_000 + "]" * 100_000  # raw line: too deep for json.loads
+    return blocks
+
+
+class TestVerifyChainMalformed:
+    """verify-chain keeps its exit codes on hostile chain files: a line that
+    does not load is a configuration problem (3), a loaded chain that breaks
+    a rule is a validation failure (2); neither may raise."""
+
+    @pytest.mark.parametrize(
+        "mangle, expected",
+        [
+            (_set(1, "index", None), cli.EXIT_CONFIG),
+            (_set(1, "transactions", None), cli.EXIT_CONFIG),
+            (_array_line, cli.EXIT_CONFIG),
+            (_deep_line, cli.EXIT_CONFIG),
+            (_set(2, "whash_window", 300), cli.EXIT_CONFIG),
+            (_set(1, "nonce", -1), cli.EXIT_CONFIG),
+            (_set(0, "whash_window", 5), cli.EXIT_VALIDATION),
+        ],
+        ids=["index-null", "transactions-null", "array-line", "deep-nesting", "window-300",
+             "nonce-negative", "genesis-window"],
+    )
+    def test_probe_exit_code(self, tiny_chain_blocks, tmp_path, capsys, mangle, expected):
+        blocks = mangle(json.loads(json.dumps(tiny_chain_blocks)))
+        path = tmp_path / "chain.jsonl"
+        path.write_text(
+            "".join((b if isinstance(b, str) else json.dumps(b)) + "\n" for b in blocks)
+        )
+        assert cli.main(["verify-chain", str(path)]) == expected
+        err = capsys.readouterr().err
+        if expected == cli.EXIT_VALIDATION:
+            assert "block 0: genesis" in err
+        else:
+            assert "cannot load chain" in err

@@ -67,7 +67,8 @@ def test_wrong_key_fails_verification():
 
 
 def test_signing_needs_secret_key():
-    ident = generate_identity(Role.LIGHT, seed=4).public_view()
+    full = generate_identity(Role.LIGHT, seed=4)
+    ident = NodeIdentity(full.node_id, full.public_key, full.role)
     assert ident.secret_key is None
     with pytest.raises(SigningCapabilityError):
         sign(ident, b"nope")

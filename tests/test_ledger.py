@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -281,5 +282,6 @@ class TestInfectedUsersPool:
         pool = InfectedUsersPool(retention_ticks=10)
         pool.add(b"\x04" * 32, tick=1)
         pool.add(b"\x05" * 32, tick=2)
-        restored = InfectedUsersPool.from_json(pool.to_json(), retention_ticks=10)
-        assert restored.entries == pool.entries
+        rows = json.loads(pool.to_json())
+        assert [row["tick"] for row in rows] == [1, 2]
+        assert {(bytes.fromhex(row["node_id"]), row["tick"]) for row in rows} == pool.entries

@@ -14,12 +14,10 @@ from proxichain.ledger import (
     make_transaction,
 )
 from proxichain.simulation import (
-    Behavior,
+    CreditStore,
     EmptyMetricsError,
-    InfectionStatus,
     SimConfig,
     Venue,
-    _CreditLens,
     _mine_pending,
     _reflect,
     _take_sized_batch,
@@ -43,7 +41,6 @@ def _run(config: SimConfig, miners=None):
 class TestVenue:
     def test_zone_partition(self):
         venue = Venue()
-        assert venue.zone_count == 400
         assert venue.zone_of(np.array([0.0, 0.0])) == 0
         assert venue.zone_of(np.array([0.6, 0.0])) == 1
         assert venue.zone_of(np.array([0.0, 0.6])) == 20
@@ -143,16 +140,6 @@ class TestWorldBuild:
         with pytest.raises(ValueError):
             SimConfig(infection_radius=0.0)
 
-    def test_behavior_assignment(self):
-        config = SimConfig(
-            n_agents=10, ticks=1, attacker_id=3, false_claimer_id=4, violator_id=5, **SMALL
-        )
-        world = build_world(config, with_identities=False)
-        assert world.behaviors[3] is Behavior.ATTACKER
-        assert world.behaviors[4] is Behavior.FALSE_CLAIMER
-        assert world.behaviors[5] is Behavior.DISTANCE_VIOLATOR
-        assert world.behaviors[0] is Behavior.HONEST
-
     def test_infection_processes_cover_configured_radius(self):
         world = build_world(SimConfig(n_agents=5, ticks=1, infection_radius=3.0, **SMALL), False)
         assert set(world.infections) == {2.0, 3.0, 5.0}
@@ -220,8 +207,7 @@ class TestEpoch:
         )
         world, chain, _ = _run(config)
         claimer = world.identities[7].node_id
-        state = world.credit.get(claimer)
-        assert [e.kind for e in state.events] == [EventKind.FALSE_CLAIM]
+        assert [e.kind for e in world.credit.events[claimer]] == [EventKind.FALSE_CLAIM]
         assert not any(
             tx.kind is TxKind.TT and tx.sender == claimer
             for b in chain
@@ -282,11 +268,49 @@ class TestEpoch:
             assert block.miner in allowed
 
 
-class TestBlockPacking:
-    def _lens_for(self, world):
-        index_of = {ident.node_id: i for i, ident in enumerate(world.identities)}
-        return _CreditLens(world, np.zeros(world.n), index_of)
+class TestCreditStore:
+    def test_breakdown_sums_to_total(self):
+        store = CreditStore(CreditPolicy(), [b"a"])
+        store.prox[0] += 12.5
+        store.punish(b"a", EventKind.CONTACT_VIOLATION, tick=5)
+        prox, neg, total = store.breakdown(b"a", now=10)
+        assert prox == 12.5
+        assert neg == pytest.approx(-2.0)
+        assert total == pytest.approx(store.total(b"a", now=10))
 
+    def test_unknown_node_starts_at_zero(self):
+        store = CreditStore(CreditPolicy(), [b"a"])
+        assert store.total(b"new", now=1) == 0.0
+
+    def test_punishments_accumulate(self):
+        store = CreditStore(CreditPolicy(), [b"a"])
+        store.punish(b"a", EventKind.FALSE_CLAIM, tick=0)
+        store.punish(b"a", EventKind.FALSE_CLAIM, tick=1)
+        assert store.total(b"a", now=2) == pytest.approx(-25.0 - 50.0)
+
+    def test_authorized_and_manager_have_no_proximity_credit(self):
+        config = SimConfig(n_agents=20, ticks=5, p_inf=0.0, seed=3, **SMALL)
+        world, _, metrics = _run(config)
+        assert np.any(metrics.prox_final != 0.0)
+        for ident in world.authorized + [world.manager]:
+            assert world.credit.breakdown(ident.node_id, now=config.ticks) == (0.0, 0.0, 0.0)
+
+    def test_totals_agree_with_total_for_every_agent(self):
+        config = SimConfig(
+            n_agents=20, ticks=8, p_inf=0.0, seed=5, attacker_id=2, attack_tick=3,
+            false_claimer_id=4, false_claim_tick=5, **SMALL,
+        )
+        world, _, _ = _run(config)
+        for now in (config.ticks, config.ticks + 7):
+            totals = world.credit.totals(now)
+            assert totals.tolist() == [
+                world.credit.total(ident.node_id, now) for ident in world.identities
+            ]
+            assert totals[2] < world.credit.prox[2]
+            assert totals[4] < world.credit.prox[4]
+
+
+class TestBlockPacking:
     def test_heavy_batch_splits_by_serialized_size(self):
         # Five 300 KB payloads cannot share one 1 MiB block; the miner must
         # spill them across blocks instead of producing an invalid one.
@@ -296,7 +320,7 @@ class TestBlockPacking:
             make_transaction(sender, TxKind.ST, b"\x07" * 300_000, t) for t in range(5)
         )
         chain = Chain()
-        mined = _mine_pending(world, chain, [sender], self._lens_for(world), now=1, flush=True)
+        mined = _mine_pending(world, chain, [sender], now=1, flush=True)
         assert mined == 2
         assert [len(b.transactions) for b in chain.blocks[1:]] == [3, 2]
         assert not world.pending
@@ -311,7 +335,7 @@ class TestBlockPacking:
             make_transaction(sender, TxKind.ST, b"\x01", t) for t in range(45)
         )
         chain = Chain()
-        mined = _mine_pending(world, chain, [sender], self._lens_for(world), now=1, flush=True)
+        mined = _mine_pending(world, chain, [sender], now=1, flush=True)
         assert mined == 3
         assert [len(b.transactions) for b in chain.blocks[1:]] == [20, 20, 5]
 
@@ -347,31 +371,3 @@ class TestMetrics:
         noisy_stats = interaction_stats(_run(noisy)[2])
         assert noisy_stats["avg_interactions"] == exact_stats["avg_interactions"]
         assert noisy_stats["avg_gained_credit"] < exact_stats["avg_gained_credit"]
-
-
-class TestAgentView:
-    def test_view_is_a_detached_snapshot(self):
-        config = SimConfig(n_agents=20, ticks=30, p_inf=0.1, seed=10, **SMALL)
-        world, _, _ = _run(config)
-        view = world.agent_view(0)
-        assert view.id == world.identities[0].node_id
-        view.position[0] = -99.0
-        assert world.positions[0, 0] != -99.0
-
-    def test_contact_log_holds_immediate_contacts_only(self):
-        config = SimConfig(n_agents=30, ticks=40, p_inf=0.0, seed=11, **SMALL)
-        world, _, _ = _run(config)
-        logs = [world.agent_view(i).contact_log for i in range(world.n)]
-        assert any(log for log in logs)
-        threshold = config.policy.immediate_threshold
-        for log in logs:
-            for peer, distance, tick in log:
-                assert len(peer) == 32
-                assert distance < threshold
-                assert 0 <= tick < config.ticks
-
-    def test_status_reporting(self):
-        config = SimConfig(n_agents=20, ticks=30, p_inf=0.2, seed=13, **SMALL)
-        world, _, _ = _run(config)
-        statuses = {world.agent_view(i).infection for i in range(world.n)}
-        assert InfectionStatus.INFECTED in statuses
