@@ -410,12 +410,18 @@ def save_chain(chain: Chain, path: str) -> None:
 
 
 def load_chain(path: str) -> Chain:
+    """Read a ``save_chain`` file; a line that does not decode raises
+    ``ValueError`` naming its 1-based line number."""
     blocks = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 blocks.append(block_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
     if not blocks:
         raise ValueError(f"{path} holds no blocks")
     return Chain(blocks=blocks)

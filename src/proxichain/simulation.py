@@ -166,8 +166,9 @@ class WorldState:
     streams: dict[str, np.random.Generator]
     credit: CreditStore
     iup: InfectedUsersPool
-    last_contact_tick: np.ndarray         # int32 (n, n), -1 = never immediate
-    last_contact_dist: np.ndarray         # float32 (n, n)
+    # Immediate-contact log, kept only in worlds built with identities.
+    last_contact_tick: Optional[np.ndarray] = None   # int32 (n, n), -1 = never
+    last_contact_dist: Optional[np.ndarray] = None   # float32 (n, n)
     identities: Optional[list[NodeIdentity]] = None
     authorized: Optional[list[NodeIdentity]] = None
     manager: Optional[NodeIdentity] = None
@@ -209,7 +210,11 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         infections[r] = mask
 
     identities = authorized = manager = None
+    contact_tick = contact_dist = None
     if with_identities:
+        # Only run_epoch logs contacts, and it refuses a world without keys.
+        contact_tick = np.full((n, n), -1, dtype=np.int32)
+        contact_dist = np.zeros((n, n), dtype=np.float32)
         base = config.seed * 1_000_003
         identities = [generate_identity(Role.LIGHT, seed=base + i) for i in range(n)]
         manager = generate_identity(Role.MANAGER, seed=base - 1)
@@ -228,8 +233,8 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         streams=streams,
         credit=CreditStore(config.policy, [i.node_id for i in identities or ()]),
         iup=InfectedUsersPool(retention_ticks=config.retention_ticks),
-        last_contact_tick=np.full((n, n), -1, dtype=np.int32),
-        last_contact_dist=np.zeros((n, n), dtype=np.float32),
+        last_contact_tick=contact_tick,
+        last_contact_dist=contact_dist,
         identities=identities,
         authorized=authorized,
         manager=manager,
@@ -259,54 +264,25 @@ def step_mobility(world: WorldState, rng: Optional[np.random.Generator] = None) 
     return world
 
 
-def _pairwise_distances(world: WorldState) -> np.ndarray:
-    diff = world.positions[:, None, :] - world.positions[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _spread_tick(world: WorldState) -> None:
+    """Advance every exposure-radius process on one tick's shared draws.
 
-
-def _contact_arrays(
-    dist: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mask = np.triu(dist <= radius, k=1)
-    ii, jj = np.nonzero(mask)
-    return ii, jj, dist[ii, jj]
-
-
-def extract_contacts(world: WorldState, radius: float) -> list[tuple[int, int, float]]:
-    """All unordered agent pairs within the radius, with their distances."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    ii, jj, d = _contact_arrays(_pairwise_distances(world), radius)
-    return [(int(i), int(j), float(x)) for i, j, x in zip(ii, jj, d)]
-
-
-def _spread_one(
-    world: WorldState, dist: np.ndarray, radius: float, draws: np.ndarray
-) -> int:
-    """Advance one exposure-radius process on this tick's shared draws."""
-    infected = world.infections[radius]
-    if not infected.any():
-        return 0
-    susceptible = ~infected
-    sus_idx = np.nonzero(susceptible)[0]
-    if sus_idx.size == 0:
-        return 0
-    exposed = dist[np.ix_(sus_idx, np.nonzero(infected)[0])].min(axis=1) <= radius
-    new = sus_idx[exposed & (draws[sus_idx] < world.config.p_inf)]
-    infected[new] = True
-    return len(new)
-
-
-def spread_infection(
-    world: WorldState, radius: float, rng: Optional[np.random.Generator] = None
-) -> WorldState:
-    """One infection step for the process at the given exposure radius."""
-    if radius not in world.infections or not world.infections[radius].any():
-        raise ValueError("spread_infection requires at least one infected agent")
-    rng = rng if rng is not None else world.streams["infection"]
-    draws = rng.random(world.n)
-    _spread_one(world, _pairwise_distances(world), radius, draws)
-    return world
+    Only a susceptible agent whose draw is below ``p_inf`` can be infected,
+    so distances are taken from those candidates to the infected and never
+    over all pairs. Being exposed and drawing low are independent tests, so
+    the result equals applying them the other way round.
+    """
+    draws = world.streams["infection"].random(world.n)
+    lucky = draws < world.config.p_inf
+    pos = world.positions
+    for radius in sorted(world.infections):
+        infected = world.infections[radius]
+        cand = np.nonzero(lucky & ~infected)[0]
+        if cand.size == 0 or not infected.any():
+            continue
+        diff = pos[cand][:, None, :] - pos[infected][None, :, :]
+        exposed = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min(axis=1) <= radius
+        infected[cand[exposed]] = True
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +450,30 @@ def run_epoch(
     )
 
     tx_rate = config.tx_per_block_mean * config.n_blocks / max(config.ticks, 1)
+    iu, ju = np.triu_indices(n, 1)
 
     for t in range(config.ticks):
         world.tick = t
         step_mobility(world)
-        dist = _pairwise_distances(world)
         tx_before = len(world.pending)
 
-        ii, jj, d_true = _contact_arrays(dist, config.observe_radius)
+        # Distances of every unordered pair, built in place: at 1000 agents
+        # each pair-sized buffer is 4 MB.
+        x, y = world.positions[:, 0], world.positions[:, 1]
+        d_pairs = x[iu] - x[ju]
+        d_pairs *= d_pairs
+        dy = y[iu] - y[ju]
+        dy *= dy
+        d_pairs += dy
+        np.sqrt(d_pairs, out=d_pairs)
+        observed = d_pairs <= config.observe_radius
+        ii, jj, d_true = iu[observed], ju[observed], d_pairs[observed]
         if config.violator_id is not None:
-            others = np.arange(n) != config.violator_id
-            nearest = int(np.argmin(np.where(others, dist[config.violator_id], np.inf)))
-            world._violator_target = world.positions[nearest].copy()
+            v = config.violator_id
+            dx, dy = x[v] - x, y[v] - y
+            row = np.sqrt(dx * dx + dy * dy)
+            row[v] = np.inf
+            world._violator_target = world.positions[int(np.argmin(row))].copy()
 
         # Credit scoring; measured distances may carry estimator noise.
         if config.distance_noise_std > 0:
@@ -514,10 +502,8 @@ def run_epoch(
             world.last_contact_dist[pj, pi] = pd
 
         # Shared draws couple the exposure-radius processes within the run.
-        draws = world.streams["infection"].random(n)
         before = world.infected().copy()
-        for radius in sorted(world.infections):
-            _spread_one(world, dist, radius, draws)
+        _spread_tick(world)
         newly = np.nonzero(world.infected() & ~before)[0]
         for i in newly:
             _emit_trace(world, int(i), t, metrics)
@@ -606,10 +592,7 @@ def run_outbreak(config: SimConfig) -> list[tuple[int, int, int]]:
     for t in range(config.ticks):
         world.tick = t
         step_mobility(world)
-        dist = _pairwise_distances(world)
-        draws = world.streams["infection"].random(world.n)
-        for radius in sorted(world.infections):
-            _spread_one(world, dist, radius, draws)
+        _spread_tick(world)
         out.append(
             (t, int(world.infections[2.0].sum()), int(world.infections[5.0].sum()))
         )

@@ -285,6 +285,15 @@ def _deep_line(blocks: list) -> list:
     return blocks
 
 
+def _write_mangled(blocks: list, mangle, tmp_path):
+    blocks = mangle(json.loads(json.dumps(blocks)))
+    path = tmp_path / "chain.jsonl"
+    path.write_text(
+        "".join((b if isinstance(b, str) else json.dumps(b)) + "\n" for b in blocks)
+    )
+    return path
+
+
 class TestVerifyChainMalformed:
     """verify-chain keeps its exit codes on hostile chain files: a line that
     does not load is a configuration problem (3), a loaded chain that breaks
@@ -305,14 +314,15 @@ class TestVerifyChainMalformed:
              "nonce-negative", "genesis-window"],
     )
     def test_probe_exit_code(self, tiny_chain_blocks, tmp_path, capsys, mangle, expected):
-        blocks = mangle(json.loads(json.dumps(tiny_chain_blocks)))
-        path = tmp_path / "chain.jsonl"
-        path.write_text(
-            "".join((b if isinstance(b, str) else json.dumps(b)) + "\n" for b in blocks)
-        )
+        path = _write_mangled(tiny_chain_blocks, mangle, tmp_path)
         assert cli.main(["verify-chain", str(path)]) == expected
         err = capsys.readouterr().err
         if expected == cli.EXIT_VALIDATION:
             assert "block 0: genesis" in err
         else:
             assert "cannot load chain" in err
+
+    def test_load_error_names_the_line(self, tiny_chain_blocks, tmp_path, capsys):
+        path = _write_mangled(tiny_chain_blocks, _set(2, "nonce", -1), tmp_path)
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_CONFIG
+        assert "line 3: nonce" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,12 @@ from proxichain.simulation import (
     Venue,
     _mine_pending,
     _reflect,
+    _spread_tick,
     _take_sized_batch,
     build_world,
-    extract_contacts,
     interaction_stats,
     run_epoch,
     run_outbreak,
-    spread_infection,
     step_mobility,
 )
 
@@ -85,29 +86,54 @@ class TestMobility:
         assert np.array_equal(a.positions, b.positions)
 
 
-class TestContacts:
-    def test_smaller_radius_is_subset(self):
-        config = SimConfig(n_agents=40, ticks=5, seed=2, **SMALL)
-        world = build_world(config, with_identities=False)
-        near = {(i, j) for i, j, _ in extract_contacts(world, 1.0)}
-        far = {(i, j) for i, j, _ in extract_contacts(world, 2.5)}
-        assert near <= far
+def _dense_outbreak(config: SimConfig):
+    """Reference: the all-pairs exposure rule over a full distance matrix."""
+    world = build_world(config, with_identities=False)
+    rows = []
+    for t in range(config.ticks):
+        step_mobility(world)
+        diff = world.positions[:, None, :] - world.positions[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        draws = world.streams["infection"].random(world.n)
+        for radius in sorted(world.infections):
+            infected = world.infections[radius]
+            sus = np.nonzero(~infected)[0]
+            if not infected.any() or sus.size == 0:
+                continue
+            exposed = dist[np.ix_(sus, np.nonzero(infected)[0])].min(axis=1) <= radius
+            infected[sus[exposed & (draws[sus] < config.p_inf)]] = True
+        rows.append((t, int(world.infections[2.0].sum()), int(world.infections[5.0].sum())))
+    return rows, world.infections
 
-    def test_pairs_are_ordered_and_within_radius(self):
-        config = SimConfig(n_agents=40, ticks=5, seed=2, **SMALL)
-        world = build_world(config, with_identities=False)
-        for i, j, d in extract_contacts(world, 3.0):
-            assert i < j
-            assert d <= 3.0
-            assert d == pytest.approx(
-                float(np.linalg.norm(world.positions[i] - world.positions[j]))
-            )
 
-    def test_radius_guard(self):
-        config = SimConfig(n_agents=5, ticks=1, **SMALL)
-        world = build_world(config, with_identities=False)
-        with pytest.raises(ValueError):
-            extract_contacts(world, 0.0)
+class TestBoundaries:
+    """Exact-distance ties: exposure and observation are inclusive (<=),
+    an immediate contact is strict (<)."""
+
+    def test_exposure_is_inclusive_at_both_radii(self):
+        just_over = np.nextafter(2.0, 3.0)
+        world = build_world(
+            SimConfig(n_agents=5, ticks=1, step_std=0.0, p_inf=1.0, **SMALL), False
+        )
+        # Agent 0 is the seed case; 1 is 2 m away, 2 is 5 m away, 3 is one
+        # ulp past 2 m, and 4 is far from everyone.
+        world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [0.0, just_over], [9.0, 9.0]]
+        _spread_tick(world)
+        assert world.infections[2.0].tolist() == [True, True, False, False, False]
+        assert world.infections[5.0].tolist() == [True, True, True, True, False]
+
+    def test_two_meters_is_observed_but_not_immediate(self):
+        config = SimConfig(
+            n_agents=4, ticks=1, step_std=0.0, p_inf=0.0, tx_per_block_mean=2, n_blocks=1
+        )
+        world = build_world(config)
+        # 0-1 are exactly 2 m apart; 0-2 and 2-3 exactly 10 m; all else farther.
+        world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
+        world, _, metrics = run_epoch(world, Chain())
+        assert (world.last_contact_tick == -1).all()
+        assert metrics.interactions_per_agent.tolist() == [2, 1, 2, 1]
+        assert world.credit.prox[1] == 2.0 / config.policy.lambda_plus
+        assert world.credit.prox[0] == (2.0 + 10.0) / config.policy.lambda_plus
 
 
 class TestSpread:
@@ -126,11 +152,36 @@ class TestSpread:
             assert c2 >= prev2 and c5 >= prev5
             prev2, prev5 = c2, c5
 
-    def test_needs_a_seed_case(self):
-        config = SimConfig(n_agents=10, ticks=5, initial_infected=0, **SMALL)
+    def test_no_seed_case_never_spreads(self):
+        config = SimConfig(n_agents=30, ticks=20, p_inf=1.0, initial_infected=0, **SMALL)
+        assert all(c2 == 0 and c5 == 0 for _, c2, c5 in run_outbreak(config))
+
+    @pytest.mark.parametrize("radius", [2.0, 3.0])
+    @pytest.mark.parametrize("p_inf", [0.02, 0.3, 1.0])
+    def test_kernel_matches_all_pairs_reference(self, p_inf, radius):
+        config = SimConfig(
+            n_agents=200, ticks=60, p_inf=p_inf, infection_radius=radius, seed=8, **SMALL
+        )
+        rows, infections = _dense_outbreak(config)
+        assert run_outbreak(config) == rows
         world = build_world(config, with_identities=False)
-        with pytest.raises(ValueError):
-            spread_infection(world, 2.0)
+        for _ in range(config.ticks):
+            step_mobility(world)
+            _spread_tick(world)
+        for r, mask in infections.items():
+            assert np.array_equal(world.infections[r], mask)
+
+    def test_outbreak_allocates_no_pairwise_matrix(self):
+        # A dense 10k x 10k float64 matrix alone would be 800 MB.
+        config = SimConfig(n_agents=10_000, ticks=50, seed=1, **SMALL)
+        tracemalloc.start()
+        try:
+            rows = run_outbreak(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 50
+        assert peak < 100 * 2**20
 
 
 class TestWorldBuild:
