@@ -82,26 +82,6 @@ def awgn_channel(snr_db: Optional[float]) -> ChannelRealization:
     return ChannelRealization(attenuations=(1.0 + 0.0j,), delays=(0.0,), snr_db=snr_db)
 
 
-def sample_rayleigh_channel(
-    rng: np.random.Generator,
-    snr_db: Optional[float] = None,
-    max_paths: int = 5,
-    delay_scale_s: float = 50e-9,
-) -> ChannelRealization:
-    """Draw 1 to ``max_paths`` circular-Gaussian path gains with exponential delays."""
-    n_paths = int(rng.integers(1, max_paths + 1))
-    gains = (rng.normal(size=n_paths) + 1j * rng.normal(size=n_paths)) / math.sqrt(
-        2 * n_paths
-    )
-    delays = np.sort(rng.exponential(delay_scale_s, size=n_paths))
-    delays[0] = 0.0
-    return ChannelRealization(
-        attenuations=tuple(complex(g) for g in gains),
-        delays=tuple(float(d) for d in delays),
-        snr_db=snr_db,
-    )
-
-
 def gfsk_baseband(
     config: BlePulseConfig, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -214,9 +214,7 @@ def verify_chain(
             continue
         if block.prev_hash != blocks[i - 1].block_hash:
             violations.append(ChainViolation(i, "linkage", "prev_hash mismatch"))
-        result = _check_block(
-            blocks[:i], block, DL_EASY, registry, miner_credit=None, alpha_d=0.0
-        )
+        result = _check_block(blocks, block, DL_EASY, registry, miner_credit=None, alpha_d=0.0)
         if not result.accepted:
             violations.append(ChainViolation(i, result.reason, result.detail))
     return violations

@@ -12,8 +12,9 @@ import csv
 import json
 import os
 import statistics
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -230,11 +231,25 @@ class CtArtifacts:
     spec_json: str
 
 
+@contextmanager
+def _renamed_into_place(path: str) -> Iterator[str]:
+    """Yield a temporary name beside ``path``; it replaces ``path`` only if
+    the block finishes, so a crash never leaves a complete-looking file."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
     """Execute a full traced run and persist its five artifacts.
 
-    On failure the partial outputs stay on disk next to a ``.partial``
-    marker so a crashed run is never mistaken for a finished one.
+    Each artifact is written under a temporary name and renamed into place.
+    On failure the artifacts renamed so far stay on disk next to a
+    ``.partial`` marker so a crashed run is never mistaken for a finished one.
     """
     out = spec.output_dir
     os.makedirs(out, exist_ok=True)
@@ -256,7 +271,7 @@ def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
     chain = Chain()
     world, chain, metrics = run_epoch(world, chain)
 
-    with open(paths.metrics_csv, "w", newline="") as fh:
+    with _renamed_into_place(paths.metrics_csv) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["tick", "infected_count_2m", "infected_count_5m", "tx_count", "blocks_mined"]
@@ -266,18 +281,20 @@ def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
                 [row["tick"], row["infected_count_2m"], row["infected_count_5m"],
                  row["tx_count"], row["blocks_mined"]]
             )
-    with open(paths.credits_csv, "w", newline="") as fh:
+    with _renamed_into_place(paths.credits_csv) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "node_id", "prox_credit", "neg_credit", "total"])
         for tick, node, p, neg, tot in metrics.credit_rows:
             writer.writerow([tick, node, repr(float(p)), repr(float(neg)), repr(float(tot))])
-    with open(paths.contacts_jsonl, "w") as fh:
+    with _renamed_into_place(paths.contacts_jsonl) as tmp, open(tmp, "w") as fh:
         for record in metrics.contact_records:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
-    save_chain(chain, paths.chain_jsonl)
-    save_iup(world.iup, paths.iup_json)
-    with open(paths.spec_json, "w") as fh:
+    with _renamed_into_place(paths.chain_jsonl) as tmp:
+        save_chain(chain, tmp)
+    with _renamed_into_place(paths.iup_json) as tmp:
+        save_iup(world.iup, tmp)
+    with _renamed_into_place(paths.spec_json) as tmp, open(tmp, "w") as fh:
         fh.write(spec_to_json(spec))
         fh.write("\n")
     os.remove(marker)

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -139,13 +140,12 @@ class AuthorizedRegistry:
     entries: tuple[bytes, ...]
     signature: bytes
 
-    def authorized_node_ids(self) -> frozenset[bytes]:
-        ids = {node_id_for(pk) for pk in self.entries}
-        ids.add(self.manager_id)
-        return frozenset(ids)
+    @cached_property
+    def _node_ids(self) -> frozenset[bytes]:
+        return frozenset([self.manager_id, *map(node_id_for, self.entries)])
 
     def contains(self, node_id: bytes) -> bool:
-        return node_id in self.authorized_node_ids()
+        return node_id in self._node_ids
 
 
 def registry_signing_bytes(manager_id: bytes, entries: Iterable[bytes]) -> bytes:
@@ -179,14 +179,6 @@ def publish_registry(
     )
 
 
-def verify_registry(registry: AuthorizedRegistry) -> bool:
-    """Pure check of (entry bytes, signature, manager public key)."""
-    if node_id_for(registry.manager_public_key) != registry.manager_id:
-        return False
-    message = registry_signing_bytes(registry.manager_id, registry.entries)
-    return verify(registry.manager_public_key, message, registry.signature)
-
-
 def registry_to_json(registry: AuthorizedRegistry) -> str:
     body = {
         "entries": [pk.hex() for pk in registry.entries],
@@ -195,13 +187,3 @@ def registry_to_json(registry: AuthorizedRegistry) -> str:
         "signature": registry.signature.hex(),
     }
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-def registry_from_json(text: str) -> AuthorizedRegistry:
-    body = json.loads(text)
-    return AuthorizedRegistry(
-        manager_id=bytes.fromhex(body["manager_id"]),
-        manager_public_key=bytes.fromhex(body["manager_public_key"]),
-        entries=tuple(bytes.fromhex(e) for e in body["entries"]),
-        signature=bytes.fromhex(body["signature"]),
-    )

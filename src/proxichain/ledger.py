@@ -20,6 +20,10 @@ where ``len+x`` is a u32 byte count followed by the bytes. The mining
 preimage for a candidate block is the concatenation of the full encodings of
 the window's predecessor blocks (newest first), the candidate's header and
 the nonce; see :func:`whash_digest`.
+
+Each :class:`Block` object encodes itself once, on first use, and keeps the
+full encoding (``Block._full``); the header is that encoding minus its last
+40 bytes, and every window preimage is joined from the cached encodings.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .identity import AuthorizedRegistry, NodeIdentity, sign, verify, node_id_for
@@ -166,23 +171,31 @@ class Block:
     timestamp: int
     block_hash: bytes
 
+    @cached_property
+    def _full(self) -> bytes:
+        # Cached per object: ``replace`` builds a new object, so an edited
+        # copy of a block is encoded afresh.
+        parts = [
+            struct.pack("<Q", self.index),
+            self.prev_hash,
+            bytes([self.whash_window]),
+            struct.pack("<Q", self.timestamp),
+            _lp(self.miner),
+            struct.pack("<I", len(self.transactions)),
+        ]
+        parts.extend(encode_transaction(tx) for tx in self.transactions)
+        parts.append(struct.pack("<Q", self.nonce))
+        parts.append(self.block_hash)
+        return b"".join(parts)
+
 
 def encode_block_header(block: Block) -> bytes:
     """Everything that gets mined over: the block minus nonce and digest."""
-    parts = [
-        struct.pack("<Q", block.index),
-        block.prev_hash,
-        bytes([block.whash_window]),
-        struct.pack("<Q", block.timestamp),
-        _lp(block.miner),
-        struct.pack("<I", len(block.transactions)),
-    ]
-    parts.extend(encode_transaction(tx) for tx in block.transactions)
-    return b"".join(parts)
+    return block._full[: -8 - len(block.block_hash)]
 
 
 def encode_block_full(block: Block) -> bytes:
-    return encode_block_header(block) + struct.pack("<Q", block.nonce) + block.block_hash
+    return block._full
 
 
 def block_size(
@@ -224,20 +237,23 @@ def whash_window_for(chain_length: int, rng_draw: int) -> int:
 def whash_preimage_prefix(blocks: Sequence[Block], candidate: Block) -> bytes:
     """Window predecessors (newest first) plus the candidate header.
 
-    The nonce is appended separately by the mining loop so the expensive
-    prefix can be hashed once per candidate instead of once per trial.
+    The predecessors are ``blocks[candidate.index - 1]`` and older, so
+    ``blocks`` may run past the candidate (``verify_chain`` passes the whole
+    chain). The nonce is appended separately by the mining loop so the
+    expensive prefix can be hashed once per candidate instead of once per
+    trial.
     """
     window = candidate.whash_window
     if not 0 <= window <= WINDOW_MAX:
         raise WindowDomainError(f"window {window} outside [0, {WINDOW_MAX}]")
     depth = max(window - 1, 0)
-    if depth > candidate.index or depth > len(blocks):
+    index = candidate.index
+    if depth > index or (depth and index > len(blocks)):
         raise WindowHistoryError(
-            f"window {window} needs {depth} predecessors, chain has {len(blocks)}"
+            f"window {window} of block {index} needs {depth} predecessors, "
+            f"chain has {len(blocks)} blocks"
         )
-    parts = []
-    for j in range(1, depth + 1):
-        parts.append(encode_block_full(blocks[candidate.index - j]))
+    parts = [encode_block_full(blocks[index - j]) for j in range(1, depth + 1)]
     parts.append(encode_block_header(candidate))
     return b"".join(parts)
 

@@ -18,7 +18,6 @@ from proxichain.aoa import (
     gfsk_baseband,
     music_spectrum,
     normalize_spectrum,
-    sample_rayleigh_channel,
     snapshot_covariance,
     spectrum_peak,
     steering_vector,
@@ -72,27 +71,6 @@ class TestChannel:
         assert ch.attenuations == (1.0 + 0.0j,)
         assert ch.delays == (0.0,)
         assert ch.snr_db == 15.0
-
-    def test_rayleigh_draw_shape(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            ch = sample_rayleigh_channel(rng, max_paths=5)
-            assert 1 <= len(ch.attenuations) <= 5
-            assert ch.delays[0] == 0.0
-            assert list(ch.delays) == sorted(ch.delays)
-
-    def test_rayleigh_is_seed_deterministic(self):
-        a = sample_rayleigh_channel(np.random.default_rng(9))
-        b = sample_rayleigh_channel(np.random.default_rng(9))
-        assert a == b
-
-    def test_rayleigh_mean_path_power_near_unity(self):
-        rng = np.random.default_rng(4)
-        powers = []
-        for _ in range(2000):
-            ch = sample_rayleigh_channel(rng)
-            powers.append(sum(abs(g) ** 2 for g in ch.attenuations))
-        assert np.mean(powers) == pytest.approx(1.0, rel=0.1)
 
 
 class TestBaseband:

@@ -19,7 +19,7 @@ from proxichain.experiments import (
     write_bench_csv,
     write_loc_eval_csv,
 )
-from proxichain.ledger import load_chain
+from proxichain.ledger import block_to_json_line, load_chain
 from proxichain.simulation import SimConfig
 
 TINY_SIM = SimConfig(
@@ -169,6 +169,22 @@ class TestCtExperiment:
         with pytest.raises(RuntimeError):
             run_ct_experiment(_tiny_spec(str(tmp_path)))
         assert os.path.exists(tmp_path / ".partial")
+
+    def test_crash_during_chain_write_leaves_no_chain(self, tmp_path, monkeypatch):
+        import proxichain.experiments as exp
+
+        def fail_halfway(chain, path):
+            with open(path, "w") as fh:
+                fh.write(block_to_json_line(chain.blocks[0]) + "\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(exp, "save_chain", fail_halfway)
+        with pytest.raises(OSError):
+            run_ct_experiment(_tiny_spec(str(tmp_path)))
+        assert not os.path.exists(tmp_path / "chain.jsonl")
+        assert os.path.exists(tmp_path / ".partial")
+        assert os.path.exists(tmp_path / "contacts.jsonl")
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 class TestLocalizationEval:

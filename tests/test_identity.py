@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from proxichain.identity import (
     AuthorizationError,
+    AuthorizedRegistry,
     NodeIdentity,
     RegistryValidationError,
     Role,
@@ -12,11 +15,10 @@ from proxichain.identity import (
     generate_identity,
     node_id_for,
     publish_registry,
-    registry_from_json,
+    registry_signing_bytes,
     registry_to_json,
     sign,
     verify,
-    verify_registry,
 )
 
 
@@ -97,32 +99,37 @@ def test_random_bit_perturbations_all_fail():
         assert not verify(ident.public_key, message, bytes(s))
 
 
+def _signed_by_manager(registry: AuthorizedRegistry) -> bool:
+    message = registry_signing_bytes(registry.manager_id, registry.entries)
+    return verify(registry.manager_public_key, message, registry.signature)
+
+
 class TestRegistry:
     def test_publish_and_verify(self):
         manager = generate_identity(Role.MANAGER, seed=100)
         keys = [generate_identity(Role.AUTHORIZED, seed=i).public_key for i in range(3)]
         registry = publish_registry(manager, keys)
-        assert verify_registry(registry)
+        assert _signed_by_manager(registry)
         assert registry.contains(node_id_for(keys[1]))
         assert registry.contains(manager.node_id)
+        assert not registry.contains(generate_identity(Role.LIGHT, seed=99).node_id)
 
     def test_tampered_entry_breaks_verification(self):
         manager = generate_identity(Role.MANAGER, seed=100)
         keys = [generate_identity(Role.AUTHORIZED, seed=i).public_key for i in range(3)]
         registry = publish_registry(manager, keys)
         swapped = generate_identity(Role.AUTHORIZED, seed=99).public_key
-        import dataclasses
-
         forged = dataclasses.replace(
             registry, entries=(registry.entries[0], swapped, registry.entries[2])
         )
-        assert not verify_registry(forged)
+        assert not _signed_by_manager(forged)
 
     def test_empty_registry_is_valid(self):
         manager = generate_identity(Role.MANAGER, seed=100)
         registry = publish_registry(manager, [])
-        assert verify_registry(registry)
+        assert _signed_by_manager(registry)
         assert registry.entries == ()
+        assert registry.contains(manager.node_id)
 
     def test_non_manager_cannot_publish(self):
         light = generate_identity(Role.LIGHT, seed=5)
@@ -139,6 +146,11 @@ class TestRegistry:
         manager = generate_identity(Role.MANAGER, seed=100)
         keys = [generate_identity(Role.AUTHORIZED, seed=i).public_key for i in range(2)]
         registry = publish_registry(manager, keys)
-        restored = registry_from_json(registry_to_json(registry))
+        body = json.loads(registry_to_json(registry))
+        restored = AuthorizedRegistry(
+            manager_id=bytes.fromhex(body["manager_id"]),
+            manager_public_key=bytes.fromhex(body["manager_public_key"]),
+            entries=tuple(bytes.fromhex(e) for e in body["entries"]),
+            signature=bytes.fromhex(body["signature"]),
+        )
         assert restored == registry
-        assert verify_registry(restored)

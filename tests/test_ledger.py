@@ -18,6 +18,8 @@ from proxichain.ledger import (
     append_block,
     block_size,
     decode_contact_pairs,
+    encode_block_full,
+    encode_block_header,
     encode_contact_pairs,
     load_chain,
     make_genesis,
@@ -156,10 +158,55 @@ class TestWindowedDigest:
         with pytest.raises(WindowHistoryError):
             whash_preimage_prefix(chain.blocks, cand)
 
+    def test_history_past_the_candidate_is_ignored(self):
+        chain = _grow(6, window=3)
+        for block in chain.blocks[1:]:
+            assert whash_preimage_prefix(chain.blocks, block) == whash_preimage_prefix(
+                chain.blocks[: block.index], block
+            )
+
+    def test_candidate_beyond_the_history_rejected(self):
+        chain = _grow(3)
+        cand = dataclasses.replace(chain.tip, index=5, whash_window=2)
+        with pytest.raises(WindowHistoryError):
+            whash_preimage_prefix(chain.blocks, cand)
+
     def test_nonce_changes_digest(self):
         chain = _grow(3)
         cand = dataclasses.replace(chain.tip, index=3, prev_hash=chain.tip.block_hash)
         assert whash_digest(chain.blocks, cand, 1) != whash_digest(chain.blocks, cand, 2)
+
+
+class TestBlockEncoding:
+    def test_cached_encoding_does_not_survive_replace(self):
+        block = _mine_next(_grow(2), 2, txs=[_tx(b"abc")], timestamp=5)
+        full = encode_block_full(block)
+        assert encode_block_full(block) is full
+        moved = dataclasses.replace(block, timestamp=6)
+        assert encode_block_full(moved) != full
+        assert encode_block_header(moved) != encode_block_header(block)
+        assert encode_block_full(dataclasses.replace(moved, timestamp=5)) == full
+
+    def test_full_encoding_is_header_nonce_digest(self):
+        block = _mine_next(_grow(2), 2, txs=[_tx(b"abc")], timestamp=5)
+        assert encode_block_full(block) == (
+            encode_block_header(block) + block.nonce.to_bytes(8, "little") + block.block_hash
+        )
+
+    def test_verify_chain_encodes_each_transaction_once(self, monkeypatch):
+        import proxichain.ledger as ledger
+
+        chain = Chain()
+        for i in range(6):
+            txs = [_tx(bytes([i, k]), ts=i) for k in range(2)]
+            window = whash_window_for(len(chain.blocks), 4)
+            append_block(chain, _mine_next(chain, window, txs, timestamp=i + 1))
+        loaded = Chain(blocks=[dataclasses.replace(b) for b in chain.blocks])
+        calls = []
+        original = ledger.encode_transaction
+        monkeypatch.setattr(ledger, "encode_transaction", lambda tx: calls.append(tx) or original(tx))
+        assert verify_chain(loaded) == []
+        assert len(calls) == 12
 
 
 class TestAppend:
