@@ -22,7 +22,7 @@ from .ledger import (
     Chain,
     encode_block_full,
     make_genesis,
-    verify_transaction,
+    verify_transactions,
     whash_preimage_prefix,
 )
 
@@ -155,8 +155,8 @@ def _check_block(
                 f"miner entitled to {entitled.name}, block claims {expected_level.name}",
             )
 
-    for tx in block.transactions:
-        if not verify_transaction(tx):
+    for tx, ok in zip(block.transactions, verify_transactions(block.transactions)):
+        if not ok:
             return reject("signature", f"transaction from {tx.sender.hex()[:12]}")
     return ValidationResult(True)
 

@@ -36,7 +36,17 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .identity import AuthorizedRegistry, NodeIdentity, sign, verify, node_id_for
+# ``verify`` is unused here but stays bound: the benchmark's tracer
+# (``perfbench/tracing.py``) wraps ``proxichain.ledger.sign`` and ``.verify``.
+from .identity import (
+    AuthorizedRegistry,
+    NodeIdentity,
+    node_id_for,
+    sign,
+    sign_many,
+    verify,
+    verify_many,
+)
 
 MAX_BLOCK_BYTES = 1_048_576
 WINDOW_MAX = 100
@@ -117,12 +127,48 @@ def make_transaction(
     )
 
 
-def verify_transaction(tx: Transaction) -> bool:
-    """Signature valid under the embedded key, and sender id matches that key."""
-    if node_id_for(tx.sender_pubkey) != tx.sender:
-        return False
-    message = tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp)
-    return verify(tx.sender_pubkey, message, tx.signature)
+def make_transactions(
+    items: Sequence[tuple[NodeIdentity, TxKind, bytes]], timestamp: int
+) -> list[Transaction]:
+    """:func:`make_transaction` for each ``(identity, kind, payload)``, in
+    order, with the signatures made on every CPU."""
+    signatures = sign_many(
+        [
+            (identity, tx_signing_bytes(kind, identity.node_id, payload, timestamp))
+            for identity, kind, payload in items
+        ]
+    )
+    return [
+        Transaction(
+            kind=kind,
+            sender=identity.node_id,
+            sender_pubkey=identity.public_key,
+            payload=payload,
+            timestamp=timestamp,
+            signature=signature,
+        )
+        for (identity, kind, payload), signature in zip(items, signatures)
+    ]
+
+
+def verify_transactions(txs: Sequence[Transaction]) -> list[bool]:
+    """Per transaction: the sender id matches the embedded key, and the
+    signature is valid under that key. Signatures are checked on every CPU."""
+    id_ok = [node_id_for(tx.sender_pubkey) == tx.sender for tx in txs]
+    verdicts = iter(
+        verify_many(
+            [
+                (
+                    tx.sender_pubkey,
+                    tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp),
+                    tx.signature,
+                )
+                for tx, ok in zip(txs, id_ok)
+                if ok
+            ]
+        )
+    )
+    return [ok and next(verdicts) for ok in id_ok]
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -429,12 +475,12 @@ def load_chain(path: str) -> Chain:
     """Read a ``save_chain`` file; a line that does not decode raises
     ``ValueError`` naming its 1-based line number."""
     blocks = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 blocks.append(block_from_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"line {number}: {exc}") from exc

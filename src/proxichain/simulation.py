@@ -48,6 +48,7 @@ from .ledger import (
     encode_transaction,
     make_genesis,
     make_transaction,
+    make_transactions,
     whash_window_for,
 )
 
@@ -526,6 +527,7 @@ def run_epoch(
         n_tx = int(world.streams["traffic"].poisson(tx_rate))
         senders = world.streams["traffic"].integers(0, n, size=n_tx)
         kind_draw = world.streams["traffic"].random(n_tx)
+        traffic = []
         for s, kd in zip(senders, kind_draw):
             ident = world.identities[int(s)]
             if kd < 0.7:
@@ -534,7 +536,8 @@ def run_epoch(
             else:
                 payload = ident.node_id
                 kind = TxKind.QT
-            world.pending.append(make_transaction(ident, kind, payload, t))
+            traffic.append((ident, kind, payload))
+        world.pending.extend(make_transactions(traffic, t))
 
         tx_count = len(world.pending) - tx_before
 

@@ -342,3 +342,11 @@ class TestVerifyChainMalformed:
         path = _write_mangled(tiny_chain_blocks, _set(2, "nonce", -1), tmp_path)
         assert cli.main(["verify-chain", str(path)]) == cli.EXIT_CONFIG
         assert "line 3: nonce" in capsys.readouterr().err
+
+    def test_non_utf8_byte_names_the_line(self, tiny_chain_blocks, tmp_path, capsys):
+        path = _write_mangled(tiny_chain_blocks, lambda blocks: blocks, tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"\n") + 20] ^= 0x80  # bit 7 of a byte on line 2
+        path.write_bytes(bytes(raw))
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_CONFIG
+        assert "line 2: 'utf-8' codec can't decode" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from proxichain.consensus import DL_EASY, mine, verify_chain
-from proxichain.identity import Role, generate_identity
+import proxichain.identity as identity
+from proxichain.consensus import DL_EASY, mine, validate_block, verify_chain
+from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
 from proxichain.ledger import (
     MAX_BLOCK_BYTES,
     Block,
@@ -21,11 +22,13 @@ from proxichain.ledger import (
     encode_block_full,
     encode_block_header,
     encode_contact_pairs,
+    encode_transaction,
     load_chain,
     make_genesis,
     make_transaction,
+    make_transactions,
     save_chain,
-    verify_transaction,
+    verify_transactions,
     whash_digest,
     whash_preimage_prefix,
     whash_window_for,
@@ -266,6 +269,66 @@ class TestAppend:
         assert err.value.reason == "signature"
 
 
+SENDERS = [generate_identity(Role.LIGHT, seed=600 + k) for k in range(9)]
+
+
+@pytest.fixture(params=[1, 2, 5], ids=["one-chunk", "two-chunks", "five-chunks"])
+def cores(request, monkeypatch):
+    """Split every signature batch into this many chunks."""
+    monkeypatch.setattr(identity, "_CORES", request.param)
+    return request.param
+
+
+class TestBatchSignatures:
+    """Batches are split into contiguous chunks, one per CPU. With 9
+    transactions, position 0 is in the calling thread's chunk, 8 in the last
+    helper's, and 4 starts the helper's chunk of two or sits inside the
+    middle chunk of five."""
+
+    def _items(self):
+        return [(ident, TxKind.ST if k % 2 else TxKind.QT, bytes([k]) * (k + 1))
+                for k, ident in enumerate(SENDERS)]
+
+    def test_batch_equals_one_at_a_time(self, cores):
+        batch = make_transactions(self._items(), 42)
+        single = [make_transaction(ident, kind, payload, 42) for ident, kind, payload in self._items()]
+        assert batch == single
+        assert [encode_transaction(tx) for tx in batch] == [encode_transaction(tx) for tx in single]
+
+    @pytest.mark.parametrize("bad", [(0,), (4,), (8,), (4, 8), (0, 4, 8)])
+    def test_first_bad_sender_is_reported(self, cores, bad):
+        txs = make_transactions(self._items(), 3)
+        for k in bad:
+            txs[k] = dataclasses.replace(txs[k], payload=b"forged")
+        assert verify_transactions(txs) == [k not in bad for k in range(len(txs))]
+        chain = Chain()
+        block = _mine_next(chain, 0, txs)
+        result = validate_block(chain, block, DL_EASY)
+        assert (result.reason, result.detail) == (
+            "signature", f"transaction from {SENDERS[bad[0]].node_id.hex()[:12]}"
+        )
+        assert [(v.index, v.reason, v.detail) for v in verify_chain(chain.blocks + [block])] == [
+            (1, "signature", result.detail)
+        ]
+
+    def test_sender_id_mismatch_keeps_later_verdicts_aligned(self, cores):
+        txs = make_transactions(self._items(), 3)
+        txs[2] = dataclasses.replace(txs[2], sender=SENDERS[3].node_id)
+        txs[6] = dataclasses.replace(txs[6], signature=txs[5].signature)
+        assert verify_transactions(txs) == [k not in (2, 6) for k in range(len(txs))]
+
+    def test_keyless_identity_in_any_chunk_raises(self, cores):
+        items = self._items()
+        keyless = NodeIdentity(SENDERS[8].node_id, SENDERS[8].public_key, Role.LIGHT)
+        items[-1] = (keyless, TxKind.ST, b"x")
+        with pytest.raises(SigningCapabilityError):
+            make_transactions(items, 1)
+
+    def test_empty_batch(self):
+        assert make_transactions([], 0) == []
+        assert verify_transactions([]) == []
+
+
 class TestSerialization:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         chain = Chain()
@@ -290,7 +353,7 @@ class TestSerialization:
         path = tmp_path / "c.jsonl"
         save_chain(chain, str(path))
         restored = load_chain(str(path))
-        assert all(verify_transaction(tx) for tx in restored.tip.transactions)
+        assert all(verify_transactions(restored.tip.transactions))
 
 
 class TestContactPairs:
