@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -147,7 +148,12 @@ def _cmd_verify_chain(args: argparse.Namespace) -> int:
     if violations:
         for v in violations:
             print(f"block {v.index}: {v.reason} {v.detail}".rstrip(), file=sys.stderr)
-        print(f"{len(violations)} violation(s) in {len(chain)} blocks", file=sys.stderr)
+        counts = Counter(v.reason for v in violations)
+        by_reason = ", ".join(f"{reason} {counts[reason]}" for reason in sorted(counts))
+        print(
+            f"{len(violations)} violation(s) in {len(chain)} blocks: {by_reason}",
+            file=sys.stderr,
+        )
         return EXIT_VALIDATION
     print(f"chain ok: {len(chain)} blocks")
     return EXIT_OK

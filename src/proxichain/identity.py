@@ -1,6 +1,7 @@
 """Node identities, signatures and the manager-signed authorized registry.
 
-Every participant owns an ECDSA key pair on SECP256K1. The public identifier
+Every participant owns an ECDSA key pair on P-256 (secp256r1, FIPS 186-4),
+the curve OpenSSL has an optimized implementation for. The public identifier
 (node id) carried in BLE advertisements and ledger records is the SHA-256
 digest of the compressed public key, so anyone holding the key can recompute
 and check it. Signing uses deterministic nonces (RFC 6979) so that repeated
@@ -32,10 +33,10 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-_CURVE = ec.SECP256K1()
-# Order of the SECP256K1 group, needed to map seed material onto a valid
-# private scalar in [1, n-1].
-_CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+_CURVE = ec.SECP256R1()
+# Order of the P-256 group, needed to map seed material onto a valid private
+# scalar in [1, n-1].
+_CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SEED_DOMAIN = b"proxichain/identity/v1"
 
 NODE_ID_LEN = 32

@@ -52,7 +52,7 @@ MAX_BLOCK_BYTES = 1_048_576
 WINDOW_MAX = 100
 ZERO_HASH = bytes(32)
 _U64_MAX = 2**64 - 1
-_PUBKEY_BYTES = 33  # compressed secp256k1 point
+_PUBKEY_BYTES = 33  # compressed P-256 point
 
 
 class TxKind(Enum):

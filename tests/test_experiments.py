@@ -1,11 +1,16 @@
 import csv
 import json
 import os
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from proxichain import cli
-from proxichain.consensus import verify_chain
+from proxichain.consensus import DL_EASY, mine, verify_chain
 from proxichain.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -19,7 +24,14 @@ from proxichain.experiments import (
     write_bench_csv,
     write_loc_eval_csv,
 )
-from proxichain.ledger import block_to_json_line, load_chain
+from proxichain.identity import node_id_for
+from proxichain.ledger import (
+    block_from_dict,
+    block_to_dict,
+    block_to_json_line,
+    load_chain,
+    tx_signing_bytes,
+)
 from proxichain.simulation import SimConfig
 
 TINY_SIM = SimConfig(
@@ -310,6 +322,28 @@ def _write_mangled(blocks: list, mangle, tmp_path):
     return path
 
 
+def _resign_on_secp256k1(blocks: list[dict]) -> list[dict]:
+    """The chain as a file written before the switch to P-256: each sender
+    holds a secp256k1 key, and every block is re-mined over the new bytes."""
+    keys = {}
+    mined = [block_from_dict(blocks[0])]
+    for body in blocks[1:]:
+        block = block_from_dict(body)
+        txs = []
+        for tx in block.transactions:
+            key = keys.setdefault(
+                tx.sender, ec.derive_private_key(len(keys) + 1, ec.SECP256K1())
+            )
+            pub = key.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+            sender = node_id_for(pub)
+            message = tx_signing_bytes(tx.kind, sender, tx.payload, tx.timestamp)
+            signature = key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+            txs.append(replace(tx, sender=sender, sender_pubkey=pub, signature=signature))
+        candidate = replace(block, prev_hash=mined[-1].block_hash, transactions=tuple(txs))
+        mined.append(mine(mined, candidate, DL_EASY).block)
+    return [block_to_dict(b) for b in mined]
+
+
 class TestVerifyChainMalformed:
     """verify-chain keeps its exit codes on hostile chain files: a line that
     does not load is a configuration problem (3), a loaded chain that breaks
@@ -337,6 +371,39 @@ class TestVerifyChainMalformed:
             assert "block 0: genesis" in err
         else:
             assert "cannot load chain" in err
+
+    def test_secp256k1_chain_fails_every_signature(self, tiny_chain_blocks, tmp_path, capsys):
+        blocks = _resign_on_secp256k1(tiny_chain_blocks)
+        path = _write_mangled(blocks, lambda b: b, tmp_path)
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        signed = [k for k, b in enumerate(blocks) if b["transactions"]]
+        assert len(signed) >= 2
+        reported = [line.split(" ", 3)[1:3] for line in err.splitlines() if line.startswith("block ")]
+        assert reported == [[f"{k}:", "signature"] for k in signed]
+        assert err.splitlines()[-1] == (
+            f"{len(signed)} violation(s) in {len(blocks)} blocks: signature {len(signed)}"
+        )
+        assert "Traceback" not in err
+
+    def test_summary_counts_each_reason(self, tiny_chain_blocks, tmp_path, capsys):
+        def mangle(blocks):
+            blocks[1]["prev_hash"] = "00" * 32
+            blocks[2]["timestamp"] += 1
+            return blocks
+
+        path = _write_mangled(tiny_chain_blocks, mangle, tmp_path)
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        reasons = Counter(line.split(" ")[2] for line in lines[:-1])
+        assert all(line.startswith("block ") for line in lines[:-1])
+        assert {"linkage", "digest"} <= set(reasons)
+        assert lines[-1] == (
+            f"{len(lines) - 1} violation(s) in {len(tiny_chain_blocks)} blocks: "
+            + ", ".join(f"{r} {reasons[r]}" for r in sorted(reasons))
+        )
 
     def test_load_error_names_the_line(self, tiny_chain_blocks, tmp_path, capsys):
         path = _write_mangled(tiny_chain_blocks, _set(2, "nonce", -1), tmp_path)

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from proxichain.identity import (
+    _CURVE,
+    _CURVE_ORDER,
     AuthorizationError,
     AuthorizedRegistry,
     NodeIdentity,
@@ -74,6 +77,16 @@ def test_signing_needs_secret_key():
     assert ident.secret_key is None
     with pytest.raises(SigningCapabilityError):
         sign(ident, b"nope")
+
+
+def test_curve_is_p256():
+    # A seed maps to a scalar mod (order - 1), so an order constant left at
+    # another curve's value would fail on too few seeds for any other test
+    # to notice.
+    ec.derive_private_key(_CURVE_ORDER - 1, _CURVE)
+    with pytest.raises(ValueError):
+        ec.derive_private_key(_CURVE_ORDER, _CURVE)
+    assert generate_identity(Role.LIGHT, seed=12).secret_key.curve.name == "secp256r1"
 
 
 def test_signature_is_deterministic():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import proxichain.consensus as consensus
 import proxichain.identity as identity
 from proxichain.consensus import DL_EASY, mine, validate_block, verify_chain
 from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
@@ -323,6 +324,46 @@ class TestBatchSignatures:
         items[-1] = (keyless, TxKind.ST, b"x")
         with pytest.raises(SigningCapabilityError):
             make_transactions(items, 1)
+
+    def test_chain_batch_keeps_each_block_aligned(self, cores, monkeypatch):
+        """verify_chain checks every signature in one batch; each block must
+        still get its own verdicts. Forged transactions sit first, last and
+        after a sender-id mismatch (which the batch skips), around an empty
+        block, and inside a block whose stored index is wrong (never reported
+        as a signature failure)."""
+        def forge(txs, k):
+            txs[k] = dataclasses.replace(txs[k], payload=b"forged")
+
+        bodies = [make_transactions(self._items()[:n], ts) for ts, n in enumerate([9, 0, 9, 5, 9, 9, 3])]
+        forge(bodies[0], 0)
+        forge(bodies[2], 8)
+        bodies[3][1] = dataclasses.replace(bodies[3][1], sender=SENDERS[7].node_id)
+        forge(bodies[3], 3)
+        forge(bodies[4], 4)
+        forge(bodies[6], 2)
+        chain = Chain()
+        for k, txs in enumerate(bodies):
+            chain.blocks.append(_mine_next(chain, 0, txs, timestamp=k + 1))
+        chain.blocks[5] = dataclasses.replace(chain.blocks[5], index=50)
+
+        calls = []
+
+        def counted(txs):
+            calls.append(len(txs))
+            return verify_transactions(txs)
+
+        def sent(ident):
+            return f"transaction from {ident.node_id.hex()[:12]}"
+
+        monkeypatch.setattr(consensus, "verify_transactions", counted)
+        assert [(v.index, v.reason, v.detail) for v in verify_chain(chain)] == [
+            (1, "signature", sent(SENDERS[0])),
+            (3, "signature", sent(SENDERS[8])),
+            (4, "signature", sent(SENDERS[7])),
+            (5, "index", "stored index 50"),
+            (7, "signature", sent(SENDERS[2])),
+        ]
+        assert calls == [sum(map(len, bodies))]
 
     def test_empty_batch(self):
         assert make_transactions([], 0) == []
