@@ -1,11 +1,14 @@
 """BLE array-signal synthesis, MUSIC bearing estimation and triangulation.
 
 The receive model is a uniform linear array of ``n_elements`` antennas at
-half-wavelength spacing. A narrowband source at azimuth theta (degrees, 0 to
-180, measured from the array axis) and elevation phi reaches element ``m``
-with phase ``exp(-2j pi (d / lambda) m cos(theta) cos(phi))``. Snapshots
-stack M complex samples per element; the MUSIC spectrum scans the 181
-integer azimuths of the half-plane with elevation fixed at zero.
+half-wavelength spacing (``SPACING_OVER_LAMBDA``). A narrowband source at
+azimuth theta (degrees, 0 to 180, measured from the array axis) and
+elevation phi reaches element ``m`` with phase
+``exp(-2j pi (d / lambda) m cos(theta) cos(phi))``. Snapshots stack M
+complex samples per element; the MUSIC spectrum scans the 181 integer
+azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
+each take a batch of receivers in one call (``synthesize_snapshots``,
+``music_spectra``); the one-snapshot functions are batches of one.
 
 Positions come from intersecting bearing lines of several fixed receivers in
 a least-squares sense; a learned image classifier could replace that last
@@ -15,6 +18,7 @@ square angle image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,6 +30,9 @@ AZIMUTH_GRID = np.arange(181)
 ANGLE_IMAGE_SIDE = 28
 ANGLE_IMAGE_BEACONS = 4
 ANGLE_IMAGE_PAYLOAD = ANGLE_IMAGE_BEACONS * 181  # 724 spectrum samples
+# Element spacing in wavelengths: synthesis, steering vectors and the MUSIC
+# scan all read it from here.
+SPACING_OVER_LAMBDA = 0.5
 
 
 class NumericalRankError(Exception):
@@ -75,11 +82,50 @@ class ChannelRealization:
             raise ValueError("path delays must be non-negative")
         if list(self.delays) != sorted(self.delays):
             raise ValueError("path delays must be sorted ascending")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(
+                f"SNR must be a finite dB value, or None for noiseless; got {self.snr_db!r}"
+            )
 
 
 def awgn_channel(snr_db: Optional[float]) -> ChannelRealization:
     """Single line-of-sight path with additive noise only."""
     return ChannelRealization(attenuations=(1.0 + 0.0j,), delays=(0.0,), snr_db=snr_db)
+
+
+@functools.lru_cache(maxsize=None)
+def _gaussian_pulse(config: BlePulseConfig) -> np.ndarray:
+    """Gaussian frequency pulse truncated to +/-2 symbol periods, unit sum."""
+    sps = config.samples_per_symbol
+    delta = math.sqrt(math.log(2.0)) / (2.0 * math.pi * config.bt_product)
+    t = np.arange(-2 * sps, 2 * sps + 1) / sps
+    pulse = np.exp(-(t ** 2) / (2.0 * delta ** 2))
+    pulse /= pulse.sum()
+    pulse.setflags(write=False)
+    return pulse
+
+
+def _draw_symbols(
+    config: BlePulseConfig, n_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    n_symbols = n_samples // config.samples_per_symbol + 4
+    return rng.choice(np.array([-1.0, 1.0]), size=n_symbols)
+
+
+def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np.ndarray:
+    """GFSK baseband for each row of +/-1 symbols: (B, n_symbols) -> (B, n_samples)."""
+    sps = config.samples_per_symbol
+    pulse = _gaussian_pulse(config)
+    freq = np.stack(
+        [np.convolve(np.repeat(row, sps), pulse, mode="same") for row in symbols]
+    )
+    phase = (
+        config.initial_phase
+        + np.pi * config.modulation_index * np.cumsum(freq, axis=1) / sps
+    )
+    amplitude = math.sqrt(2.0 * config.symbol_energy / config.symbol_period)
+    baseband = amplitude * np.exp(1j * phase)
+    return baseband[:, :n_samples]
 
 
 def gfsk_baseband(
@@ -91,31 +137,14 @@ def gfsk_baseband(
     normalized cumulative response advances the phase by pi times the
     modulation index per symbol.
     """
-    sps = config.samples_per_symbol
-    n_symbols = n_samples // sps + 4
-    symbols = rng.choice(np.array([-1.0, 1.0]), size=n_symbols)
-
-    # Gaussian frequency pulse truncated to +/-2 symbol periods.
-    delta = math.sqrt(math.log(2.0)) / (2.0 * math.pi * config.bt_product)
-    t = np.arange(-2 * sps, 2 * sps + 1) / sps
-    pulse = np.exp(-(t ** 2) / (2.0 * delta ** 2))
-    pulse /= pulse.sum()
-
-    freq = np.convolve(np.repeat(symbols, sps), pulse, mode="same")
-    phase = (
-        config.initial_phase
-        + np.pi * config.modulation_index * np.cumsum(freq) / sps
-    )
-    amplitude = math.sqrt(2.0 * config.symbol_energy / config.symbol_period)
-    baseband = amplitude * np.exp(1j * phase)
-    return baseband[:n_samples]
+    return _modulate(config, _draw_symbols(config, n_samples, rng)[None], n_samples)[0]
 
 
 def steering_vector(
     azimuth_deg: float,
     elevation_deg: float,
     n_elements: int,
-    spacing_over_lambda: float = 0.5,
+    spacing_over_lambda: float = SPACING_OVER_LAMBDA,
 ) -> np.ndarray:
     """Per-element phase response of the linear array to a plane wave."""
     theta = math.radians(azimuth_deg)
@@ -134,6 +163,64 @@ class ArraySnapshot:
     wavelength: float
 
 
+def synthesize_snapshots(
+    config: BlePulseConfig,
+    channel: ChannelRealization,
+    azimuths_deg: Sequence[float],
+    elevations_deg: Sequence[float],
+    n_elements: int,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Simulate what B arrays record for one advertising burst each.
+
+    Returns complex samples of shape ``(B, n_elements, n_samples)``, one
+    array per (azimuth, elevation) pair, all through the same channel. The
+    multipath sum collapses to one complex gain because path delays are
+    tiny against the symbol period (narrowband assumption); each array's
+    noise level is set from the channel's SNR against its actual signal
+    power, so the empirical SNR of every output matches the request.
+
+    Draws are taken from ``rng`` array by array (the symbols, then the real
+    and imaginary noise), so a batch consumes the stream exactly as B
+    one-array calls would and returns the same samples.
+    """
+    if len(azimuths_deg) != len(elevations_deg) or len(azimuths_deg) < 1:
+        raise ValueError("need one elevation per azimuth, and at least one of each")
+    if not all(0.0 <= az <= 180.0 for az in azimuths_deg):
+        raise ValueError("azimuth must sit in [0, 180] degrees")
+    if n_elements < 2:
+        raise ValueError("need at least two array elements")
+    if n_samples < n_elements:
+        raise ValueError("need at least as many samples as elements")
+
+    symbols, unit_noise = [], []
+    for _ in azimuths_deg:
+        symbols.append(_draw_symbols(config, n_samples, rng))
+        unit_noise.append(rng.normal(size=(2, n_elements, n_samples)))
+    source = _modulate(config, np.stack(symbols), n_samples)
+    gain = sum(
+        rho * np.exp(-2j * np.pi * config.carrier_hz * tau)
+        for rho, tau in zip(channel.attenuations, channel.delays)
+    )
+    steering = np.stack(
+        [
+            steering_vector(az, el, n_elements)
+            for az, el in zip(azimuths_deg, elevations_deg)
+        ]
+    )
+    clean = steering[:, :, None] * (gain * source)[:, None, :]
+
+    if channel.snr_db is None:
+        sigma = np.full(len(clean), channel.noise_sigma)
+    else:
+        signal_power = np.mean(np.abs(clean) ** 2, axis=(1, 2))
+        sigma = np.sqrt(signal_power * 10.0 ** (-channel.snr_db / 10.0))
+    z = np.stack(unit_noise)
+    noise = (z[:, 0] + 1j * z[:, 1]) * (sigma / math.sqrt(2.0))[:, None, None]
+    return clean + noise
+
+
 def synthesize_snapshot(
     config: BlePulseConfig,
     channel: ChannelRealization,
@@ -143,81 +230,86 @@ def synthesize_snapshot(
     n_samples: int,
     rng: np.random.Generator,
 ) -> ArraySnapshot:
-    """Simulate what the array records for one advertising burst.
-
-    The multipath sum collapses to one complex gain because path delays are
-    tiny against the symbol period (narrowband assumption); the per-element
-    noise level is set from the channel's SNR against the actual signal
-    power, so the empirical SNR of the output matches the request.
-    """
-    if not 0.0 <= azimuth_deg <= 180.0:
-        raise ValueError("azimuth must sit in [0, 180] degrees")
-    if n_elements < 2:
-        raise ValueError("need at least two array elements")
-    if n_samples < n_elements:
-        raise ValueError("need at least as many samples as elements")
-
-    source = gfsk_baseband(config, n_samples, rng)
-    gain = sum(
-        rho * np.exp(-2j * np.pi * config.carrier_hz * tau)
-        for rho, tau in zip(channel.attenuations, channel.delays)
+    """One array's recording of one advertising burst (see ``synthesize_snapshots``)."""
+    samples = synthesize_snapshots(
+        config, channel, [azimuth_deg], [elevation_deg], n_elements, n_samples, rng
     )
-    steering = steering_vector(azimuth_deg, elevation_deg, n_elements)
-    clean = np.outer(steering, gain * source)
-
-    if channel.snr_db is None:
-        sigma = channel.noise_sigma
-    else:
-        signal_power = float(np.mean(np.abs(clean) ** 2))
-        sigma = math.sqrt(signal_power * 10.0 ** (-channel.snr_db / 10.0))
-    noise = (
-        rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape)
-    ) * (sigma / math.sqrt(2.0))
-
     return ArraySnapshot(
         elements=n_elements,
-        spacing=config.wavelength / 2.0,
-        samples=clean + noise,
+        spacing=config.wavelength * SPACING_OVER_LAMBDA,
+        samples=samples[0],
         true_azimuth=azimuth_deg,
         true_elevation=elevation_deg,
         wavelength=config.wavelength,
     )
 
 
+def _covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariances of stacked array outputs, forced exactly Hermitian,
+    with their eigenvectors (ascending eigenvalues). Raises
+    :class:`NumericalRankError` if any covariance is not positive semidefinite.
+    """
+    r = samples @ samples.conj().swapaxes(-1, -2) / samples.shape[-1]
+    r = (r + r.conj().swapaxes(-1, -2)) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(r)
+    bad = eigvals[:, 0] < -1e-9 * np.maximum(np.abs(eigvals[:, -1]), 1.0)
+    if bad.any():
+        raise NumericalRankError(
+            f"covariance {int(np.argmax(bad))} of the batch is not positive semidefinite"
+        )
+    return r, eigvecs
+
+
 def snapshot_covariance(snapshot: ArraySnapshot) -> np.ndarray:
     """Sample covariance of the array output, forced exactly Hermitian."""
-    x = snapshot.samples
-    r = x @ x.conj().T / x.shape[1]
-    r = (r + r.conj().T) / 2.0
-    eigvals = np.linalg.eigvalsh(r)
-    if eigvals[0] < -1e-9 * max(abs(eigvals[-1]), 1.0):
-        raise NumericalRankError("covariance is not positive semidefinite")
-    return r
+    r, _ = _covariances(snapshot.samples[None])
+    return r[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _steering_matrix(n_elements: int, spacing_over_lambda: float) -> np.ndarray:
+    """All 181 grid steering vectors at elevation zero: column theta scans the grid."""
+    phase_step = -2j * np.pi * spacing_over_lambda * np.cos(np.radians(AZIMUTH_GRID))
+    a = np.exp(np.outer(np.arange(n_elements), phase_step))
+    a.setflags(write=False)
+    return a
+
+
+def music_spectra(
+    samples: np.ndarray,
+    n_sources: int,
+    spacing_over_lambda: float = SPACING_OVER_LAMBDA,
+) -> np.ndarray:
+    """Pseudo-spectra over integer azimuths 0..180 at elevation zero.
+
+    ``samples`` stacks B array outputs, shape ``(B, n_elements, M)``; the
+    result has shape ``(B, 181)``. Peaks appear where the steering vector
+    falls out of the noise subspace spanned by the smallest covariance
+    eigenvectors.
+    """
+    if samples.ndim != 3 or samples.shape[0] < 1:
+        raise ValueError("samples must stack one or more arrays: (B, n_elements, M)")
+    n_e, n_samples = samples.shape[1:]
+    if not 1 <= n_sources < n_e:
+        raise ValueError("n_sources must sit in [1, n_elements)")
+    if n_samples < n_e:
+        raise NumericalRankError(f"{n_samples} samples cannot resolve {n_e} elements")
+    _, eigvecs = _covariances(samples)
+    noise_space = eigvecs[:, :, : n_e - n_sources]
+    projector = noise_space @ noise_space.conj().swapaxes(-1, -2)
+
+    a = _steering_matrix(n_e, spacing_over_lambda)
+    denom = np.real(np.einsum("it,bit->bt", a.conj(), projector @ a))
+    return 1.0 / np.maximum(denom, np.finfo(float).tiny)
 
 
 def music_spectrum(snapshot: ArraySnapshot, n_sources: int) -> np.ndarray:
-    """Pseudo-spectrum over integer azimuths 0..180 at elevation zero.
-
-    Peaks appear where the steering vector falls out of the noise subspace
-    spanned by the smallest covariance eigenvectors.
-    """
-    n_e = snapshot.elements
-    if not 1 <= n_sources < n_e:
-        raise ValueError("n_sources must sit in [1, n_elements)")
-    if snapshot.samples.shape[1] < n_e:
-        raise NumericalRankError(
-            f"{snapshot.samples.shape[1]} samples cannot resolve {n_e} elements"
-        )
-    r = snapshot_covariance(snapshot)
-    _, eigvecs = np.linalg.eigh(r)  # ascending eigenvalues
-    noise_space = eigvecs[:, : n_e - n_sources]
-    projector = noise_space @ noise_space.conj().T
-
-    # All 181 steering vectors at once: column theta of A scans the grid.
-    phase_step = -1j * np.pi * np.cos(np.radians(AZIMUTH_GRID))
-    a = np.exp(np.outer(np.arange(n_e), phase_step))
-    denom = np.real(np.einsum("it,it->t", a.conj(), projector @ a))
-    return 1.0 / np.maximum(denom, np.finfo(float).tiny)
+    """One snapshot's MUSIC pseudo-spectrum (see ``music_spectra``), scanned
+    with the snapshot's own element spacing."""
+    spectra = music_spectra(
+        snapshot.samples[None], n_sources, snapshot.spacing / snapshot.wavelength
+    )
+    return spectra[0]
 
 
 def spectrum_peak(spectrum: np.ndarray) -> int:

@@ -339,6 +339,8 @@ def run_localization_eval(
     """
     if trials < 30:
         raise ValueError("need at least 30 trials per SNR point")
+    # Building the channels first rejects a non-finite SNR before any work.
+    channels = [aoa.awgn_channel(snr) for snr in snr_list]
 
     beacons = Venue().beacon_grid()
     config = aoa.BlePulseConfig()
@@ -354,25 +356,22 @@ def run_localization_eval(
         order = np.argsort(np.linalg.norm(beacons - target, axis=1))
         picked = beacons[order[:4]]
         elevations = geo.uniform(0.0, 5.0, size=4)
+        deltas = [target - b for b in picked]
+        azimuths = [
+            float(np.degrees(np.arctan2(abs(delta[1]), delta[0]))) for delta in deltas
+        ]
 
-        for k, snr in enumerate(snr_list):
+        for k, channel in enumerate(channels):
             noise_rng = np.random.default_rng(
                 np.random.SeedSequence((seed, trial, k + 1))
             )
+            # One batch per fix: the four receivers' snapshots and spectra.
+            samples = aoa.synthesize_snapshots(
+                config, channel, azimuths, elevations, n_elements, n_samples, noise_rng
+            )
+            peaks = np.argmax(aoa.music_spectra(samples, n_sources=1), axis=1).tolist()
             bearings = []
-            for b, elevation in zip(picked, elevations):
-                delta = target - b
-                azimuth = float(np.degrees(np.arctan2(abs(delta[1]), delta[0])))
-                snap = aoa.synthesize_snapshot(
-                    config,
-                    aoa.awgn_channel(snr),
-                    azimuth,
-                    float(elevation),
-                    n_elements,
-                    n_samples,
-                    noise_rng,
-                )
-                est = aoa.spectrum_peak(aoa.music_spectrum(snap, n_sources=1))
+            for est, azimuth, delta in zip(peaks, azimuths, deltas):
                 az_errors[k].append(abs(est - azimuth))
                 # Undo the mirror ambiguity using the known side of the axis.
                 bearings.append(float(est) if delta[1] >= 0 else -float(est))

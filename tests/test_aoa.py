@@ -16,12 +16,14 @@ from proxichain.aoa import (
     build_angle_image,
     estimate_position,
     gfsk_baseband,
+    music_spectra,
     music_spectrum,
     normalize_spectrum,
     snapshot_covariance,
     spectrum_peak,
     steering_vector,
     synthesize_snapshot,
+    synthesize_snapshots,
     unpad_angle_image,
 )
 
@@ -65,6 +67,11 @@ class TestChannel:
             ChannelRealization(attenuations=(1.0 + 0j,), delays=(-1e-9,))
         with pytest.raises(ValueError):
             ChannelRealization(attenuations=(1j, 1j), delays=(1e-9, 0.0))
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            awgn_channel(snr_db)
 
     def test_awgn_is_single_clean_path(self):
         ch = awgn_channel(snr_db=15.0)
@@ -218,9 +225,107 @@ class TestMusic:
         spun = music_spectrum(rotated, n_sources=1)
         assert np.allclose(base, spun, rtol=1e-9, atol=0)
 
+    def test_scan_uses_the_snapshot_spacing(self):
+        """A 0.4-wavelength array peaks at the true bearing, not where a
+        half-wavelength scan would put it (66 deg for a true 60 deg)."""
+        source = gfsk_baseband(CONFIG, 256, np.random.default_rng(4))
+        snap = ArraySnapshot(
+            elements=4,
+            spacing=0.4 * CONFIG.wavelength,
+            samples=np.outer(steering_vector(60.0, 0.0, 4, 0.4), source),
+            true_azimuth=60.0,
+            true_elevation=0.0,
+            wavelength=CONFIG.wavelength,
+        )
+        assert spectrum_peak(music_spectrum(snap, n_sources=1)) == 60
+
     def test_spectrum_covers_whole_grid(self):
         spectrum = music_spectrum(_snapshot(44.0, seed=2), n_sources=1)
         assert spectrum.shape == AZIMUTH_GRID.shape
+
+
+class TestBatch:
+    """The batch functions compute what B one-snapshot calls compute."""
+
+    AZIMUTHS = [12.5, 60.0, 91.3, 170.0]
+    ELEVATIONS = [0.0, 1.5, 3.0, 4.9]
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            awgn_channel(None),
+            awgn_channel(20.0),
+            ChannelRealization(
+                attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9), snr_db=10.0
+            ),
+        ],
+        ids=["noiseless", "20dB", "two-path"],
+    )
+    def test_synthesis_matches_sequential_calls_bit_for_bit(self, channel):
+        batch = synthesize_snapshots(
+            CONFIG, channel, self.AZIMUTHS, self.ELEVATIONS, 4, 256, np.random.default_rng(9)
+        )
+        rng = np.random.default_rng(9)
+        singles = [
+            synthesize_snapshot(CONFIG, channel, az, el, 4, 256, rng).samples
+            for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
+        ]
+        assert batch.shape == (4, 4, 256)
+        assert batch.tobytes() == np.stack(singles).tobytes()
+
+    def test_spectra_match_single_spectra(self):
+        samples = synthesize_snapshots(
+            CONFIG, awgn_channel(15.0), self.AZIMUTHS, self.ELEVATIONS, 4, 256,
+            np.random.default_rng(10),
+        )
+        spectra = music_spectra(samples, n_sources=1)
+        assert spectra.shape == (4, AZIMUTH_GRID.size)
+        for row, x, az in zip(spectra, samples, self.AZIMUTHS):
+            snap = ArraySnapshot(
+                elements=4, spacing=CONFIG.wavelength / 2, samples=x,
+                true_azimuth=az, true_elevation=0.0, wavelength=CONFIG.wavelength,
+            )
+            assert np.allclose(row, music_spectrum(snap, n_sources=1), rtol=1e-9, atol=0)
+
+    def test_synthesis_guards_cover_every_member(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            synthesize_snapshots(CONFIG, awgn_channel(None), [30.0, 190.0], [0.0, 0.0], 4, 64, rng)
+        with pytest.raises(ValueError):
+            synthesize_snapshots(CONFIG, awgn_channel(None), [30.0, 60.0], [0.0], 4, 64, rng)
+        with pytest.raises(ValueError):
+            synthesize_snapshots(CONFIG, awgn_channel(None), [], [], 4, 64, rng)
+
+    def test_spectra_guards(self):
+        samples = synthesize_snapshots(
+            CONFIG, awgn_channel(10.0), self.AZIMUTHS, self.ELEVATIONS, 4, 64,
+            np.random.default_rng(3),
+        )
+        with pytest.raises(NumericalRankError):
+            music_spectra(samples[:, :, :3], n_sources=1)
+        for bad in (0, 4):
+            with pytest.raises(ValueError):
+                music_spectra(samples, n_sources=bad)
+        with pytest.raises(ValueError):
+            music_spectra(samples[0], n_sources=1)
+
+    def test_non_psd_member_fails_the_batch(self, monkeypatch):
+        """One covariance with a clearly negative eigenvalue rejects the batch."""
+        samples = synthesize_snapshots(
+            CONFIG, awgn_channel(10.0), self.AZIMUTHS, self.ELEVATIONS, 4, 64,
+            np.random.default_rng(3),
+        )
+        eigh = np.linalg.eigh
+
+        def skewed(r):
+            w, v = eigh(r)
+            w = w.copy()
+            w[2, 0] = -1e-3 * abs(w[2, -1]) - 1.0
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(NumericalRankError, match="covariance 2"):
+            music_spectra(samples, n_sources=1)
 
 
 class TestAngleImage:

@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from proxichain import cli
+from proxichain import aoa, cli
 from proxichain.consensus import DL_EASY, mine, verify_chain
 from proxichain.experiments import (
     ConfigError,
@@ -216,6 +216,27 @@ class TestLocalizationEval:
             reader = list(csv.DictReader(fh))
         assert reader[0]["snr_db"] == "inf"
 
+    def test_rows_are_pinned(self):
+        """Exact floats recorded before bearing estimation was batched per fix."""
+        rows = run_localization_eval([None, 20.0, 10.0], trials=30, seed=1)
+        assert [
+            (r.snr_db, r.mean_abs_azimuth_error_deg, r.position_rmse_m, r.dropped_trials)
+            for r in rows
+        ] == [
+            (None, 0.277632334138855, 0.020133033388870042, 0),
+            (20.0, 0.2875621478846115, 0.02255876607216437, 0),
+            (10.0, 1.7737359549747505, 0.0341988001735763, 0),
+        ]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_is_rejected_before_synthesis(self, bad, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("synthesis ran before the SNR list was checked")
+
+        monkeypatch.setattr(aoa, "synthesize_snapshots", unreachable)
+        with pytest.raises(ValueError, match="finite"):
+            run_localization_eval([20.0, bad], trials=30)
+
     def test_geometry_is_shared_across_snr_rows(self):
         lone = run_localization_eval([None], trials=30, seed=2)
         paired = run_localization_eval([20.0, None], trials=30, seed=2)
@@ -283,6 +304,14 @@ class TestCli:
 
     def test_loc_eval_bad_snr_list(self):
         assert cli.main(["loc-eval", "--snr", "abc"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "snr, named", [("nan", "nan"), ("inf,-inf", "-inf"), ("20,1e400", "inf")]
+    )
+    def test_loc_eval_non_finite_snr(self, snr, named, capsys):
+        assert cli.main(["loc-eval", "--snr", snr, "--trials", "30"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and f"got {named}" in err
 
     def test_loc_eval_too_few_trials(self):
         assert cli.main(["loc-eval", "--snr", "inf", "--trials", "5"]) == cli.EXIT_CONFIG
