@@ -48,7 +48,7 @@ for block in chain:
     for tx in block.transactions:
         kinds[tx.kind.value] = kinds.get(tx.kind.value, 0) + 1
 print(f"\n{len(chain) - 1} blocks mined, transactions by kind: {kinds}")
-print("chain verifies cleanly:", verify_chain(chain, world.registry) == [])
+print("chain verifies cleanly:", verify_chain(chain) == [])
 print("diagnosed agents in the pool:", len({n for n, _ in world.iup.entries}))
 
 # ---------------------------------------------------------------------------

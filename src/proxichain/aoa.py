@@ -73,7 +73,6 @@ class ChannelRealization:
     attenuations: tuple[complex, ...]
     delays: tuple[float, ...]
     snr_db: Optional[float] = None
-    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.attenuations) < 1 or len(self.attenuations) != len(self.delays):
@@ -212,7 +211,7 @@ def synthesize_snapshots(
     clean = steering[:, :, None] * (gain * source)[:, None, :]
 
     if channel.snr_db is None:
-        sigma = np.full(len(clean), channel.noise_sigma)
+        sigma = np.zeros(len(clean))
     else:
         signal_power = np.mean(np.abs(clean) ** 2, axis=(1, 2))
         sigma = np.sqrt(signal_power * 10.0 ** (-channel.snr_db / 10.0))
@@ -335,20 +334,16 @@ class AngleImage:
     padded: np.ndarray   # (28, 28)
 
 
-def build_angle_image(
-    spectra: Sequence[np.ndarray], n_beacons: int = ANGLE_IMAGE_BEACONS
-) -> AngleImage:
+def build_angle_image(spectra: Sequence[np.ndarray]) -> AngleImage:
     """Stack per-receiver spectra and zero-pad them into a 28 by 28 matrix.
 
     Four rows of 181 samples leave exactly 60 entries of padding; other
     receiver counts do not fit the square and are rejected.
     """
-    if n_beacons != ANGLE_IMAGE_BEACONS:
-        raise ValueError(f"angle image is defined for {ANGLE_IMAGE_BEACONS} receivers")
-    if len(spectra) != n_beacons:
-        raise ValueError(f"expected {n_beacons} spectra, got {len(spectra)}")
+    if len(spectra) != ANGLE_IMAGE_BEACONS:
+        raise ValueError(f"expected {ANGLE_IMAGE_BEACONS} spectra, got {len(spectra)}")
     rows = np.asarray(spectra, dtype=float)
-    if rows.shape != (n_beacons, 181):
+    if rows.shape != (ANGLE_IMAGE_BEACONS, 181):
         raise ValueError(f"each spectrum must hold 181 samples, got {rows.shape}")
     if rows.size and (rows.min() < 0.0 or rows.max() > 1.0):
         raise ValueError("spectra rows must be normalized to [0, 1]")
@@ -374,14 +369,14 @@ def unpad_angle_image(padded: np.ndarray) -> np.ndarray:
 def estimate_position(
     beacon_positions: Sequence[Sequence[float]],
     bearings_deg: Sequence[float],
-    condition_limit: float = 1e8,
 ) -> tuple[np.ndarray, float]:
     """Least-squares intersection of bearing lines from fixed receivers.
 
     Each bearing defines the line through its receiver along the given
     global direction; the normal-form equations are solved jointly. Returns
     the point and the residual norm, which callers can use as a quality
-    gate. Near-parallel bearings raise :class:`DegenerateGeometryError`.
+    gate. Near-parallel bearings (condition number above 1e8) raise
+    :class:`DegenerateGeometryError`.
     """
     beacons = np.asarray(beacon_positions, dtype=float)
     angles = np.asarray(bearings_deg, dtype=float)
@@ -397,7 +392,7 @@ def estimate_position(
     offsets = np.einsum("ij,ij->i", normals, beacons)
 
     singular = np.linalg.svd(normals, compute_uv=False)
-    if singular[-1] <= 0 or singular[0] / singular[-1] > condition_limit:
+    if singular[-1] <= 0 or singular[0] / singular[-1] > 1e8:
         raise DegenerateGeometryError("bearing lines are (near-)parallel")
 
     point, _, _, _ = np.linalg.lstsq(normals, offsets, rcond=None)

@@ -67,13 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_spec(args.config) if args.config else ExperimentSpec()
-    sim = spec.sim
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
-    if args.blocks is not None:
-        sim = replace(sim, n_blocks=args.blocks)
-    if args.radius is not None:
-        sim = replace(sim, infection_radius=float(args.radius))
+    overrides = {"seed": args.seed, "n_blocks": args.blocks, "infection_radius": args.radius}
+    try:
+        sim = replace(spec.sim, **{k: v for k, v in overrides.items() if v is not None})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad override: {exc}") from exc
     spec = replace(spec, sim=sim)
     if args.whash is not None:
         try:

@@ -20,6 +20,8 @@ from .ledger import (
     MAX_BLOCK_BYTES,
     Block,
     Chain,
+    WindowDomainError,
+    WindowHistoryError,
     encode_block_full,
     make_genesis,
     verify_transactions,
@@ -75,10 +77,9 @@ def mine(
     chain: Union[Chain, Sequence[Block]],
     candidate: Block,
     level: DifficultyLevel,
-    nonce_start: int = 0,
     max_trials: Optional[int] = None,
 ) -> MiningResult:
-    """Sequential nonce search from ``nonce_start`` until the prefix rule holds.
+    """Sequential nonce search from zero until the prefix rule holds.
 
     The window predecessors and candidate header are hashed once into a
     SHA-256 state; each trial copies that state and feeds only the 8-byte
@@ -88,7 +89,7 @@ def mine(
     blocks = chain.blocks if isinstance(chain, Chain) else chain
     prefix_state = hashlib.sha256(whash_preimage_prefix(blocks, candidate))
     started = time.perf_counter()
-    nonce = nonce_start
+    nonce = 0
     trials = 0
     while True:
         trials += 1
@@ -132,14 +133,14 @@ def _check_block(
     def reject(reason: str, detail: str = "") -> ValidationResult:
         return ValidationResult(False, reason, detail)
 
-    if not 0 <= block.whash_window <= 100:
-        return reject("window", f"window {block.whash_window} outside [0, 100]")
-    if max(block.whash_window - 1, 0) > block.index:
-        return reject("window", "window reaches past the start of the chain")
+    try:
+        prefix = whash_preimage_prefix(blocks, block)
+    except (WindowDomainError, WindowHistoryError) as exc:
+        return reject("window", str(exc))
     if len(encode_block_full(block)) > MAX_BLOCK_BYTES:
         return reject("overflow", "serialized block exceeds 1 MiB")
 
-    h = hashlib.sha256(whash_preimage_prefix(blocks, block))
+    h = hashlib.sha256(prefix)
     h.update(struct.pack("<Q", block.nonce))
     if h.digest() != block.block_hash:
         return reject("digest", "recomputed digest differs from block_hash")
@@ -198,10 +199,7 @@ class ChainViolation:
     detail: str = ""
 
 
-def verify_chain(
-    chain: Union[Chain, Sequence[Block]],
-    registry: Optional[AuthorizedRegistry] = None,
-) -> list[ChainViolation]:
+def verify_chain(chain: Union[Chain, Sequence[Block]]) -> list[ChainViolation]:
     """Re-validate a persisted chain end to end, returning every violation.
 
     Block 0 must equal the fixed genesis block. Entitlement is not
@@ -227,7 +225,7 @@ def verify_chain(
         if block.prev_hash != blocks[i - 1].block_hash:
             violations.append(ChainViolation(i, "linkage", "prev_hash mismatch"))
         result = _check_block(
-            blocks, block, DL_EASY, registry, miner_credit=None, alpha_d=0.0,
+            blocks, block, DL_EASY, registry=None, miner_credit=None, alpha_d=0.0,
             verdicts=verdicts[start:end],
         )
         if not result.accepted:
@@ -236,22 +234,8 @@ def verify_chain(
 
 
 # ---------------------------------------------------------------------------
-# Analytic difficulty metrics
+# Analytic attack cost
 # ---------------------------------------------------------------------------
-
-def block_difficulty(level: DifficultyLevel, target_hash: float) -> float:
-    """Difficulty as the level's bit size over the numeric target value."""
-    if target_hash <= 0:
-        raise ValueError("target_hash must be positive")
-    return level.bits / target_hash
-
-
-def expected_interval(d_bc: float, bits_b: int, hash_rate: float) -> float:
-    """Predicted seconds to mine a block at the given difficulty and rate."""
-    if hash_rate <= 0:
-        raise ValueError("hash_rate must be positive")
-    return d_bc * (2.0 ** bits_b) / hash_rate
-
 
 def attack_cost_model(n_wh: int, bits_b: int) -> tuple[float, float]:
     """Expected hash counts for an honest miner vs. a history rewriter.

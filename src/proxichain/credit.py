@@ -10,9 +10,13 @@ recent history but fades instead of banning a node forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MIN_SEPARATION_M = 0.05
 
@@ -27,6 +31,26 @@ class TemporalOrderError(Exception):
     """A penalty event is not strictly older than the evaluation tick."""
 
 
+def _check_field(
+    name: str,
+    value: object,
+    low: float = -math.inf,
+    high: float = math.inf,
+    integer: bool = False,
+) -> None:
+    """Raise unless ``value`` is a finite number (an integer if asked) in [low, high].
+
+    Config fields come from spec files and flags, so a wrong type raises
+    ``TypeError`` and a bad value ``ValueError``, both naming the field.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    if not (integer or math.isfinite(value)) or not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class CreditPolicy:
     """Coefficients of the scoring rules; all tunable per deployment."""
@@ -39,6 +63,13 @@ class CreditPolicy:
     delta_t: float = 1.0
     alpha_d: float = 0.0
     immediate_threshold: float = 2.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            low = -math.inf if f.name == "alpha_d" else 0.0
+            _check_field(f.name, getattr(self, f.name), low)
+        if self.lambda_plus == 0:
+            raise ValueError("lambda_plus must be positive")
 
     def omega(self, kind: EventKind) -> float:
         if kind is EventKind.FALSE_CLAIM:
@@ -71,9 +102,19 @@ def proximity_credit(distance_m: float, policy: CreditPolicy) -> float:
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
-    if distance_m < policy.immediate_threshold:
-        return -policy.lambda_minus / distance_m
-    return distance_m / policy.lambda_plus
+    return float(contact_scores(distance_m, policy))
+
+
+def contact_scores(distances: np.ndarray, policy: CreditPolicy) -> np.ndarray:
+    """Scores of many contacts at once, by the rule of ``proximity_credit``.
+
+    Unlike that function it does not check its input: every distance must
+    already be positive (clamped to ``MIN_SEPARATION_M``).
+    """
+    d = np.asarray(distances, dtype=float)
+    return np.where(
+        d < policy.immediate_threshold, -policy.lambda_minus / d, d / policy.lambda_plus
+    )
 
 
 def accumulate_proximity(

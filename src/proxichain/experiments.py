@@ -55,9 +55,15 @@ class ExperimentSpec:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name in ("name", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not self.whash_values:
             raise ConfigError("whash_values must not be empty")
-        bad = [w for w in self.whash_values if w not in ALLOWED_WHASH]
+        bad = [
+            w for w in self.whash_values
+            if isinstance(w, bool) or not isinstance(w, int) or w not in ALLOWED_WHASH
+        ]
         if bad:
             raise ConfigError(f"whash values {bad} not in {list(ALLOWED_WHASH)}")
         unknown = [lv for lv in self.levels if lv not in LEVELS_BY_NAME]
@@ -79,6 +85,8 @@ def spec_from_json(text: str) -> ExperimentSpec:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict) or not isinstance(body.get("sim", {}), dict):
+        raise ConfigError("spec and its 'sim' entry must be JSON objects")
     try:
         sim_body = dict(body.get("sim", {}))
         policy = CreditPolicy(**sim_body.pop("policy", {}))
@@ -325,13 +333,12 @@ def run_localization_eval(
     snr_list: Sequence[Optional[float]],
     trials: int,
     seed: int = 0,
-    n_elements: int = 4,
-    n_samples: int = 256,
 ) -> list[LocEvalRow]:
     """Monte Carlo over synth -> spectrum -> bearing -> triangulation.
 
     Each trial drops an agent uniformly into the venue, synthesizes one
-    snapshot per selected receiver (the four nearest of the 16 anchors),
+    256-sample snapshot per selected receiver (a four-element array at each
+    of the four nearest of the 16 anchors),
     estimates bearings from the spectrum peaks and intersects them. ``None``
     in ``snr_list`` means noiseless. The linear arrays cannot tell a source
     from its mirror across their axis, so the eval resolves that half-plane
@@ -367,7 +374,7 @@ def run_localization_eval(
             )
             # One batch per fix: the four receivers' snapshots and spectra.
             samples = aoa.synthesize_snapshots(
-                config, channel, azimuths, elevations, n_elements, n_samples, noise_rng
+                config, channel, azimuths, elevations, 4, 256, noise_rng
             )
             peaks = np.argmax(aoa.music_spectra(samples, n_sources=1), axis=1).tolist()
             bearings = []

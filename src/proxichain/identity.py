@@ -39,8 +39,6 @@ _CURVE = ec.SECP256R1()
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SEED_DOMAIN = b"proxichain/identity/v1"
 
-NODE_ID_LEN = 32
-
 # CPUs this process may run on: the number of chunks a batch is split into.
 # ``taskset -c 0`` therefore gives a serial run. Platforms without CPU
 # affinity (macOS, Windows) count every CPU.

@@ -65,7 +65,6 @@ class TxKind(Enum):
 
 
 _KIND_CODE = {k: i for i, k in enumerate(TxKind)}
-_CODE_KIND = {i: k for i, k in enumerate(TxKind)}
 
 
 class BlockOverflowError(Exception):
@@ -242,25 +241,6 @@ def encode_block_header(block: Block) -> bytes:
 
 def encode_block_full(block: Block) -> bytes:
     return block._full
-
-
-def block_size(
-    overhead_bytes: int,
-    data_bytes: int,
-    encryption_overhead_bytes: int,
-    n_data: int,
-) -> int:
-    """Block size as fixed overhead plus per-record cost times record count.
-
-    Raises :class:`BlockOverflowError` above 1 MiB; the caller is expected to
-    split the batch across blocks in that case.
-    """
-    if min(overhead_bytes, data_bytes, encryption_overhead_bytes, n_data) < 0:
-        raise ValueError("block size inputs must be non-negative")
-    size = overhead_bytes + (data_bytes + encryption_overhead_bytes) * n_data
-    if size > MAX_BLOCK_BYTES:
-        raise BlockOverflowError(f"{size} bytes exceeds {MAX_BLOCK_BYTES}")
-    return size
 
 
 # ---------------------------------------------------------------------------

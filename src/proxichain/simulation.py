@@ -23,6 +23,8 @@ from .credit import (
     CreditPolicy,
     EventKind,
     MIN_SEPARATION_M,
+    _check_field,
+    contact_scores,
     negative_credit,
 )
 from .identity import (
@@ -74,15 +76,14 @@ class Venue:
         cy = min(int(position[1] / self.zone_size), rows - 1)
         return cy * cols + cx
 
-    def beacon_grid(self, count_per_side: int = 4, pitch: float = 4.0) -> np.ndarray:
+    def beacon_grid(self) -> np.ndarray:
         """Receiver anchors on a square grid centered on the venue.
 
         Four per side at 4 m pitch spans 12 m, so the outer rows sit 1 m
         outside the floor area (wall-mounted), keeping the grid symmetric.
         """
-        span = (count_per_side - 1) * pitch
-        start = (self.width - span) / 2.0
-        coords = start + pitch * np.arange(count_per_side)
+        start = (self.width - 12.0) / 2.0
+        coords = start + 4.0 * np.arange(4)
         xs, ys = np.meshgrid(coords, coords)
         return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
@@ -111,10 +112,32 @@ class SimConfig:
     violator_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n_agents < 2:
-            raise ValueError("need at least two agents")
-        if self.infection_radius <= 0:
-            raise ValueError("infection radius must be positive")
+        _check_field("n_agents", self.n_agents, 2, integer=True)
+        last_agent = self.n_agents - 1
+        for name, low in (
+            ("ticks", 0), ("seed", 0), ("tx_per_block_mean", 1), ("n_blocks", 0),
+            ("retention_ticks", 0), ("n_authorized", 0),
+        ):
+            _check_field(name, getattr(self, name), low, integer=True)
+        _check_field("initial_infected", self.initial_infected, 0, self.n_agents, integer=True)
+        for name in ("step_std", "infection_radius", "observe_radius", "distance_noise_std"):
+            _check_field(name, getattr(self, name), 0.0)
+        if self.infection_radius == 0:
+            raise ValueError("infection_radius must be positive")
+        _check_field("p_inf", self.p_inf, 0.0, 1.0)
+        if not isinstance(self.policy, CreditPolicy):
+            raise TypeError(f"policy must be a CreditPolicy, got {self.policy!r}")
+        for name in ("attacker_id", "false_claimer_id", "violator_id"):
+            if getattr(self, name) is not None:
+                _check_field(name, getattr(self, name), 0, last_agent, integer=True)
+        for name in ("attack_tick", "false_claim_tick"):
+            if getattr(self, name) is not None:
+                _check_field(name, getattr(self, name), 0, integer=True)
+        if self.track_agents is not None:
+            if not isinstance(self.track_agents, (tuple, list)):
+                raise TypeError(f"track_agents must be a list, got {self.track_agents!r}")
+            for agent in self.track_agents:
+                _check_field("track_agents entry", agent, 0, last_agent, integer=True)
 
 
 class CreditStore:
@@ -163,7 +186,6 @@ class WorldState:
     positions: np.ndarray                 # (n, 2) meters
     infections: dict[float, np.ndarray]   # exposure radius -> infected mask
     notified: np.ndarray                  # bool (n,)
-    tick: int
     streams: dict[str, np.random.Generator]
     credit: CreditStore
     iup: InfectedUsersPool
@@ -230,7 +252,6 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         positions=positions,
         infections=infections,
         notified=np.zeros(n, dtype=bool),
-        tick=0,
         streams=streams,
         credit=CreditStore(config.policy, [i.node_id for i in identities or ()]),
         iup=InfectedUsersPool(retention_ticks=config.retention_ticks),
@@ -250,10 +271,11 @@ def _reflect(values: np.ndarray, upper: float) -> np.ndarray:
     return np.where(m > upper, period - m, m)
 
 
-def step_mobility(world: WorldState, rng: Optional[np.random.Generator] = None) -> WorldState:
+def step_mobility(world: WorldState) -> WorldState:
     """Advance every agent by a reflected Gaussian step."""
-    rng = rng if rng is not None else world.streams["mobility"]
-    step = rng.normal(0.0, world.config.step_std, size=world.positions.shape)
+    step = world.streams["mobility"].normal(
+        0.0, world.config.step_std, size=world.positions.shape
+    )
     if world.config.step_std > 0:
         world.positions += step
     vid = world.config.violator_id
@@ -382,9 +404,10 @@ def _mine_pending(
         batch = _take_sized_batch(world.pending, batch_size)
         del world.pending[: len(batch)]
         miner = miner_pool[int(world.streams["misc"].integers(len(miner_pool)))]
-        is_auth = miner.role in (Role.AUTHORIZED, Role.MANAGER)
         level = difficulty_for(
-            world.credit.total(miner.node_id, credit_now), config.policy.alpha_d, is_auth
+            world.credit.total(miner.node_id, credit_now),
+            config.policy.alpha_d,
+            miner.is_authorized,
         )
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
@@ -410,24 +433,16 @@ def _mine_pending(
     return mined
 
 
-def run_epoch(
-    world: WorldState,
-    chain: Chain,
-    miners: Optional[list[int]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[WorldState, Chain, RunMetrics]:
+def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMetrics]:
     """Drive the world for ``config.ticks`` ticks, mining as batches fill.
 
-    ``miners`` optionally fixes which agents may mine besides the static
-    authorized nodes; by default the top credit decile is re-ranked at each
-    tick. Credit is always evaluated at the end of the tick (now = t + 1),
-    so a penalty recorded at tick t bites from the very next scheduling
-    decision onward.
+    Besides the static authorized nodes, the top credit decile may mine; it
+    is re-ranked at each tick. Credit is always evaluated at the end of the
+    tick (now = t + 1), so a penalty recorded at tick t bites from the very
+    next scheduling decision onward.
     """
     if world.identities is None:
         raise ValueError("run_epoch needs a world built with identities")
-    if rng is not None:
-        world.streams["misc"] = rng
     config = world.config
     policy = config.policy
     metrics = RunMetrics(tracked=_tracked_ids(config))
@@ -454,7 +469,6 @@ def run_epoch(
     iu, ju = np.triu_indices(n, 1)
 
     for t in range(config.ticks):
-        world.tick = t
         step_mobility(world)
         tx_before = len(world.pending)
 
@@ -483,12 +497,7 @@ def run_epoch(
             )
         else:
             d_meas = d_true
-        d_meas = np.maximum(d_meas, MIN_SEPARATION_M)
-        scores = np.where(
-            d_meas < policy.immediate_threshold,
-            -policy.lambda_minus / d_meas,
-            d_meas / policy.lambda_plus,
-        )
+        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
         np.add.at(prox, ii, scores)
         np.add.at(prox, jj, scores)
         np.add.at(interactions, ii, 1)
@@ -542,12 +551,9 @@ def run_epoch(
         tx_count = len(world.pending) - tx_before
 
         pool = list(world.authorized) + [world.manager]
-        if miners is not None:
-            pool.extend(world.identities[m] for m in miners)
-        else:
-            totals = world.credit.totals(now=t + 1)
-            top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
-            pool.extend(world.identities[int(m)] for m in top)
+        totals = world.credit.totals(now=t + 1)
+        top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
+        pool.extend(world.identities[int(m)] for m in top)
         blocks = _mine_pending(world, chain, pool, t, flush=(t == config.ticks - 1))
 
         for idx in metrics.tracked:
@@ -593,7 +599,6 @@ def run_outbreak(config: SimConfig) -> list[tuple[int, int, int]]:
     world = build_world(config, with_identities=False)
     out = []
     for t in range(config.ticks):
-        world.tick = t
         step_mobility(world)
         _spread_tick(world)
         out.append(

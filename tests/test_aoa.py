@@ -352,8 +352,6 @@ class TestAngleImage:
 
     def test_beacon_count_is_fixed(self):
         with pytest.raises(ValueError):
-            build_angle_image(self._spectra()[:3], n_beacons=3)
-        with pytest.raises(ValueError):
             build_angle_image(self._spectra()[:3])
 
     def test_row_length_checked(self):

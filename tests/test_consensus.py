@@ -10,10 +10,8 @@ from proxichain.consensus import (
     LEVELS_BY_NAME,
     MiningTimeoutError,
     attack_cost_model,
-    block_difficulty,
     difficulty_for,
     digest_satisfies,
-    expected_interval,
     mine,
     validate_block,
     verify_chain,
@@ -103,13 +101,6 @@ class TestMine:
         result = mine(chain, _candidate(chain), DL_EASY)
         assert result.trials == result.nonce + 1
 
-    def test_satisfying_start_takes_one_trial(self):
-        chain = _grow(2)
-        first = mine(chain, _candidate(chain), DL_EASY)
-        again = mine(chain, _candidate(chain), DL_EASY, nonce_start=first.nonce)
-        assert again.trials == 1
-        assert again.block == first.block
-
     def test_every_window_size_validates(self):
         chain = _grow(6)
         for window in range(len(chain.blocks) + 1):
@@ -119,15 +110,14 @@ class TestMine:
 
     def test_timeout_budget(self):
         chain = Chain()
-        cand = _candidate(chain)
-        nonce = 0
-        while True:
-            probe = mine(chain, cand, DL_EASY, nonce_start=nonce)
-            if probe.nonce > nonce:
+        for timestamp in range(100):
+            cand = _candidate(chain, timestamp=timestamp)
+            trials = mine(chain, cand, DL_EASY).trials
+            if trials > 1:
                 break
-            nonce = probe.nonce + 1
+        assert mine(chain, cand, DL_EASY, max_trials=trials).trials == trials
         with pytest.raises(MiningTimeoutError):
-            mine(chain, cand, DL_EASY, nonce_start=nonce, max_trials=1)
+            mine(chain, cand, DL_EASY, max_trials=trials - 1)
 
     def test_hard_block_clears_easy_prefix_too(self):
         chain = Chain()
@@ -268,24 +258,6 @@ class TestVerifyChain:
 
 
 class TestAnalyticModel:
-    def test_difficulty_ratio_between_levels(self):
-        target = 0.37
-        ratio = block_difficulty(DL_HARD, target) / block_difficulty(DL_EASY, target)
-        assert ratio == pytest.approx(4.0)
-
-    def test_difficulty_guards(self):
-        with pytest.raises(ValueError):
-            block_difficulty(DL_EASY, 0.0)
-        with pytest.raises(ValueError):
-            block_difficulty(DL_EASY, -1.0)
-
-    def test_interval_scales_with_rate_and_bits(self):
-        base = expected_interval(1.0, 4, 1e6)
-        assert expected_interval(1.0, 4, 2e6) == pytest.approx(base / 2)
-        assert expected_interval(1.0, 16, 1e6) == pytest.approx(base * 2 ** 12)
-        with pytest.raises(ValueError):
-            expected_interval(1.0, 4, 0.0)
-
     def test_attack_cost_ratio_is_window_size(self):
         for n_wh in (1, 14, 100):
             honest, attacker = attack_cost_model(n_wh, bits_b=16)

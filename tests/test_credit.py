@@ -9,6 +9,7 @@ from proxichain.credit import (
     EventKind,
     TemporalOrderError,
     accumulate_proximity,
+    contact_scores,
     negative_credit,
     proximity_credit,
     record_event,
@@ -39,6 +40,11 @@ class TestProximityGoldens:
             proximity_credit(0.0, POLICY)
         with pytest.raises(ValueError):
             proximity_credit(-1.0, POLICY)
+
+    def test_vector_scores_follow_the_same_rule(self):
+        distances = np.array([MIN_SEPARATION_M, 1.0, 1.9, 2.0, 4.0, 9.5])
+        expected = [-12.0 / MIN_SEPARATION_M, -12.0, -12.0 / 1.9, 1.0, 2.0, 4.75]
+        assert contact_scores(distances, POLICY) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPenaltyGoldens:

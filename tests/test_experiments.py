@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from collections import Counter
@@ -171,6 +172,23 @@ class TestCtExperiment:
                 blob_b = fh.read()
             assert blob_a == blob_b, field
 
+    def test_artifacts_are_pinned(self, tmp_path):
+        sim = SimConfig(
+            n_agents=300, ticks=25, p_inf=0.05, tx_per_block_mean=10, n_blocks=120,
+            attacker_id=5, attack_tick=10, false_claimer_id=6, false_claim_tick=12, seed=0,
+        )
+        paths, _ = run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path)))
+        pinned = {
+            "metrics_csv": "05e0a063",
+            "credits_csv": "084b5634",
+            "contacts_jsonl": "7ffce712",
+            "chain_jsonl": "c6785b0d",
+            "iup_json": "bf8b3b0b",
+        }
+        for field, prefix in pinned.items():
+            with open(getattr(paths, field), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest()[:8] == prefix, field
+
     def test_crash_leaves_partial_marker(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
 
@@ -315,6 +333,40 @@ class TestCli:
 
     def test_loc_eval_too_few_trials(self):
         assert cli.main(["loc-eval", "--snr", "inf", "--trials", "5"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, body, flags",
+        [
+            ("ct-run", [], []),
+            ("ct-run", {}, ["--seed", "-1"]),
+            ("mine-bench", {}, ["--seed", "-1"]),
+            ("ct-run", {"sim": {"n_agents": 20.5}}, []),
+            ("ct-run", {"sim": {"p_inf": "x"}}, []),
+            ("ct-run", {"sim": {"policy": {"lambda_plus": "x"}}}, []),
+            ("ct-run", {"sim": {"track_agents": [500]}}, []),
+            ("ct-run", {"sim": {"attacker_id": 500}}, []),
+            ("ct-run", {}, ["--blocks", "-3"]),
+            ("ct-run", {}, ["--radius", "nan"]),
+            ("mine-bench", {"whash_values": [0.0]}, []),
+            ("ct-run", {"output_dir": 5}, []),
+        ],
+        ids=[
+            "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
+            "fractional-n_agents", "string-p_inf", "string-lambda_plus",
+            "track_agents-out-of-range", "attacker_id-out-of-range", "negative-blocks",
+            "nan-radius", "float-whash", "numeric-output_dir",
+        ],
+    )
+    def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):
+        if isinstance(body, dict):
+            sim = {"n_agents": 20, "ticks": 2, "tx_per_block_mean": 5, "n_blocks": 1}
+            body = {"whash_values": [0], **body, "sim": {**sim, **body.get("sim", {})}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(body))
+        argv = [command, "--config", str(spec_path), "--out", str(tmp_path), *flags]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,7 @@ import proxichain.identity as identity
 from proxichain.consensus import DL_EASY, mine, validate_block, verify_chain
 from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
 from proxichain.ledger import (
-    MAX_BLOCK_BYTES,
     Block,
-    BlockOverflowError,
     BlockRejectedError,
     Chain,
     InfectedUsersPool,
@@ -18,7 +16,6 @@ from proxichain.ledger import (
     WindowDomainError,
     WindowHistoryError,
     append_block,
-    block_size,
     decode_contact_pairs,
     encode_block_full,
     encode_block_header,
@@ -63,28 +60,6 @@ def _grow(length: int, window: int = 0) -> Chain:
         block = _mine_next(chain, whash_window_for(len(chain.blocks), window), timestamp=i + 1)
         append_block(chain, block)
     return chain
-
-
-class TestBlockSize:
-    def test_no_records_is_pure_overhead(self):
-        assert block_size(100, 128, 0, 0) == 100
-
-    def test_linear_in_record_count(self):
-        assert block_size(100, 128, 0, 100) == 12_900
-
-    def test_encryption_overhead_counts_per_record(self):
-        assert block_size(100, 128, 28, 100) == 100 + 156 * 100
-
-    def test_overflow_raises(self):
-        with pytest.raises(BlockOverflowError):
-            block_size(0, MAX_BLOCK_BYTES, 0, 2)
-
-    def test_exact_limit_is_allowed(self):
-        assert block_size(0, MAX_BLOCK_BYTES, 0, 1) == MAX_BLOCK_BYTES
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            block_size(-1, 0, 0, 0)
 
 
 class TestWindowResolution:

@@ -34,9 +34,9 @@ from proxichain.simulation import (
 SMALL = dict(tx_per_block_mean=20, n_blocks=6)
 
 
-def _run(config: SimConfig, miners=None):
+def _run(config: SimConfig):
     world = build_world(config)
-    return run_epoch(world, Chain(), miners=miners)
+    return run_epoch(world, Chain())
 
 
 class TestVenue:
@@ -307,16 +307,6 @@ class TestEpoch:
         assert metrics_a.rows == metrics_b.rows
         assert metrics_a.credit_rows == metrics_b.credit_rows
         assert np.array_equal(world_a.positions, world_b.positions)
-
-    def test_explicit_miner_list_is_honored(self):
-        config = SimConfig(n_agents=12, ticks=10, p_inf=0.0, seed=2, **SMALL)
-        world = build_world(config)
-        allowed = {world.identities[m].node_id for m in (0, 1)}
-        allowed |= {a.node_id for a in world.authorized}
-        allowed.add(world.manager.node_id)
-        _, chain, _ = run_epoch(world, Chain(), miners=[0, 1])
-        for block in chain.blocks[1:]:
-            assert block.miner in allowed
 
 
 class TestCreditStore:
