@@ -9,13 +9,12 @@ watch verification catch a tampered record.
 
 import dataclasses
 
-from proxichain.consensus import DL_EASY, DL_HARD, mine, verify_chain
+from proxichain.consensus import DL_EASY, DL_HARD, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity, verify
 from proxichain.ledger import (
     Block,
     Chain,
     TxKind,
-    append_block,
     make_transaction,
     tx_signing_bytes,
 )

@@ -13,10 +13,10 @@ import dataclasses
 
 import numpy as np
 
-from proxichain.consensus import DL_EASY, attack_cost_model, mine, verify_chain
+from proxichain.consensus import DL_EASY, append_block, attack_cost_model, mine, verify_chain
 from proxichain.experiments import attack_window_experiment
 from proxichain.identity import Role, generate_identity
-from proxichain.ledger import Block, Chain, append_block, whash_window_for
+from proxichain.ledger import Block, Chain, whash_window_for
 
 miner = generate_identity(Role.LIGHT, seed=4)
 rng = np.random.default_rng(0)

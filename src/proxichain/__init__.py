@@ -11,14 +11,21 @@ the experiment runners behind the CLI (:mod:`proxichain.experiments`).
 
 __version__ = "0.1.0"
 
-from .consensus import DL_EASY, DL_HARD, difficulty_for, mine, validate_block, verify_chain
+from .consensus import (
+    DL_EASY,
+    DL_HARD,
+    append_block,
+    difficulty_for,
+    mine,
+    validate_block,
+    verify_chain,
+)
 from .credit import CreditPolicy, proximity_credit, total_credit
 from .identity import Role, generate_identity, publish_registry
 from .ledger import (
     Block,
     Chain,
     TxKind,
-    append_block,
     make_transaction,
     whash_digest,
     whash_window_for,

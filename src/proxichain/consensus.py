@@ -13,7 +13,7 @@ import hashlib
 import struct
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .identity import AuthorizedRegistry
 from .ledger import (
@@ -33,13 +33,21 @@ from .ledger import (
 class DifficultyLevel:
     name: str
     prefix_nibbles: int
-    bits: int
 
 
-DL_EASY = DifficultyLevel("DL_e", prefix_nibbles=1, bits=4)
-DL_HARD = DifficultyLevel("DL_h", prefix_nibbles=4, bits=16)
+DL_EASY = DifficultyLevel("DL_e", prefix_nibbles=1)
+DL_HARD = DifficultyLevel("DL_h", prefix_nibbles=4)
 
 LEVELS_BY_NAME = {DL_EASY.name: DL_EASY, DL_HARD.name: DL_HARD}
+
+
+class BlockRejectedError(Exception):
+    """Validation refused a block; ``reason`` names the failed clause."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        self.reason = reason
+        self.detail = detail
+        super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
 class MiningTimeoutError(Exception):
@@ -74,7 +82,7 @@ class MiningResult:
 
 
 def mine(
-    chain: Union[Chain, Sequence[Block]],
+    blocks: Sequence[Block],
     candidate: Block,
     level: DifficultyLevel,
     max_trials: Optional[int] = None,
@@ -86,7 +94,6 @@ def mine(
     nonce. Without this the per-trial cost would grow with the window size,
     which at the hard level (~65k expected trials) is prohibitive.
     """
-    blocks = chain.blocks if isinstance(chain, Chain) else chain
     prefix_state = hashlib.sha256(whash_preimage_prefix(blocks, candidate))
     started = time.perf_counter()
     nonce = 0
@@ -121,9 +128,6 @@ def _check_block(
     blocks: Sequence[Block],
     block: Block,
     expected_level: DifficultyLevel,
-    registry: Optional[AuthorizedRegistry],
-    miner_credit: Optional[float],
-    alpha_d: float,
     verdicts: Optional[Sequence[bool]] = None,
 ) -> ValidationResult:
     """Every clause but index and linkage. ``verdicts`` holds the block's
@@ -152,15 +156,6 @@ def _check_block(
             return reject("entitlement", "easy-level digest from a hard-level miner")
         return reject("prefix", f"digest misses the {expected_level.name} prefix")
 
-    if miner_credit is not None:
-        is_auth = registry.contains(block.miner) if registry is not None else False
-        entitled = difficulty_for(miner_credit, alpha_d, is_auth)
-        if entitled.name != expected_level.name:
-            return reject(
-                "entitlement",
-                f"miner entitled to {entitled.name}, block claims {expected_level.name}",
-            )
-
     if verdicts is None:
         verdicts = verify_transactions(block.transactions)
     for tx, ok in zip(block.transactions, verdicts):
@@ -170,12 +165,7 @@ def _check_block(
 
 
 def validate_block(
-    chain: Union[Chain, Sequence[Block]],
-    block: Block,
-    expected_level: DifficultyLevel,
-    registry: Optional[AuthorizedRegistry] = None,
-    miner_credit: Optional[float] = None,
-    alpha_d: float = 0.0,
+    blocks: Sequence[Block], block: Block, expected_level: DifficultyLevel
 ) -> ValidationResult:
     """Accept or reject a block proposed on the current tip.
 
@@ -184,12 +174,37 @@ def validate_block(
     ("overflow"), digest recomputation ("digest"), difficulty prefix
     ("prefix" or "entitlement"), transaction signatures ("signature").
     """
-    blocks = chain.blocks if isinstance(chain, Chain) else chain
     if block.index != len(blocks):
         return ValidationResult(False, "index", f"expected {len(blocks)}, got {block.index}")
     if blocks and block.prev_hash != blocks[-1].block_hash:
         return ValidationResult(False, "stale", "prev_hash does not match the tip")
-    return _check_block(blocks, block, expected_level, registry, miner_credit, alpha_d)
+    return _check_block(blocks, block, expected_level)
+
+
+def append_block(
+    chain: Chain,
+    block: Block,
+    registry: Optional[AuthorizedRegistry] = None,
+    credit_view: Optional[Callable[[bytes], float]] = None,
+    alpha_d: float = 0.0,
+) -> Chain:
+    """Validate a mined block against the tip and append it.
+
+    When ``credit_view`` is given, the miner's difficulty entitlement is
+    checked against its credit at append time; without it only the
+    structural rules apply (offline verification has no credit history).
+    Raises :class:`BlockRejectedError` with the failed clause on refusal.
+    """
+    if credit_view is not None:
+        is_auth = registry.contains(block.miner) if registry is not None else False
+        expected = difficulty_for(credit_view(block.miner), alpha_d, is_auth)
+    else:
+        expected = DL_EASY
+    result = validate_block(chain, block, expected)
+    if not result.accepted:
+        raise BlockRejectedError(result.reason, result.detail)
+    chain.blocks.append(block)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -199,7 +214,7 @@ class ChainViolation:
     detail: str = ""
 
 
-def verify_chain(chain: Union[Chain, Sequence[Block]]) -> list[ChainViolation]:
+def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     """Re-validate a persisted chain end to end, returning every violation.
 
     Block 0 must equal the fixed genesis block. Entitlement is not
@@ -210,7 +225,6 @@ def verify_chain(chain: Union[Chain, Sequence[Block]]) -> list[ChainViolation]:
     block are checked in one batch, so the split across CPUs works on chunks
     of the whole chain rather than on a few transactions per block.
     """
-    blocks = chain.blocks if isinstance(chain, Chain) else chain
     violations: list[ChainViolation] = []
     if blocks and blocks[0] != make_genesis():
         violations.append(ChainViolation(0, "genesis", "block 0 is not the fixed genesis"))
@@ -224,10 +238,7 @@ def verify_chain(chain: Union[Chain, Sequence[Block]]) -> list[ChainViolation]:
             continue
         if block.prev_hash != blocks[i - 1].block_hash:
             violations.append(ChainViolation(i, "linkage", "prev_hash mismatch"))
-        result = _check_block(
-            blocks, block, DL_EASY, registry=None, miner_credit=None, alpha_d=0.0,
-            verdicts=verdicts[start:end],
-        )
+        result = _check_block(blocks, block, DL_EASY, verdicts=verdicts[start:end])
         if not result.accepted:
             violations.append(ChainViolation(i, result.reason, result.detail))
     return violations

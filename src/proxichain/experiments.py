@@ -155,6 +155,8 @@ def run_mining_benchmark(
     mean and median of both trial counts and wall-clock seconds. Rows that
     hit ``max_trials`` are marked truncated and excluded from the summary.
     """
+    if max_trials is not None and max_trials < 1:
+        raise ConfigError(f"max_trials must be at least 1, got {max_trials}")
     rng = np.random.default_rng(spec.sim.seed)
     bench_id = generate_identity(Role.AUTHORIZED, seed=spec.sim.seed).node_id
     base = _bench_base_chain(100, bench_id, rng)
@@ -179,7 +181,7 @@ def run_mining_benchmark(
                 try:
                     result = mine(chain, candidate, level, max_trials=max_trials)
                 except MiningTimeoutError:
-                    cell.append(BenchRow(whash, level.name, len(chain), max_trials or 0, 0.0, True))
+                    cell.append(BenchRow(whash, level.name, len(chain), max_trials, 0.0, True))
                     continue
                 chain.blocks.append(result.block)
                 cell.append(

@@ -34,12 +34,11 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 # ``verify`` is unused here but stays bound: the benchmark's tracer
 # (``perfbench/tracing.py``) wraps ``proxichain.ledger.sign`` and ``.verify``.
 from .identity import (
-    AuthorizedRegistry,
     NodeIdentity,
     node_id_for,
     sign,
@@ -77,15 +76,6 @@ class WindowDomainError(Exception):
 
 class WindowHistoryError(Exception):
     """A window asks for more predecessor blocks than the chain holds."""
-
-
-class BlockRejectedError(Exception):
-    """Validation refused a block; ``reason`` names the failed clause."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
 def _lp(data: bytes) -> bytes:
@@ -309,7 +299,7 @@ def make_genesis() -> Block:
 
 
 @dataclass
-class Chain:
+class Chain(Sequence[Block]):
     """Append-only block list rooted at a fixed genesis block."""
 
     blocks: list[Block] = field(default_factory=lambda: [make_genesis()])
@@ -317,40 +307,15 @@ class Chain:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    def __getitem__(self, index):
+        return self.blocks[index]
+
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
-
-
-def append_block(
-    chain: Chain,
-    block: Block,
-    registry: Optional[AuthorizedRegistry] = None,
-    credit_view: Optional[Callable[[bytes], float]] = None,
-    alpha_d: float = 0.0,
-) -> Chain:
-    """Validate a mined block against the tip and append it.
-
-    When ``credit_view`` is given, the miner's difficulty entitlement is
-    checked against its credit at append time; without it only the
-    structural rules apply (offline verification has no credit history).
-    Raises :class:`BlockRejectedError` with the failed clause on refusal.
-    """
-    from .consensus import DL_EASY, difficulty_for, validate_block
-
-    if credit_view is not None:
-        is_auth = registry.contains(block.miner) if registry is not None else False
-        expected = difficulty_for(credit_view(block.miner), alpha_d, is_auth)
-    else:
-        expected = DL_EASY
-    result = validate_block(chain, block, expected, registry)
-    if not result.accepted:
-        raise BlockRejectedError(result.reason, result.detail)
-    chain.blocks.append(block)
-    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .consensus import difficulty_for, mine
+from .consensus import append_block, difficulty_for, mine
 from .credit import (
     CreditEvent,
     CreditPolicy,
@@ -44,7 +44,6 @@ from .ledger import (
     Transaction,
     TxKind,
     ZERO_HASH,
-    append_block,
     encode_block_full,
     encode_contact_pairs,
     encode_transaction,

@@ -25,6 +25,7 @@ from proxichain.aoa import (
 from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
+    append_block,
     attack_cost_model,
     difficulty_for,
     digest_satisfies,
@@ -54,7 +55,6 @@ from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     Block,
     Chain,
-    append_block,
     whash_window_for,
 )
 from proxichain.simulation import SimConfig, build_world, run_epoch, run_outbreak
@@ -297,9 +297,7 @@ def test_criterion_5_difficulty_gating(criteria_log):
             break
         timestamp += 1
     expected = difficulty_for(attacker_total, alpha, is_authorized=False)
-    verdict = validate_block(
-        chain, easy_block, expected, world.registry, miner_credit=attacker_total, alpha_d=alpha
-    )
+    verdict = validate_block(chain, easy_block, expected)
     attacker_rejected = expected is DL_HARD and not verdict.accepted
 
     honest_totals = [
@@ -315,10 +313,7 @@ def test_criterion_5_difficulty_gating(criteria_log):
         dataclasses.replace(candidate, miner=world.identities[0].node_id, timestamp=9500),
         DL_EASY,
     ).block
-    honest_accepted = validate_block(
-        chain, honest_block, DL_EASY, world.registry,
-        miner_credit=world.credit.total(world.identities[0].node_id, now), alpha_d=alpha,
-    ).accepted
+    honest_accepted = validate_block(chain, honest_block, DL_EASY).accepted
 
     ok = dropped_in_time and attacker_rejected and honest_keep_easy and honest_accepted
     criteria_log(

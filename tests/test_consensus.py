@@ -8,7 +8,9 @@ from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
     LEVELS_BY_NAME,
+    BlockRejectedError,
     MiningTimeoutError,
+    append_block,
     attack_cost_model,
     difficulty_for,
     digest_satisfies,
@@ -16,12 +18,11 @@ from proxichain.consensus import (
     validate_block,
     verify_chain,
 )
-from proxichain.identity import Role, generate_identity
+from proxichain.identity import Role, generate_identity, publish_registry
 from proxichain.ledger import (
     Block,
     Chain,
     TxKind,
-    append_block,
     make_transaction,
     whash_window_for,
 )
@@ -70,8 +71,6 @@ class TestDigestPrefix:
     def test_level_registry(self):
         assert LEVELS_BY_NAME["DL_e"] is DL_EASY
         assert LEVELS_BY_NAME["DL_h"] is DL_HARD
-        assert DL_EASY.bits == 4
-        assert DL_HARD.bits == 16
 
 
 class TestEntitlement:
@@ -198,17 +197,34 @@ class TestRejectionReasons:
         result = validate_block(chain, easy, DL_HARD)
         assert (result.accepted, result.reason) == (False, "entitlement")
 
-    def test_credit_mismatch_is_entitlement(self):
+    @pytest.mark.parametrize(
+        "level, registered, credit, reason",
+        [
+            (DL_EASY, False, -1.0, "entitlement"),
+            (DL_EASY, True, -1.0, None),
+            (DL_EASY, False, 0.0, None),
+            (DL_HARD, False, -1.0, None),
+        ],
+        ids=["easy-low-credit", "easy-registered", "easy-credit-at-threshold", "hard-low-credit"],
+    )
+    def test_append_block_entitlement(self, level, registered, credit, reason):
         chain = _grow(2)
-        hard = mine(chain, _candidate(chain), DL_HARD).block
-        result = validate_block(chain, hard, DL_HARD, miner_credit=10.0, alpha_d=0.0)
-        assert (result.accepted, result.reason) == (False, "entitlement")
-
-    def test_matching_credit_accepted(self):
-        chain = _grow(2)
-        hard = mine(chain, _candidate(chain), DL_HARD).block
-        result = validate_block(chain, hard, DL_HARD, miner_credit=-5.0, alpha_d=0.0)
-        assert result.accepted
+        timestamp = 10
+        block = mine(chain, _candidate(chain, timestamp=timestamp), level).block
+        while level is DL_EASY and digest_satisfies(block.block_hash, DL_HARD):
+            timestamp += 1
+            block = mine(chain, _candidate(chain, timestamp=timestamp), level).block
+        registry = None
+        if registered:
+            manager = generate_identity(Role.MANAGER, seed=603)
+            registry = publish_registry(manager, [MINER.public_key])
+        rejected = None
+        try:
+            append_block(chain, block, registry, lambda node: credit, alpha_d=0.0)
+        except BlockRejectedError as exc:
+            rejected = exc.reason
+        assert rejected == reason
+        assert len(chain) == (3 if reason else 4)
 
 
 class TestVerifyChain:

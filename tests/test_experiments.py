@@ -349,12 +349,15 @@ class TestCli:
             ("ct-run", {}, ["--radius", "nan"]),
             ("mine-bench", {"whash_values": [0.0]}, []),
             ("ct-run", {"output_dir": 5}, []),
+            ("mine-bench", {}, ["--max-trials", "0"]),
+            ("mine-bench", {}, ["--max-trials", "-5"]),
         ],
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
             "fractional-n_agents", "string-p_inf", "string-lambda_plus",
             "track_agents-out-of-range", "attacker_id-out-of-range", "negative-blocks",
-            "nan-radius", "float-whash", "numeric-output_dir",
+            "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
+            "negative-max-trials",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):

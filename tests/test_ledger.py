@@ -5,17 +5,22 @@ import pytest
 
 import proxichain.consensus as consensus
 import proxichain.identity as identity
-from proxichain.consensus import DL_EASY, mine, validate_block, verify_chain
+from proxichain.consensus import (
+    DL_EASY,
+    BlockRejectedError,
+    append_block,
+    mine,
+    validate_block,
+    verify_chain,
+)
 from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
 from proxichain.ledger import (
     Block,
-    BlockRejectedError,
     Chain,
     InfectedUsersPool,
     TxKind,
     WindowDomainError,
     WindowHistoryError,
-    append_block,
     decode_contact_pairs,
     encode_block_full,
     encode_block_header,

@@ -13,13 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxichain import cli
-from proxichain.consensus import DL_EASY, mine, verify_chain
+from proxichain.consensus import DL_EASY, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     Block,
     Chain,
     TxKind,
-    append_block,
     block_to_json_line,
     make_transaction,
 )

@@ -11,13 +11,12 @@ import importlib.util
 from pathlib import Path
 
 from proxichain import simulation
-from proxichain.consensus import DL_EASY, mine, verify_chain
+from proxichain.consensus import DL_EASY, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     Block,
     Chain,
     TxKind,
-    append_block,
     make_transactions,
     whash_window_for,
 )
@@ -94,3 +93,8 @@ def test_batched_signatures_keep_the_span_stack_nested():
         assert stats["trace.spans"] > 1
         assert stats["trace.self_sum_error_s"] < 1e-6
         assert tracing.installed_wrappers() == []
+    # ``stats`` is the epoch's: each append validates the block once, and the
+    # miner's level is worked out once by the scheduler and once on append.
+    appended = stats["ledger.append_block.calls"]
+    assert appended == stats["consensus.validate_block.calls"] > 0
+    assert stats["credit.difficulty_for.calls"] == 2 * appended
