@@ -7,11 +7,12 @@ digest of the compressed public key, so anyone holding the key can recompute
 and check it. Signing uses deterministic nonces (RFC 6979) so that repeated
 runs of a seeded simulation produce bit-identical transactions.
 
-OpenSSL releases the interpreter lock while it signs or verifies, so
-:func:`sign_many` and :func:`verify_many` split a batch across every CPU the
-process may run on: the calling thread takes the first chunk and one helper
-thread per extra CPU takes each of the others. Key derivation holds the lock,
-so key generation stays serial.
+OpenSSL releases the interpreter lock while it verifies, so
+:func:`verify_many` splits a batch across every CPU the process may run on,
+as far as each chunk gets ``_MIN_VERIFY_CHUNK`` signatures: the calling
+thread takes the first chunk and one helper thread per extra CPU takes each
+of the others. Smaller batches, signing (:func:`sign_many`) and key
+generation stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ _CURVE = ec.SECP256R1()
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SEED_DOMAIN = b"proxichain/identity/v1"
 
-# CPUs this process may run on: the number of chunks a batch is split into.
+# CPUs this process may run on: the most chunks a verify batch is split into.
 # ``taskset -c 0`` therefore gives a serial run. Platforms without CPU
 # affinity (macOS, Windows) count every CPU.
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
+# Fewest triples a chunk of a split verify batch may get. On a 2-CPU host two
+# chunks took 0.81-1.03 times as long as one at 4-10 triples and 0.65-0.71
+# at 24-400, so small batches (a ct-run block holds ~10) stay on one thread.
+_MIN_VERIFY_CHUNK = 25
 _pool = None  # the helpers' ThreadPoolExecutor, made by the first split batch
 _pool_lock = threading.Lock()
 
@@ -135,32 +140,63 @@ def sign(identity: NodeIdentity, message: bytes) -> bytes:
     )
 
 
-def verify(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
-    """Check a signature against a compressed public key. Never raises."""
+def _public_key(public_key_bytes: bytes) -> Optional[ec.EllipticCurvePublicKey]:
     try:
-        key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, public_key_bytes)
+        return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, public_key_bytes)
+    except ValueError:
+        return None
+
+
+def _check(
+    key: Optional[ec.EllipticCurvePublicKey], message: bytes, signature: bytes
+) -> bool:
+    if key is None:
+        return False
+    try:
         key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
         return True
     except (InvalidSignature, ValueError):
         return False
 
 
-def _fan_out(fn: Callable[..., _T], jobs: Sequence[tuple]) -> list[_T]:
-    """``[fn(*job) for job in jobs]``, split into one contiguous chunk per CPU.
+def verify(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
+    """Check a signature against a compressed public key. Never raises."""
+    return _check(_public_key(public_key_bytes), message, signature)
+
+
+def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
+    """:func:`verify` over the triples, parsing each distinct key once.
+
+    The triples are checked grouped by key, so only one parsed key is held
+    at a time (a dict of them costs ~1.9 KB per sender).
+    """
+    verdicts = [False] * len(jobs)
+    key_bytes = key = None
+    for k in sorted(range(len(jobs)), key=lambda k: jobs[k][0]):
+        public_key, message, signature = jobs[k]
+        if public_key != key_bytes:
+            key_bytes, key = public_key, _public_key(public_key)
+        verdicts[k] = _check(key, message, signature)
+    return verdicts
+
+
+def _fan_out(
+    run_chunk: Callable[[Sequence[tuple]], list[_T]], jobs: Sequence[tuple], chunks: int
+) -> list[_T]:
+    """``run_chunk(jobs)``, split into ``chunks`` contiguous chunks.
 
     The calling thread runs the first chunk while helper threads run the
     rest; results keep the input order. If chunks raise, the exception of the
     earliest one propagates, and only after every chunk has finished.
     Helpers must call nothing that a caller may rebind at run time (the
     benchmark's tracer wraps ``proxichain.ledger.sign`` and friends and keeps
-    one span stack per process), so ``fn`` is always this module's own.
+    one span stack per process), so ``run_chunk`` is always this module's own.
     """
     global _pool
-    chunks = min(_CORES, len(jobs))
     if chunks <= 1:
-        return [fn(*job) for job in jobs]
+        return run_chunk(jobs)
     # Imported here: a process that never splits a batch (the outbreak
-    # simulator, localization) is spared ~10 ms and ~0.5 MB.
+    # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
     from concurrent.futures import ThreadPoolExecutor, wait
 
     with _pool_lock:
@@ -172,7 +208,7 @@ def _fan_out(fn: Callable[..., _T], jobs: Sequence[tuple]) -> list[_T]:
     bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
 
     def run(k: int) -> list[_T]:
-        return [fn(*job) for job in jobs[bounds[k] : bounds[k + 1]]]
+        return run_chunk(jobs[bounds[k] : bounds[k + 1]])
 
     futures = [pool.submit(run, k) for k in range(1, chunks)]
     try:
@@ -185,14 +221,22 @@ def _fan_out(fn: Callable[..., _T], jobs: Sequence[tuple]) -> list[_T]:
 
 
 def sign_many(jobs: Sequence[tuple[NodeIdentity, bytes]]) -> list[bytes]:
-    """:func:`sign` over ``(identity, message)`` pairs, on every CPU."""
-    return _fan_out(sign, jobs)
+    """:func:`sign` over ``(identity, message)`` pairs, on the calling thread.
+
+    Helper threads made no measurable difference to a ``ct-run`` (its
+    batches hold ~10-130 signatures), so signing keeps to one thread.
+    """
+    return [sign(identity, message) for identity, message in jobs]
 
 
 def verify_many(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    """:func:`verify` over ``(public_key, message, signature)`` triples, on
-    every CPU."""
-    return _fan_out(verify, jobs)
+    """:func:`verify` over ``(public_key, message, signature)`` triples.
+
+    A batch is split across the CPUs only as far as every chunk gets
+    ``_MIN_VERIFY_CHUNK`` triples; each chunk parses a key once however
+    many of its triples carry it.
+    """
+    return _fan_out(_verify_chunk, jobs, min(_CORES, len(jobs) // _MIN_VERIFY_CHUNK))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .consensus import append_block, difficulty_for, mine
 from .credit import (
@@ -334,28 +335,128 @@ def _tracked_ids(config: SimConfig) -> tuple[int, ...]:
     return tuple(ids)
 
 
+# Partner offsets per block of the credit kernel. A block holds this many
+# n-element rows, so its buffers stay small at any agent count.
+_OFFSET_BLOCK = 32
+
+
+def _partner_coordinates(world: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """``(px, py)``: ``px[o, i]`` is the x coordinate of agent (i + o) mod n.
+
+    Both are windows onto the coordinates concatenated with themselves, so
+    no partner coordinate is gathered, and row 0 holds every agent's own.
+    """
+    n = world.n
+    x, y = world.positions[:, 0], world.positions[:, 1]
+    return (
+        sliding_window_view(np.concatenate([x, x]), n),
+        sliding_window_view(np.concatenate([y, y]), n),
+    )
+
+
+def _offset_distances(px: np.ndarray, py: np.ndarray, o0: int, o1: int) -> np.ndarray:
+    """``d[k, i]``: distance from agent i to agent (i + o0 + k) mod n.
+
+    ``(a - b)**2`` equals ``(b - a)**2`` exactly, so a pair's distance is
+    the same bit for bit from either end.
+    """
+    d = px[0] - px[o0:o1]
+    d *= d
+    dy = py[0] - py[o0:o1]
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
+def _pair_noise(world: WorldState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Distance-estimator noise of one tick, in the kernel's offset layout:
+    ``noise[o, i]`` belongs to the pair (i, (i + o) mod n) and is zero when
+    that pair is unobserved. Row 0 is unused.
+
+    One ``normal`` draw covers the observed pairs i < j in row-major order.
+    Pair i < j sits at [j - i, i], so that order is the C order of the
+    transpose over the cells with i + o < n; the other cells mirror them.
+    """
+    n = world.n
+    agents = np.arange(n)
+    upper = np.zeros((n, n), dtype=bool)
+    for o0 in range(1, n, _OFFSET_BLOCK):
+        o1 = min(o0 + _OFFSET_BLOCK, n)
+        observed = upper[o0:o1]
+        np.less_equal(
+            _offset_distances(px, py, o0, o1), world.config.observe_radius, out=observed
+        )
+        observed &= agents < n - np.arange(o0, o1)[:, None]
+    noise = np.zeros((n, n))
+    noise.T[upper.T] = world.streams["noise"].normal(
+        0.0, world.config.distance_noise_std, size=int(np.count_nonzero(upper))
+    )
+    for o in range(1, n):
+        # Agent m >= n - o meets m + o - n, which met m at offset n - o.
+        noise[o, n - o :] = noise[n - o, :o]
+    return noise
+
+
+def _score_contacts(world: WorldState, t: int, interactions: np.ndarray) -> None:
+    """Credit every observed pair and log the immediate contacts of tick t.
+
+    Agent i meets agent (i + o) mod n at partner offset o = 1 … n-1, and the
+    offsets are walked a block at a time. Each offset row is added to the
+    proximity totals in turn, unobserved pairs as +0.0, so agent i adds its
+    scores with partners i+1 … n-1 and then 0 … i-1: the order of a pair
+    list over the upper triangle, hence the same sums bit for bit. Each
+    pair turns up at offsets o and n - o, once from either end, so writing
+    cell [i, (i + o) mod n] of the contact log fills both directions.
+    """
+    config, policy = world.config, world.config.policy
+    n = world.n
+    prox = world.credit.prox
+    px, py = _partner_coordinates(world)
+    noise = _pair_noise(world, px, py) if config.distance_noise_std > 0 else None
+    for o0 in range(1, n, _OFFSET_BLOCK):
+        o1 = min(o0 + _OFFSET_BLOCK, n)
+        d = _offset_distances(px, py, o0, o1)
+        observed = d <= config.observe_radius
+        d_meas = d if noise is None else d + noise[o0:o1]
+        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
+        scores[~observed] = 0.0
+        for row in scores:
+            prox += row
+        interactions += observed.sum(axis=0)
+
+        cells = np.flatnonzero(observed & (d < policy.immediate_threshold))
+        k, i = np.divmod(cells, n)
+        j = i + o0 + k
+        j[j >= n] -= n
+        world.last_contact_tick[i, j] = t
+        world.last_contact_dist[i, j] = d.ravel()[cells]
+
+
 def _emit_trace(
-    world: WorldState, i: int, now: int, metrics: RunMetrics
+    world: WorldState, i: int, now: int, metrics: RunMetrics, node_hex: Sequence[str]
 ) -> None:
-    """Diagnosed agent i reports its retained immediate contacts."""
+    """Diagnosed agent i reports its retained immediate contacts.
+
+    ``node_hex`` holds every agent's node id in hex. The contact log's
+    diagonal stays -1, so agent i never lists itself.
+    """
     horizon = max(now - world.config.retention_ticks, 0)
     row_ticks = world.last_contact_tick[i]
-    peers = [int(j) for j in np.nonzero(row_ticks >= horizon)[0] if j != i]
-    pairs = [(world.identities[j].node_id, int(row_ticks[j])) for j in peers]
+    peers = np.nonzero(row_ticks >= horizon)[0]
+    ticks = row_ticks[peers].tolist()
+    dists = world.last_contact_dist[i, peers].tolist()
+    peer_list = peers.tolist()
+    pairs = [(world.identities[j].node_id, tick) for j, tick in zip(peer_list, ticks)]
     payload = encode_contact_pairs(pairs)
     world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
     world.iup.add(world.identities[i].node_id, now)
     metrics.contact_records.append(
         {
             "tick": now,
-            "node_id": world.identities[i].node_id.hex(),
+            "node_id": node_hex[i],
             "contacts": [
-                {
-                    "peer": world.identities[j].node_id.hex(),
-                    "distance": round(float(world.last_contact_dist[i, j]), 4),
-                    "tick": int(row_ticks[j]),
-                }
-                for j in peers
+                {"peer": node_hex[j], "distance": round(dist, 4), "tick": tick}
+                for j, dist, tick in zip(peer_list, dists, ticks)
             ],
         }
     )
@@ -443,13 +544,12 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
     if world.identities is None:
         raise ValueError("run_epoch needs a world built with identities")
     config = world.config
-    policy = config.policy
     metrics = RunMetrics(tracked=_tracked_ids(config))
     started = time.perf_counter()
     n = world.n
 
     node_ids = [ident.node_id for ident in world.identities]
-    prox = world.credit.prox
+    node_hex = [node.hex() for node in node_ids]
     interactions = np.zeros(n, dtype=np.int64)
 
     world.registry = publish_registry(
@@ -465,57 +565,26 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
     )
 
     tx_rate = config.tx_per_block_mean * config.n_blocks / max(config.ticks, 1)
-    iu, ju = np.triu_indices(n, 1)
 
     for t in range(config.ticks):
         step_mobility(world)
         tx_before = len(world.pending)
 
-        # Distances of every unordered pair, built in place: at 1000 agents
-        # each pair-sized buffer is 4 MB.
-        x, y = world.positions[:, 0], world.positions[:, 1]
-        d_pairs = x[iu] - x[ju]
-        d_pairs *= d_pairs
-        dy = y[iu] - y[ju]
-        dy *= dy
-        d_pairs += dy
-        np.sqrt(d_pairs, out=d_pairs)
-        observed = d_pairs <= config.observe_radius
-        ii, jj, d_true = iu[observed], ju[observed], d_pairs[observed]
+        _score_contacts(world, t, interactions)
         if config.violator_id is not None:
             v = config.violator_id
+            x, y = world.positions[:, 0], world.positions[:, 1]
             dx, dy = x[v] - x, y[v] - y
             row = np.sqrt(dx * dx + dy * dy)
             row[v] = np.inf
             world._violator_target = world.positions[int(np.argmin(row))].copy()
-
-        # Credit scoring; measured distances may carry estimator noise.
-        if config.distance_noise_std > 0:
-            d_meas = d_true + world.streams["noise"].normal(
-                0.0, config.distance_noise_std, size=d_true.shape
-            )
-        else:
-            d_meas = d_true
-        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
-        np.add.at(prox, ii, scores)
-        np.add.at(prox, jj, scores)
-        np.add.at(interactions, ii, 1)
-        np.add.at(interactions, jj, 1)
-
-        imm = d_true < policy.immediate_threshold
-        if imm.any():
-            pi, pj, pd = ii[imm], jj[imm], d_true[imm]
-            world.last_contact_tick[pi, pj] = t
-            world.last_contact_tick[pj, pi] = t
-            world.last_contact_dist[pi, pj] = pd
-            world.last_contact_dist[pj, pi] = pd
 
         # Shared draws couple the exposure-radius processes within the run.
         before = world.infected().copy()
         _spread_tick(world)
         newly = np.nonzero(world.infected() & ~before)[0]
         for i in newly:
-            _emit_trace(world, int(i), t, metrics)
+            _emit_trace(world, int(i), t, metrics, node_hex)
 
         if (
             config.false_claimer_id is not None
@@ -557,7 +626,7 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
 
         for idx in metrics.tracked:
             p, neg, tot = world.credit.breakdown(node_ids[idx], t + 1)
-            metrics.credit_rows.append((t, node_ids[idx].hex(), p, neg, tot))
+            metrics.credit_rows.append((t, node_hex[idx], p, neg, tot))
 
         metrics.rows.append(
             {
@@ -573,7 +642,7 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
 
     world.iup.prune(config.ticks)
     metrics.interactions_per_agent = interactions
-    metrics.prox_final = prox.copy()
+    metrics.prox_final = world.credit.prox.copy()
     metrics.elapsed_s = time.perf_counter() - started
     return world, chain, metrics
 

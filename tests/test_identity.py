@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 
+from proxichain import identity
 from proxichain.identity import (
     _CURVE,
     _CURVE_ORDER,
@@ -22,6 +23,7 @@ from proxichain.identity import (
     registry_to_json,
     sign,
     verify,
+    verify_many,
 )
 
 
@@ -110,6 +112,54 @@ def test_random_bit_perturbations_all_fail():
         s = bytearray(sig)
         s[int(rng.integers(len(s)))] ^= 1 << int(rng.integers(8))
         assert not verify(ident.public_key, message, bytes(s))
+
+
+class TestVerifyMany:
+    def _jobs(self):
+        """Ten triples from two signers plus an unparseable key, with one
+        forged message; every key appears more than once."""
+        a, b = (generate_identity(Role.LIGHT, seed=30 + k) for k in range(2))
+        bad_key = b"\x02" + b"\xff" * 32
+        jobs = []
+        for k in range(10):
+            ident = (a, b)[k % 2]
+            message = b"msg %d" % k
+            jobs.append((ident.public_key, message, sign(ident, message)))
+        jobs[3] = (jobs[3][0], b"forged", jobs[3][2])
+        jobs[5] = (bad_key, jobs[5][1], jobs[5][2])
+        jobs[8] = (bad_key, jobs[8][1], jobs[8][2])
+        return jobs
+
+    @pytest.mark.parametrize("floor", [1, 25], ids=["split", "serial"])
+    def test_equals_one_at_a_time(self, floor, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", floor)
+        jobs = self._jobs()
+        assert verify_many(jobs) == [verify(*job) for job in jobs]
+        assert verify_many(jobs) == [k not in (3, 5, 8) for k in range(10)]
+
+    def test_parses_each_key_once(self, monkeypatch):
+        parsed = []
+
+        def counted(public_key):
+            parsed.append(public_key)
+            return real(public_key)
+
+        real = identity._public_key
+        monkeypatch.setattr(identity, "_CORES", 1)
+        monkeypatch.setattr(identity, "_public_key", counted)
+        jobs = self._jobs()
+        verify_many(jobs)
+        assert sorted(parsed) == sorted({job[0] for job in jobs})
+
+    @pytest.mark.parametrize("count, chunks", [(49, [49]), (50, [25, 25]), (120, [40, 40, 40])])
+    def test_splits_only_into_full_chunks(self, count, chunks, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(identity, "_CORES", 3)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 25)
+        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs: sizes.append(len(jobs)) or [])
+        verify_many([()] * count)
+        assert sorted(sizes) == chunks
 
 
 def _signed_by_manager(registry: AuthorizedRegistry) -> bool:

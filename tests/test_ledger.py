@@ -255,16 +255,17 @@ SENDERS = [generate_identity(Role.LIGHT, seed=600 + k) for k in range(9)]
 
 @pytest.fixture(params=[1, 2, 5], ids=["one-chunk", "two-chunks", "five-chunks"])
 def cores(request, monkeypatch):
-    """Split every signature batch into this many chunks."""
+    """Split every verify batch into this many chunks, however small."""
     monkeypatch.setattr(identity, "_CORES", request.param)
+    monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
     return request.param
 
 
 class TestBatchSignatures:
-    """Batches are split into contiguous chunks, one per CPU. With 9
+    """Verify batches are split into contiguous chunks, one per CPU. With 9
     transactions, position 0 is in the calling thread's chunk, 8 in the last
     helper's, and 4 starts the helper's chunk of two or sits inside the
-    middle chunk of five."""
+    middle chunk of five. Signing stays on the calling thread."""
 
     def _items(self):
         return [(ident, TxKind.ST if k % 2 else TxKind.QT, bytes([k]) * (k + 1))

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from proxichain import simulation
 from proxichain.consensus import verify_chain
-from proxichain.credit import CreditPolicy, EventKind
+from proxichain.credit import MIN_SEPARATION_M, CreditPolicy, EventKind, contact_scores
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     BlockOverflowError,
@@ -182,6 +183,75 @@ class TestSpread:
             tracemalloc.stop()
         assert len(rows) == 50
         assert peak < 100 * 2**20
+
+
+def _pair_list_kernel(world, t, interactions):
+    """The credit kernel over an upper-triangle pair list, summed with
+    ``np.add.at``: the reference that the offset kernel must match bit for
+    bit."""
+    config, policy = world.config, world.config.policy
+    prox = world.credit.prox
+    iu, ju = np.triu_indices(world.n, 1)
+    x, y = world.positions[:, 0], world.positions[:, 1]
+    d = x[iu] - x[ju]
+    d *= d
+    dy = y[iu] - y[ju]
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
+    observed = d <= config.observe_radius
+    ii, jj, d_true = iu[observed], ju[observed], d[observed]
+    d_meas = d_true
+    if config.distance_noise_std > 0:
+        d_meas = d_true + world.streams["noise"].normal(
+            0.0, config.distance_noise_std, size=d_true.shape
+        )
+    scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
+    np.add.at(prox, ii, scores)
+    np.add.at(prox, jj, scores)
+    np.add.at(interactions, ii, 1)
+    np.add.at(interactions, jj, 1)
+    imm = d_true < policy.immediate_threshold
+    pi, pj, pd = ii[imm], jj[imm], d_true[imm]
+    world.last_contact_tick[pi, pj] = t
+    world.last_contact_tick[pj, pi] = t
+    world.last_contact_dist[pi, pj] = pd
+    world.last_contact_dist[pj, pi] = pd
+
+
+class TestCreditKernel:
+    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("n", [2, 3, 33, 257])
+    def test_matches_pair_list_reference(self, n, noise, monkeypatch):
+        # 33 and 257 leave a last block of offsets shorter than the others;
+        # the violator drifts toward the crowd, so agents bunch up under 2 m.
+        config = SimConfig(
+            n_agents=n, ticks=4, seed=n, p_inf=0.2, distance_noise_std=noise,
+            violator_id=n - 1, **SMALL,
+        )
+        world, _, metrics = _run(config)
+        monkeypatch.setattr(simulation, "_score_contacts", _pair_list_kernel)
+        ref_world, _, ref_metrics = _run(config)
+        assert np.array_equal(metrics.prox_final, ref_metrics.prox_final)
+        assert np.array_equal(metrics.interactions_per_agent, ref_metrics.interactions_per_agent)
+        assert np.array_equal(world.last_contact_tick, ref_world.last_contact_tick)
+        assert np.array_equal(world.last_contact_dist, ref_world.last_contact_dist)
+        if n >= 33:
+            assert (world.last_contact_tick >= 0).any()
+        assert metrics.contact_records == ref_metrics.contact_records
+
+    def test_epoch_allocates_no_pair_sized_buffers(self):
+        # At 2000 agents one float64 per unordered pair is 16 MB; the
+        # pair-list kernel held about ten such buffers each tick.
+        config = SimConfig(n_agents=2000, ticks=2, seed=1, p_inf=0.0, **SMALL)
+        world = build_world(config)
+        tracemalloc.start()
+        try:
+            run_epoch(world, Chain())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestWorldBuild:
