@@ -12,14 +12,13 @@ import numpy as np
 
 from proxichain.consensus import difficulty_for
 from proxichain.credit import (
+    MIN_SEPARATION_M,
     CreditPolicy,
-    CreditState,
     EventKind,
-    accumulate_proximity,
+    contact_scores,
     proximity_credit,
-    record_event,
-    total_credit,
 )
+from proxichain.simulation import CreditStore
 
 policy = CreditPolicy()
 rng = np.random.default_rng(6)
@@ -29,40 +28,40 @@ for d in (0.5, 1.0, 1.9, 2.0, 4.0, 8.0):
     print(f"  {d:4.1f} m -> {proximity_credit(d, policy):+8.2f}")
 
 # ---------------------------------------------------------------------------
-# A cautious agent keeps everyone beyond 2 m; a careless one does not.
+# A cautious agent keeps everyone beyond 2 m; a careless one does not. Each
+# tick both meet three peers, and the clamped scores go into the same credit
+# store a simulation run writes.
 
-cautious = CreditState(node=b"cautious".ljust(32, b"\x00"))
-careless = CreditState(node=b"careless".ljust(32, b"\x00"))
+cautious = b"cautious".ljust(32, b"\x00")
+careless = b"careless".ljust(32, b"\x00")
+store = CreditStore(policy, [cautious, careless])
 
 for _ in range(20):
-    cautious = accumulate_proximity(
-        cautious, [(b"peer", float(d)) for d in rng.uniform(2.5, 9.0, size=3)], policy
-    )
-    careless = accumulate_proximity(
-        careless, [(b"peer", float(d)) for d in rng.uniform(0.3, 4.0, size=3)], policy
-    )
+    distances = np.stack([rng.uniform(2.5, 9.0, size=3), rng.uniform(0.3, 4.0, size=3)])
+    store.prox += contact_scores(np.maximum(distances, MIN_SEPARATION_M), policy).sum(axis=1)
 
 
 def entitlement(credit):
     return difficulty_for(credit, policy.alpha_d, is_authorized=False).name
 
 
-for name, state in (("cautious", cautious), ("careless", careless)):
+for name, node in (("cautious", cautious), ("careless", careless)):
+    credit = store.total(node, now=20)
     print(
-        f"\n{name} agent after 20 ticks: credit {state.prox_credit:+8.1f}"
-        f" -> mines at {entitlement(state.prox_credit)}"
+        f"\n{name} agent after 20 ticks: credit {credit:+8.1f}"
+        f" -> mines at {entitlement(credit)}"
     )
 
 # ---------------------------------------------------------------------------
 # A network attack at tick 20 dents the cautious agent's balance below the
 # threshold, but the penalty weight decays with age, so entitlement returns.
 
-flagged = record_event(cautious, EventKind.NETWORK_ATTACK, tick=20)
+store.punish(cautious, EventKind.NETWORK_ATTACK, tick=20)
 omega = policy.omega(EventKind.NETWORK_ATTACK)
 print(f"\nnetwork-attack penalty recorded (weight {omega:.0f}), decay over time:")
 
 for now in (21, 22, 23, 25, 30, 60):
-    total = total_credit(flagged, now, policy)
+    total = store.total(cautious, now)
     age = now - 20
     print(f"  tick {now:>2} (age {age:>2}): total {total:+8.1f} -> mines at {entitlement(total)}")
 

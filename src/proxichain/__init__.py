@@ -20,7 +20,7 @@ from .consensus import (
     validate_block,
     verify_chain,
 )
-from .credit import CreditPolicy, proximity_credit, total_credit
+from .credit import CreditPolicy, proximity_credit
 from .identity import Role, generate_identity, publish_registry
 from .ledger import (
     Block,
@@ -41,7 +41,6 @@ __all__ = [
     "verify_chain",
     "CreditPolicy",
     "proximity_credit",
-    "total_credit",
     "Role",
     "generate_identity",
     "publish_registry",

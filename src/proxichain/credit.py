@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -85,20 +85,13 @@ class CreditEvent:
     tick: int
 
 
-@dataclass(frozen=True)
-class CreditState:
-    node: bytes
-    prox_credit: float = 0.0
-    events: tuple[CreditEvent, ...] = ()
-
-
 def proximity_credit(distance_m: float, policy: CreditPolicy) -> float:
     """Score of a single contact at the given distance.
 
     Negative and growing like 1/L inside the immediate threshold, positive
-    and linear beyond it. Callers feeding measured distances should clamp
-    them to ``MIN_SEPARATION_M`` first (see accumulate_proximity); the raw
-    function diverges as L approaches zero by design.
+    and linear beyond it. Measured distances are clamped to
+    ``MIN_SEPARATION_M`` before scoring (see ``simulation._score_contacts``);
+    the raw function diverges as L approaches zero by design.
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
@@ -117,18 +110,6 @@ def contact_scores(distances: np.ndarray, policy: CreditPolicy) -> np.ndarray:
     )
 
 
-def accumulate_proximity(
-    state: CreditState,
-    contacts: Sequence[tuple[bytes, float]],
-    policy: CreditPolicy,
-) -> CreditState:
-    """Add the scores of one tick's observed contacts onto the running total."""
-    gained = 0.0
-    for _, distance in contacts:
-        gained += proximity_credit(max(distance, MIN_SEPARATION_M), policy)
-    return replace(state, prox_credit=state.prox_credit + gained)
-
-
 def negative_credit(
     events: Iterable[CreditEvent], now: int, policy: CreditPolicy
 ) -> float:
@@ -143,10 +124,3 @@ def negative_credit(
         total -= policy.omega(event.kind) * policy.delta_t / age
     return total
 
-
-def total_credit(state: CreditState, now: int, policy: CreditPolicy) -> float:
-    return state.prox_credit + negative_credit(state.events, now, policy)
-
-
-def record_event(state: CreditState, kind: EventKind, tick: int) -> CreditState:
-    return replace(state, events=state.events + (CreditEvent(kind, tick),))

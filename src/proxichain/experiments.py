@@ -85,6 +85,8 @@ def spec_from_json(text: str) -> ExperimentSpec:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("spec is nested too deeply to parse") from exc
     if not isinstance(body, dict) or not isinstance(body.get("sim", {}), dict):
         raise ConfigError("spec and its 'sim' entry must be JSON objects")
     try:
@@ -109,7 +111,7 @@ def load_spec(path: str) -> ExperimentSpec:
     try:
         with open(path) as fh:
             return spec_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read spec: {exc}") from exc
 
 

@@ -133,6 +133,11 @@ class SimConfig:
         for name in ("attack_tick", "false_claim_tick"):
             if getattr(self, name) is not None:
                 _check_field(name, getattr(self, name), 0, integer=True)
+        for agent, tick in (
+            ("attacker_id", "attack_tick"), ("false_claimer_id", "false_claim_tick")
+        ):
+            if (getattr(self, agent) is None) != (getattr(self, tick) is None):
+                raise ValueError(f"{agent} and {tick} must be set together or not at all")
         if self.track_agents is not None:
             if not isinstance(self.track_agents, (tuple, list)):
                 raise TypeError(f"track_agents must be a list, got {self.track_agents!r}")

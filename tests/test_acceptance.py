@@ -34,15 +34,13 @@ from proxichain.consensus import (
     verify_chain,
 )
 from proxichain.credit import (
+    MIN_SEPARATION_M,
     CreditEvent,
     CreditPolicy,
-    CreditState,
     EventKind,
-    accumulate_proximity,
+    contact_scores,
     negative_credit,
     proximity_credit,
-    record_event,
-    total_credit,
 )
 from proxichain.experiments import (
     ExperimentSpec,
@@ -57,7 +55,7 @@ from proxichain.ledger import (
     Chain,
     whash_window_for,
 )
-from proxichain.simulation import SimConfig, build_world, run_epoch, run_outbreak
+from proxichain.simulation import CreditStore, SimConfig, build_world, run_epoch, run_outbreak
 
 
 def _status(ok: bool) -> str:
@@ -205,6 +203,14 @@ def test_criterion_3_attack_cost(criteria_log):
     assert ok, (exact, measured)
 
 
+def _add_contacts(store: CreditStore, node: bytes, distances) -> None:
+    """Credit one node with contacts at these measured distances, as the
+    simulator's per-tick kernel does: clamp, score, add one contact at a time."""
+    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M), store.policy)
+    for score in scores:
+        store.prox[store.index_of[node]] += score
+
+
 def test_criterion_4_credit_arithmetic(criteria_log):
     policy = CreditPolicy()
     golden = (
@@ -217,24 +223,30 @@ def test_criterion_4_credit_arithmetic(criteria_log):
         < 1e-12
     )
 
-    state = CreditState(node=b"\x07" * 32)
-    state = accumulate_proximity(state, [(b"p", d) for d in (0.6, 1.7, 2.0, 4.4, 9.3)], policy)
-    state = record_event(state, EventKind.FALSE_CLAIM, tick=3)
-    state = record_event(state, EventKind.NETWORK_ATTACK, tick=7)
-    parts = state.prox_credit + negative_credit(state.events, 20, policy)
-    total_ok = abs(total_credit(state, 20, policy) - parts) < 1e-12
+    node = b"\x07" * 32
+    store = CreditStore(policy, [node])
+    _add_contacts(store, node, [0.6, 1.7, 2.0, 4.4, 9.3])
+    store.punish(node, EventKind.FALSE_CLAIM, tick=3)
+    store.punish(node, EventKind.NETWORK_ATTACK, tick=7)
+    parts = store.prox[0] + negative_credit(store.events[node], 20, policy)
+    total_ok = (
+        abs(store.breakdown(node, 20)[2] - parts) < 1e-12
+        and abs(store.totals(20)[0] - parts) < 1e-12
+    )
 
     rng = np.random.default_rng(404)
     distances = np.sort(rng.uniform(0.05, 12.0, size=10_000))
     scores = np.array([proximity_credit(float(d), policy) for d in distances])
     monotone = bool(np.all(np.diff(scores) > 0))
 
-    contacts = [(b"p", float(d)) for d in rng.uniform(0.05, 12.0, size=10_000)]
-    whole = accumulate_proximity(CreditState(node=b"x"), contacts, policy).prox_credit
+    contacts = rng.uniform(0.05, 12.0, size=10_000)
+    whole = CreditStore(policy, [b"x"])
+    _add_contacts(whole, b"x", contacts)
     cut = int(rng.integers(1, len(contacts)))
-    part = accumulate_proximity(CreditState(node=b"x"), contacts[:cut], policy)
-    part = accumulate_proximity(part, contacts[cut:], policy).prox_credit
-    additive = abs(whole - part) < 1e-9
+    part = CreditStore(policy, [b"x"])
+    _add_contacts(part, b"x", contacts[:cut])
+    _add_contacts(part, b"x", contacts[cut:])
+    additive = abs(whole.prox[0] - part.prox[0]) < 1e-9
 
     events_a = [CreditEvent(EventKind.FALSE_CLAIM, int(t)) for t in rng.integers(0, 50, 40)]
     events_b = [CreditEvent(EventKind.NETWORK_ATTACK, int(t)) for t in rng.integers(0, 50, 40)]

@@ -5,15 +5,11 @@ from proxichain.credit import (
     MIN_SEPARATION_M,
     CreditEvent,
     CreditPolicy,
-    CreditState,
     EventKind,
     TemporalOrderError,
-    accumulate_proximity,
     contact_scores,
     negative_credit,
     proximity_credit,
-    record_event,
-    total_credit,
 )
 
 POLICY = CreditPolicy()
@@ -76,21 +72,6 @@ class TestPenaltyGoldens:
             negative_credit(events, now=100, policy=POLICY)
 
 
-def test_composite_total_matches_hand_sum():
-    state = CreditState(node=b"\x01" * 32)
-    contacts = [(b"\x02" * 32, d) for d in (0.5, 1.5, 1.9, 2.0, 5.0, 8.0)]
-    state = accumulate_proximity(state, contacts, POLICY)
-    state = record_event(state, EventKind.FALSE_CLAIM, tick=90)
-    state = record_event(state, EventKind.CONTACT_VIOLATION, tick=96)
-    state = record_event(state, EventKind.NETWORK_ATTACK, tick=99)
-
-    expected_prox = (-12.0 / 0.5) + (-12.0 / 1.5) + (-12.0 / 1.9) + 1.0 + 2.5 + 4.0
-    expected_neg = -50.0 / 10.0 - 10.0 / 4.0 - 200.0 / 1.0
-    assert total_credit(state, now=100, policy=POLICY) == pytest.approx(
-        expected_prox + expected_neg, abs=1e-12
-    )
-
-
 class TestProximityProperties:
     def test_strictly_monotone_in_distance(self):
         rng = np.random.default_rng(7)
@@ -108,31 +89,6 @@ class TestProximityProperties:
                 assert score < 0
             else:
                 assert score > 0
-
-    def test_accumulation_is_permutation_invariant(self):
-        rng = np.random.default_rng(9)
-        distances = rng.uniform(MIN_SEPARATION_M, 12.0, size=2_000)
-        contacts = [(b"\x00" * 32, float(d)) for d in distances]
-        shuffled = list(contacts)
-        rng.shuffle(shuffled)
-        a = accumulate_proximity(CreditState(node=b"x"), contacts, POLICY)
-        b = accumulate_proximity(CreditState(node=b"x"), shuffled, POLICY)
-        assert a.prox_credit == pytest.approx(b.prox_credit, abs=1e-9)
-
-    def test_accumulation_is_additive_over_batches(self):
-        rng = np.random.default_rng(10)
-        distances = rng.uniform(MIN_SEPARATION_M, 12.0, size=2_000)
-        contacts = [(b"\x00" * 32, float(d)) for d in distances]
-        whole = accumulate_proximity(CreditState(node=b"x"), contacts, POLICY)
-        half = accumulate_proximity(CreditState(node=b"x"), contacts[:1000], POLICY)
-        half = accumulate_proximity(half, contacts[1000:], POLICY)
-        assert whole.prox_credit == pytest.approx(half.prox_credit, abs=1e-9)
-
-    def test_sub_floor_measurements_are_clamped(self):
-        state = accumulate_proximity(
-            CreditState(node=b"x"), [(b"y", 0.001), (b"y", 0.0)], POLICY
-        )
-        assert state.prox_credit == pytest.approx(-480.0, abs=1e-9)
 
 
 class TestPenaltyProperties:
@@ -152,10 +108,3 @@ class TestPenaltyProperties:
         ]
         assert magnitudes == sorted(magnitudes, reverse=True)
         assert magnitudes[-1] > 0
-
-    def test_fresh_attack_outweighs_moderate_gains(self):
-        state = CreditState(node=b"x")
-        contacts = [(b"y", 5.0)] * 40
-        state = accumulate_proximity(state, contacts, POLICY)
-        state = record_event(state, EventKind.NETWORK_ATTACK, tick=99)
-        assert total_credit(state, now=100, policy=POLICY) < 0

@@ -344,20 +344,25 @@ class TestCli:
             ("ct-run", {"sim": {"p_inf": "x"}}, []),
             ("ct-run", {"sim": {"policy": {"lambda_plus": "x"}}}, []),
             ("ct-run", {"sim": {"track_agents": [500]}}, []),
-            ("ct-run", {"sim": {"attacker_id": 500}}, []),
+            ("ct-run", {"sim": {"attacker_id": 500, "attack_tick": 1}}, []),
             ("ct-run", {}, ["--blocks", "-3"]),
             ("ct-run", {}, ["--radius", "nan"]),
             ("mine-bench", {"whash_values": [0.0]}, []),
             ("ct-run", {"output_dir": 5}, []),
             ("mine-bench", {}, ["--max-trials", "0"]),
             ("mine-bench", {}, ["--max-trials", "-5"]),
+            ("ct-run", b"\xff\xfe{}", []),
+            ("mine-bench", b"[" * 200_000 + b"]" * 200_000, []),
+            ("ct-run", {"sim": {"attacker_id": 5}}, []),
+            ("ct-run", {"sim": {"false_claim_tick": 1}}, []),
         ],
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
             "fractional-n_agents", "string-p_inf", "string-lambda_plus",
             "track_agents-out-of-range", "attacker_id-out-of-range", "negative-blocks",
             "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
-            "negative-max-trials",
+            "negative-max-trials", "spec-not-utf8", "spec-nested-too-deep",
+            "attack-without-tick", "false-claim-without-claimer",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):
@@ -365,7 +370,7 @@ class TestCli:
             sim = {"n_agents": 20, "ticks": 2, "tx_per_block_mean": 5, "n_blocks": 1}
             body = {"whash_values": [0], **body, "sim": {**sim, **body.get("sim", {})}}
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(body))
+        spec_path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
         argv = [command, "--config", str(spec_path), "--out", str(tmp_path), *flags]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err

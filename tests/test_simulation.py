@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +137,31 @@ class TestBoundaries:
         assert world.credit.prox[1] == 2.0 / config.policy.lambda_plus
         assert world.credit.prox[0] == (2.0 + 10.0) / config.policy.lambda_plus
 
+    def _clamp_world(self, noise_std: float = 0.0):
+        config = SimConfig(
+            n_agents=2, ticks=1, step_std=0.0, p_inf=0.0, n_authorized=0,
+            distance_noise_std=noise_std, **SMALL,
+        )
+        return build_world(config)
+
+    def test_coincident_agents_score_the_clamp_floor(self):
+        world = self._clamp_world()
+        world.positions[:] = [[3.0, 3.0], [3.0, 3.0]]
+        simulation._score_contacts(world, 0, np.zeros(2, dtype=np.int64))
+        floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
+        assert floor == pytest.approx(-240.0)
+        assert world.credit.prox.tolist() == [floor, floor]
+
+    def test_negative_measured_distance_scores_the_clamp_floor(self, monkeypatch):
+        world = self._clamp_world(noise_std=0.3)
+        world.positions[:] = [[3.0, 3.0], [4.0, 3.0]]
+        # The estimator reads the 1 m pair as 1 - 3 = -2 m.
+        draw = SimpleNamespace(normal=lambda loc, scale, size: np.full(size, -3.0))
+        monkeypatch.setitem(world.streams, "noise", draw)
+        simulation._score_contacts(world, 0, np.zeros(2, dtype=np.int64))
+        floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
+        assert world.credit.prox.tolist() == [floor, floor]
+
 
 class TestSpread:
     def test_zero_probability_never_spreads(self):
@@ -260,6 +286,11 @@ class TestWorldBuild:
             SimConfig(n_agents=1)
         with pytest.raises(ValueError):
             SimConfig(infection_radius=0.0)
+        # A scripted event needs both its agent and its tick.
+        for pair in (("attacker_id", "attack_tick"), ("false_claimer_id", "false_claim_tick")):
+            for half in pair:
+                with pytest.raises(ValueError, match=" and ".join(pair)):
+                    SimConfig(n_agents=10, **{half: 3})
 
     def test_infection_processes_cover_configured_radius(self):
         world = build_world(SimConfig(n_agents=5, ticks=1, infection_radius=3.0, **SMALL), False)
@@ -379,7 +410,52 @@ class TestEpoch:
         assert np.array_equal(world_a.positions, world_b.positions)
 
 
+def _credit_contacts(store: CreditStore, node: bytes, distances) -> None:
+    """Credit one node with contacts at these measured distances, as
+    ``_score_contacts`` does: clamp, score, add one contact at a time."""
+    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M), store.policy)
+    for score in scores:
+        store.prox[store.index_of[node]] += score
+
+
 class TestCreditStore:
+    def test_composite_total_matches_hand_sum(self):
+        node = b"\x01" * 32
+        store = CreditStore(CreditPolicy(), [node])
+        _credit_contacts(store, node, [0.5, 1.5, 1.9, 2.0, 5.0, 8.0])
+        store.punish(node, EventKind.FALSE_CLAIM, tick=90)
+        store.punish(node, EventKind.CONTACT_VIOLATION, tick=96)
+        store.punish(node, EventKind.NETWORK_ATTACK, tick=99)
+
+        expected_prox = (-12.0 / 0.5) + (-12.0 / 1.5) + (-12.0 / 1.9) + 1.0 + 2.5 + 4.0
+        expected_neg = -50.0 / 10.0 - 10.0 / 4.0 - 200.0 / 1.0
+        assert store.total(node, now=100) == pytest.approx(
+            expected_prox + expected_neg, abs=1e-12
+        )
+
+    def test_fresh_attack_outweighs_moderate_gains(self):
+        store = CreditStore(CreditPolicy(), [b"x"])
+        _credit_contacts(store, b"x", [5.0] * 40)
+        store.punish(b"x", EventKind.NETWORK_ATTACK, tick=99)
+        assert store.total(b"x", now=100) < 0
+
+    def test_accumulation_is_permutation_invariant(self):
+        rng = np.random.default_rng(9)
+        distances = rng.uniform(MIN_SEPARATION_M, 12.0, size=2_000)
+        store = CreditStore(CreditPolicy(), [b"a", b"b"])
+        _credit_contacts(store, b"a", distances)
+        _credit_contacts(store, b"b", rng.permutation(distances))
+        assert store.prox[0] == pytest.approx(store.prox[1], abs=1e-9)
+
+    def test_accumulation_is_additive_over_batches(self):
+        rng = np.random.default_rng(10)
+        distances = rng.uniform(MIN_SEPARATION_M, 12.0, size=2_000)
+        store = CreditStore(CreditPolicy(), [b"whole", b"halves"])
+        _credit_contacts(store, b"whole", distances)
+        _credit_contacts(store, b"halves", distances[:1000])
+        _credit_contacts(store, b"halves", distances[1000:])
+        assert store.prox[0] == pytest.approx(store.prox[1], abs=1e-9)
+
     def test_breakdown_sums_to_total(self):
         store = CreditStore(CreditPolicy(), [b"a"])
         store.prox[0] += 12.5
