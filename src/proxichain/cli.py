@@ -20,6 +20,7 @@ from .experiments import (
     ConfigError,
     ExperimentSpec,
     load_spec,
+    make_output_dir,
     run_ct_experiment,
     run_localization_eval,
     run_mining_benchmark,
@@ -86,6 +87,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_mine_bench(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    make_output_dir(spec.output_dir)
     rows, summary = run_mining_benchmark(spec, max_trials=args.max_trials)
     write_bench_csv(rows, summary, spec.output_dir)
     for (whash, level), s in sorted(summary.items()):
@@ -121,6 +123,7 @@ def _cmd_loc_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --snr list: {exc}") from exc
     if not snrs:
         raise ConfigError("--snr needs at least one value")
+    make_output_dir(args.out)
     try:
         rows = run_localization_eval(snrs, trials=args.trials, seed=args.seed)
     except ValueError as exc:

@@ -76,7 +76,6 @@ def difficulty_for(credit: float, alpha_d: float, is_authorized: bool) -> Diffic
 @dataclass(frozen=True)
 class MiningResult:
     block: Block
-    nonce: int
     trials: int
     elapsed: float
 
@@ -110,7 +109,7 @@ def mine(
         nonce += 1
     elapsed = time.perf_counter() - started
     block = replace(candidate, nonce=nonce, block_hash=digest)
-    return MiningResult(block=block, nonce=nonce, trials=trials, elapsed=elapsed)
+    return MiningResult(block=block, trials=trials, elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def spec_from_json(text: str) -> ExperimentSpec:
         raise ConfigError(f"bad spec field: {exc}") from exc
 
 
+def make_output_dir(path: str) -> None:
+    """Create an output directory; one that cannot be made is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from exc
+
+
 def load_spec(path: str) -> ExperimentSpec:
     try:
         with open(path) as fh:
@@ -209,7 +217,6 @@ def run_mining_benchmark(
 
 
 def write_bench_csv(rows: Sequence[BenchRow], summary: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "mining_metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "level", "n_wh", "trials", "elapsed_s"])
@@ -264,7 +271,7 @@ def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
     ``.partial`` marker so a crashed run is never mistaken for a finished one.
     """
     out = spec.output_dir
-    os.makedirs(out, exist_ok=True)
+    make_output_dir(out)
     paths = CtArtifacts(
         metrics_csv=os.path.join(out, "metrics.csv"),
         credits_csv=os.path.join(out, "credits.csv"),
@@ -407,7 +414,6 @@ def run_localization_eval(
 
 
 def write_loc_eval_csv(rows: Sequence[LocEvalRow], out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "loc_eval.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -194,9 +194,10 @@ class WorldState:
     streams: dict[str, np.random.Generator]
     credit: CreditStore
     iup: InfectedUsersPool
-    # Immediate-contact log, kept only in worlds built with identities.
-    last_contact_tick: Optional[np.ndarray] = None   # int32 (n, n), -1 = never
-    last_contact_dist: Optional[np.ndarray] = None   # float32 (n, n)
+    # Immediate-contact log, kept only in worlds built with identities. Cell
+    # [o - 1, i] holds pair (i, (i + o) mod n), as ``_score_contacts`` meets it.
+    last_contact_tick: Optional[np.ndarray] = None   # int32 (n // 2, n), -1 = never
+    last_contact_dist: Optional[np.ndarray] = None   # float32 (n // 2, n)
     identities: Optional[list[NodeIdentity]] = None
     authorized: Optional[list[NodeIdentity]] = None
     manager: Optional[NodeIdentity] = None
@@ -208,9 +209,8 @@ class WorldState:
     def n(self) -> int:
         return self.config.n_agents
 
-    def infected(self, radius: Optional[float] = None) -> np.ndarray:
-        radius = self.config.infection_radius if radius is None else radius
-        return self.infections[radius]
+    def infected(self) -> np.ndarray:
+        return self.infections[self.config.infection_radius]
 
 
 TRACKED_DEFAULT = 8
@@ -241,8 +241,8 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     contact_tick = contact_dist = None
     if with_identities:
         # Only run_epoch logs contacts, and it refuses a world without keys.
-        contact_tick = np.full((n, n), -1, dtype=np.int32)
-        contact_dist = np.zeros((n, n), dtype=np.float32)
+        contact_tick = np.full((n // 2, n), -1, dtype=np.int32)
+        contact_dist = np.zeros((n // 2, n), dtype=np.float32)
         base = config.seed * 1_000_003
         identities = [generate_identity(Role.LIGHT, seed=base + i) for i in range(n)]
         manager = generate_identity(Role.MANAGER, seed=base - 1)
@@ -360,11 +360,7 @@ def _partner_coordinates(world: WorldState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offset_distances(px: np.ndarray, py: np.ndarray, o0: int, o1: int) -> np.ndarray:
-    """``d[k, i]``: distance from agent i to agent (i + o0 + k) mod n.
-
-    ``(a - b)**2`` equals ``(b - a)**2`` exactly, so a pair's distance is
-    the same bit for bit from either end.
-    """
+    """``d[k, i]``: distance from agent i to agent (i + o0 + k) mod n."""
     d = px[0] - px[o0:o1]
     d *= d
     dy = py[0] - py[o0:o1]
@@ -373,83 +369,76 @@ def _offset_distances(px: np.ndarray, py: np.ndarray, o0: int, o1: int) -> np.nd
     return np.sqrt(d, out=d)
 
 
-def _pair_noise(world: WorldState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Distance-estimator noise of one tick, in the kernel's offset layout:
-    ``noise[o, i]`` belongs to the pair (i, (i + o) mod n) and is zero when
-    that pair is unobserved. Row 0 is unused.
-
-    One ``normal`` draw covers the observed pairs i < j in row-major order.
-    Pair i < j sits at [j - i, i], so that order is the C order of the
-    transpose over the cells with i + o < n; the other cells mirror them.
-    """
-    n = world.n
-    agents = np.arange(n)
-    upper = np.zeros((n, n), dtype=bool)
-    for o0 in range(1, n, _OFFSET_BLOCK):
-        o1 = min(o0 + _OFFSET_BLOCK, n)
-        observed = upper[o0:o1]
-        np.less_equal(
-            _offset_distances(px, py, o0, o1), world.config.observe_radius, out=observed
-        )
-        observed &= agents < n - np.arange(o0, o1)[:, None]
-    noise = np.zeros((n, n))
-    noise.T[upper.T] = world.streams["noise"].normal(
-        0.0, world.config.distance_noise_std, size=int(np.count_nonzero(upper))
-    )
-    for o in range(1, n):
-        # Agent m >= n - o meets m + o - n, which met m at offset n - o.
-        noise[o, n - o :] = noise[n - o, :o]
-    return noise
-
-
 def _score_contacts(world: WorldState, t: int, interactions: np.ndarray) -> None:
     """Credit every observed pair and log the immediate contacts of tick t.
 
-    Agent i meets agent (i + o) mod n at partner offset o = 1 … n-1, and the
-    offsets are walked a block at a time. Each offset row is added to the
-    proximity totals in turn, unobserved pairs as +0.0, so agent i adds its
-    scores with partners i+1 … n-1 and then 0 … i-1: the order of a pair
-    list over the upper triangle, hence the same sums bit for bit. Each
-    pair turns up at offsets o and n - o, once from either end, so writing
-    cell [i, (i + o) mod n] of the contact log fills both directions.
+    Pair (i, (i + o) mod n) is met once, at partner offset o = 1 … n // 2;
+    for even n, offset n / 2 is its own mirror and keeps only cells
+    i < n / 2. The offsets are walked a block at a time, and each offset row
+    is added to its first ends (agent i) and then to its second ends (agent
+    i + o), unobserved pairs as +0.0. Distance noise is drawn per block over
+    the observed cells in C order, so both ends of a pair score the same
+    measured distance. Contacts go to cell [o - 1, i] of the contact log.
     """
     config, policy = world.config, world.config.policy
-    n = world.n
+    n, half = world.n, world.n // 2
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
-    noise = _pair_noise(world, px, py) if config.distance_noise_std > 0 else None
-    for o0 in range(1, n, _OFFSET_BLOCK):
-        o1 = min(o0 + _OFFSET_BLOCK, n)
+    for o0 in range(1, half + 1, _OFFSET_BLOCK):
+        o1 = min(o0 + _OFFSET_BLOCK, half + 1)
         d = _offset_distances(px, py, o0, o1)
         observed = d <= config.observe_radius
-        d_meas = d if noise is None else d + noise[o0:o1]
+        if 2 * (o1 - 1) == n:
+            observed[-1, half:] = False
+        d_meas = d
+        if config.distance_noise_std > 0:
+            d_meas = d.copy()
+            d_meas[observed] += world.streams["noise"].normal(
+                0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
+            )
         scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
         scores[~observed] = 0.0
-        for row in scores:
+        for o, row, seen in zip(range(o0, o1), scores, observed):
             prox += row
+            prox[o:] += row[: n - o]
+            prox[:o] += row[n - o :]
+            interactions[o:] += seen[: n - o]
+            interactions[:o] += seen[n - o :]
         interactions += observed.sum(axis=0)
 
-        cells = np.flatnonzero(observed & (d < policy.immediate_threshold))
-        k, i = np.divmod(cells, n)
-        j = i + o0 + k
-        j[j >= n] -= n
-        world.last_contact_tick[i, j] = t
-        world.last_contact_dist[i, j] = d.ravel()[cells]
+        immediate = observed & (d < policy.immediate_threshold)
+        np.copyto(world.last_contact_tick[o0 - 1 : o1 - 1], t, where=immediate)
+        np.copyto(world.last_contact_dist[o0 - 1 : o1 - 1], d, where=immediate)
+
+
+def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contact-log cells of the pairs (i, j) for j = 0 … n-1, in that order.
+
+    With o = (j - i) mod n, the pair sits at [o - 1, i] when i is its first
+    end (2o < n, or 2o = n and i < j), else at [n - o - 1, j]. The cell for
+    j = i belongs to some other pair.
+    """
+    peer = np.arange(n)
+    o = (peer - i) % n
+    first = (2 * o < n) | ((2 * o == n) & (i < peer))
+    return np.where(first, o, n - o) - 1, np.where(first, i, peer)
 
 
 def _emit_trace(
     world: WorldState, i: int, now: int, metrics: RunMetrics, node_hex: Sequence[str]
 ) -> None:
-    """Diagnosed agent i reports its retained immediate contacts.
+    """Diagnosed agent i reports its retained immediate contacts, in
+    ascending peer order.
 
-    ``node_hex`` holds every agent's node id in hex. The contact log's
-    diagonal stays -1, so agent i never lists itself.
+    ``node_hex`` holds every agent's node id in hex.
     """
+    rows, cols = _log_cells(world.n, i)
+    row_ticks = world.last_contact_tick[rows, cols]
+    row_ticks[i] = -1  # agent i never lists itself
     horizon = max(now - world.config.retention_ticks, 0)
-    row_ticks = world.last_contact_tick[i]
     peers = np.nonzero(row_ticks >= horizon)[0]
     ticks = row_ticks[peers].tolist()
-    dists = world.last_contact_dist[i, peers].tolist()
+    dists = world.last_contact_dist[rows[peers], cols[peers]].tolist()
     peer_list = peers.tolist()
     pairs = [(world.identities[j].node_id, tick) for j, tick in zip(peer_list, ticks)]
     payload = encode_contact_pairs(pairs)

@@ -98,7 +98,7 @@ class TestMine:
     def test_mined_block_reports_trial_count(self):
         chain = Chain()
         result = mine(chain, _candidate(chain), DL_EASY)
-        assert result.trials == result.nonce + 1
+        assert result.trials == result.block.nonce + 1
 
     def test_every_window_size_validates(self):
         chain = _grow(6)

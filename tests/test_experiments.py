@@ -172,19 +172,28 @@ class TestCtExperiment:
                 blob_b = fh.read()
             assert blob_a == blob_b, field
 
-    def test_artifacts_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra, pinned",
+        [
+            (
+                dict(seed=0),
+                dict(metrics_csv="05e0a063", credits_csv="e0eadf36", contacts_jsonl="7ffce712",
+                     chain_jsonl="c6785b0d", iup_json="bf8b3b0b"),
+            ),
+            (
+                dict(seed=3, violator_id=7, distance_noise_std=0.3),
+                dict(metrics_csv="12ddbcf5", credits_csv="cbd72c63", contacts_jsonl="dbce8cf5",
+                     chain_jsonl="d0a94124", iup_json="fc4c522d"),
+            ),
+        ],
+        ids=["seed0", "seed3-noisy"],
+    )
+    def test_artifacts_are_pinned(self, tmp_path, extra, pinned):
         sim = SimConfig(
             n_agents=300, ticks=25, p_inf=0.05, tx_per_block_mean=10, n_blocks=120,
-            attacker_id=5, attack_tick=10, false_claimer_id=6, false_claim_tick=12, seed=0,
+            attacker_id=5, attack_tick=10, false_claimer_id=6, false_claim_tick=12, **extra,
         )
         paths, _ = run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path)))
-        pinned = {
-            "metrics_csv": "05e0a063",
-            "credits_csv": "084b5634",
-            "contacts_jsonl": "7ffce712",
-            "chain_jsonl": "c6785b0d",
-            "iup_json": "bf8b3b0b",
-        }
         for field, prefix in pinned.items():
             with open(getattr(paths, field), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest()[:8] == prefix, field
@@ -320,19 +329,30 @@ class TestCli:
         assert (tmp_path / "loc_eval.csv").exists()
         assert "snr= inf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["is-a-file", "under-a-file"])
+    def test_loc_eval_unusable_out_exits_3_before_work(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "taken").write_text("")
+        monkeypatch.setattr(cli, "run_localization_eval", pytest.fail)
+        argv = ["loc-eval", "--snr", "inf", "--trials", "30", "--out", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_loc_eval_bad_snr_list(self):
         assert cli.main(["loc-eval", "--snr", "abc"]) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "snr, named", [("nan", "nan"), ("inf,-inf", "-inf"), ("20,1e400", "inf")]
     )
-    def test_loc_eval_non_finite_snr(self, snr, named, capsys):
-        assert cli.main(["loc-eval", "--snr", snr, "--trials", "30"]) == cli.EXIT_CONFIG
+    def test_loc_eval_non_finite_snr(self, snr, named, capsys, tmp_path):
+        argv = ["loc-eval", "--snr", snr, "--trials", "30", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and f"got {named}" in err
 
-    def test_loc_eval_too_few_trials(self):
-        assert cli.main(["loc-eval", "--snr", "inf", "--trials", "5"]) == cli.EXIT_CONFIG
+    def test_loc_eval_too_few_trials(self, tmp_path):
+        argv = ["loc-eval", "--snr", "inf", "--trials", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "command, body, flags",
@@ -355,6 +375,10 @@ class TestCli:
             ("mine-bench", b"[" * 200_000 + b"]" * 200_000, []),
             ("ct-run", {"sim": {"attacker_id": 5}}, []),
             ("ct-run", {"sim": {"false_claim_tick": 1}}, []),
+            ("ct-run", {}, ["--out", "{tmp}/spec.json"]),
+            ("ct-run", {}, ["--out", "{tmp}/spec.json/out"]),
+            ("mine-bench", {}, ["--out", "{tmp}/spec.json"]),
+            ("mine-bench", {}, ["--out", "{tmp}/spec.json/out"]),
         ],
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
@@ -363,6 +387,8 @@ class TestCli:
             "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
             "negative-max-trials", "spec-not-utf8", "spec-nested-too-deep",
             "attack-without-tick", "false-claim-without-claimer",
+            "ct-run-out-is-a-file", "ct-run-out-under-a-file",
+            "mine-bench-out-is-a-file", "mine-bench-out-under-a-file",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):
@@ -371,6 +397,7 @@ class TestCli:
             body = {"whash_values": [0], **body, "sim": {**sim, **body.get("sim", {})}}
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
         argv = [command, "--config", str(spec_path), "--out", str(tmp_path), *flags]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err

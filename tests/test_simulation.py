@@ -211,73 +211,200 @@ class TestSpread:
         assert peak < 100 * 2**20
 
 
-def _pair_list_kernel(world, t, interactions):
-    """The credit kernel over an upper-triangle pair list, summed with
-    ``np.add.at``: the reference that the offset kernel must match bit for
-    bit."""
+def _triangle_pairs(n):
+    """Pairs i < j in row-major order, all added to their first ends and then
+    to their second ends: the order of the kernel that met each pair twice."""
+    ii, jj = np.triu_indices(n, 1)
+    return ii, jj, [slice(None)]
+
+
+def _half_log_cells(n):
+    """Offset o and pair (i, (i + o) mod n) of each cell [o - 1, i] of the
+    half-size contact log in C order, and whether the pair is the cell's own:
+    for even n, cells i >= n / 2 of offset n / 2 repeat pairs."""
+    o, ii = np.divmod(np.arange(n // 2 * n), n)
+    o += 1
+    jj = (ii + o) % n
+    return o, ii, jj, (2 * o < n) | (ii < jj)
+
+
+def _offset_pairs(n):
+    """Pairs (i, (i + o) mod n) by offset o = 1 … n // 2 and then by i, each
+    offset added to its first ends and then to its second ends: the order of
+    ``_score_contacts``."""
+    o, ii, jj, own = _half_log_cells(n)
+    o, ii, jj = o[own], ii[own], jj[own]
+    starts = np.searchsorted(o, np.arange(1, n // 2 + 2))
+    return ii, jj, [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _pair_list_kernel(world, t, interactions, pairs):
+    """The credit kernel over an explicit pair list: one distance and one
+    noise draw per pair in list order, scores summed with ``np.add.at`` group
+    by group, and contacts written both ways into an n×n log."""
     config, policy = world.config, world.config.policy
     prox = world.credit.prox
-    iu, ju = np.triu_indices(world.n, 1)
+    ii, jj, groups = pairs(world.n)
     x, y = world.positions[:, 0], world.positions[:, 1]
-    d = x[iu] - x[ju]
+    d = x[ii] - x[jj]
     d *= d
-    dy = y[iu] - y[ju]
+    dy = y[ii] - y[jj]
     dy *= dy
     d += dy
     np.sqrt(d, out=d)
     observed = d <= config.observe_radius
-    ii, jj, d_true = iu[observed], ju[observed], d[observed]
-    d_meas = d_true
+    d_meas = d.copy()
     if config.distance_noise_std > 0:
-        d_meas = d_true + world.streams["noise"].normal(
-            0.0, config.distance_noise_std, size=d_true.shape
+        d_meas[observed] += world.streams["noise"].normal(
+            0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
         )
     scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
-    np.add.at(prox, ii, scores)
-    np.add.at(prox, jj, scores)
-    np.add.at(interactions, ii, 1)
-    np.add.at(interactions, jj, 1)
-    imm = d_true < policy.immediate_threshold
-    pi, pj, pd = ii[imm], jj[imm], d_true[imm]
-    world.last_contact_tick[pi, pj] = t
-    world.last_contact_tick[pj, pi] = t
-    world.last_contact_dist[pi, pj] = pd
-    world.last_contact_dist[pj, pi] = pd
+    for group in groups:
+        seen = observed[group]
+        for ends in (ii[group][seen], jj[group][seen]):
+            np.add.at(prox, ends, scores[group][seen])
+            np.add.at(interactions, ends, 1)
+    imm = observed & (d < policy.immediate_threshold)
+    for a, b in ((ii[imm], jj[imm]), (jj[imm], ii[imm])):
+        world.last_contact_tick[a, b] = t
+        world.last_contact_dist[a, b] = d[imm]
+
+
+def _reference_run(config, monkeypatch, pairs):
+    """``run_epoch`` with the pair-list kernel and an n×n contact log."""
+    n = config.n_agents
+    world = build_world(config)
+    world.last_contact_tick = np.full((n, n), -1, dtype=np.int32)
+    world.last_contact_dist = np.zeros((n, n), dtype=np.float32)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            simulation, "_score_contacts",
+            lambda w, t, inter: _pair_list_kernel(w, t, inter, pairs),
+        )
+        patch.setattr(simulation, "_log_cells", lambda n, i: (np.full(n, i), np.arange(n)))
+        world, _, metrics = run_epoch(world, Chain())
+    return world, metrics
+
+
+def _dense_log(world):
+    """The half-size contact log expanded to n×n, cell [i, j] for pair (i, j)."""
+    n = world.n
+    _, i, j, own = _half_log_cells(n)
+    half_tick = world.last_contact_tick.ravel()
+    half_dist = world.last_contact_dist.ravel()
+    assert (half_tick[~own] == -1).all()  # repeated pairs are never written
+    tick = np.full((n, n), -1, dtype=np.int32)
+    dist = np.zeros((n, n), dtype=np.float32)
+    for a, b in ((i[own], j[own]), (j[own], i[own])):
+        tick[a, b] = half_tick[own]
+        dist[a, b] = half_dist[own]
+    return tick, dist
+
+
+def _assert_same_contacts(world, metrics, ref_world, ref_metrics):
+    tick, dist = _dense_log(world)
+    assert np.array_equal(tick, ref_world.last_contact_tick)
+    assert np.array_equal(dist, ref_world.last_contact_dist)
+    assert np.array_equal(metrics.interactions_per_agent, ref_metrics.interactions_per_agent)
+    assert metrics.contact_records == ref_metrics.contact_records
+    assert metrics.rows == ref_metrics.rows
+
+
+def _kernel_config(n, noise=0.0):
+    # 33 and 257 leave a last block of offsets shorter than the others, and
+    # 4, 64 have an offset n / 2; the violator drifts toward the crowd, so
+    # agents bunch up under 2 m.
+    return SimConfig(
+        n_agents=n, ticks=4, seed=n, p_inf=0.2, distance_noise_std=noise,
+        violator_id=n - 1, **SMALL,
+    )
+
+
+def _epoch_peak_bytes(noise):
+    config = SimConfig(
+        n_agents=2000, ticks=2, seed=1, p_inf=0.0, distance_noise_std=noise, **SMALL
+    )
+    world = build_world(config)
+    tracemalloc.start()
+    try:
+        run_epoch(world, Chain())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestCreditKernel:
     @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["exact", "noisy"])
-    @pytest.mark.parametrize("n", [2, 3, 33, 257])
+    @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257])
     def test_matches_pair_list_reference(self, n, noise, monkeypatch):
-        # 33 and 257 leave a last block of offsets shorter than the others;
-        # the violator drifts toward the crowd, so agents bunch up under 2 m.
-        config = SimConfig(
-            n_agents=n, ticks=4, seed=n, p_inf=0.2, distance_noise_std=noise,
-            violator_id=n - 1, **SMALL,
-        )
+        # Listed in the kernel's order, the pair list draws the same noise
+        # and adds every agent's scores in the same order: equal bit for bit.
+        config = _kernel_config(n, noise)
         world, _, metrics = _run(config)
-        monkeypatch.setattr(simulation, "_score_contacts", _pair_list_kernel)
-        ref_world, _, ref_metrics = _run(config)
+        ref_world, ref_metrics = _reference_run(config, monkeypatch, _offset_pairs)
+        _assert_same_contacts(world, metrics, ref_world, ref_metrics)
         assert np.array_equal(metrics.prox_final, ref_metrics.prox_final)
-        assert np.array_equal(metrics.interactions_per_agent, ref_metrics.interactions_per_agent)
-        assert np.array_equal(world.last_contact_tick, ref_world.last_contact_tick)
-        assert np.array_equal(world.last_contact_dist, ref_world.last_contact_dist)
         if n >= 33:
             assert (world.last_contact_tick >= 0).any()
-        assert metrics.contact_records == ref_metrics.contact_records
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257])
+    def test_matches_upper_triangle_reference(self, n, monkeypatch):
+        # Summed in row-major pair order, each agent's credit differs only by
+        # rounding: 3.3e-15 of the largest |prox| was the most seen.
+        config = _kernel_config(n)
+        world, _, metrics = _run(config)
+        ref_world, ref_metrics = _reference_run(config, monkeypatch, _triangle_pairs)
+        _assert_same_contacts(world, metrics, ref_world, ref_metrics)
+        scale = np.abs(ref_metrics.prox_final).max()
+        assert np.abs(metrics.prox_final - ref_metrics.prox_final).max() <= 1e-12 * scale
+
+    def test_both_ends_of_a_pair_share_its_noise(self):
+        # Only the offset-2 pairs (0, 2) and (1, 3) are within 10 m, and for
+        # n = 4 offset 2 is its own mirror.
+        config = SimConfig(
+            n_agents=4, ticks=6, step_std=0.0, p_inf=0.0, distance_noise_std=0.3, **SMALL
+        )
+        world = build_world(config)
+        world.positions[:] = [[0.0, 0.0], [10.0, 10.0], [1.0, 0.0], [9.0, 10.0]]
+        world, _, metrics = run_epoch(world, Chain())
+        prox = metrics.prox_final
+        assert prox[0] == prox[2] and prox[1] == prox[3]
+        assert prox[0] != prox[1]
+        assert metrics.interactions_per_agent.tolist() == [config.ticks] * 4
+
+    def test_noise_is_centred_with_the_configured_spread(self, monkeypatch):
+        sigma = 0.3
+        config = SimConfig(
+            n_agents=401, ticks=1, seed=2, p_inf=0.0, distance_noise_std=sigma, **SMALL
+        )
+        world = build_world(config)
+        scored = []
+        score = simulation.contact_scores
+        monkeypatch.setattr(
+            simulation, "contact_scores",
+            lambda d, policy: scored.append(d.copy()) or score(d, policy),
+        )
+        simulation._score_contacts(world, 0, np.zeros(world.n, dtype=np.int64))
+        measured = np.concatenate(scored)
+        px, py = simulation._partner_coordinates(world)
+        true = simulation._offset_distances(px, py, 1, world.n // 2 + 1)
+        unobserved = true > config.observe_radius
+        assert np.array_equal(measured[unobserved], true[unobserved])
+        # Pairs beyond 2 m stay far above the clamp after noise.
+        noise = (measured - true)[(true > 2.0) & ~unobserved]
+        assert noise.size > 30_000
+        assert abs(noise.mean()) < 4 * sigma / np.sqrt(noise.size)
+        assert noise.std() == pytest.approx(sigma, rel=0.02)
 
     def test_epoch_allocates_no_pair_sized_buffers(self):
         # At 2000 agents one float64 per unordered pair is 16 MB; the
         # pair-list kernel held about ten such buffers each tick.
-        config = SimConfig(n_agents=2000, ticks=2, seed=1, p_inf=0.0, **SMALL)
-        world = build_world(config)
-        tracemalloc.start()
-        try:
-            run_epoch(world, Chain())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert _epoch_peak_bytes(0.0) < 24 * 2**20
+
+    def test_noisy_epoch_allocates_no_pair_sized_buffers(self):
+        # Drawn in the kernel's blocks, the noise needs no n×n buffer.
+        assert _epoch_peak_bytes(0.3) < 24 * 2**20
 
 
 class TestWorldBuild:
