@@ -12,10 +12,10 @@ import dataclasses
 from proxichain.consensus import DL_EASY, DL_HARD, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity, verify
 from proxichain.ledger import (
-    Block,
     Chain,
     TxKind,
     make_transaction,
+    next_block,
     tx_signing_bytes,
 )
 
@@ -41,25 +41,11 @@ print("signature verifies:", verify(alice.public_key, message, tx.signature))
 
 chain = Chain()
 
-
-def candidate(txs, miner, timestamp):
-    return Block(
-        index=len(chain.blocks),
-        prev_hash=chain.tip.block_hash,
-        whash_window=0,
-        nonce=0,
-        transactions=tuple(txs),
-        miner=miner.node_id,
-        timestamp=timestamp,
-        block_hash=b"\x00" * 32,
-    )
-
-
-easy = mine(chain, candidate([tx], alice, 10), DL_EASY)
+easy = mine(chain, next_block(chain, 0, [tx], alice.node_id, 10), DL_EASY)
 append_block(chain, easy.block)
 print(f"easy block mined in {easy.trials} trials -> {easy.block.block_hash.hex()[:12]}...")
 
-hard = mine(chain, candidate([], bob, 11), DL_HARD)
+hard = mine(chain, next_block(chain, 0, [], bob.node_id, 11), DL_HARD)
 append_block(chain, hard.block)
 print(f"hard block mined in {hard.trials} trials -> {hard.block.block_hash.hex()[:12]}...")
 

@@ -16,28 +16,15 @@ import numpy as np
 from proxichain.consensus import DL_EASY, append_block, attack_cost_model, mine, verify_chain
 from proxichain.experiments import attack_window_experiment
 from proxichain.identity import Role, generate_identity
-from proxichain.ledger import Block, Chain, whash_window_for
+from proxichain.ledger import Chain, next_block, whash_window_for
 
 miner = generate_identity(Role.LIGHT, seed=4)
 rng = np.random.default_rng(0)
 
 chain = Chain()
 for i in range(30):
-    draw = int(rng.integers(0, 101))
-    block = mine(
-        chain,
-        Block(
-            index=len(chain.blocks),
-            prev_hash=chain.tip.block_hash,
-            whash_window=whash_window_for(len(chain.blocks) - 1, draw),
-            nonce=0,
-            transactions=(),
-            miner=miner.node_id,
-            timestamp=i,
-            block_hash=b"\x00" * 32,
-        ),
-        DL_EASY,
-    ).block
+    window = whash_window_for(len(chain) - 1, int(rng.integers(0, 101)))
+    block = mine(chain, next_block(chain, window, (), miner.node_id, i), DL_EASY).block
     append_block(chain, block)
 
 windows = [b.whash_window for b in chain.blocks]
@@ -46,20 +33,7 @@ print("window sizes along the chain:", windows)
 # ---------------------------------------------------------------------------
 # Mine a tip that definitely covers the last 14 predecessors.
 
-tip = mine(
-    chain,
-    Block(
-        index=len(chain.blocks),
-        prev_hash=chain.tip.block_hash,
-        whash_window=15,
-        nonce=0,
-        transactions=(),
-        miner=miner.node_id,
-        timestamp=100,
-        block_hash=b"\x00" * 32,
-    ),
-    DL_EASY,
-).block
+tip = mine(chain, next_block(chain, 15, (), miner.node_id, 100), DL_EASY).block
 blocks = chain.blocks + [tip]
 tip_index = tip.index
 print(f"tip at index {tip_index} hashes predecessors {tip_index - 14}..{tip_index - 1}")

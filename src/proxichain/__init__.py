@@ -27,6 +27,7 @@ from .ledger import (
     Chain,
     TxKind,
     make_transaction,
+    next_block,
     whash_digest,
     whash_window_for,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "TxKind",
     "append_block",
     "make_transaction",
+    "next_block",
     "whash_digest",
     "whash_window_for",
     "SimConfig",

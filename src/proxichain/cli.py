@@ -4,7 +4,7 @@ Subcommands: ``mine-bench`` (difficulty/window timing grid), ``ct-run``
 (full traced simulation with persisted artifacts), ``loc-eval`` (bearing
 estimator accuracy versus SNR) and ``verify-chain`` (revalidate a persisted
 chain file). Exit codes: 0 on success, 2 on validation failure, 3 on a
-configuration problem.
+configuration problem, usage errors included; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -34,25 +34,33 @@ EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ConfigError`, so it exits 3 like
+    any other configuration problem; subcommand parsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="proxichain")
+    parser = _Parser(prog="proxichain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="experiment spec as a JSON file")
         p.add_argument("--seed", type=int, help="override the simulation seed")
         p.add_argument("--blocks", type=int, help="override blocks per cell / run")
-        p.add_argument("--whash", help="override window values, comma separated")
-        p.add_argument("--radius", type=float, help="override the exposure radius (m)")
         p.add_argument("--out", help="override the output directory")
 
     bench = sub.add_parser("mine-bench", help="mine blocks across window/level cells")
     add_spec_flags(bench)
+    bench.add_argument("--whash", help="override window values, comma separated")
     bench.add_argument("--max-trials", type=int, default=None,
                        help="per-block trial cap (rows hitting it are marked truncated)")
 
     ct = sub.add_parser("ct-run", help="run the traced simulation and persist artifacts")
     add_spec_flags(ct)
+    ct.add_argument("--radius", type=float, help="override the exposure radius (m)")
 
     loc = sub.add_parser("loc-eval", help="bearing estimation accuracy versus SNR")
     loc.add_argument("--snr", default="10,15,20",
@@ -68,13 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_spec(args.config) if args.config else ExperimentSpec()
-    overrides = {"seed": args.seed, "n_blocks": args.blocks, "infection_radius": args.radius}
+    overrides = {
+        "seed": args.seed,
+        "n_blocks": args.blocks,
+        "infection_radius": getattr(args, "radius", None),
+    }
     try:
         sim = replace(spec.sim, **{k: v for k, v in overrides.items() if v is not None})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad override: {exc}") from exc
     spec = replace(spec, sim=sim)
-    if args.whash is not None:
+    if getattr(args, "whash", None) is not None:
         try:
             values = tuple(int(v) for v in str(args.whash).split(",") if v != "")
         except ValueError as exc:
@@ -161,7 +173,6 @@ def _cmd_verify_chain(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "mine-bench": _cmd_mine_bench,
         "ct-run": _cmd_ct_run,
@@ -169,6 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify-chain": _cmd_verify_chain,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

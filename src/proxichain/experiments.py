@@ -29,14 +29,7 @@ from .consensus import (
 )
 from .credit import CreditPolicy
 from .identity import Role, generate_identity
-from .ledger import (
-    Block,
-    Chain,
-    ZERO_HASH,
-    save_chain,
-    save_iup,
-    whash_window_for,
-)
+from .ledger import Chain, next_block, save_chain, save_iup, whash_window_for
 from .simulation import SimConfig, Venue, build_world, run_epoch
 
 ALLOWED_WHASH = (0, 20, 40, 60, 80, 100)
@@ -141,17 +134,8 @@ def _bench_base_chain(depth: int, miner_id: bytes, rng: np.random.Generator) -> 
     """Cheap easy-level chain long enough to honor any window draw."""
     chain = Chain()
     for _ in range(depth):
-        candidate = Block(
-            index=len(chain),
-            prev_hash=chain.tip.block_hash,
-            whash_window=whash_window_for(len(chain) - 1, int(rng.integers(0, 101))),
-            nonce=0,
-            transactions=(),
-            miner=miner_id,
-            timestamp=len(chain),
-            block_hash=ZERO_HASH,
-        )
-        result = mine(chain, candidate, DL_EASY)
+        window = whash_window_for(len(chain) - 1, int(rng.integers(0, 101)))
+        result = mine(chain, next_block(chain, window, (), miner_id, len(chain)), DL_EASY)
         chain.blocks.append(result.block)
     return chain
 
@@ -178,16 +162,8 @@ def run_mining_benchmark(
             chain = Chain(blocks=list(base.blocks))
             cell: list[BenchRow] = []
             for k in range(spec.sim.n_blocks):
-                candidate = Block(
-                    index=len(chain),
-                    prev_hash=chain.tip.block_hash,
-                    whash_window=whash_window_for(len(chain) - 1, whash),
-                    nonce=0,
-                    transactions=(),
-                    miner=bench_id,
-                    timestamp=len(chain),
-                    block_hash=ZERO_HASH,
-                )
+                window = whash_window_for(len(chain) - 1, whash)
+                candidate = next_block(chain, window, (), bench_id, len(chain))
                 try:
                     result = mine(chain, candidate, level, max_trials=max_trials)
                 except MiningTimeoutError:
@@ -450,16 +426,7 @@ def attack_window_experiment(
     attacker_trials = []
     for rep in range(reps):
         secret = int(rng.integers(1, chain_length + 1))
-        candidate = Block(
-            index=len(chain),
-            prev_hash=chain.tip.block_hash,
-            whash_window=secret,
-            nonce=0,
-            transactions=(),
-            miner=miner_id,
-            timestamp=1000 + rep,
-            block_hash=ZERO_HASH,
-        )
+        candidate = next_block(chain, secret, (), miner_id, 1000 + rep)
         honest_trials.append(mine(chain, candidate, DL_EASY).trials)
 
         total = 0

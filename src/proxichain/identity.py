@@ -11,8 +11,8 @@ OpenSSL releases the interpreter lock while it verifies, so
 :func:`verify_many` splits a batch across every CPU the process may run on,
 as far as each chunk gets ``_MIN_VERIFY_CHUNK`` signatures: the calling
 thread takes the first chunk and one helper thread per extra CPU takes each
-of the others. Smaller batches, signing (:func:`sign_many`) and key
-generation stay on the calling thread.
+of the others. Smaller batches, signing (:func:`sign`, one message per
+call) and key generation stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -218,15 +218,6 @@ def _fan_out(
     for future in futures:
         results.extend(future.result())
     return results
-
-
-def sign_many(jobs: Sequence[tuple[NodeIdentity, bytes]]) -> list[bytes]:
-    """:func:`sign` over ``(identity, message)`` pairs, on the calling thread.
-
-    Helper threads made no measurable difference to a ``ct-run`` (its
-    batches hold ~10-130 signatures), so signing keeps to one thread.
-    """
-    return [sign(identity, message) for identity, message in jobs]
 
 
 def verify_many(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:

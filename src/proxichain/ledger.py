@@ -1,5 +1,12 @@
 """Transactions, blocks, the chain store and windowed hashing.
 
+Each record has one constructor. :func:`make_transactions` builds and signs
+every transaction (:func:`make_transaction` is its one-item form), and
+:func:`next_block` builds every unmined block on a chain's tip, which
+:func:`proxichain.consensus.mine` then completes with a nonce and digest.
+Only the genesis block and blocks read back from ``chain.jsonl`` are built
+otherwise.
+
 Two encodings exist side by side and must not be confused:
 
 * a canonical length-prefixed binary layout, used for everything that gets
@@ -37,15 +44,9 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 # ``verify`` is unused here but stays bound: the benchmark's tracer
-# (``perfbench/tracing.py``) wraps ``proxichain.ledger.sign`` and ``.verify``.
-from .identity import (
-    NodeIdentity,
-    node_id_for,
-    sign,
-    sign_many,
-    verify,
-    verify_many,
-)
+# (``perfbench/tracing.py``) wraps ``proxichain.ledger.verify``, as it wraps
+# ``.sign`` for every signature :func:`make_transactions` makes.
+from .identity import NodeIdentity, node_id_for, sign, verify, verify_many
 
 MAX_BLOCK_BYTES = 1_048_576
 WINDOW_MAX = 100
@@ -104,29 +105,19 @@ def tx_signing_bytes(kind: TxKind, sender: bytes, payload: bytes, timestamp: int
 def make_transaction(
     identity: NodeIdentity, kind: TxKind, payload: bytes, timestamp: int
 ) -> Transaction:
-    """Build and sign a transaction in one step."""
-    signature = sign(identity, tx_signing_bytes(kind, identity.node_id, payload, timestamp))
-    return Transaction(
-        kind=kind,
-        sender=identity.node_id,
-        sender_pubkey=identity.public_key,
-        payload=payload,
-        timestamp=timestamp,
-        signature=signature,
-    )
+    """Build and sign one transaction."""
+    return make_transactions([(identity, kind, payload)], timestamp)[0]
 
 
 def make_transactions(
     items: Sequence[tuple[NodeIdentity, TxKind, bytes]], timestamp: int
 ) -> list[Transaction]:
-    """:func:`make_transaction` for each ``(identity, kind, payload)``, in
-    order, with the signatures made on every CPU."""
-    signatures = sign_many(
-        [
-            (identity, tx_signing_bytes(kind, identity.node_id, payload, timestamp))
-            for identity, kind, payload in items
-        ]
-    )
+    """A signed transaction for each ``(identity, kind, payload)``, in order.
+
+    Every transaction the package signs is built here. Signing stays on
+    the calling thread: helper threads made no measurable difference to a
+    ``ct-run``, whose batches hold ~10-130 signatures.
+    """
     return [
         Transaction(
             kind=kind,
@@ -134,9 +125,11 @@ def make_transactions(
             sender_pubkey=identity.public_key,
             payload=payload,
             timestamp=timestamp,
-            signature=signature,
+            signature=sign(
+                identity, tx_signing_bytes(kind, identity.node_id, payload, timestamp)
+            ),
         )
-        for (identity, kind, payload), signature in zip(items, signatures)
+        for identity, kind, payload in items
     ]
 
 
@@ -296,6 +289,30 @@ def make_genesis() -> Block:
         block_hash=ZERO_HASH,
     )
     return replace(base, block_hash=whash_digest((), base, 0))
+
+
+def next_block(
+    blocks: Sequence[Block],
+    window: int,
+    transactions: Sequence[Transaction],
+    miner: bytes,
+    timestamp: int,
+) -> Block:
+    """The unmined block on the tip of ``blocks``, for ``mine`` to finish.
+
+    It takes ``window`` as given: resolving a draw against the history is
+    :func:`whash_window_for`'s job.
+    """
+    return Block(
+        index=len(blocks),
+        prev_hash=blocks[-1].block_hash,
+        whash_window=window,
+        nonce=0,
+        transactions=tuple(transactions),
+        miner=miner,
+        timestamp=timestamp,
+        block_hash=ZERO_HASH,
+    )
 
 
 @dataclass

@@ -37,20 +37,19 @@ from .identity import (
     registry_to_json,
 )
 from .ledger import (
-    Block,
     BlockOverflowError,
     Chain,
     InfectedUsersPool,
     MAX_BLOCK_BYTES,
     Transaction,
     TxKind,
-    ZERO_HASH,
     encode_block_full,
     encode_contact_pairs,
     encode_transaction,
     make_genesis,
     make_transaction,
     make_transactions,
+    next_block,
     whash_window_for,
 )
 
@@ -505,17 +504,7 @@ def _mine_pending(
         )
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
-        candidate = Block(
-            index=len(chain),
-            prev_hash=chain.tip.block_hash,
-            whash_window=window,
-            nonce=0,
-            transactions=batch,
-            miner=miner.node_id,
-            timestamp=now,
-            block_hash=ZERO_HASH,
-        )
-        result = mine(chain, candidate, level)
+        result = mine(chain, next_block(chain, window, batch, miner.node_id, now), level)
         append_block(
             chain,
             result.block,

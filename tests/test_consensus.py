@@ -24,6 +24,7 @@ from proxichain.ledger import (
     Chain,
     TxKind,
     make_transaction,
+    next_block,
     whash_window_for,
 )
 
@@ -31,16 +32,7 @@ MINER = generate_identity(Role.LIGHT, seed=601)
 
 
 def _candidate(chain: Chain, window: int = 0, txs=(), timestamp: int = 10) -> Block:
-    return Block(
-        index=len(chain.blocks),
-        prev_hash=chain.tip.block_hash,
-        whash_window=window,
-        nonce=0,
-        transactions=tuple(txs),
-        miner=MINER.node_id,
-        timestamp=timestamp,
-        block_hash=b"\x00" * 32,
-    )
+    return next_block(chain, window, txs, MINER.node_id, timestamp)
 
 
 def _grow(length: int) -> Chain:

@@ -379,6 +379,11 @@ class TestCli:
             ("ct-run", {}, ["--out", "{tmp}/spec.json/out"]),
             ("mine-bench", {}, ["--out", "{tmp}/spec.json"]),
             ("mine-bench", {}, ["--out", "{tmp}/spec.json/out"]),
+            ("ct-run", {}, ["--bogus", "1"]),
+            ("ct-run", {}, ["--seed", "abc"]),
+            ("loc-eval", {}, ["--trials", "x"]),
+            ("ct-run", {}, ["--whash", "0"]),
+            ("mine-bench", {}, ["--radius", "2"]),
         ],
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
@@ -389,6 +394,8 @@ class TestCli:
             "attack-without-tick", "false-claim-without-claimer",
             "ct-run-out-is-a-file", "ct-run-out-under-a-file",
             "mine-bench-out-is-a-file", "mine-bench-out-under-a-file",
+            "unknown-flag", "non-integer-seed", "non-integer-trials",
+            "ct-run-whash", "mine-bench-radius",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):
@@ -398,10 +405,22 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
         flags = [flag.format(tmp=tmp_path) for flag in flags]
-        argv = [command, "--config", str(spec_path), "--out", str(tmp_path), *flags]
+        spec_flags = [] if command == "loc-eval" else ["--config", str(spec_path)]
+        argv = [command, *spec_flags, "--out", str(tmp_path), *flags]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_missing_subcommand_exits_3_with_usage(self, capsys):
+        assert cli.main([]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "usage: proxichain" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["ct-run", "--help"])
+        assert exit_.value.code == cli.EXIT_OK
+        assert "--radius" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,7 @@ from proxichain.ledger import (
     make_genesis,
     make_transaction,
     make_transactions,
+    next_block,
     save_chain,
     verify_transactions,
     whash_digest,
@@ -46,17 +47,7 @@ def _tx(payload: bytes, ts: int = 1):
 
 
 def _mine_next(chain: Chain, window: int, txs=(), timestamp: int = 10) -> Block:
-    candidate = Block(
-        index=len(chain.blocks),
-        prev_hash=chain.tip.block_hash,
-        whash_window=window,
-        nonce=0,
-        transactions=tuple(txs),
-        miner=MINER.node_id,
-        timestamp=timestamp,
-        block_hash=b"\x00" * 32,
-    )
-    return mine(chain, candidate, DL_EASY).block
+    return mine(chain, next_block(chain, window, txs, MINER.node_id, timestamp), DL_EASY).block
 
 
 def _grow(length: int, window: int = 0) -> Chain:
@@ -191,6 +182,30 @@ class TestBlockEncoding:
         monkeypatch.setattr(ledger, "encode_transaction", lambda tx: calls.append(tx) or original(tx))
         assert verify_chain(loaded) == []
         assert len(calls) == 12
+
+
+class TestNextBlock:
+    def test_every_field_is_set_on_the_tip(self):
+        chain = _grow(3)  # genesis plus three
+        txs = [_tx(b"a"), _tx(b"b")]
+        block = next_block(chain, 2, txs, MINER.node_id, 77)
+        assert (block.index, block.prev_hash, block.whash_window) == (4, chain.tip.block_hash, 2)
+        assert type(block.transactions) is tuple and block.transactions == tuple(txs)
+        assert (block.miner, block.timestamp) == (MINER.node_id, 77)
+        assert (block.nonce, block.block_hash) == (0, bytes(32))
+        assert next_block(chain.blocks, 2, txs, MINER.node_id, 77) == block
+
+    def test_window_is_taken_as_given(self):
+        # whash_window_for(2, 50) would collapse the draw to 0.
+        assert next_block(_grow(2), 50, (), MINER.node_id, 1).whash_window == 50
+
+    def test_mined_block_is_appended(self):
+        chain = _grow(3)
+        candidate = next_block(chain, 2, [_tx(b"x")], MINER.node_id, 9)
+        mined = mine(chain, candidate, DL_EASY).block
+        append_block(chain, mined)
+        assert chain.tip is mined and len(chain) == 5
+        assert verify_chain(chain) == []
 
 
 class TestAppend:

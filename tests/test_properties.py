@@ -16,11 +16,11 @@ from proxichain import cli
 from proxichain.consensus import DL_EASY, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
-    Block,
     Chain,
     TxKind,
     block_to_json_line,
     make_transaction,
+    next_block,
 )
 
 SENDERS = [generate_identity(Role.LIGHT, seed=s) for s in (701, 702)]
@@ -38,16 +38,7 @@ def _build_chain() -> Chain:
         txs = tuple(
             make_transaction(SENDERS[k], TxKind.ST, bytes([i, k, 7, 9]), i) for k in range(2)
         )
-        candidate = Block(
-            index=i,
-            prev_hash=chain.tip.block_hash,
-            whash_window=window,
-            nonce=0,
-            transactions=txs,
-            miner=MINER.node_id,
-            timestamp=i,
-            block_hash=bytes(32),
-        )
+        candidate = next_block(chain, window, txs, MINER.node_id, i)
         append_block(chain, mine(chain, candidate, DL_EASY).block)
     return chain
 

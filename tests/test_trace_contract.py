@@ -13,13 +13,7 @@ from pathlib import Path
 from proxichain import simulation
 from proxichain.consensus import DL_EASY, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity
-from proxichain.ledger import (
-    Block,
-    Chain,
-    TxKind,
-    make_transactions,
-    whash_window_for,
-)
+from proxichain.ledger import Chain, TxKind, make_transactions, next_block, whash_window_for
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -48,16 +42,8 @@ def _multi_tx_chain():
     chain = Chain()
     for i in range(4):
         txs = make_transactions([(s, TxKind.ST, bytes([i, k])) for k, s in enumerate(senders)], i)
-        candidate = Block(
-            index=len(chain),
-            prev_hash=chain.tip.block_hash,
-            whash_window=whash_window_for(len(chain) - 1, 3),
-            nonce=0,
-            transactions=tuple(txs),
-            miner=senders[0].node_id,
-            timestamp=i,
-            block_hash=bytes(32),
-        )
+        window = whash_window_for(len(chain) - 1, 3)
+        candidate = next_block(chain, window, txs, senders[0].node_id, i)
         append_block(chain, mine(chain, candidate, DL_EASY).block)
     return chain
 
@@ -82,10 +68,11 @@ def test_batched_signatures_keep_the_span_stack_nested():
     would interleave with the calling thread's spans."""
     tracing = _load_tracing()
     chain = _multi_tx_chain()
+    mined = Chain()
 
     def epoch():
         config = simulation.SimConfig(n_agents=40, ticks=4, tx_per_block_mean=3, seed=2)
-        simulation.run_epoch(simulation.build_world(config), Chain())
+        simulation.run_epoch(simulation.build_world(config), mined)
 
     for call in (lambda: verify_chain(chain), epoch):
         tracer = _traced(tracing, call)
@@ -98,3 +85,5 @@ def test_batched_signatures_keep_the_span_stack_nested():
     appended = stats["ledger.append_block.calls"]
     assert appended == stats["consensus.validate_block.calls"] > 0
     assert stats["credit.difficulty_for.calls"] == 2 * appended
+    # Every transaction the epoch mined was signed through a traced name.
+    assert stats["identity.sign.calls"] == sum(len(b.transactions) for b in mined) > appended
