@@ -112,7 +112,12 @@ def _draw_symbols(
 
 
 def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np.ndarray:
-    """GFSK baseband for each row of +/-1 symbols: (B, n_symbols) -> (B, n_samples)."""
+    """GFSK baseband for each row of +/-1 symbols: (B, n_symbols) -> (B, n_samples).
+
+    The symbols are pulse-shaped by a Gaussian filter whose normalized
+    cumulative response advances the phase by pi times the modulation index
+    per symbol.
+    """
     sps = config.samples_per_symbol
     pulse = _gaussian_pulse(config)
     freq = np.stack(
@@ -125,18 +130,6 @@ def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np
     amplitude = math.sqrt(2.0 * config.symbol_energy / config.symbol_period)
     baseband = amplitude * np.exp(1j * phase)
     return baseband[:, :n_samples]
-
-
-def gfsk_baseband(
-    config: BlePulseConfig, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian-filtered FSK baseband samples of unit symbol energy scale.
-
-    Random +/-1 symbols are pulse-shaped by a Gaussian filter whose
-    normalized cumulative response advances the phase by pi times the
-    modulation index per symbol.
-    """
-    return _modulate(config, _draw_symbols(config, n_samples, rng)[None], n_samples)[0]
 
 
 def steering_vector(

@@ -154,7 +154,7 @@ def _cmd_loc_eval(args: argparse.Namespace) -> int:
 def _cmd_verify_chain(args: argparse.Namespace) -> int:
     try:
         chain = load_chain(args.chain)
-    except (OSError, ValueError, KeyError, RecursionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load chain: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     violations = verify_chain(chain)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -95,21 +96,20 @@ def mine(
     """
     prefix_state = hashlib.sha256(whash_preimage_prefix(blocks, candidate))
     started = time.perf_counter()
-    nonce = 0
-    trials = 0
-    while True:
-        trials += 1
-        if max_trials is not None and trials > max_trials:
-            raise MiningTimeoutError(trials - 1)
+    # range() steps on machine integers only while its stop fits in one,
+    # so an unbounded search stops at sys.maxsize (2**63 - 1) trials.
+    limit = sys.maxsize if max_trials is None else max_trials
+    for nonce in range(limit):
         h = prefix_state.copy()
         h.update(struct.pack("<Q", nonce))
         digest = h.digest()
         if digest_satisfies(digest, level):
             break
-        nonce += 1
+    else:
+        raise MiningTimeoutError(limit)
     elapsed = time.perf_counter() - started
     block = replace(candidate, nonce=nonce, block_hash=digest)
-    return MiningResult(block=block, trials=trials, elapsed=elapsed)
+    return MiningResult(block=block, trials=nonce + 1, elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------

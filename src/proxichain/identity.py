@@ -7,12 +7,13 @@ digest of the compressed public key, so anyone holding the key can recompute
 and check it. Signing uses deterministic nonces (RFC 6979) so that repeated
 runs of a seeded simulation produce bit-identical transactions.
 
-OpenSSL releases the interpreter lock while it verifies, so
-:func:`verify_many` splits a batch across every CPU the process may run on,
-as far as each chunk gets ``_MIN_VERIFY_CHUNK`` signatures: the calling
-thread takes the first chunk and one helper thread per extra CPU takes each
-of the others. Smaller batches, signing (:func:`sign`, one message per
-call) and key generation stay on the calling thread.
+Every signature check runs through one function, ``_verify_chunk``;
+:func:`verify` is a batch of one. OpenSSL releases the interpreter lock
+while it verifies, so :func:`verify_many` splits a batch across every CPU the
+process may run on, as far as each chunk gets ``_MIN_VERIFY_CHUNK``
+signatures, and checks the chunks on a thread pool that lasts only for that
+call. Smaller batches, signing (:func:`sign`, one message per call) and key
+generation stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -50,10 +50,6 @@ _CORES = (
 # chunks took 0.81-1.03 times as long as one at 4-10 triples and 0.65-0.71
 # at 24-400, so small batches (a ct-run block holds ~10) stay on one thread.
 _MIN_VERIFY_CHUNK = 25
-_pool = None  # the helpers' ThreadPoolExecutor, made by the first split batch
-_pool_lock = threading.Lock()
-
-_T = TypeVar("_T")
 
 
 class Role(Enum):
@@ -147,28 +143,18 @@ def _public_key(public_key_bytes: bytes) -> Optional[ec.EllipticCurvePublicKey]:
         return None
 
 
-def _check(
-    key: Optional[ec.EllipticCurvePublicKey], message: bytes, signature: bytes
-) -> bool:
-    if key is None:
-        return False
-    try:
-        key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
-        return True
-    except (InvalidSignature, ValueError):
-        return False
-
-
 def verify(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
     """Check a signature against a compressed public key. Never raises."""
-    return _check(_public_key(public_key_bytes), message, signature)
+    return _verify_chunk([(public_key_bytes, message, signature)])[0]
 
 
 def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    """:func:`verify` over the triples, parsing each distinct key once.
+    """Whether each ``(public_key, message, signature)`` triple verifies;
+    False for an unparseable key or a bad signature. Never raises.
 
-    The triples are checked grouped by key, so only one parsed key is held
-    at a time (a dict of them costs ~1.9 KB per sender).
+    The triples are checked grouped by key, so each distinct key is parsed
+    once and only one parsed key is held at a time (a dict of them costs
+    ~1.9 KB per sender).
     """
     verdicts = [False] * len(jobs)
     key_bytes = key = None
@@ -176,58 +162,41 @@ def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
         public_key, message, signature = jobs[k]
         if public_key != key_bytes:
             key_bytes, key = public_key, _public_key(public_key)
-        verdicts[k] = _check(key, message, signature)
+        if key is None:
+            continue
+        try:
+            key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+            verdicts[k] = True
+        except (InvalidSignature, ValueError):
+            pass
     return verdicts
-
-
-def _fan_out(
-    run_chunk: Callable[[Sequence[tuple]], list[_T]], jobs: Sequence[tuple], chunks: int
-) -> list[_T]:
-    """``run_chunk(jobs)``, split into ``chunks`` contiguous chunks.
-
-    The calling thread runs the first chunk while helper threads run the
-    rest; results keep the input order. If chunks raise, the exception of the
-    earliest one propagates, and only after every chunk has finished.
-    Helpers must call nothing that a caller may rebind at run time (the
-    benchmark's tracer wraps ``proxichain.ledger.sign`` and friends and keeps
-    one span stack per process), so ``run_chunk`` is always this module's own.
-    """
-    global _pool
-    if chunks <= 1:
-        return run_chunk(jobs)
-    # Imported here: a process that never splits a batch (the outbreak
-    # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max(_CORES - 1, 1), thread_name_prefix="proxichain-ecdsa"
-            )
-        pool = _pool
-    bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
-
-    def run(k: int) -> list[_T]:
-        return run_chunk(jobs[bounds[k] : bounds[k + 1]])
-
-    futures = [pool.submit(run, k) for k in range(1, chunks)]
-    try:
-        results = run(0)
-    finally:
-        wait(futures)
-    for future in futures:
-        results.extend(future.result())
-    return results
 
 
 def verify_many(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
     """:func:`verify` over ``(public_key, message, signature)`` triples.
 
-    A batch is split across the CPUs only as far as every chunk gets
-    ``_MIN_VERIFY_CHUNK`` triples; each chunk parses a key once however
-    many of its triples carry it.
+    A batch is split into contiguous chunks across the CPUs only as far as
+    every chunk gets ``_MIN_VERIFY_CHUNK`` triples; each chunk parses a key
+    once however many of its triples carry it. A split batch runs on a
+    thread pool made for this call and shut down before it returns, so no
+    helper thread outlives the call. Verdicts keep the input order. If
+    chunks raise, the exception of the earliest one propagates, and only
+    after every chunk has finished. Helpers must call nothing that a caller
+    may rebind at run time (the benchmark's tracer wraps
+    ``proxichain.ledger.verify`` and friends and keeps one span stack per
+    process), so they call only this module's private functions.
     """
-    return _fan_out(_verify_chunk, jobs, min(_CORES, len(jobs) // _MIN_VERIFY_CHUNK))
+    chunks = min(_CORES, len(jobs) // _MIN_VERIFY_CHUNK)
+    if chunks <= 1:
+        return _verify_chunk(jobs)
+    # Imported here: a process that never splits a batch (the outbreak
+    # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
+    parts = [jobs[bounds[k] : bounds[k + 1]] for k in range(chunks)]
+    with ThreadPoolExecutor(chunks, thread_name_prefix="proxichain-ecdsa") as pool:
+        return [verdict for part in pool.map(_verify_chunk, parts) for verdict in part]
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,9 @@ def save_chain(chain: Chain, path: str) -> None:
 
 def load_chain(path: str) -> Chain:
     """Read a ``save_chain`` file; a line that does not decode raises
-    ``ValueError`` naming its 1-based line number."""
+    ``ValueError`` naming its 1-based line number, whatever is wrong with it
+    (bad UTF-8 or JSON, nesting too deep to parse, a missing field or a bad
+    value)."""
     blocks = []
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
@@ -444,7 +446,9 @@ def load_chain(path: str) -> Chain:
                 if not line:
                     continue
                 blocks.append(block_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except KeyError as exc:
+                raise ValueError(f"line {number}: missing field {exc}") from exc
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
     if not blocks:
         raise ValueError(f"{path} holds no blocks")

@@ -322,7 +322,7 @@ class RunMetrics:
     credit_rows: list[tuple] = field(default_factory=list)
     contact_records: list[dict] = field(default_factory=list)
     tracked: tuple[int, ...] = ()
-    interactions_per_agent: Optional[np.ndarray] = None
+    observed_pairs: int = 0
     prox_final: Optional[np.ndarray] = None
     tx_total: int = 0
     blocks_total: int = 0
@@ -368,8 +368,9 @@ def _offset_distances(px: np.ndarray, py: np.ndarray, o0: int, o1: int) -> np.nd
     return np.sqrt(d, out=d)
 
 
-def _score_contacts(world: WorldState, t: int, interactions: np.ndarray) -> None:
-    """Credit every observed pair and log the immediate contacts of tick t.
+def _score_contacts(world: WorldState, t: int) -> int:
+    """Credit every observed pair, log the immediate contacts of tick t, and
+    return the number of observed pairs.
 
     Pair (i, (i + o) mod n) is met once, at partner offset o = 1 … n // 2;
     for even n, offset n / 2 is its own mirror and keeps only cells
@@ -383,6 +384,7 @@ def _score_contacts(world: WorldState, t: int, interactions: np.ndarray) -> None
     n, half = world.n, world.n // 2
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
+    pairs = 0
     for o0 in range(1, half + 1, _OFFSET_BLOCK):
         o1 = min(o0 + _OFFSET_BLOCK, half + 1)
         d = _offset_distances(px, py, o0, o1)
@@ -397,17 +399,16 @@ def _score_contacts(world: WorldState, t: int, interactions: np.ndarray) -> None
             )
         scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
         scores[~observed] = 0.0
-        for o, row, seen in zip(range(o0, o1), scores, observed):
+        pairs += int(np.count_nonzero(observed))
+        for o, row in zip(range(o0, o1), scores):
             prox += row
             prox[o:] += row[: n - o]
             prox[:o] += row[n - o :]
-            interactions[o:] += seen[: n - o]
-            interactions[:o] += seen[n - o :]
-        interactions += observed.sum(axis=0)
 
         immediate = observed & (d < policy.immediate_threshold)
         np.copyto(world.last_contact_tick[o0 - 1 : o1 - 1], t, where=immediate)
         np.copyto(world.last_contact_dist[o0 - 1 : o1 - 1], d, where=immediate)
+    return pairs
 
 
 def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +534,6 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
 
     node_ids = [ident.node_id for ident in world.identities]
     node_hex = [node.hex() for node in node_ids]
-    interactions = np.zeros(n, dtype=np.int64)
 
     world.registry = publish_registry(
         world.manager, [a.public_key for a in world.authorized]
@@ -553,7 +553,7 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
         step_mobility(world)
         tx_before = len(world.pending)
 
-        _score_contacts(world, t, interactions)
+        metrics.observed_pairs += _score_contacts(world, t)
         if config.violator_id is not None:
             v = config.violator_id
             x, y = world.positions[:, 0], world.positions[:, 1]
@@ -624,7 +624,6 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
         metrics.blocks_total += blocks
 
     world.iup.prune(config.ticks)
-    metrics.interactions_per_agent = interactions
     metrics.prox_final = world.credit.prox.copy()
     metrics.elapsed_s = time.perf_counter() - started
     return world, chain, metrics
@@ -632,10 +631,11 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
 
 def interaction_stats(metrics: RunMetrics) -> dict[str, float]:
     """Per-agent averages over a completed run."""
-    if not metrics.rows or metrics.interactions_per_agent is None:
+    if not metrics.rows or metrics.prox_final is None:
         raise EmptyMetricsError("run produced no metrics rows")
     return {
-        "avg_interactions": float(np.mean(metrics.interactions_per_agent)),
+        # Each observed pair is one interaction for each of its two ends.
+        "avg_interactions": 2 * metrics.observed_pairs / len(metrics.prox_final),
         "avg_gained_credit": float(np.mean(metrics.prox_final)),
     }
 

@@ -15,7 +15,6 @@ from proxichain.aoa import (
     awgn_channel,
     build_angle_image,
     estimate_position,
-    gfsk_baseband,
     music_spectra,
     music_spectrum,
     normalize_spectrum,
@@ -35,6 +34,13 @@ def _snapshot(azimuth, snr_db=None, seed=0, n_elements=4, n_samples=256, elevati
     return synthesize_snapshot(
         CONFIG, awgn_channel(snr_db), azimuth, elevation, n_elements, n_samples, rng
     )
+
+
+def _baseband(n_samples, seed):
+    """The GFSK source of one burst: element 0 of a noiseless array, whose
+    steering phase and channel gain are both exactly 1."""
+    rng = np.random.default_rng(seed)
+    return synthesize_snapshots(CONFIG, awgn_channel(None), [90.0], [0.0], 2, n_samples, rng)[0, 0]
 
 
 class TestWaveformConfig:
@@ -82,15 +88,14 @@ class TestChannel:
 
 class TestBaseband:
     def test_length_and_constant_envelope(self):
-        rng = np.random.default_rng(1)
-        samples = gfsk_baseband(CONFIG, 512, rng)
+        samples = _baseband(512, seed=1)
         assert samples.shape == (512,)
         expected = math.sqrt(2.0 * CONFIG.symbol_energy / CONFIG.symbol_period)
         assert np.allclose(np.abs(samples), expected)
 
     def test_seed_determinism(self):
-        a = gfsk_baseband(CONFIG, 256, np.random.default_rng(5))
-        b = gfsk_baseband(CONFIG, 256, np.random.default_rng(5))
+        a = _baseband(256, seed=5)
+        b = _baseband(256, seed=5)
         assert np.array_equal(a, b)
 
 
@@ -228,7 +233,7 @@ class TestMusic:
     def test_scan_uses_the_snapshot_spacing(self):
         """A 0.4-wavelength array peaks at the true bearing, not where a
         half-wavelength scan would put it (66 deg for a true 60 deg)."""
-        source = gfsk_baseband(CONFIG, 256, np.random.default_rng(4))
+        source = _baseband(256, seed=4)
         snap = ArraySnapshot(
             elements=4,
             spacing=0.4 * CONFIG.wavelength,

@@ -438,6 +438,13 @@ def _set(index: int, key: str, value):
     return mangle
 
 
+def _drop(index: int, key: str):
+    def mangle(blocks: list) -> list:
+        del blocks[index][key]
+        return blocks
+    return mangle
+
+
 def _array_line(blocks: list) -> list:
     blocks[1] = [1, 2, 3]
     return blocks
@@ -485,27 +492,33 @@ class TestVerifyChainMalformed:
     a rule is a validation failure (2); neither may raise."""
 
     @pytest.mark.parametrize(
-        "mangle, expected",
+        "mangle, load_error",
         [
-            (_set(1, "index", None), cli.EXIT_CONFIG),
-            (_set(1, "transactions", None), cli.EXIT_CONFIG),
-            (_array_line, cli.EXIT_CONFIG),
-            (_deep_line, cli.EXIT_CONFIG),
-            (_set(2, "whash_window", 300), cli.EXIT_CONFIG),
-            (_set(1, "nonce", -1), cli.EXIT_CONFIG),
-            (_set(0, "whash_window", 5), cli.EXIT_VALIDATION),
+            (_set(1, "index", None), "line 2: "),
+            (_set(1, "transactions", None), "line 2: "),
+            (_drop(1, "transactions"), "line 2: missing field 'transactions'"),
+            (_array_line, "line 2: "),
+            (_deep_line, "line 2: "),
+            (_set(2, "whash_window", 300), "line 3: "),
+            (_set(1, "nonce", -1), "line 2: "),
+            (_set(0, "whash_window", 5), None),
         ],
-        ids=["index-null", "transactions-null", "array-line", "deep-nesting", "window-300",
-             "nonce-negative", "genesis-window"],
+        ids=["index-null", "transactions-null", "transactions-missing", "array-line",
+             "deep-nesting", "window-300", "nonce-negative", "genesis-window"],
     )
-    def test_probe_exit_code(self, tiny_chain_blocks, tmp_path, capsys, mangle, expected):
+    def test_probe_exit_code(self, tiny_chain_blocks, tmp_path, capsys, mangle, load_error):
+        """``load_error`` starts the message a chain that does not load must
+        print, naming the line; None for a chain that loads and fails
+        validation."""
         path = _write_mangled(tiny_chain_blocks, mangle, tmp_path)
-        assert cli.main(["verify-chain", str(path)]) == expected
+        code = cli.main(["verify-chain", str(path)])
         err = capsys.readouterr().err
-        if expected == cli.EXIT_VALIDATION:
+        if load_error is None:
+            assert code == cli.EXIT_VALIDATION
             assert "block 0: genesis" in err
         else:
-            assert "cannot load chain" in err
+            assert code == cli.EXIT_CONFIG
+            assert f"cannot load chain: {load_error}" in err
 
     def test_secp256k1_chain_fails_every_signature(self, tiny_chain_blocks, tmp_path, capsys):
         blocks = _resign_on_secp256k1(tiny_chain_blocks)

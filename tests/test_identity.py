@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestVerifyMany:
         jobs = self._jobs()
         assert verify_many(jobs) == [verify(*job) for job in jobs]
         assert verify_many(jobs) == [k not in (3, 5, 8) for k in range(10)]
+
+    def test_no_helper_thread_outlives_a_batch(self, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
+        verify_many(self._jobs())
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
+        assert alive == []
 
     def test_parses_each_key_once(self, monkeypatch):
         parsed = []

@@ -278,9 +278,9 @@ def cores(request, monkeypatch):
 
 class TestBatchSignatures:
     """Verify batches are split into contiguous chunks, one per CPU. With 9
-    transactions, position 0 is in the calling thread's chunk, 8 in the last
-    helper's, and 4 starts the helper's chunk of two or sits inside the
-    middle chunk of five. Signing stays on the calling thread."""
+    transactions, position 0 is in the first chunk, 8 in the last, and 4
+    starts the second chunk of two or sits inside the middle chunk of five.
+    Signing stays on the calling thread."""
 
     def _items(self):
         return [(ident, TxKind.ST if k % 2 else TxKind.QT, bytes([k]) * (k + 1))

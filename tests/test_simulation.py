@@ -133,7 +133,7 @@ class TestBoundaries:
         world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
         world, _, metrics = run_epoch(world, Chain())
         assert (world.last_contact_tick == -1).all()
-        assert metrics.interactions_per_agent.tolist() == [2, 1, 2, 1]
+        assert metrics.observed_pairs == 3
         assert world.credit.prox[1] == 2.0 / config.policy.lambda_plus
         assert world.credit.prox[0] == (2.0 + 10.0) / config.policy.lambda_plus
 
@@ -147,7 +147,7 @@ class TestBoundaries:
     def test_coincident_agents_score_the_clamp_floor(self):
         world = self._clamp_world()
         world.positions[:] = [[3.0, 3.0], [3.0, 3.0]]
-        simulation._score_contacts(world, 0, np.zeros(2, dtype=np.int64))
+        simulation._score_contacts(world, 0)
         floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
         assert floor == pytest.approx(-240.0)
         assert world.credit.prox.tolist() == [floor, floor]
@@ -158,7 +158,7 @@ class TestBoundaries:
         # The estimator reads the 1 m pair as 1 - 3 = -2 m.
         draw = SimpleNamespace(normal=lambda loc, scale, size: np.full(size, -3.0))
         monkeypatch.setitem(world.streams, "noise", draw)
-        simulation._score_contacts(world, 0, np.zeros(2, dtype=np.int64))
+        simulation._score_contacts(world, 0)
         floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
         assert world.credit.prox.tolist() == [floor, floor]
 
@@ -238,10 +238,11 @@ def _offset_pairs(n):
     return ii, jj, [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _pair_list_kernel(world, t, interactions, pairs):
+def _pair_list_kernel(world, t, pairs):
     """The credit kernel over an explicit pair list: one distance and one
     noise draw per pair in list order, scores summed with ``np.add.at`` group
-    by group, and contacts written both ways into an n×n log."""
+    by group, contacts written both ways into an n×n log, and the observed
+    pairs counted."""
     config, policy = world.config, world.config.policy
     prox = world.credit.prox
     ii, jj, groups = pairs(world.n)
@@ -263,11 +264,11 @@ def _pair_list_kernel(world, t, interactions, pairs):
         seen = observed[group]
         for ends in (ii[group][seen], jj[group][seen]):
             np.add.at(prox, ends, scores[group][seen])
-            np.add.at(interactions, ends, 1)
     imm = observed & (d < policy.immediate_threshold)
     for a, b in ((ii[imm], jj[imm]), (jj[imm], ii[imm])):
         world.last_contact_tick[a, b] = t
         world.last_contact_dist[a, b] = d[imm]
+    return int(np.count_nonzero(observed))
 
 
 def _reference_run(config, monkeypatch, pairs):
@@ -279,7 +280,7 @@ def _reference_run(config, monkeypatch, pairs):
     with monkeypatch.context() as patch:
         patch.setattr(
             simulation, "_score_contacts",
-            lambda w, t, inter: _pair_list_kernel(w, t, inter, pairs),
+            lambda w, t: _pair_list_kernel(w, t, pairs),
         )
         patch.setattr(simulation, "_log_cells", lambda n, i: (np.full(n, i), np.arange(n)))
         world, _, metrics = run_epoch(world, Chain())
@@ -305,7 +306,7 @@ def _assert_same_contacts(world, metrics, ref_world, ref_metrics):
     tick, dist = _dense_log(world)
     assert np.array_equal(tick, ref_world.last_contact_tick)
     assert np.array_equal(dist, ref_world.last_contact_dist)
-    assert np.array_equal(metrics.interactions_per_agent, ref_metrics.interactions_per_agent)
+    assert metrics.observed_pairs == ref_metrics.observed_pairs
     assert metrics.contact_records == ref_metrics.contact_records
     assert metrics.rows == ref_metrics.rows
 
@@ -371,7 +372,7 @@ class TestCreditKernel:
         prox = metrics.prox_final
         assert prox[0] == prox[2] and prox[1] == prox[3]
         assert prox[0] != prox[1]
-        assert metrics.interactions_per_agent.tolist() == [config.ticks] * 4
+        assert metrics.observed_pairs == 2 * config.ticks
 
     def test_noise_is_centred_with_the_configured_spread(self, monkeypatch):
         sigma = 0.3
@@ -385,7 +386,7 @@ class TestCreditKernel:
             simulation, "contact_scores",
             lambda d, policy: scored.append(d.copy()) or score(d, policy),
         )
-        simulation._score_contacts(world, 0, np.zeros(world.n, dtype=np.int64))
+        simulation._score_contacts(world, 0)
         measured = np.concatenate(scored)
         px, py = simulation._partner_coordinates(world)
         true = simulation._offset_distances(px, py, 1, world.n // 2 + 1)
