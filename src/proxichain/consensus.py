@@ -10,10 +10,10 @@ altered record.
 from __future__ import annotations
 
 import hashlib
-import struct
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .identity import AuthorizedRegistry
@@ -25,6 +25,7 @@ from .ledger import (
     WindowHistoryError,
     encode_block_full,
     make_genesis,
+    pack_nonce,
     verify_transactions,
     whash_preimage_prefix,
 )
@@ -34,6 +35,17 @@ from .ledger import (
 class DifficultyLevel:
     name: str
     prefix_nibbles: int
+
+    def __post_init__(self) -> None:
+        # Zero nibbles would need the target 2**256, which has no 32-byte form.
+        if not 1 <= self.prefix_nibbles <= 64:
+            raise ValueError(f"prefix_nibbles must lie in [1, 64], got {self.prefix_nibbles}")
+
+    @cached_property
+    def target(self) -> bytes:
+        """A 32-byte digest has ``prefix_nibbles`` leading zero hex nibbles
+        exactly when it sorts below this big-endian bound."""
+        return (1 << (256 - 4 * self.prefix_nibbles)).to_bytes(32, "big")
 
 
 DL_EASY = DifficultyLevel("DL_e", prefix_nibbles=1)
@@ -60,11 +72,8 @@ class MiningTimeoutError(Exception):
 
 
 def digest_satisfies(digest: bytes, level: DifficultyLevel) -> bool:
-    """Leading zero hex nibbles, checked on raw bytes to stay cheap."""
-    full, half = divmod(level.prefix_nibbles, 2)
-    if digest[:full] != bytes(full):
-        return False
-    return half == 0 or digest[full] < 16
+    """Leading zero hex nibbles, as one comparison with the level's target."""
+    return len(digest) == 32 and digest < level.target
 
 
 def difficulty_for(credit: float, alpha_d: float, is_authorized: bool) -> DifficultyLevel:
@@ -90,20 +99,28 @@ def mine(
     """Sequential nonce search from zero until the prefix rule holds.
 
     The window predecessors and candidate header are hashed once into a
-    SHA-256 state; each trial copies that state and feeds only the 8-byte
-    nonce. Without this the per-trial cost would grow with the window size,
-    which at the hard level (~65k expected trials) is prohibitive.
+    SHA-256 state; each trial copies that state, feeds only the 8-byte nonce
+    and compares the digest with the level's target. Without this the
+    per-trial cost would grow with the window size, which at the hard level
+    (~65k expected trials) is prohibitive.
+
+    ``elapsed`` starts before the window prefix is built and hashed: that is
+    the one part of the search whose cost grows with the window.
     """
-    prefix_state = hashlib.sha256(whash_preimage_prefix(blocks, candidate))
     started = time.perf_counter()
+    # Bound to locals so that a trial makes no attribute or global lookup
+    # beyond the hash object's own update and digest.
+    copy = hashlib.sha256(whash_preimage_prefix(blocks, candidate)).copy
+    pack = pack_nonce
+    target = level.target
     # range() steps on machine integers only while its stop fits in one,
     # so an unbounded search stops at sys.maxsize (2**63 - 1) trials.
     limit = sys.maxsize if max_trials is None else max_trials
     for nonce in range(limit):
-        h = prefix_state.copy()
-        h.update(struct.pack("<Q", nonce))
+        h = copy()
+        h.update(pack(nonce))
         digest = h.digest()
-        if digest_satisfies(digest, level):
+        if digest < target:
             break
     else:
         raise MiningTimeoutError(limit)
@@ -144,7 +161,7 @@ def _check_block(
         return reject("overflow", "serialized block exceeds 1 MiB")
 
     h = hashlib.sha256(prefix)
-    h.update(struct.pack("<Q", block.nonce))
+    h.update(pack_nonce(block.nonce))
     if h.digest() != block.block_hash:
         return reject("digest", "recomputed digest differs from block_hash")
 

@@ -54,6 +54,10 @@ ZERO_HASH = bytes(32)
 _U64_MAX = 2**64 - 1
 _PUBKEY_BYTES = 33  # compressed P-256 point
 
+# The 8-byte nonce that ends every digest preimage; mining, validation and
+# whash_digest all pack it through this one object.
+pack_nonce = struct.Struct("<Q").pack
+
 
 class TxKind(Enum):
     ST = "ST"          # submission of localization data (zone index)
@@ -270,7 +274,7 @@ def whash_preimage_prefix(blocks: Sequence[Block], candidate: Block) -> bytes:
 def whash_digest(blocks: Sequence[Block], candidate: Block, nonce: int) -> bytes:
     """SHA-256 over window predecessors, candidate header and nonce."""
     prefix = whash_preimage_prefix(blocks, candidate)
-    return hashlib.sha256(prefix + struct.pack("<Q", nonce)).digest()
+    return hashlib.sha256(prefix + pack_nonce(nonce)).digest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from proxichain import consensus
 from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
     LEVELS_BY_NAME,
     BlockRejectedError,
+    DifficultyLevel,
     MiningTimeoutError,
     append_block,
     attack_cost_model,
@@ -25,6 +28,7 @@ from proxichain.ledger import (
     TxKind,
     make_transaction,
     next_block,
+    whash_digest,
     whash_window_for,
 )
 
@@ -33,6 +37,14 @@ MINER = generate_identity(Role.LIGHT, seed=601)
 
 def _candidate(chain: Chain, window: int = 0, txs=(), timestamp: int = 10) -> Block:
     return next_block(chain, window, txs, MINER.node_id, timestamp)
+
+
+def _nibble_rule(digest: bytes, prefix_nibbles: int) -> bool:
+    """Reference rule: the first ``prefix_nibbles`` hex nibbles are zero."""
+    full, half = divmod(prefix_nibbles, 2)
+    if digest[:full] != bytes(full):
+        return False
+    return half == 0 or digest[full] < 16
 
 
 def _grow(length: int) -> Chain:
@@ -63,6 +75,49 @@ class TestDigestPrefix:
     def test_level_registry(self):
         assert LEVELS_BY_NAME["DL_e"] is DL_EASY
         assert LEVELS_BY_NAME["DL_h"] is DL_HARD
+
+
+class TestTarget:
+    """The target comparison against the nibble rule it replaces."""
+
+    @pytest.mark.parametrize("prefix_nibbles", [1, 2, 3, 4])
+    def test_every_two_byte_prefix(self, prefix_nibbles):
+        level = DifficultyLevel("t", prefix_nibbles)
+        for head in range(1 << 16):
+            for tail in (bytes(30), b"\xff" * 30):
+                digest = head.to_bytes(2, "big") + tail
+                assert digest_satisfies(digest, level) == _nibble_rule(digest, prefix_nibbles), digest
+
+    def test_random_digests(self):
+        rng = np.random.default_rng(16)
+        for prefix_nibbles in range(1, 9):
+            level = DifficultyLevel("t", prefix_nibbles)
+            seen = set()
+            for _ in range(2000):
+                # Shift a random digest right by 0-10 nibbles so that both
+                # sides of every level's boundary are reached.
+                shift = 4 * int(rng.integers(0, 11))
+                value = int.from_bytes(rng.bytes(32), "big") >> shift
+                digest = value.to_bytes(32, "big")
+                expected = _nibble_rule(digest, prefix_nibbles)
+                assert digest_satisfies(digest, level) == expected, digest.hex()
+                seen.add(expected)
+            assert seen == {True, False}
+
+    def test_literal_targets(self):
+        assert DL_EASY.target == b"\x10" + bytes(31)
+        assert DL_HARD.target == b"\x00\x01" + bytes(30)
+        assert DifficultyLevel("t", 64).target == bytes(31) + b"\x01"
+
+    def test_only_32_byte_digests_satisfy(self):
+        for digest in (b"", b"\x00", bytes(2), bytes(31), bytes(33), bytes(64)):
+            for level in (DL_EASY, DL_HARD, DifficultyLevel("t", 64)):
+                assert not digest_satisfies(digest, level), (len(digest), level.name)
+
+    @pytest.mark.parametrize("prefix_nibbles", [-1, 0, 65, 256])
+    def test_out_of_range_levels_are_refused(self, prefix_nibbles):
+        with pytest.raises(ValueError, match="prefix_nibbles"):
+            DifficultyLevel("t", prefix_nibbles)
 
 
 class TestEntitlement:
@@ -98,6 +153,31 @@ class TestMine:
             block = mine(chain, _candidate(chain, window), DL_EASY).block
             result = validate_block(chain, block, DL_EASY)
             assert result.accepted, (window, result.reason)
+
+    @pytest.mark.parametrize(
+        "window, level", [(0, DL_EASY), (1, DL_EASY), (5, DL_EASY), (1, DL_HARD)]
+    )
+    def test_matches_a_reference_search(self, window, level):
+        chain = _grow(6)
+        cand = _candidate(chain, window)
+        nonce = 0
+        while not _nibble_rule(whash_digest(chain.blocks, cand, nonce), level.prefix_nibbles):
+            nonce += 1
+        result = mine(chain, cand, level)
+        assert result.block.nonce == nonce
+        assert result.block.block_hash == whash_digest(chain.blocks, cand, nonce)
+        assert result.trials == nonce + 1
+
+    def test_elapsed_counts_the_window_prefix(self, monkeypatch):
+        build = consensus.whash_preimage_prefix
+
+        def slow_build(blocks, candidate):
+            time.sleep(0.05)
+            return build(blocks, candidate)
+
+        monkeypatch.setattr(consensus, "whash_preimage_prefix", slow_build)
+        chain = Chain()
+        assert mine(chain, _candidate(chain), DL_EASY).elapsed >= 0.05
 
     def test_timeout_budget(self):
         chain = Chain()
