@@ -10,12 +10,15 @@ altered record.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
+from . import identity
 from .identity import AuthorizedRegistry
 from .ledger import (
     MAX_BLOCK_BYTES,
@@ -86,8 +89,110 @@ def difficulty_for(credit: float, alpha_d: float, is_authorized: bool) -> Diffic
 @dataclass(frozen=True)
 class MiningResult:
     block: Block
+    # The sequential count ``nonce + 1``: what a search from zero on one
+    # core tries. It is not the number of hashes a split search computes:
+    # every process finishes its slice of the winning round, and a helper
+    # may have scanned later rounds before it is killed.
     trials: int
     elapsed: float
+
+
+# Nonces the calling process tries alone before it forks helpers. An easy
+# search needs more with probability (15/16)**4096, about 1e-115, so only
+# hard-level searches (~65k expected trials) are split.
+_SOLO_TRIALS = 4096
+# Nonces in one process's slice of a round of the split search.
+_ROUND = 2048
+
+
+def _scan(copy: Callable, target: bytes, start: int, stop: int) -> int:
+    """Lowest nonce in ``[start, stop)`` whose digest sorts below ``target``,
+    or -1. ``copy`` clones the hash state of the window prefix."""
+    # Bound to a local so that a trial makes no attribute or global lookup
+    # beyond the hash object's own update and digest.
+    pack = pack_nonce
+    for nonce in range(start, stop):
+        h = copy()
+        h.update(pack(nonce))
+        if h.digest() < target:
+            return nonce
+    return -1
+
+
+def _helper(copy: Callable, target: bytes, first: int, limit: int, stride: int, span: int,
+            report: int, inherited: list[int]) -> None:
+    """Body of a forked helper; never returns. Scans the slice at ``first``
+    and every ``stride`` nonces after it, writing one 8-byte record per
+    slice (its lowest hit, or -1) to ``report``, and exits after a hit or
+    past ``limit``. Any error exits without a record; so does the first
+    write after the caller has died, which closes the pipe's read end."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        for lo in range(first, limit, stride):
+            nonce = _scan(copy, target, lo, min(lo + span, limit))
+            os.write(report, nonce.to_bytes(8, "little", signed=True))
+            if nonce >= 0:
+                break
+    finally:
+        os._exit(0)
+
+
+def _split_search(copy: Callable, target: bytes, start: int, limit: int) -> int:
+    """Lowest satisfying nonce in ``[start, limit)``, or -1, on every core.
+
+    The nonces go out in rounds of one ``_ROUND``-nonce slice per process:
+    the calling process scans slice 0 of each round, and forked helper
+    ``p`` scans slice ``p``, inheriting the prefix hash state. The first
+    round with a hit gives its lowest hit, so the result is the nonce a
+    scan from ``start`` would find. With one CPU (``identity._CORES``), no
+    ``os.fork``, or other threads running (a fork copies only the calling
+    thread, so a lock another thread holds would stay held in the helper)
+    the same rounds run with no helpers. Every helper is killed and reaped
+    before this returns or raises.
+    """
+    span = _ROUND
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    procs = identity._CORES if forkable else 1
+    stride = procs * span
+    pids: list[int] = []
+    reads: list[int] = []
+    try:
+        for first in range(start + span, start + stride, span):
+            read_fd, write_fd = os.pipe()
+            reads.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper(copy, target, first, limit, stride, span, write_fd, reads)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        for lo in range(start, limit, stride):
+            nonce = _scan(copy, target, lo, min(lo + span, limit))
+            if nonce >= 0:
+                return nonce
+            for first, fd in zip(range(lo + span, limit, span), reads):
+                record = os.read(fd, 8)
+                if len(record) != 8:
+                    raise RuntimeError(f"a mining helper exited without reporting nonces {first}+")
+                nonce = int.from_bytes(record, "little", signed=True)
+                if nonce >= 0:
+                    if not first <= nonce < min(first + span, limit):
+                        raise RuntimeError(f"a mining helper reported nonce {nonce} "
+                                           f"outside its slice at {first}")
+                    return nonce
+        return -1
+    finally:
+        if pids:
+            import signal  # only a split search needs it; module load stays lean
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
+        for fd in reads:
+            os.close(fd)
 
 
 def mine(
@@ -96,7 +201,7 @@ def mine(
     level: DifficultyLevel,
     max_trials: Optional[int] = None,
 ) -> MiningResult:
-    """Sequential nonce search from zero until the prefix rule holds.
+    """Lowest nonce from zero whose digest meets ``level``, searched on every core.
 
     The window predecessors and candidate header are hashed once into a
     SHA-256 state; each trial copies that state, feeds only the 8-byte nonce
@@ -104,26 +209,32 @@ def mine(
     per-trial cost would grow with the window size, which at the hard level
     (~65k expected trials) is prohibitive.
 
+    The calling process first tries nonces below ``_SOLO_TRIALS`` alone; a
+    search that outlasts them is split across forked helpers, one per extra
+    CPU (see :func:`_split_search`). The nonce, digest, ``trials`` and
+    :class:`MiningTimeoutError` are those of a sequential search: ``trials``
+    is ``nonce + 1`` and a search that tries ``max_trials`` nonces in vain
+    raises. The winning nonce is hashed again here before the block is built.
+
     ``elapsed`` starts before the window prefix is built and hashed: that is
     the one part of the search whose cost grows with the window.
     """
     started = time.perf_counter()
-    # Bound to locals so that a trial makes no attribute or global lookup
-    # beyond the hash object's own update and digest.
     copy = hashlib.sha256(whash_preimage_prefix(blocks, candidate)).copy
-    pack = pack_nonce
     target = level.target
     # range() steps on machine integers only while its stop fits in one,
     # so an unbounded search stops at sys.maxsize (2**63 - 1) trials.
     limit = sys.maxsize if max_trials is None else max_trials
-    for nonce in range(limit):
-        h = copy()
-        h.update(pack(nonce))
-        digest = h.digest()
-        if digest < target:
-            break
-    else:
+    nonce = _scan(copy, target, 0, min(limit, _SOLO_TRIALS))
+    if nonce < 0 and limit > _SOLO_TRIALS:
+        nonce = _split_search(copy, target, _SOLO_TRIALS, limit)
+    if nonce < 0:
         raise MiningTimeoutError(limit)
+    h = copy()
+    h.update(pack_nonce(nonce))
+    digest = h.digest()
+    if digest >= target:
+        raise RuntimeError(f"nonce {nonce} misses the {level.name} target")
     elapsed = time.perf_counter() - started
     block = replace(candidate, nonce=nonce, block_hash=digest)
     return MiningResult(block=block, trials=nonce + 1, elapsed=elapsed)

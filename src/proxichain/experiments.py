@@ -163,7 +163,9 @@ def run_mining_benchmark(
             cell: list[BenchRow] = []
             for k in range(spec.sim.n_blocks):
                 window = whash_window_for(len(chain) - 1, whash)
-                candidate = next_block(chain, window, (), bench_id, len(chain))
+                # Stamped with the attempt, not the height, so that an attempt
+                # after a truncated one searches a new candidate.
+                candidate = next_block(chain, window, (), bench_id, len(base.blocks) + k)
                 try:
                     result = mine(chain, candidate, level, max_trials=max_trials)
                 except MiningTimeoutError:

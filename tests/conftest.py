@@ -1,8 +1,35 @@
+import os
+
 import pytest
 
 
 def pytest_configure(config):
     config._criteria_lines = []
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_a_test():
+    """Fail a test after which this process still has a child, running or
+    unreaped: the process-level twin of the ``filterwarnings`` entry in
+    pyproject.toml that fails the run when a helper thread raises. A mining
+    helper that escaped its search would keep a CPU busy and hold this
+    process's output pipes open."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    # Reap every exited child, so that one leak fails only its own test.
+    leaked = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            break
+        if pid == 0:
+            leaked.append("one still running")
+            break
+        leaked.append(f"{pid} never reaped")
+    if leaked:
+        pytest.fail(f"child processes outlived the test: {', '.join(leaked)}")
 
 
 @pytest.fixture(scope="session")

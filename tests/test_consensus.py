@@ -1,11 +1,16 @@
 import dataclasses
+import itertools
+import os
+import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from proxichain import consensus
+from proxichain import consensus, identity
 from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
@@ -225,6 +230,238 @@ class TestMine:
                 )
         statistic, pvalue = stats.chisquare(observed, expected)
         assert pvalue > 0.01, (statistic, pvalue, observed, expected)
+
+
+# Two zero nibbles (~256 expected trials): a reference search takes
+# moments, and the winning nonce leaves room for several small slices.
+DL_TWO = DifficultyLevel("DL_2", prefix_nibbles=2)
+ROUND = 4
+# Where the winning nonce sits, as its offset from the end of the solo
+# prefix, for ``procs`` searching processes. Each round holds ``procs``
+# slices of ROUND nonces; slice 0 belongs to the calling process.
+PLACEMENTS = {
+    "inside-the-solo-prefix": lambda procs: -3,
+    "last-solo-nonce": lambda procs: -1,
+    "first-of-the-callers-slice": lambda procs: 0,
+    "inside-the-callers-slice": lambda procs: 2,
+    "last-of-the-callers-slice": lambda procs: ROUND - 1,
+    "first-of-a-helpers-slice": lambda procs: ROUND,
+    "last-of-the-last-slice": lambda procs: procs * ROUND - 1,
+    "callers-slice-in-round-two": lambda procs: procs * ROUND + 1,
+    "helpers-slice-in-round-two": lambda procs: (procs + 1) * ROUND + 2,
+}
+
+
+def _reference_nonce(chain: Chain, cand: Block, level: DifficultyLevel) -> int:
+    nonce = 0
+    while not _nibble_rule(whash_digest(chain.blocks, cand, nonce), level.prefix_nibbles):
+        nonce += 1
+    return nonce
+
+
+@pytest.fixture(scope="module")
+def far_case():
+    """A candidate whose first DL_TWO nonce lies past every placement."""
+    chain = _grow(3)
+    for timestamp in itertools.count():
+        cand = _candidate(chain, 2, timestamp=timestamp)
+        nonce = _reference_nonce(chain, cand, DL_TWO)
+        if nonce >= 40:
+            return chain, cand, nonce
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["one-core", "two-cores", "three-cores"])
+def procs(request, monkeypatch):
+    """Search with this many processes and ROUND-nonce slices. One core
+    must not fork at all."""
+    monkeypatch.setattr(identity, "_CORES", request.param)
+    monkeypatch.setattr(consensus, "_ROUND", ROUND)
+    if request.param == 1:
+
+        def no_fork():
+            raise AssertionError("a one-core search forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    return request.param
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of every helper forked during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _deadline(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSplitSearch:
+    """A search past the solo prefix is split across forked helpers; nonce,
+    digest, trial count and timeout must be those of the sequential search."""
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_matches_the_sequential_search(self, procs, far_case, monkeypatch, placement):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - PLACEMENTS[placement](procs))
+        result = mine(chain, cand, DL_TWO)
+        assert result.block.nonce == nonce
+        assert result.block.block_hash == whash_digest(chain.blocks, cand, nonce)
+        assert result.trials == nonce + 1
+
+    def test_budget_ending_in_a_helpers_slice(self, procs, far_case, monkeypatch):
+        chain, cand, nonce = far_case
+        # The winner is two nonces into helper 1's slice of the first round,
+        # so a budget of ``nonce`` trials stops one nonce after that slice's
+        # start.
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - ROUND - 2)
+        with pytest.raises(MiningTimeoutError) as err:
+            mine(chain, cand, DL_TWO, max_trials=nonce)
+        assert err.value.trials == nonce
+        assert mine(chain, cand, DL_TWO, max_trials=nonce + 1).block.nonce == nonce
+
+    def test_no_fork_available(self, far_case, monkeypatch):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", 1)
+        monkeypatch.setattr(consensus, "_ROUND", ROUND)
+        monkeypatch.delattr(os, "fork")
+        assert mine(chain, cand, DL_TWO).block.nonce == nonce
+
+    def test_no_fork_beside_other_threads(self, procs, far_case, monkeypatch):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", 1)
+
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with ThreadPoolExecutor(1) as pool:
+            result = pool.submit(mine, chain, cand, DL_TWO).result()
+        assert result.block.nonce == nonce
+
+
+class TestSearchHelpers:
+    """Every helper is killed and reaped before ``mine`` returns or raises,
+    and only a nonce the calling process has re-hashed is ever returned."""
+
+    @pytest.fixture(autouse=True)
+    def two_processes(self, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(consensus, "_ROUND", ROUND)
+
+    def test_reaped_after_success(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - ROUND)
+        assert mine(chain, cand, DL_TWO).block.nonce == nonce
+        assert forked
+        _assert_reaped(forked)
+
+    def test_reaped_after_timeout(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", 1)
+        with pytest.raises(MiningTimeoutError):
+            mine(chain, cand, DL_TWO, max_trials=nonce)
+        assert forked
+        _assert_reaped(forked)
+
+    def test_reaped_after_an_error_in_the_caller(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", 1)
+        caller, scan = os.getpid(), consensus._scan
+
+        class Interrupted(Exception):
+            pass
+
+        def caller_fails_after_the_fork(copy, target, start, stop):
+            if os.getpid() == caller and forked:
+                raise Interrupted
+            return scan(copy, target, start, stop)
+
+        monkeypatch.setattr(consensus, "_scan", caller_fails_after_the_fork)
+        with pytest.raises(Interrupted):
+            mine(chain, cand, DL_TWO)
+        assert forked
+        _assert_reaped(forked)
+
+    def test_busy_helper_is_killed(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        # The winner opens the caller's first slice; the helper would take
+        # a minute over its own.
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce)
+        caller, scan = os.getpid(), consensus._scan
+
+        def helper_stalls(copy, target, start, stop):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return scan(copy, target, start, stop)
+
+        monkeypatch.setattr(consensus, "_scan", helper_stalls)
+        with _deadline(10.0):
+            assert mine(chain, cand, DL_TWO).block.nonce == nonce
+        assert forked
+        _assert_reaped(forked)
+
+    def test_helper_that_exits_without_reporting(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        # The winner opens the helper's first slice: only the helper could
+        # report it.
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - ROUND)
+        caller, scan = os.getpid(), consensus._scan
+
+        def helper_dies(copy, target, start, stop):
+            if os.getpid() != caller:
+                os._exit(1)
+            return scan(copy, target, start, stop)
+
+        monkeypatch.setattr(consensus, "_scan", helper_dies)
+        with _deadline(10.0), pytest.raises(RuntimeError, match="without reporting"):
+            mine(chain, cand, DL_TWO)
+        _assert_reaped(forked)
+
+    def test_unchecked_helper_nonce_is_refused(self, far_case, forked, monkeypatch):
+        chain, cand, nonce = far_case
+        # No nonce of the first round satisfies DL_TWO, so the helper's
+        # claim that its first nonce does is false.
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - 3 * ROUND)
+        caller, scan = os.getpid(), consensus._scan
+
+        def helper_lies(copy, target, start, stop):
+            if os.getpid() != caller:
+                return start
+            return scan(copy, target, start, stop)
+
+        monkeypatch.setattr(consensus, "_scan", helper_lies)
+        with pytest.raises(RuntimeError, match="misses the DL_2 target"):
+            mine(chain, cand, DL_TWO)
+        _assert_reaped(forked)
 
 
 class TestRejectionReasons:

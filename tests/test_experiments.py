@@ -110,6 +110,19 @@ class TestMiningBenchmark:
         assert all(r.truncated for r in rows)
         assert summary == {}
 
+    def test_attempt_after_a_truncated_one_searches_a_new_candidate(self):
+        spec = ExperimentSpec(
+            sim=SimConfig(n_agents=2, ticks=1, n_blocks=8, seed=1),
+            whash_values=(0,),
+            levels=("DL_h",),
+        )
+        rows, summary = run_mining_benchmark(spec, max_trials=20000)
+        kept = [r for r in rows if not r.truncated]
+        # Repeating the first candidate would truncate all eight attempts.
+        assert kept
+        assert [r.block_index for r in kept] == list(range(101, 101 + len(kept)))
+        assert summary[(0, "DL_h")]["blocks"] == len(kept)
+
     def test_csv_outputs(self, tmp_path):
         spec = ExperimentSpec(
             sim=SimConfig(n_agents=2, ticks=1, n_blocks=4, seed=2),
