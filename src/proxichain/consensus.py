@@ -24,6 +24,7 @@ from .ledger import (
     MAX_BLOCK_BYTES,
     Block,
     Chain,
+    ChainTail,
     WindowDomainError,
     WindowHistoryError,
     encode_block_full,
@@ -67,10 +68,14 @@ class BlockRejectedError(Exception):
 
 
 class MiningTimeoutError(Exception):
-    """Nonce search exhausted its trial budget without a satisfying digest."""
+    """Nonce search exhausted its trial budget without a satisfying digest.
 
-    def __init__(self, trials: int):
+    ``elapsed`` is the wall time the search took, measured as
+    :attr:`MiningResult.elapsed` is."""
+
+    def __init__(self, trials: int, elapsed: float):
         self.trials = trials
+        self.elapsed = elapsed
         super().__init__(f"no satisfying nonce within {trials} trials")
 
 
@@ -229,7 +234,7 @@ def mine(
     if nonce < 0 and limit > _SOLO_TRIALS:
         nonce = _split_search(copy, target, _SOLO_TRIALS, limit)
     if nonce < 0:
-        raise MiningTimeoutError(limit)
+        raise MiningTimeoutError(limit, time.perf_counter() - started)
     h = copy()
     h.update(pack_nonce(nonce))
     digest = h.digest()
@@ -309,12 +314,12 @@ def validate_block(
 
 
 def append_block(
-    chain: Chain,
+    chain: Chain | ChainTail,
     block: Block,
     registry: Optional[AuthorizedRegistry] = None,
     credit_view: Optional[Callable[[bytes], float]] = None,
     alpha_d: float = 0.0,
-) -> Chain:
+) -> Chain | ChainTail:
     """Validate a mined block against the tip and append it.
 
     When ``credit_view`` is given, the miner's difficulty entitlement is
@@ -330,7 +335,7 @@ def append_block(
     result = validate_block(chain, block, expected)
     if not result.accepted:
         raise BlockRejectedError(result.reason, result.detail)
-    chain.blocks.append(block)
+    chain.append(block)
     return chain
 
 

@@ -29,7 +29,8 @@ from .consensus import (
 )
 from .credit import CreditPolicy
 from .identity import Role, generate_identity
-from .ledger import Chain, next_block, save_chain, save_iup, whash_window_for
+# ``save_chain`` is unused here; perfbench/tracing.py wraps this binding.
+from .ledger import Chain, ChainTail, next_block, save_chain, save_iup, whash_window_for
 from .simulation import SimConfig, Venue, build_world, run_epoch
 
 ALLOWED_WHASH = (0, 20, 40, 60, 80, 100)
@@ -168,8 +169,10 @@ def run_mining_benchmark(
                 candidate = next_block(chain, window, (), bench_id, len(base.blocks) + k)
                 try:
                     result = mine(chain, candidate, level, max_trials=max_trials)
-                except MiningTimeoutError:
-                    cell.append(BenchRow(whash, level.name, len(chain), max_trials, 0.0, True))
+                except MiningTimeoutError as exc:
+                    cell.append(
+                        BenchRow(whash, level.name, len(chain), max_trials, exc.elapsed, True)
+                    )
                     continue
                 chain.blocks.append(result.block)
                 cell.append(
@@ -197,9 +200,12 @@ def run_mining_benchmark(
 def write_bench_csv(rows: Sequence[BenchRow], summary: dict, out_dir: str) -> None:
     with open(os.path.join(out_dir, "mining_metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "level", "n_wh", "trials", "elapsed_s"])
+        writer.writerow(["index", "level", "n_wh", "trials", "elapsed_s", "truncated"])
         for r in rows:
-            writer.writerow([r.block_index, r.level, r.whash, r.trials, f"{r.elapsed_s:.6f}"])
+            writer.writerow(
+                [r.block_index, r.level, r.whash, r.trials, f"{r.elapsed_s:.6f}",
+                 int(r.truncated)]
+            )
     with open(os.path.join(out_dir, "mining_summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -242,11 +248,15 @@ def _renamed_into_place(path: str) -> Iterator[str]:
 
 
 def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
-    """Execute a full traced run and persist its five artifacts.
+    """Execute a full traced run and persist its six artifacts.
 
     Each artifact is written under a temporary name and renamed into place.
-    On failure the artifacts renamed so far stay on disk next to a
-    ``.partial`` marker so a crashed run is never mistaken for a finished one.
+    ``contacts.jsonl`` and ``chain.jsonl`` are written line by line while
+    the run makes them, and only the W-Hash window of the chain is kept in
+    memory (:class:`ChainTail`); the renames still come in artifact order,
+    after the run. On failure the artifacts renamed so far stay on disk next
+    to a ``.partial`` marker so a crashed run is never mistaken for a
+    finished one.
     """
     out = spec.output_dir
     make_output_dir(out)
@@ -265,30 +275,31 @@ def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
         fh.write("running\n")
 
     world = build_world(spec.sim)
-    chain = Chain()
-    world, chain, metrics = run_epoch(world, chain)
+    # Context managers exit in reverse, so the chain, entered first, is
+    # renamed after the contacts, as the artifact order has it.
+    with (
+        _renamed_into_place(paths.chain_jsonl) as chain_tmp,
+        open(chain_tmp, "w") as chain_fh,
+        _renamed_into_place(paths.contacts_jsonl) as contacts_tmp,
+        open(contacts_tmp, "w") as contacts_fh,
+    ):
+        world, _, metrics = run_epoch(world, ChainTail(chain_fh.write), contacts_fh.write)
 
-    with _renamed_into_place(paths.metrics_csv) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tick", "infected_count_2m", "infected_count_5m", "tx_count", "blocks_mined"]
-        )
-        for row in metrics.rows:
+        with _renamed_into_place(paths.metrics_csv) as tmp, open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(
-                [row["tick"], row["infected_count_2m"], row["infected_count_5m"],
-                 row["tx_count"], row["blocks_mined"]]
+                ["tick", "infected_count_2m", "infected_count_5m", "tx_count", "blocks_mined"]
             )
-    with _renamed_into_place(paths.credits_csv) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "node_id", "prox_credit", "neg_credit", "total"])
-        for tick, node, p, neg, tot in metrics.credit_rows:
-            writer.writerow([tick, node, repr(float(p)), repr(float(neg)), repr(float(tot))])
-    with _renamed_into_place(paths.contacts_jsonl) as tmp, open(tmp, "w") as fh:
-        for record in metrics.contact_records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-    with _renamed_into_place(paths.chain_jsonl) as tmp:
-        save_chain(chain, tmp)
+            for row in metrics.rows:
+                writer.writerow(
+                    [row["tick"], row["infected_count_2m"], row["infected_count_5m"],
+                     row["tx_count"], row["blocks_mined"]]
+                )
+        with _renamed_into_place(paths.credits_csv) as tmp, open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tick", "node_id", "prox_credit", "neg_credit", "total"])
+            for tick, node, p, neg, tot in metrics.credit_rows:
+                writer.writerow([tick, node, repr(float(p)), repr(float(neg)), repr(float(tot))])
     with _renamed_into_place(paths.iup_json) as tmp:
         save_iup(world.iup, tmp)
     with _renamed_into_place(paths.spec_json) as tmp, open(tmp, "w") as fh:

@@ -41,7 +41,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 # ``verify`` is unused here but stays bound: the benchmark's tracer
 # (``perfbench/tracing.py``) wraps ``proxichain.ledger.verify``, as it wraps
@@ -337,6 +337,53 @@ class Chain(Sequence[Block]):
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
+
+    def append(self, block: Block) -> None:
+        self.blocks.append(block)
+
+
+class ChainTail(Sequence[Block]):
+    """The newest ``WINDOW_MAX`` blocks of a chain, under their chain indices.
+
+    A window of w hashes the w - 1 <= 99 blocks below the candidate, and the
+    tip is the newest of them, so :func:`next_block`, mining and validation
+    on the tip read nothing older. ``len`` is the height of the whole chain;
+    reading an evicted block raises ``IndexError``. Each block, genesis
+    first, is handed to ``write`` as its ``chain.jsonl`` line when it is
+    appended, so a file written through it equals :func:`save_chain`'s.
+    """
+
+    def __init__(self, write: Callable[[str], object]):
+        self._write = write
+        self._blocks: list[Block] = []
+        self._height = 0
+        self.append(make_genesis())
+
+    def __len__(self) -> int:
+        return self._height
+
+    def __getitem__(self, index: int) -> Block:
+        held = self._blocks
+        first = self._height - len(held)
+        position = index - first if index >= 0 else index + len(held)
+        if not 0 <= position < len(held):
+            raise IndexError(
+                f"block {index} is not held: a tail of height {self._height} "
+                f"holds blocks {first} to {self._height - 1}"
+            )
+        return held[position]
+
+    def __iter__(self) -> Iterator[Block]:
+        # Sequence's default would stop at the first evicted block, as if
+        # the chain ended there; this raises instead.
+        return (self[i] for i in range(self._height))
+
+    def append(self, block: Block) -> None:
+        self._write(block_to_json_line(block) + "\n")
+        self._blocks.append(block)
+        if len(self._blocks) > WINDOW_MAX:
+            del self._blocks[0]
+        self._height += 1
 
 
 # ---------------------------------------------------------------------------

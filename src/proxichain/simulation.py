@@ -11,9 +11,10 @@ background submission/query traffic fills the rest of each block.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +40,7 @@ from .identity import (
 from .ledger import (
     BlockOverflowError,
     Chain,
+    ChainTail,
     InfectedUsersPool,
     MAX_BLOCK_BYTES,
     Transaction,
@@ -320,7 +322,6 @@ def _spread_tick(world: WorldState) -> None:
 class RunMetrics:
     rows: list[dict] = field(default_factory=list)
     credit_rows: list[tuple] = field(default_factory=list)
-    contact_records: list[dict] = field(default_factory=list)
     tracked: tuple[int, ...] = ()
     observed_pairs: int = 0
     prox_final: Optional[np.ndarray] = None
@@ -425,12 +426,17 @@ def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _emit_trace(
-    world: WorldState, i: int, now: int, metrics: RunMetrics, node_hex: Sequence[str]
+    world: WorldState,
+    i: int,
+    now: int,
+    trace_sink: Callable[[str], object],
+    node_hex: Sequence[str],
 ) -> None:
     """Diagnosed agent i reports its retained immediate contacts, in
     ascending peer order.
 
-    ``node_hex`` holds every agent's node id in hex.
+    The report's record goes to ``trace_sink`` as its ``contacts.jsonl``
+    line, newline included. ``node_hex`` holds every agent's node id in hex.
     """
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
@@ -444,16 +450,15 @@ def _emit_trace(
     payload = encode_contact_pairs(pairs)
     world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
     world.iup.add(world.identities[i].node_id, now)
-    metrics.contact_records.append(
-        {
-            "tick": now,
-            "node_id": node_hex[i],
-            "contacts": [
-                {"peer": node_hex[j], "distance": round(dist, 4), "tick": tick}
-                for j, dist, tick in zip(peer_list, dists, ticks)
-            ],
-        }
-    )
+    record = {
+        "tick": now,
+        "node_id": node_hex[i],
+        "contacts": [
+            {"peer": node_hex[j], "distance": round(dist, 4), "tick": tick}
+            for j, dist, tick in zip(peer_list, dists, ticks)
+        ],
+    }
+    trace_sink(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     if pairs and world.manager is not None:
         # The manager alarms every listed contact; they become notified.
         world.pending.append(make_transaction(world.manager, TxKind.AT, payload, now))
@@ -484,7 +489,7 @@ def _take_sized_batch(pending: list[Transaction], batch_size: int) -> tuple[Tran
 
 def _mine_pending(
     world: WorldState,
-    chain: Chain,
+    chain: Chain | ChainTail,
     miner_pool: list[NodeIdentity],
     now: int,
     flush: bool,
@@ -517,13 +522,26 @@ def _mine_pending(
     return mined
 
 
-def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMetrics]:
+def _drop_line(line: str) -> None:
+    pass
+
+
+def run_epoch(
+    world: WorldState,
+    chain: Chain | ChainTail,
+    trace_sink: Callable[[str], object] = _drop_line,
+) -> tuple[WorldState, Chain | ChainTail, RunMetrics]:
     """Drive the world for ``config.ticks`` ticks, mining as batches fill.
 
     Besides the static authorized nodes, the top credit decile may mine; it
     is re-ranked at each tick. Credit is always evaluated at the end of the
     tick (now = t + 1), so a penalty recorded at tick t bites from the very
     next scheduling decision onward.
+
+    Each trace report's ``contacts.jsonl`` line goes to ``trace_sink`` as it
+    is made (the default drops it). Mined blocks are appended to ``chain``,
+    which may be a :class:`~proxichain.ledger.ChainTail` holding only the
+    window.
     """
     if world.identities is None:
         raise ValueError("run_epoch needs a world built with identities")
@@ -567,7 +585,7 @@ def run_epoch(world: WorldState, chain: Chain) -> tuple[WorldState, Chain, RunMe
         _spread_tick(world)
         newly = np.nonzero(world.infected() & ~before)[0]
         for i in newly:
-            _emit_trace(world, int(i), t, metrics, node_hex)
+            _emit_trace(world, int(i), t, trace_sink, node_hex)
 
         if (
             config.false_claimer_id is not None

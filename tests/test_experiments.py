@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -27,13 +29,15 @@ from proxichain.experiments import (
 )
 from proxichain.identity import node_id_for
 from proxichain.ledger import (
+    WINDOW_MAX,
+    Block,
+    ChainTail,
     block_from_dict,
     block_to_dict,
-    block_to_json_line,
     load_chain,
     tx_signing_bytes,
 )
-from proxichain.simulation import SimConfig
+from proxichain.simulation import SimConfig, run_epoch
 
 TINY_SIM = SimConfig(
     n_agents=15, ticks=20, p_inf=0.15, seed=5, tx_per_block_mean=15, n_blocks=4
@@ -123,6 +127,23 @@ class TestMiningBenchmark:
         assert [r.block_index for r in kept] == list(range(101, 101 + len(kept)))
         assert summary[(0, "DL_h")]["blocks"] == len(kept)
 
+    def test_truncated_rows_keep_their_flag_and_search_time(self, tmp_path):
+        spec = ExperimentSpec(
+            sim=SimConfig(n_agents=2, ticks=1, n_blocks=8, seed=1),
+            whash_values=(0,),
+            levels=("DL_h",),
+        )
+        rows, summary = run_mining_benchmark(spec, max_trials=20000)
+        cut = [r for r in rows if r.truncated]
+        assert cut and len(cut) < len(rows)
+        # Each cut search tried all 20000 nonces, which takes real time.
+        assert all(r.trials == 20000 and r.elapsed_s > 0 for r in cut)
+        write_bench_csv(rows, summary, str(tmp_path))
+        with open(tmp_path / "mining_metrics.csv") as fh:
+            written = list(csv.DictReader(fh))
+        assert [row["truncated"] for row in written] == [str(int(r.truncated)) for r in rows]
+        assert all(float(row["elapsed_s"]) > 0 for row in written)
+
     def test_csv_outputs(self, tmp_path):
         spec = ExperimentSpec(
             sim=SimConfig(n_agents=2, ticks=1, n_blocks=4, seed=2),
@@ -133,7 +154,7 @@ class TestMiningBenchmark:
         write_bench_csv(rows, summary, str(tmp_path))
         with open(tmp_path / "mining_metrics.csv") as fh:
             reader = list(csv.reader(fh))
-        assert reader[0] == ["index", "level", "n_wh", "trials", "elapsed_s"]
+        assert reader[0] == ["index", "level", "n_wh", "trials", "elapsed_s", "truncated"]
         assert len(reader) == 1 + len(rows)
         with open(tmp_path / "mining_summary.csv") as fh:
             header = fh.readline().strip().split(",")
@@ -214,7 +235,7 @@ class TestCtExperiment:
     def test_crash_leaves_partial_marker(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
 
-        def boom(world, chain):
+        def boom(world, chain, trace_sink):
             raise RuntimeError("kaput")
 
         monkeypatch.setattr(exp, "run_epoch", boom)
@@ -222,21 +243,82 @@ class TestCtExperiment:
             run_ct_experiment(_tiny_spec(str(tmp_path)))
         assert os.path.exists(tmp_path / ".partial")
 
+    def test_run_holds_the_window_not_the_run(self, tmp_path, monkeypatch):
+        import proxichain.experiments as exp
+
+        live_blocks = []
+
+        def counting_epoch(*args):
+            result = run_epoch(*args)
+            live_blocks.append(sum(isinstance(o, Block) for o in gc.get_objects()))
+            return result
+
+        monkeypatch.setattr(exp, "run_epoch", counting_epoch)
+        sim = SimConfig(
+            n_agents=200, ticks=400, p_inf=0.05, seed=1, tx_per_block_mean=5, n_blocks=400
+        )
+        tracemalloc.start()
+        try:
+            paths, stats = run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["blocks_total"] > 4 * WINDOW_MAX
+        assert live_blocks == [WINDOW_MAX]
+        # A run that kept its whole chain and every trace record until the
+        # end peaked at 7.8 MiB here, above the 4.5 MiB it wrote.
+        streamed = os.path.getsize(paths.chain_jsonl) + os.path.getsize(paths.contacts_jsonl)
+        assert peak < streamed
+
+    @staticmethod
+    def _assert_crashed_mid_run(out):
+        # Neither streamed artifact appears under its final name.
+        assert not os.path.exists(out / "chain.jsonl")
+        assert not os.path.exists(out / "contacts.jsonl")
+        assert os.path.exists(out / ".partial")
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
     def test_crash_during_chain_write_leaves_no_chain(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
 
-        def fail_halfway(chain, path):
-            with open(path, "w") as fh:
-                fh.write(block_to_json_line(chain.blocks[0]) + "\n")
-            raise OSError("disk full")
+        written = []
 
-        monkeypatch.setattr(exp, "save_chain", fail_halfway)
+        def failing_tail(write):
+            def fail_after_three(line):
+                if len(written) == 3:
+                    raise OSError("disk full")
+                written.append(line)
+                write(line)
+
+            return ChainTail(fail_after_three)
+
+        monkeypatch.setattr(exp, "ChainTail", failing_tail)
         with pytest.raises(OSError):
             run_ct_experiment(_tiny_spec(str(tmp_path)))
-        assert not os.path.exists(tmp_path / "chain.jsonl")
-        assert os.path.exists(tmp_path / ".partial")
-        assert os.path.exists(tmp_path / "contacts.jsonl")
-        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        # Genesis and two mined blocks went out before the failing write.
+        assert [json.loads(line)["index"] for line in written] == [0, 1, 2]
+        self._assert_crashed_mid_run(tmp_path)
+
+    def test_crash_during_contacts_write_leaves_neither_stream(self, tmp_path, monkeypatch):
+        import proxichain.experiments as exp
+
+        written = []
+
+        def failing_epoch(world, chain, trace_sink):
+            def fail_after_one(line):
+                if written:
+                    raise OSError("disk full")
+                written.append(line)
+                trace_sink(line)
+
+            return run_epoch(world, chain, fail_after_one)
+
+        monkeypatch.setattr(exp, "run_epoch", failing_epoch)
+        with pytest.raises(OSError):
+            run_ct_experiment(_tiny_spec(str(tmp_path)))
+        # The tiny run reports two traces; the second write fails.
+        assert len(written) == 1
+        self._assert_crashed_mid_run(tmp_path)
 
 
 class TestLocalizationEval:

@@ -15,8 +15,10 @@ from proxichain.consensus import (
 )
 from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
 from proxichain.ledger import (
+    WINDOW_MAX,
     Block,
     Chain,
+    ChainTail,
     InfectedUsersPool,
     TxKind,
     WindowDomainError,
@@ -391,6 +393,62 @@ class TestSerialization:
         save_chain(chain, str(path))
         restored = load_chain(str(path))
         assert all(verify_transactions(restored.tip.transactions))
+
+
+class TestChainTail:
+    """A tail holding only the window stands in for the whole chain."""
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        """Tail, whole chain, the tail's lines, and every block on which the
+        two disagreed about the window prefix, mining or validation."""
+        lines = []
+        tail, full = ChainTail(lines.append), Chain()
+        disagreed = []
+        for k in range(2 * WINDOW_MAX + 20):
+            window = whash_window_for(len(tail) - 1, (37 * k) % (WINDOW_MAX + 1))
+            candidate = next_block(tail, window, [_tx(bytes([k % 256]), ts=k)], MINER.node_id, k)
+            block = mine(tail, candidate, DL_EASY).block
+            tampered = dataclasses.replace(block, nonce=block.nonce + 1)
+            if (
+                next_block(full, window, candidate.transactions, MINER.node_id, k) != candidate
+                or whash_preimage_prefix(tail, block) != whash_preimage_prefix(full, block)
+                or mine(full, candidate, DL_EASY).block != block
+                or validate_block(tail, block, DL_EASY) != validate_block(full, block, DL_EASY)
+                or validate_block(tail, tampered, DL_EASY) != validate_block(full, tampered, DL_EASY)
+            ):
+                disagreed.append(k)
+            append_block(tail, block)
+            append_block(full, block)
+        return tail, full, lines, disagreed
+
+    def test_checks_agree_with_the_whole_chain(self, grown):
+        tail, full, _, disagreed = grown
+        assert disagreed == []
+        assert max(block.whash_window for block in full) == WINDOW_MAX
+        assert verify_chain(full) == []
+
+    def test_tip_and_height_are_the_whole_chain(self, grown):
+        tail, full, _, _ = grown
+        assert len(tail) == len(full) == 2 * WINDOW_MAX + 21
+        assert tail[-1] is full.tip
+        assert tail[len(tail) - 1] is full.tip
+        oldest = len(full) - WINDOW_MAX
+        assert tail[oldest] is full[oldest] and tail[-WINDOW_MAX] is full[oldest]
+
+    def test_evicted_block_raises(self, grown):
+        tail, full, _, _ = grown
+        for index in (0, 1, len(full) - WINDOW_MAX - 1, -WINDOW_MAX - 1, len(full), -len(full) - 1):
+            with pytest.raises(IndexError):
+                tail[index]
+        # Iteration reaches block 0 first and fails there instead of ending.
+        with pytest.raises(IndexError):
+            list(tail)
+
+    def test_lines_are_the_saved_chain(self, grown, tmp_path):
+        _, full, lines, _ = grown
+        save_chain(full, str(tmp_path / "chain.jsonl"))
+        assert "".join(lines) == (tmp_path / "chain.jsonl").read_text()
 
 
 class TestContactPairs:

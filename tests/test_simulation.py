@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -36,9 +37,10 @@ from proxichain.simulation import (
 SMALL = dict(tx_per_block_mean=20, n_blocks=6)
 
 
-def _run(config: SimConfig):
+def _run(config: SimConfig, trace_lines=None):
+    """``run_epoch`` on a fresh world; trace lines go to ``trace_lines``."""
     world = build_world(config)
-    return run_epoch(world, Chain())
+    return run_epoch(world, Chain(), ([] if trace_lines is None else trace_lines).append)
 
 
 class TestVenue:
@@ -271,7 +273,7 @@ def _pair_list_kernel(world, t, pairs):
     return int(np.count_nonzero(observed))
 
 
-def _reference_run(config, monkeypatch, pairs):
+def _reference_run(config, monkeypatch, pairs, trace_lines):
     """``run_epoch`` with the pair-list kernel and an n×n contact log."""
     n = config.n_agents
     world = build_world(config)
@@ -283,7 +285,7 @@ def _reference_run(config, monkeypatch, pairs):
             lambda w, t: _pair_list_kernel(w, t, pairs),
         )
         patch.setattr(simulation, "_log_cells", lambda n, i: (np.full(n, i), np.arange(n)))
-        world, _, metrics = run_epoch(world, Chain())
+        world, _, metrics = run_epoch(world, Chain(), trace_lines.append)
     return world, metrics
 
 
@@ -302,12 +304,12 @@ def _dense_log(world):
     return tick, dist
 
 
-def _assert_same_contacts(world, metrics, ref_world, ref_metrics):
+def _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines):
     tick, dist = _dense_log(world)
     assert np.array_equal(tick, ref_world.last_contact_tick)
     assert np.array_equal(dist, ref_world.last_contact_dist)
     assert metrics.observed_pairs == ref_metrics.observed_pairs
-    assert metrics.contact_records == ref_metrics.contact_records
+    assert lines == ref_lines
     assert metrics.rows == ref_metrics.rows
 
 
@@ -342,9 +344,10 @@ class TestCreditKernel:
         # Listed in the kernel's order, the pair list draws the same noise
         # and adds every agent's scores in the same order: equal bit for bit.
         config = _kernel_config(n, noise)
-        world, _, metrics = _run(config)
-        ref_world, ref_metrics = _reference_run(config, monkeypatch, _offset_pairs)
-        _assert_same_contacts(world, metrics, ref_world, ref_metrics)
+        lines, ref_lines = [], []
+        world, _, metrics = _run(config, lines)
+        ref_world, ref_metrics = _reference_run(config, monkeypatch, _offset_pairs, ref_lines)
+        _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines)
         assert np.array_equal(metrics.prox_final, ref_metrics.prox_final)
         if n >= 33:
             assert (world.last_contact_tick >= 0).any()
@@ -354,9 +357,10 @@ class TestCreditKernel:
         # Summed in row-major pair order, each agent's credit differs only by
         # rounding: 3.3e-15 of the largest |prox| was the most seen.
         config = _kernel_config(n)
-        world, _, metrics = _run(config)
-        ref_world, ref_metrics = _reference_run(config, monkeypatch, _triangle_pairs)
-        _assert_same_contacts(world, metrics, ref_world, ref_metrics)
+        lines, ref_lines = [], []
+        world, _, metrics = _run(config, lines)
+        ref_world, ref_metrics = _reference_run(config, monkeypatch, _triangle_pairs, ref_lines)
+        _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines)
         scale = np.abs(ref_metrics.prox_final).max()
         assert np.abs(metrics.prox_final - ref_metrics.prox_final).max() <= 1e-12 * scale
 
@@ -441,7 +445,8 @@ class TestEpoch:
         config = SimConfig(
             n_agents=30, ticks=60, p_inf=0.3, seed=3, tx_per_block_mean=25, n_blocks=4
         )
-        world, chain, metrics = _run(config)
+        lines = []
+        world, chain, _ = _run(config, lines)
 
         tt = [tx for b in chain for tx in b.transactions if tx.kind is TxKind.TT]
         assert tt, "outbreak at p_inf=0.3 should produce trace reports"
@@ -456,8 +461,9 @@ class TestEpoch:
                 assert peer in node_index
                 assert 0 <= tick <= tx.timestamp
 
-        for record in metrics.contact_records:
-            for entry in record["contacts"]:
+        assert len(lines) == len(tt)
+        for line in lines:
+            for entry in json.loads(line)["contacts"]:
                 assert entry["distance"] < config.policy.immediate_threshold
 
     def test_alarms_notify_contacts(self):
