@@ -8,12 +8,16 @@ and check it. Signing uses deterministic nonces (RFC 6979) so that repeated
 runs of a seeded simulation produce bit-identical transactions.
 
 Every signature check runs through one function, ``_verify_chunk``;
-:func:`verify` is a batch of one. OpenSSL releases the interpreter lock
-while it verifies, so :func:`verify_many` splits a batch across every CPU the
-process may run on, as far as each chunk gets ``_MIN_VERIFY_CHUNK``
-signatures, and checks the chunks on a thread pool that lasts only for that
-call. Smaller batches, signing (:func:`sign`, one message per call) and key
-generation stay on the calling thread.
+:func:`verify` is a batch of one. :func:`verify_many` sorts a batch by
+public key, so each chunk parses a key once. OpenSSL releases the
+interpreter lock while it verifies, so the sorted batch is split across
+every CPU the process may run on, as far as each chunk gets
+``_MIN_VERIFY_CHUNK`` signatures, and the chunks are checked on a thread
+pool that lasts only for that call. Meanwhile the calling thread runs
+whatever work the caller hands over (``meanwhile``), such as the cheaper
+block clauses of :func:`proxichain.consensus.verify_chain`. Smaller
+batches, signing (:func:`sign`, one message per call) and key generation
+stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -154,51 +158,68 @@ def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
     """Whether each ``(public_key, message, signature)`` triple verifies;
     False for an unparseable key or a bad signature. Never raises.
 
-    The triples are checked grouped by key, so each distinct key is parsed
-    once and only one parsed key is held at a time (a dict of them costs
-    ~1.9 KB per sender).
+    A key is parsed again only where it differs from the previous triple's,
+    so a chunk sorted by key parses each distinct key once and holds only
+    one parsed key at a time (a dict of them costs ~1.9 KB per sender).
     """
-    verdicts = [False] * len(jobs)
+    verdicts = []
     key_bytes = key = None
-    for k in sorted(range(len(jobs)), key=lambda k: jobs[k][0]):
-        public_key, message, signature = jobs[k]
+    for public_key, message, signature in jobs:
         if public_key != key_bytes:
             key_bytes, key = public_key, _public_key(public_key)
-        if key is None:
-            continue
-        try:
-            key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
-            verdicts[k] = True
-        except (InvalidSignature, ValueError):
-            pass
+        ok = key is not None
+        if ok:
+            try:
+                key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+            except (InvalidSignature, ValueError):
+                ok = False
+        verdicts.append(ok)
     return verdicts
 
 
-def verify_many(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
+def verify_many(
+    jobs: Sequence[tuple[bytes, bytes, bytes]],
+    meanwhile: Callable[[], object] = lambda: None,
+) -> list[bool]:
     """:func:`verify` over ``(public_key, message, signature)`` triples.
 
-    A batch is split into contiguous chunks across the CPUs only as far as
-    every chunk gets ``_MIN_VERIFY_CHUNK`` triples; each chunk parses a key
-    once however many of its triples carry it. A split batch runs on a
-    thread pool made for this call and shut down before it returns, so no
-    helper thread outlives the call. Verdicts keep the input order. If
-    chunks raise, the exception of the earliest one propagates, and only
-    after every chunk has finished. Helpers must call nothing that a caller
-    may rebind at run time (the benchmark's tracer wraps
-    ``proxichain.ledger.verify`` and friends and keeps one span stack per
-    process), so they call only this module's private functions.
+    The triples are sorted by key and the sorted batch is cut into
+    contiguous chunks across the CPUs, only as far as every chunk gets
+    ``_MIN_VERIFY_CHUNK`` triples; a key is parsed once per chunk that
+    holds it. Verdicts keep the input order.
+
+    ``meanwhile`` is called once on the calling thread: while the chunks
+    run when the batch is split, before the one chunk otherwise. A split
+    batch runs on a thread pool made for this call and shut down before it
+    returns, so no helper thread outlives the call. If ``meanwhile`` or a
+    chunk raises, the exception (``meanwhile``'s, else the earliest
+    chunk's) propagates only after every chunk has finished. Helpers must
+    call nothing that a caller may rebind at run time (the benchmark's
+    tracer wraps ``proxichain.ledger.verify`` and friends and keeps one
+    span stack per process), so they call only this module's private
+    functions.
     """
+    order = sorted(range(len(jobs)), key=lambda k: jobs[k][0])
+    ordered = [jobs[k] for k in order]
     chunks = min(_CORES, len(jobs) // _MIN_VERIFY_CHUNK)
     if chunks <= 1:
-        return _verify_chunk(jobs)
-    # Imported here: a process that never splits a batch (the outbreak
-    # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
-    from concurrent.futures import ThreadPoolExecutor
+        meanwhile()
+        checked = _verify_chunk(ordered)
+    else:
+        # Imported here: a process that never splits a batch (the outbreak
+        # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
+        from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
-    parts = [jobs[bounds[k] : bounds[k + 1]] for k in range(chunks)]
-    with ThreadPoolExecutor(chunks, thread_name_prefix="proxichain-ecdsa") as pool:
-        return [verdict for part in pool.map(_verify_chunk, parts) for verdict in part]
+        bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
+        with ThreadPoolExecutor(chunks, thread_name_prefix="proxichain-ecdsa") as pool:
+            parts = [pool.submit(_verify_chunk, ordered[bounds[k] : bounds[k + 1]])
+                     for k in range(chunks)]
+            meanwhile()
+            checked = [verdict for part in parts for verdict in part.result()]
+    verdicts = [False] * len(jobs)
+    for k, verdict in zip(order, checked):
+        verdicts[k] = verdict
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,13 @@ def make_transactions(
     ]
 
 
-def verify_transactions(txs: Sequence[Transaction]) -> list[bool]:
+def verify_transactions(
+    txs: Sequence[Transaction], meanwhile: Callable[[], object] = lambda: None
+) -> list[bool]:
     """Per transaction: the sender id matches the embedded key, and the
-    signature is valid under that key. Signatures are checked on every CPU."""
+    signature is valid under that key. Signatures are checked on every CPU
+    while the calling thread runs ``meanwhile`` (see
+    :func:`proxichain.identity.verify_many`)."""
     id_ok = [node_id_for(tx.sender_pubkey) == tx.sender for tx in txs]
     verdicts = iter(
         verify_many(
@@ -151,7 +155,8 @@ def verify_transactions(txs: Sequence[Transaction]) -> list[bool]:
                 )
                 for tx, ok in zip(txs, id_ok)
                 if ok
-            ]
+            ],
+            meanwhile,
         )
     )
     return [ok and next(verdicts) for ok in id_ok]

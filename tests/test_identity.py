@@ -147,6 +147,9 @@ class TestVerifyMany:
         assert alive == []
 
     def test_parses_each_key_once(self, monkeypatch):
+        """The batch is sorted by key before it is cut, so a key is parsed
+        again only where it straddles a chunk boundary. In input order the
+        alternating signers would be parsed in every chunk."""
         parsed = []
 
         def counted(public_key):
@@ -154,11 +157,67 @@ class TestVerifyMany:
             return real(public_key)
 
         real = identity._public_key
-        monkeypatch.setattr(identity, "_CORES", 1)
         monkeypatch.setattr(identity, "_public_key", counted)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
         jobs = self._jobs()
-        verify_many(jobs)
-        assert sorted(parsed) == sorted({job[0] for job in jobs})
+        keys = {job[0] for job in jobs}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            parsed.clear()
+            assert verify_many(jobs) == [k not in (3, 5, 8) for k in range(10)]
+            assert set(parsed) == keys
+            assert len(parsed) <= len(keys) + cores - 1
+
+    def test_meanwhile_runs_once_on_the_calling_thread(self, monkeypatch):
+        """A split batch's helper threads exist while the caller's work
+        runs (the pool may reuse a thread whose chunk is done); an unsplit
+        batch starts no thread."""
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
+        jobs = self._jobs()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            seen = []
+
+            def meanwhile():
+                seen.append((
+                    threading.current_thread() is threading.main_thread(),
+                    any(t.name.startswith("proxichain-ecdsa") for t in threading.enumerate()),
+                ))
+
+            assert verify_many(jobs, meanwhile) == [k not in (3, 5, 8) for k in range(10)]
+            assert seen == [(True, cores > 1)]
+
+    def test_meanwhile_error_waits_for_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
+        finished = []
+        chunk = identity._verify_chunk
+        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs: finished.append(chunk(jobs)))
+
+        def meanwhile():
+            raise RuntimeError("caller's work failed")
+
+        with pytest.raises(RuntimeError, match="caller's work failed"):
+            verify_many(self._jobs(), meanwhile)
+        assert len(finished) == 2
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
+        assert alive == []
+
+    def test_earliest_chunk_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 3)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
+
+        def chunk(jobs):
+            raise LookupError(jobs[0][1])
+
+        monkeypatch.setattr(identity, "_verify_chunk", chunk)
+        jobs = self._jobs()
+        ran = []
+        with pytest.raises(LookupError) as err:
+            verify_many(jobs, lambda: ran.append(True))
+        # Chunk 0 starts with the first triple of the smallest key.
+        assert err.value.args == (min(jobs, key=lambda job: job[0])[1],)
+        assert ran == [True]
 
     @pytest.mark.parametrize("count, chunks", [(49, [49]), (50, [25, 25]), (120, [40, 40, 40])])
     def test_splits_only_into_full_chunks(self, count, chunks, monkeypatch):
@@ -166,7 +225,8 @@ class TestVerifyMany:
         monkeypatch.setattr(identity, "_CORES", 3)
         monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 25)
         monkeypatch.setattr(identity, "_verify_chunk", lambda jobs: sizes.append(len(jobs)) or [])
-        verify_many([()] * count)
+        jobs = (self._jobs() * 12)[:count]
+        verify_many(jobs)
         assert sorted(sizes) == chunks
 
 

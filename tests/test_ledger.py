@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -324,11 +325,12 @@ class TestBatchSignatures:
             make_transactions(items, 1)
 
     def test_chain_batch_keeps_each_block_aligned(self, cores, monkeypatch):
-        """verify_chain checks every signature in one batch; each block must
-        still get its own verdicts. Forged transactions sit first, last and
-        after a sender-id mismatch (which the batch skips), around an empty
-        block, and inside a block whose stored index is wrong (never reported
-        as a signature failure)."""
+        """verify_chain checks the signatures of a segment in one batch (this
+        chain is one segment); each block must still get its own verdicts.
+        Forged transactions sit first, last and after a sender-id mismatch
+        (which the batch skips), around an empty block, and inside a block
+        whose stored index is wrong (never reported as a signature failure,
+        and left out of the batch)."""
         def forge(txs, k):
             txs[k] = dataclasses.replace(txs[k], payload=b"forged")
 
@@ -346,9 +348,9 @@ class TestBatchSignatures:
 
         calls = []
 
-        def counted(txs):
+        def counted(txs, meanwhile):
             calls.append(len(txs))
-            return verify_transactions(txs)
+            return verify_transactions(txs, meanwhile)
 
         def sent(ident):
             return f"transaction from {ident.node_id.hex()[:12]}"
@@ -361,11 +363,137 @@ class TestBatchSignatures:
             (5, "index", "stored index 50"),
             (7, "signature", sent(SENDERS[2])),
         ]
-        assert calls == [sum(map(len, bodies))]
+        assert calls == [sum(map(len, bodies)) - len(bodies[4])]
 
     def test_empty_batch(self):
         assert make_transactions([], 0) == []
         assert verify_transactions([]) == []
+
+
+class _TipLinkedTo(list):
+    """A chain prefix whose tip, as the stale clause reads it (``[-1]``),
+    carries ``tip_hash``; the window reads the real blocks by index."""
+
+    def __init__(self, blocks, tip_hash):
+        super().__init__(blocks)
+        self.tip_hash = tip_hash
+
+    def __getitem__(self, k):
+        block = super().__getitem__(k)
+        return dataclasses.replace(block, block_hash=self.tip_hash) if k == -1 else block
+
+
+def _sequential_violations(blocks):
+    """verify_chain's contract written block by block: index and linkage
+    checks, then validate_block on the blocks before it (a broken link is
+    reported and the block is checked as if it were linked)."""
+    found = []
+    for i in range(1, len(blocks)):
+        block = blocks[i]
+        if block.index != i:
+            found.append((i, "index", f"stored index {block.index}"))
+            continue
+        before = list(blocks[:i])
+        if block.prev_hash != blocks[i - 1].block_hash:
+            found.append((i, "linkage", "prev_hash mismatch"))
+            before = _TipLinkedTo(before, block.prev_hash)
+        result = validate_block(before, block, DL_EASY)
+        if not result.accepted:
+            found.append((i, result.reason, result.detail))
+    return found
+
+
+class TestChainSegments:
+    """verify_chain checks the chain in segments of at most _SEGMENT_TX
+    transactions (patched to 20 here), one signature batch per segment,
+    while the calling thread checks every other clause."""
+
+    SEGMENT = 20
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        """Eleven blocks with windows of up to 3 reaching across segment
+        boundaries. Block 3 is re-mined on a zeroed prev_hash (so block 4
+        links to it and only 3 breaks linkage); block 7's stored index is
+        wrong; block 2 is empty; forged transactions sit in blocks 1, 3, 5,
+        6, 8 and 11."""
+        items = [(ident, TxKind.ST, bytes([k]) * (k + 1)) for k, ident in enumerate(SENDERS)]
+        bodies = [make_transactions(items[:n], ts)
+                  for ts, n in enumerate([9, 0, 9, 2, 9, 9, 3, 7, 9, 4, 9])]
+        for k, pos in ((0, 8), (2, 0), (4, 4), (5, 0), (7, 6), (10, 2)):
+            bodies[k][pos] = dataclasses.replace(bodies[k][pos], payload=b"forged")
+        chain = Chain()
+        for k, txs in enumerate(bodies):
+            window = whash_window_for(len(chain.blocks), 3)
+            candidate = next_block(chain, window, txs, MINER.node_id, k + 1)
+            if k == 2:
+                candidate = dataclasses.replace(candidate, prev_hash=bytes(32))
+            chain.blocks.append(mine(chain, candidate, DL_EASY).block)
+        chain.blocks[7] = dataclasses.replace(chain.blocks[7], index=70)
+        return chain
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The size of every signature batch verify_chain starts."""
+        calls = []
+
+        def counted(txs, meanwhile):
+            calls.append(len(txs))
+            return verify_transactions(txs, meanwhile)
+
+        monkeypatch.setattr(consensus, "_SEGMENT_TX", self.SEGMENT)
+        monkeypatch.setattr(consensus, "verify_transactions", counted)
+        return calls
+
+    def test_equals_the_sequential_reference(self, cores, chain, batches):
+        reference = _sequential_violations(chain.blocks)
+        batches.clear()
+        got = [(v.index, v.reason, v.detail) for v in verify_chain(chain)]
+        assert got == reference
+
+        def sent(k):
+            return f"transaction from {SENDERS[k].node_id.hex()[:12]}"
+
+        assert got == [
+            (1, "signature", sent(8)),
+            (3, "linkage", "prev_hash mismatch"),
+            (3, "signature", sent(0)),
+            (5, "signature", sent(4)),
+            (6, "signature", sent(0)),
+            (7, "index", "stored index 70"),
+            (8, "digest", "recomputed digest differs from block_hash"),
+            (9, "digest", "recomputed digest differs from block_hash"),
+            (11, "signature", sent(2)),
+        ]
+        # Blocks 1-4 (20 tx, the limit), 5-6 (18), 8-10 (20), 11 (9): block
+        # 7 is left out, and forged transactions lie on both sides of every
+        # boundary (block 8's is masked by its digest violation).
+        assert batches == [20, 18, 20, 9]
+
+    def test_no_helper_thread_outlives_the_call(self, cores, chain, batches):
+        verify_chain(chain)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
+        assert alive == []
+
+    def test_error_in_the_structural_pass(self, cores, chain, batches, monkeypatch):
+        """A clause that raises mid-pass propagates once the segment's
+        chunks are done, and leaves no thread behind."""
+        calls = []
+        prefix = consensus.whash_preimage_prefix
+
+        def fails_on_the_fifth(blocks, block):
+            calls.append(block.index)
+            if len(calls) == 5:
+                raise RuntimeError("window read failed")
+            return prefix(blocks, block)
+
+        monkeypatch.setattr(consensus, "whash_preimage_prefix", fails_on_the_fifth)
+        with pytest.raises(RuntimeError, match="window read failed"):
+            verify_chain(chain)
+        assert calls == [1, 2, 3, 4, 5]
+        assert batches == [20, 18]
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
+        assert alive == []
 
 
 class TestSerialization:
