@@ -7,8 +7,10 @@ elevation phi reaches element ``m`` with phase
 ``exp(-2j pi (d / lambda) m cos(theta) cos(phi))``. Snapshots stack M
 complex samples per element; the MUSIC spectrum scans the 181 integer
 azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
-each take a batch of receivers in one call (``synthesize_snapshots``,
-``music_spectra``); the one-snapshot functions are batches of one.
+each take a batch in one call: ``synthesize_snapshots`` records B arrays
+through C channels, each channel drawing from its own generator, and
+``music_spectra`` scans any stack of array outputs. The one-snapshot
+functions are batches of one.
 
 Positions come from intersecting bearing lines of several fixed receivers in
 a least-squares sense; a learned image classifier could replace that last
@@ -104,32 +106,38 @@ def _gaussian_pulse(config: BlePulseConfig) -> np.ndarray:
     return pulse
 
 
+_SYMBOLS = np.array([-1.0, 1.0])
+_SYMBOLS.setflags(write=False)
+
+
 def _draw_symbols(
     config: BlePulseConfig, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Random +/-1 symbols for one burst. Indexing an integer draw gives the
+    values of ``rng.choice([-1.0, 1.0], size)`` and leaves ``rng`` in the same
+    state, without ``choice``'s per-call overhead."""
     n_symbols = n_samples // config.samples_per_symbol + 4
-    return rng.choice(np.array([-1.0, 1.0]), size=n_symbols)
+    return _SYMBOLS[rng.integers(0, 2, size=n_symbols)]
 
 
 def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np.ndarray:
-    """GFSK baseband for each row of +/-1 symbols: (B, n_symbols) -> (B, n_samples).
+    """GFSK baseband for each row of +/-1 symbols: (R, n_symbols) -> (R, n_samples).
 
     The symbols are pulse-shaped by a Gaussian filter whose normalized
     cumulative response advances the phase by pi times the modulation index
-    per symbol.
+    per symbol. Only the first ``n_samples`` of each row are kept, so the
+    phase is accumulated and exponentiated only that far.
     """
     sps = config.samples_per_symbol
     pulse = _gaussian_pulse(config)
-    freq = np.stack(
-        [np.convolve(np.repeat(row, sps), pulse, mode="same") for row in symbols]
-    )
+    held = np.repeat(symbols, sps, axis=1)
+    freq = np.stack([np.convolve(row, pulse, mode="same")[:n_samples] for row in held])
     phase = (
         config.initial_phase
         + np.pi * config.modulation_index * np.cumsum(freq, axis=1) / sps
     )
     amplitude = math.sqrt(2.0 * config.symbol_energy / config.symbol_period)
-    baseband = amplitude * np.exp(1j * phase)
-    return baseband[:, :n_samples]
+    return amplitude * np.exp(1j * phase)
 
 
 def steering_vector(
@@ -157,43 +165,57 @@ class ArraySnapshot:
 
 def synthesize_snapshots(
     config: BlePulseConfig,
-    channel: ChannelRealization,
+    channels: Sequence[ChannelRealization],
     azimuths_deg: Sequence[float],
     elevations_deg: Sequence[float],
     n_elements: int,
     n_samples: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Simulate what B arrays record for one advertising burst each.
+    """Simulate what B arrays record for one advertising burst each, through
+    each of C channels.
 
-    Returns complex samples of shape ``(B, n_elements, n_samples)``, one
-    array per (azimuth, elevation) pair, all through the same channel. The
+    Returns complex samples of shape ``(C, B, n_elements, n_samples)``: one
+    array per (azimuth, elevation) pair, all of them once per channel. The
     multipath sum collapses to one complex gain because path delays are
     tiny against the symbol period (narrowband assumption); each array's
-    noise level is set from the channel's SNR against its actual signal
+    noise level is set from its channel's SNR against its actual signal
     power, so the empirical SNR of every output matches the request.
 
-    Draws are taken from ``rng`` array by array (the symbols, then the real
-    and imaginary noise), so a batch consumes the stream exactly as B
-    one-array calls would and returns the same samples.
+    Channel ``c`` draws from ``rngs[c]`` array by array (the symbols, then
+    the real and imaginary noise), so ``out[c]`` consumes that stream
+    exactly as B one-array calls would and returns the same samples. The
+    geometry is shared, so the steering vectors are computed once, and the
+    bursts of all channels are modulated together.
     """
+    if len(channels) != len(rngs) or len(channels) < 1:
+        raise ValueError("need one generator per channel, and at least one channel")
     if len(azimuths_deg) != len(elevations_deg) or len(azimuths_deg) < 1:
         raise ValueError("need one elevation per azimuth, and at least one of each")
     if not all(0.0 <= az <= 180.0 for az in azimuths_deg):
         raise ValueError("azimuth must sit in [0, 180] degrees")
+    if not all(-90.0 <= el <= 90.0 for el in elevations_deg):
+        raise ValueError("elevation must be finite and sit in [-90, 90] degrees")
     if n_elements < 2:
         raise ValueError("need at least two array elements")
     if n_samples < n_elements:
         raise ValueError("need at least as many samples as elements")
 
+    n_channels, n_arrays = len(channels), len(azimuths_deg)
     symbols, unit_noise = [], []
-    for _ in azimuths_deg:
-        symbols.append(_draw_symbols(config, n_samples, rng))
-        unit_noise.append(rng.normal(size=(2, n_elements, n_samples)))
+    for rng in rngs:
+        for _ in range(n_arrays):
+            symbols.append(_draw_symbols(config, n_samples, rng))
+            unit_noise.append(rng.normal(size=(2, n_elements, n_samples)))
     source = _modulate(config, np.stack(symbols), n_samples)
-    gain = sum(
-        rho * np.exp(-2j * np.pi * config.carrier_hz * tau)
-        for rho, tau in zip(channel.attenuations, channel.delays)
+    gains = np.array(
+        [
+            sum(
+                rho * np.exp(-2j * np.pi * config.carrier_hz * tau)
+                for rho, tau in zip(channel.attenuations, channel.delays)
+            )
+            for channel in channels
+        ]
     )
     steering = np.stack(
         [
@@ -201,16 +223,22 @@ def synthesize_snapshots(
             for az, el in zip(azimuths_deg, elevations_deg)
         ]
     )
-    clean = steering[:, :, None] * (gain * source)[:, None, :]
+    faded = gains[:, None, None] * source.reshape(n_channels, n_arrays, n_samples)
+    out = steering[None, :, :, None] * faded[:, :, None, :]
 
-    if channel.snr_db is None:
-        sigma = np.zeros(len(clean))
-    else:
-        signal_power = np.mean(np.abs(clean) ** 2, axis=(1, 2))
-        sigma = np.sqrt(signal_power * 10.0 ** (-channel.snr_db / 10.0))
-    z = np.stack(unit_noise)
-    noise = (z[:, 0] + 1j * z[:, 1]) * (sigma / math.sqrt(2.0))[:, None, None]
-    return clean + noise
+    # Noise power per channel relative to each array's signal power; zero
+    # for a noiseless channel.
+    relative = np.array(
+        [0.0 if ch.snr_db is None else 10.0 ** (-ch.snr_db / 10.0) for ch in channels]
+    )
+    signal_power = np.mean(np.abs(out) ** 2, axis=(2, 3))
+    scale = np.sqrt(signal_power * relative[:, None]) / math.sqrt(2.0)
+    noise = np.stack(unit_noise).reshape(n_channels, n_arrays, 2, n_elements, n_samples)
+    noise *= scale[:, :, None, None, None]
+    # Same bytes as out + (z0 + 1j z1) * scale, without complex temporaries.
+    out.real += noise[:, :, 0]
+    out.imag += noise[:, :, 1]
+    return out
 
 
 def synthesize_snapshot(
@@ -224,12 +252,12 @@ def synthesize_snapshot(
 ) -> ArraySnapshot:
     """One array's recording of one advertising burst (see ``synthesize_snapshots``)."""
     samples = synthesize_snapshots(
-        config, channel, [azimuth_deg], [elevation_deg], n_elements, n_samples, rng
+        config, [channel], [azimuth_deg], [elevation_deg], n_elements, n_samples, [rng]
     )
     return ArraySnapshot(
         elements=n_elements,
         spacing=config.wavelength * SPACING_OVER_LAMBDA,
-        samples=samples[0],
+        samples=samples[0, 0],
         true_azimuth=azimuth_deg,
         true_elevation=elevation_deg,
         wavelength=config.wavelength,

@@ -336,16 +336,22 @@ def run_localization_eval(
 ) -> list[LocEvalRow]:
     """Monte Carlo over synth -> spectrum -> bearing -> triangulation.
 
-    Each trial drops an agent uniformly into the venue, synthesizes one
-    256-sample snapshot per selected receiver (a four-element array at each
-    of the four nearest of the 16 anchors),
+    Each trial drops an agent uniformly into the venue and, for every SNR
+    point, synthesizes one 256-sample snapshot per selected receiver (a
+    four-element array at each of the four nearest of the 16 anchors),
     estimates bearings from the spectrum peaks and intersects them. ``None``
     in ``snr_list`` means noiseless. The linear arrays cannot tell a source
     from its mirror across their axis, so the eval resolves that half-plane
     choice from the known geometry before intersecting.
+
+    All SNR points of a trial share its geometry, so a trial's snapshots are
+    synthesized in one call (each SNR point with its own noise generator)
+    and scanned in one MUSIC call; triangulation stays per fix.
     """
     if trials < 30:
         raise ValueError("need at least 30 trials per SNR point")
+    if not snr_list:
+        raise ValueError("need at least one SNR point")
     # Building the channels first rejects a non-finite SNR before any work.
     channels = [aoa.awgn_channel(snr) for snr in snr_list]
 
@@ -368,17 +374,19 @@ def run_localization_eval(
             float(np.degrees(np.arctan2(abs(delta[1]), delta[0]))) for delta in deltas
         ]
 
-        for k, channel in enumerate(channels):
-            noise_rng = np.random.default_rng(
-                np.random.SeedSequence((seed, trial, k + 1))
-            )
-            # One batch per fix: the four receivers' snapshots and spectra.
-            samples = aoa.synthesize_snapshots(
-                config, channel, azimuths, elevations, 4, 256, noise_rng
-            )
-            peaks = np.argmax(aoa.music_spectra(samples, n_sources=1), axis=1).tolist()
+        # One batch per trial: every SNR row's snapshots, then their spectra.
+        noise_rngs = [
+            np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
+            for k in range(len(channels))
+        ]
+        samples = aoa.synthesize_snapshots(
+            config, channels, azimuths, elevations, 4, 256, noise_rngs
+        )
+        spectra = aoa.music_spectra(samples.reshape(-1, 4, 256), n_sources=1)
+        peaks = np.argmax(spectra, axis=1).reshape(len(channels), 4).tolist()
+        for k, row_peaks in enumerate(peaks):
             bearings = []
-            for est, azimuth, delta in zip(peaks, azimuths, deltas):
+            for est, azimuth, delta in zip(row_peaks, azimuths, deltas):
                 az_errors[k].append(abs(est - azimuth))
                 # Undo the mirror ambiguity using the known side of the axis.
                 bearings.append(float(est) if delta[1] >= 0 else -float(est))

@@ -12,6 +12,8 @@ from proxichain.aoa import (
     ChannelRealization,
     DegenerateGeometryError,
     NumericalRankError,
+    _draw_symbols,
+    _modulate,
     awgn_channel,
     build_angle_image,
     estimate_position,
@@ -40,7 +42,9 @@ def _baseband(n_samples, seed):
     """The GFSK source of one burst: element 0 of a noiseless array, whose
     steering phase and channel gain are both exactly 1."""
     rng = np.random.default_rng(seed)
-    return synthesize_snapshots(CONFIG, awgn_channel(None), [90.0], [0.0], 2, n_samples, rng)[0, 0]
+    return synthesize_snapshots(
+        CONFIG, [awgn_channel(None)], [90.0], [0.0], 2, n_samples, [rng]
+    )[0, 0, 0]
 
 
 class TestWaveformConfig:
@@ -250,39 +254,86 @@ class TestMusic:
 
 
 class TestBatch:
-    """The batch functions compute what B one-snapshot calls compute."""
+    """The batch functions compute what one-snapshot or smaller-batch calls
+    compute, bit for bit."""
 
     AZIMUTHS = [12.5, 60.0, 91.3, 170.0]
     ELEVATIONS = [0.0, 1.5, 3.0, 4.9]
+    CHANNELS = [
+        awgn_channel(None),
+        awgn_channel(20.0),
+        ChannelRealization(
+            attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9), snr_db=10.0
+        ),
+    ]
 
-    @pytest.mark.parametrize(
-        "channel",
-        [
-            awgn_channel(None),
-            awgn_channel(20.0),
-            ChannelRealization(
-                attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9), snr_db=10.0
-            ),
-        ],
-        ids=["noiseless", "20dB", "two-path"],
-    )
-    def test_synthesis_matches_sequential_calls_bit_for_bit(self, channel):
-        batch = synthesize_snapshots(
-            CONFIG, channel, self.AZIMUTHS, self.ELEVATIONS, 4, 256, np.random.default_rng(9)
+    def _batch(self, channels, seeds, n_samples=256):
+        return synthesize_snapshots(
+            CONFIG, channels, self.AZIMUTHS, self.ELEVATIONS, 4, n_samples,
+            [np.random.default_rng(s) for s in seeds],
         )
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=["noiseless", "20dB", "two-path"])
+    def test_synthesis_matches_sequential_calls_bit_for_bit(self, channel):
+        batch = self._batch([channel], [9])
         rng = np.random.default_rng(9)
         singles = [
             synthesize_snapshot(CONFIG, channel, az, el, 4, 256, rng).samples
             for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
         ]
-        assert batch.shape == (4, 4, 256)
-        assert batch.tobytes() == np.stack(singles).tobytes()
+        assert batch.shape == (1, 4, 4, 256)
+        assert batch[0].tobytes() == np.stack(singles).tobytes()
+
+    def test_channels_match_one_channel_calls_bit_for_bit(self):
+        rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
+        batch = synthesize_snapshots(
+            CONFIG, self.CHANNELS, self.AZIMUTHS, self.ELEVATIONS, 4, 256, rngs
+        )
+        assert batch.shape == (3, 4, 4, 256)
+        for c, (channel, seed) in enumerate(zip(self.CHANNELS, (4, 5, 6))):
+            rng = np.random.default_rng(seed)
+            single = synthesize_snapshots(
+                CONFIG, [channel], self.AZIMUTHS, self.ELEVATIONS, 4, 256, [rng]
+            )
+            assert batch[c].tobytes() == single[0].tobytes()
+            assert rngs[c].bit_generator.state == rng.bit_generator.state
+
+    def test_noise_mixing_matches_the_complex_formula(self):
+        """Scaling the real noise and adding it to the real and imaginary
+        parts gives the bytes of clean + (z0 + 1j z1) * sigma / sqrt(2)."""
+        channel = self.CHANNELS[2]
+        batch = self._batch([channel], [8])[0]
+        rng = np.random.default_rng(8)
+        gain = sum(
+            rho * np.exp(-2j * np.pi * CONFIG.carrier_hz * tau)
+            for rho, tau in zip(channel.attenuations, channel.delays)
+        )
+        for samples, az, el in zip(batch, self.AZIMUTHS, self.ELEVATIONS):
+            source = _modulate(CONFIG, _draw_symbols(CONFIG, 256, rng)[None], 256)
+            z = rng.normal(size=(2, 4, 256))
+            clean = steering_vector(az, el, 4)[:, None] * (gain * source)
+            sigma = np.sqrt(np.mean(np.abs(clean) ** 2) * 10.0 ** (-channel.snr_db / 10.0))
+            expected = clean + (z[0] + 1j * z[1]) * (sigma / math.sqrt(2.0))
+            assert samples.tobytes() == expected.tobytes()
+
+    def test_twelve_array_spectra_match_three_four_array_calls(self):
+        samples = self._batch(self.CHANNELS, [1, 2, 3])
+        spectra = music_spectra(samples.reshape(12, 4, 256), n_sources=1)
+        parts = [music_spectra(samples[c], n_sources=1) for c in range(3)]
+        assert np.array_equal(spectra, np.concatenate(parts))
+
+    @pytest.mark.parametrize("n_samples", [1, 8, 256, 264, 800])
+    def test_symbols_match_choice(self, n_samples):
+        """Odd symbol counts leave half a 64-bit draw buffered in the generator."""
+        size = n_samples // CONFIG.samples_per_symbol + 4
+        for seed in range(50):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            symbols = _draw_symbols(CONFIG, n_samples, ours)
+            assert np.array_equal(symbols, theirs.choice(np.array([-1.0, 1.0]), size=size))
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_spectra_match_single_spectra(self):
-        samples = synthesize_snapshots(
-            CONFIG, awgn_channel(15.0), self.AZIMUTHS, self.ELEVATIONS, 4, 256,
-            np.random.default_rng(10),
-        )
+        samples = self._batch([awgn_channel(15.0)], [10])[0]
         spectra = music_spectra(samples, n_sources=1)
         assert spectra.shape == (4, AZIMUTH_GRID.size)
         for row, x, az in zip(spectra, samples, self.AZIMUTHS):
@@ -294,18 +345,31 @@ class TestBatch:
 
     def test_synthesis_guards_cover_every_member(self):
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        noiseless = [awgn_channel(None)]
+
+        def call(azimuths, elevations, channels=noiseless, rngs=(rng,)):
+            synthesize_snapshots(CONFIG, channels, azimuths, elevations, 4, 64, list(rngs))
+
         with pytest.raises(ValueError):
-            synthesize_snapshots(CONFIG, awgn_channel(None), [30.0, 190.0], [0.0, 0.0], 4, 64, rng)
+            call([30.0, 190.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            synthesize_snapshots(CONFIG, awgn_channel(None), [30.0, 60.0], [0.0], 4, 64, rng)
+            call([30.0, 60.0], [0.0])
         with pytest.raises(ValueError):
-            synthesize_snapshots(CONFIG, awgn_channel(None), [], [], 4, 64, rng)
+            call([], [])
+        for bad in (float("nan"), float("inf"), float("-inf"), 90.5, -91.0):
+            with pytest.raises(ValueError, match="elevation"):
+                call([30.0, 60.0], [0.0, bad])
+        with pytest.raises(ValueError, match="generator"):
+            call([30.0], [0.0], channels=noiseless * 2)
+        with pytest.raises(ValueError, match="generator"):
+            call([30.0], [0.0], channels=[], rngs=())
+        # Every guard fires before the first draw.
+        assert rng.bit_generator.state == state
+        call([30.0, 60.0], [-90.0, 90.0])
 
     def test_spectra_guards(self):
-        samples = synthesize_snapshots(
-            CONFIG, awgn_channel(10.0), self.AZIMUTHS, self.ELEVATIONS, 4, 64,
-            np.random.default_rng(3),
-        )
+        samples = self._batch([awgn_channel(10.0)], [3], n_samples=64)[0]
         with pytest.raises(NumericalRankError):
             music_spectra(samples[:, :, :3], n_sources=1)
         for bad in (0, 4):
@@ -316,10 +380,7 @@ class TestBatch:
 
     def test_non_psd_member_fails_the_batch(self, monkeypatch):
         """One covariance with a clearly negative eigenvalue rejects the batch."""
-        samples = synthesize_snapshots(
-            CONFIG, awgn_channel(10.0), self.AZIMUTHS, self.ELEVATIONS, 4, 64,
-            np.random.default_rng(3),
-        )
+        samples = self._batch([awgn_channel(10.0)], [3], n_samples=64)[0]
         eigh = np.linalg.eigh
 
         def skewed(r):

@@ -350,6 +350,23 @@ class TestLocalizationEval:
             (10.0, 1.7737359549747505, 0.0341988001735763, 0),
         ]
 
+    def test_benchmark_size_rows_are_pinned(self):
+        """The rows the loc_eval benchmark hashes at seed 1 (digest
+        9acad9cc9b096a2b), recorded before a trial's SNR rows were batched."""
+        rows = run_localization_eval([None, 20.0, 10.0], trials=150, seed=1)
+        assert [
+            (r.snr_db, r.mean_abs_azimuth_error_deg, r.position_rmse_m, r.dropped_trials)
+            for r in rows
+        ] == [
+            (None, 0.32731736053189486, 0.02809918095861398, 0),
+            (20.0, 1.2214125117862864, 0.029959160427418852, 0),
+            (10.0, 1.573877308423764, 0.03593864659448492, 0),
+        ]
+
+    def test_empty_snr_list_is_rejected(self):
+        with pytest.raises(ValueError, match="SNR point"):
+            run_localization_eval([], trials=30)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_is_rejected_before_synthesis(self, bad, monkeypatch):
         def unreachable(*args, **kwargs):
