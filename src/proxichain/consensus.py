@@ -9,7 +9,6 @@ altered record.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import threading
@@ -31,8 +30,14 @@ from .ledger import (
     make_genesis,
     pack_nonce,
     verify_transactions,
-    whash_preimage_prefix,
+    whash_state,
 )
+
+# ``whash_preimage_prefix`` is unused here but stays bound: the benchmark's
+# tracer (``perfbench/tracing.py``) wraps
+# ``proxichain.consensus.whash_preimage_prefix`` and takes ``len()`` of its
+# result, so the name must stay bound to that bytes-returning function.
+from .ledger import whash_preimage_prefix
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,8 @@ def mine(
     """Lowest nonce from zero whose digest meets ``level``, searched on every core.
 
     The window predecessors and candidate header are hashed once into a
-    SHA-256 state; each trial copies that state, feeds only the 8-byte nonce
+    SHA-256 state (:func:`~proxichain.ledger.whash_state`); each trial
+    copies that state, feeds only the 8-byte nonce
     and compares the digest with the level's target. Without this the
     per-trial cost would grow with the window size, which at the hard level
     (~65k expected trials) is prohibitive.
@@ -221,11 +227,11 @@ def mine(
     is ``nonce + 1`` and a search that tries ``max_trials`` nonces in vain
     raises. The winning nonce is hashed again here before the block is built.
 
-    ``elapsed`` starts before the window prefix is built and hashed: that is
-    the one part of the search whose cost grows with the window.
+    ``elapsed`` starts before the window is hashed: that is the one part of
+    the search whose cost grows with the window.
     """
     started = time.perf_counter()
-    copy = hashlib.sha256(whash_preimage_prefix(blocks, candidate)).copy
+    copy = whash_state(blocks, candidate).copy
     target = level.target
     # range() steps on machine integers only while its stop fits in one,
     # so an unbounded search stops at sys.maxsize (2**63 - 1) trials.
@@ -266,13 +272,12 @@ def _check_structure(
         return ValidationResult(False, reason, detail)
 
     try:
-        prefix = whash_preimage_prefix(blocks, block)
+        h = whash_state(blocks, block)
     except (WindowDomainError, WindowHistoryError) as exc:
         return reject("window", str(exc))
     if len(encode_block_full(block)) > MAX_BLOCK_BYTES:
         return reject("overflow", "serialized block exceeds 1 MiB")
 
-    h = hashlib.sha256(prefix)
     h.update(pack_nonce(block.nonce))
     if h.digest() != block.block_hash:
         return reject("digest", "recomputed digest differs from block_hash")
@@ -363,15 +368,17 @@ def append_block(
     return chain
 
 
-# Most transactions whose signatures verify_chain checks in one batch. The
-# segment's signed messages are held while its blocks are checked, so the
-# size trades memory for time: on the default ct-run --seed 5 chain (25,729
-# tx, 85 MB) verify-chain peaked at 204 MB with 3072, 211 MB with 4096,
-# 226 MB with 6144 and 236 MB with the whole chain in one batch (204 MB
-# before segments), taking 3.2-3.9, 3.2-3.6, 3.1-3.6 and 2.9 s on two
-# CPUs. 4096 is the largest of these within 5% of the unsegmented peak; a
-# smaller segment also parses each sender's key more often (once per
-# segment that holds it). The benchmark chain (1,758 tx) is one segment.
+# Most transactions whose signatures verify_chain checks in one batch. A
+# batch holds a digest, key and signature per transaction and its sort
+# orders, so the size trades memory for time: on the default ct-run --seed 5
+# chain (25,729 tx, 85 MB) verify-chain peaked at 132.0-132.2 MB with 3072,
+# 132.2-132.6 MB with 4096, 132.8-132.9 MB with 6144 and 137.6-137.7 MB with
+# the whole chain in one batch, taking 2.80-3.13, 2.76-3.13, 2.75-3.24 and
+# 2.66-2.84 s (five alternating runs each, two CPUs). Most of the peak is
+# the loaded chain and its cached encodings. One batch would be ~0.2 s
+# faster but 5 MB higher; a smaller segment parses each sender's key more
+# often (once per segment that holds it). The benchmark chain (1,758 tx) is
+# one segment.
 _SEGMENT_TX = 4096
 
 
@@ -396,8 +403,8 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     The blocks are checked in segments of at most ``_SEGMENT_TX``
     transactions (a larger block is a segment of its own). Each segment's
     signatures are checked in one batch split across the CPUs, while the
-    calling thread checks the segment's other clauses, so the signed
-    messages held at once are those of one segment.
+    calling thread checks the segment's other clauses, so the signature
+    jobs held at once are those of one segment.
     """
     found: list[ChainViolation] = []
     segments: list[list[Block]] = []

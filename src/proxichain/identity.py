@@ -7,17 +7,19 @@ digest of the compressed public key, so anyone holding the key can recompute
 and check it. Signing uses deterministic nonces (RFC 6979) so that repeated
 runs of a seeded simulation produce bit-identical transactions.
 
-Every signature check runs through one function, ``_verify_chunk``;
-:func:`verify` is a batch of one. :func:`verify_many` sorts a batch by
-public key, so each chunk parses a key once. OpenSSL releases the
-interpreter lock while it verifies, so the sorted batch is split across
-every CPU the process may run on, as far as each chunk gets
-``_MIN_VERIFY_CHUNK`` signatures, and the chunks are checked on a thread
-pool that lasts only for that call. Meanwhile the calling thread runs
-whatever work the caller hands over (``meanwhile``), such as the cheaper
-block clauses of :func:`proxichain.consensus.verify_chain`. Smaller
-batches, signing (:func:`sign`, one message per call) and key generation
-stay on the calling thread.
+Every signature check runs through one function, ``_verify_chunk``, on
+the SHA-256 digest of the signed message, so a batch holds 32 bytes per
+signature instead of the message; :func:`verify` hashes its message and
+is a batch of one. :func:`verify_many` sorts a batch by public key, so
+each chunk parses a key once. OpenSSL releases the interpreter lock
+while it verifies, so the sorted batch is split across every CPU the
+process may run on, as far as each chunk gets ``_MIN_VERIFY_CHUNK``
+signatures, and the chunks are checked on a thread pool that lasts only
+for that call. Meanwhile the calling thread runs whatever work the
+caller hands over (``meanwhile``), such as the cheaper block clauses of
+:func:`proxichain.consensus.verify_chain`. Smaller batches, signing
+(:func:`sign`, one message per call) and key generation stay on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
 from cryptography.hazmat.primitives.serialization import (
     Encoding,
     PublicFormat,
@@ -150,27 +153,36 @@ def _public_key(public_key_bytes: bytes) -> Optional[ec.EllipticCurvePublicKey]:
 
 
 def verify(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
-    """Check a signature against a compressed public key. Never raises."""
-    return _verify_chunk([(public_key_bytes, message, signature)])[0]
+    """Check a signature on ``message`` against a compressed public key.
+    Never raises."""
+    digest = hashlib.sha256(message).digest()
+    return _verify_chunk([(public_key_bytes, digest, signature)])[0]
 
 
 def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    """Whether each ``(public_key, message, signature)`` triple verifies;
-    False for an unparseable key or a bad signature. Never raises.
+    """Whether each ``(public_key, digest, signature)`` triple verifies,
+    ``digest`` being the SHA-256 of the signed message; False for an
+    unparseable key, a bad signature or a digest of another length. Never
+    raises.
 
     A key is parsed again only where it differs from the previous triple's,
     so a chunk sorted by key parses each distinct key once and holds only
     one parsed key at a time (a dict of them costs ~1.9 KB per sender).
     """
+    # ECDSA over the message's SHA-256 digest: the same equation, and so the
+    # same verdicts, as ``ec.ECDSA(hashes.SHA256())`` over the message. Made
+    # here, not at import: it loads the OpenSSL backend, which a process
+    # that never checks a signature does not need.
+    algorithm = ec.ECDSA(Prehashed(hashes.SHA256()))
     verdicts = []
     key_bytes = key = None
-    for public_key, message, signature in jobs:
+    for public_key, digest, signature in jobs:
         if public_key != key_bytes:
             key_bytes, key = public_key, _public_key(public_key)
         ok = key is not None
         if ok:
             try:
-                key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+                key.verify(signature, digest, algorithm)
             except (InvalidSignature, ValueError):
                 ok = False
         verdicts.append(ok)
@@ -181,7 +193,8 @@ def verify_many(
     jobs: Sequence[tuple[bytes, bytes, bytes]],
     meanwhile: Callable[[], object] = lambda: None,
 ) -> list[bool]:
-    """:func:`verify` over ``(public_key, message, signature)`` triples.
+    """:func:`verify` over ``(public_key, digest, signature)`` triples,
+    ``digest`` being the SHA-256 of the signed message.
 
     The triples are sorted by key and the sorted batch is cut into
     contiguous chunks across the CPUs, only as far as every chunk gets

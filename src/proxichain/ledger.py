@@ -30,7 +30,8 @@ the nonce; see :func:`whash_digest`.
 
 Each :class:`Block` object encodes itself once, on first use, and keeps the
 full encoding (``Block._full``); the header is that encoding minus its last
-40 bytes, and every window preimage is joined from the cached encodings.
+40 bytes. A window is hashed from the cached encodings as they are read
+(:func:`whash_state`) and never joined into one buffer.
 """
 
 from __future__ import annotations
@@ -143,14 +144,20 @@ def verify_transactions(
     """Per transaction: the sender id matches the embedded key, and the
     signature is valid under that key. Signatures are checked on every CPU
     while the calling thread runs ``meanwhile`` (see
-    :func:`proxichain.identity.verify_many`)."""
+    :func:`proxichain.identity.verify_many`).
+
+    Each job carries the SHA-256 digest of its signed message, taken as the
+    job is built, so one signed message exists at a time rather than a copy
+    of every payload in the batch."""
     id_ok = [node_id_for(tx.sender_pubkey) == tx.sender for tx in txs]
     verdicts = iter(
         verify_many(
             [
                 (
                     tx.sender_pubkey,
-                    tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp),
+                    hashlib.sha256(
+                        tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp)
+                    ).digest(),
                     tx.signature,
                 )
                 for tx, ok in zip(txs, id_ok)
@@ -252,14 +259,17 @@ def whash_window_for(chain_length: int, rng_draw: int) -> int:
     return rng_draw if rng_draw <= chain_length else 0
 
 
-def whash_preimage_prefix(blocks: Sequence[Block], candidate: Block) -> bytes:
-    """Window predecessors (newest first) plus the candidate header.
+def whash_window_parts(
+    blocks: Sequence[Block], candidate: Block
+) -> list[bytes | memoryview]:
+    """The W-Hash preimage before the nonce, part by part: the window
+    predecessors' full encodings (newest first), then the candidate header.
+    The parts are the cached encodings themselves, not copies.
 
     The predecessors are ``blocks[candidate.index - 1]`` and older, so
     ``blocks`` may run past the candidate (``verify_chain`` passes the whole
-    chain). The nonce is appended separately by the mining loop so the
-    expensive prefix can be hashed once per candidate instead of once per
-    trial.
+    chain). The nonce is left out so that the expensive prefix can be hashed
+    once per candidate instead of once per trial.
     """
     window = candidate.whash_window
     if not 0 <= window <= WINDOW_MAX:
@@ -271,15 +281,60 @@ def whash_preimage_prefix(blocks: Sequence[Block], candidate: Block) -> bytes:
             f"window {window} of block {index} needs {depth} predecessors, "
             f"chain has {len(blocks)} blocks"
         )
-    parts = [encode_block_full(blocks[index - j]) for j in range(1, depth + 1)]
-    parts.append(encode_block_header(candidate))
-    return b"".join(parts)
+    parts: list[bytes | memoryview] = [
+        encode_block_full(blocks[index - j]) for j in range(1, depth + 1)
+    ]
+    # encode_block_header's bytes as a view of the cached encoding, not a copy.
+    parts.append(memoryview(candidate._full)[: -8 - len(candidate.block_hash)])
+    return parts
+
+
+# Most bytes joined into one hashlib update. hashlib holds the interpreter
+# lock through an update of under 2 KiB, and verify_chain's structural pass
+# hashes windows beside the signature threads, so parts shorter than this
+# are joined into runs; a part this long is hashed where it lies.
+_HASH_RUN = 65536
+
+
+def whash_state(blocks: Sequence[Block], candidate: Block) -> hashlib._Hash:
+    """A SHA-256 state fed the window parts (:func:`whash_window_parts`),
+    i.e. everything a digest covers but the nonce: mining copies it once per
+    trial, validation adds the block's nonce. Besides the blocks' own
+    encodings it holds at most one run of ``_HASH_RUN`` bytes."""
+    parts = whash_window_parts(blocks, candidate)
+    if sum(map(len, parts)) <= _HASH_RUN:
+        # One run, skipping the loop's per-part cost: a window of small
+        # blocks (mine_bench's empty ones) costs what a plain join does.
+        return hashlib.sha256(b"".join(parts))
+    h = hashlib.sha256()
+    run: list[bytes | memoryview] = []
+    size = 0
+    for part in parts:
+        if run and size + len(part) > _HASH_RUN:
+            h.update(b"".join(run))
+            run, size = [], 0
+        if len(part) >= _HASH_RUN:
+            h.update(part)
+        else:
+            run.append(part)
+            size += len(part)
+    if run:
+        h.update(b"".join(run))
+    return h
+
+
+def whash_preimage_prefix(blocks: Sequence[Block], candidate: Block) -> bytes:
+    """The parts of :func:`whash_window_parts` joined: the preimage a digest
+    covers before the nonce. Nothing that hashes calls this; it is for
+    inspecting a window."""
+    return b"".join(whash_window_parts(blocks, candidate))
 
 
 def whash_digest(blocks: Sequence[Block], candidate: Block, nonce: int) -> bytes:
     """SHA-256 over window predecessors, candidate header and nonce."""
-    prefix = whash_preimage_prefix(blocks, candidate)
-    return hashlib.sha256(prefix + pack_nonce(nonce)).digest()
+    h = whash_state(blocks, candidate)
+    h.update(pack_nonce(nonce))
+    return h.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +402,43 @@ class Chain(Sequence[Block]):
         self.blocks.append(block)
 
 
-class ChainTail(Sequence[Block]):
+class HeldBlock:
+    """What a :class:`ChainTail` keeps of a block: its index, ``block_hash``
+    and full encoding, which is all that :func:`next_block`, a window and
+    validation read of a block below the candidate. The block's
+    transactions are dropped, so each payload is held once, inside the
+    encoding. :func:`encode_block_full` reads it as it reads a block."""
+
+    __slots__ = ("index", "block_hash", "_full")
+
+    def __init__(self, block: Block):
+        self.index = block.index
+        self.block_hash = block.block_hash
+        self._full = block._full
+
+
+class ChainTail(Sequence[HeldBlock]):
     """The newest ``WINDOW_MAX`` blocks of a chain, under their chain indices.
 
     A window of w hashes the w - 1 <= 99 blocks below the candidate, and the
     tip is the newest of them, so :func:`next_block`, mining and validation
-    on the tip read nothing older. ``len`` is the height of the whole chain;
-    reading an evicted block raises ``IndexError``. Each block, genesis
-    first, is handed to ``write`` as its ``chain.jsonl`` line when it is
-    appended, so a file written through it equals :func:`save_chain`'s.
+    on the tip read nothing older. Each block is kept as a
+    :class:`HeldBlock`. ``len`` is the height of the whole chain; reading an
+    evicted block raises ``IndexError``. Each block, genesis first, is
+    handed to ``write`` as its ``chain.jsonl`` line when it is appended, so
+    a file written through it equals :func:`save_chain`'s.
     """
 
     def __init__(self, write: Callable[[str], object]):
         self._write = write
-        self._blocks: list[Block] = []
+        self._blocks: list[HeldBlock] = []
         self._height = 0
         self.append(make_genesis())
 
     def __len__(self) -> int:
         return self._height
 
-    def __getitem__(self, index: int) -> Block:
+    def __getitem__(self, index: int) -> HeldBlock:
         held = self._blocks
         first = self._height - len(held)
         position = index - first if index >= 0 else index + len(held)
@@ -378,14 +449,14 @@ class ChainTail(Sequence[Block]):
             )
         return held[position]
 
-    def __iter__(self) -> Iterator[Block]:
+    def __iter__(self) -> Iterator[HeldBlock]:
         # Sequence's default would stop at the first evicted block, as if
         # the chain ended there; this raises instead.
         return (self[i] for i in range(self._height))
 
     def append(self, block: Block) -> None:
         self._write(block_to_json_line(block) + "\n")
-        self._blocks.append(block)
+        self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]
         self._height += 1

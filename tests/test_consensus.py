@@ -174,13 +174,13 @@ class TestMine:
         assert result.trials == nonce + 1
 
     def test_elapsed_counts_the_window_prefix(self, monkeypatch):
-        build = consensus.whash_preimage_prefix
+        build = consensus.whash_state
 
         def slow_build(blocks, candidate):
             time.sleep(0.05)
             return build(blocks, candidate)
 
-        monkeypatch.setattr(consensus, "whash_preimage_prefix", slow_build)
+        monkeypatch.setattr(consensus, "whash_state", slow_build)
         chain = Chain()
         assert mine(chain, _candidate(chain), DL_EASY).elapsed >= 0.05
 

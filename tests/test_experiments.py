@@ -32,6 +32,7 @@ from proxichain.ledger import (
     WINDOW_MAX,
     Block,
     ChainTail,
+    HeldBlock,
     block_from_dict,
     block_to_dict,
     load_chain,
@@ -246,11 +247,15 @@ class TestCtExperiment:
     def test_run_holds_the_window_not_the_run(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
 
-        live_blocks = []
+        live = []
 
         def counting_epoch(*args):
             result = run_epoch(*args)
-            live_blocks.append(sum(isinstance(o, Block) for o in gc.get_objects()))
+            objects = gc.get_objects()
+            live.append((
+                sum(isinstance(o, HeldBlock) for o in objects),
+                sum(isinstance(o, Block) for o in objects),
+            ))
             return result
 
         monkeypatch.setattr(exp, "run_epoch", counting_epoch)
@@ -264,7 +269,9 @@ class TestCtExperiment:
         finally:
             tracemalloc.stop()
         assert stats["blocks_total"] > 4 * WINDOW_MAX
-        assert live_blocks == [WINDOW_MAX]
+        # The tail keeps one record per window block and no Block (with
+        # its transactions) at all.
+        assert live == [(WINDOW_MAX, 0)]
         # A run that kept its whole chain and every trace record until the
         # end peaked at 7.8 MiB here, above the 4.5 MiB it wrote.
         streamed = os.path.getsize(paths.chain_jsonl) + os.path.getsize(paths.contacts_jsonl)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from proxichain import identity
@@ -115,29 +117,85 @@ def test_random_bit_perturbations_all_fail():
         assert not verify(ident.public_key, message, bytes(s))
 
 
+def _as_job(public_key: bytes, message: bytes, signature: bytes) -> tuple[bytes, bytes, bytes]:
+    """A ``verify_many`` job: the message replaced by its SHA-256 digest."""
+    return public_key, hashlib.sha256(message).digest(), signature
+
+
+def _checked_on_the_message(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """``cryptography`` verifying the message itself, with no digest step of
+    ours in between."""
+    try:
+        key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), public_key)
+        key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+class TestDigestPath:
+    """Jobs carry the SHA-256 of the signed message; every verdict must be
+    the one ``cryptography`` gives on the message."""
+
+    @staticmethod
+    def _cases():
+        a, b = (generate_identity(Role.LIGHT, seed=60 + k) for k in range(2))
+        cases = {}
+        for k in range(4):
+            message = bytes([k]) * (1 + 700 * k)
+            cases[f"valid-{k}"] = (a.public_key, message, sign(a, message))
+        pk, message, sig = cases["valid-1"]
+        flipped = bytearray(sig)
+        flipped[len(flipped) // 2] ^= 0x01
+        cases["flipped-signature"] = (pk, message, bytes(flipped))
+        cases["flipped-message"] = (pk, message[:-1] + bytes([message[-1] ^ 0x80]), sig)
+        cases["wrong-key"] = (b.public_key, message, sig)
+        cases["unparseable-key"] = (b"\x02" + b"\xff" * 32, message, sig)
+        cases["short-key"] = (pk[:20], message, sig)
+        cases["non-der-signature"] = (pk, message, b"\x30\x02\x01")
+        cases["raw-r-s-signature"] = (pk, message, b"\x01" * 64)
+        return cases
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = {name: _checked_on_the_message(*case) for name, case in self._cases().items()}
+        assert {name for name, ok in verdicts.items() if ok} == {f"valid-{k}" for k in range(4)}
+
+    @pytest.mark.parametrize("floor", [1, 25], ids=["split", "serial"])
+    def test_verdicts_equal_checking_the_message(self, floor, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", floor)
+        cases = list(self._cases().values())
+        expected = [_checked_on_the_message(*case) for case in cases]
+        assert verify_many([_as_job(*case) for case in cases]) == expected
+        assert [verify(*case) for case in cases] == expected
+
+
 class TestVerifyMany:
-    def _jobs(self):
-        """Ten triples from two signers plus an unparseable key, with one
-        forged message; every key appears more than once."""
+    def _triples(self):
+        """Ten ``(public_key, message, signature)`` triples from two signers
+        plus an unparseable key, with one forged message; every key appears
+        more than once."""
         a, b = (generate_identity(Role.LIGHT, seed=30 + k) for k in range(2))
         bad_key = b"\x02" + b"\xff" * 32
-        jobs = []
+        triples = []
         for k in range(10):
             ident = (a, b)[k % 2]
             message = b"msg %d" % k
-            jobs.append((ident.public_key, message, sign(ident, message)))
-        jobs[3] = (jobs[3][0], b"forged", jobs[3][2])
-        jobs[5] = (bad_key, jobs[5][1], jobs[5][2])
-        jobs[8] = (bad_key, jobs[8][1], jobs[8][2])
-        return jobs
+            triples.append((ident.public_key, message, sign(ident, message)))
+        triples[3] = (triples[3][0], b"forged", triples[3][2])
+        triples[5] = (bad_key, triples[5][1], triples[5][2])
+        triples[8] = (bad_key, triples[8][1], triples[8][2])
+        return triples
+
+    def _jobs(self):
+        return [_as_job(*triple) for triple in self._triples()]
 
     @pytest.mark.parametrize("floor", [1, 25], ids=["split", "serial"])
     def test_equals_one_at_a_time(self, floor, monkeypatch):
         monkeypatch.setattr(identity, "_CORES", 2)
         monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", floor)
-        jobs = self._jobs()
-        assert verify_many(jobs) == [verify(*job) for job in jobs]
-        assert verify_many(jobs) == [k not in (3, 5, 8) for k in range(10)]
+        assert verify_many(self._jobs()) == [verify(*triple) for triple in self._triples()]
+        assert verify_many(self._jobs()) == [k not in (3, 5, 8) for k in range(10)]
 
     def test_no_helper_thread_outlives_a_batch(self, monkeypatch):
         monkeypatch.setattr(identity, "_CORES", 2)

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import threading
+import tracemalloc
 
 import pytest
 
 import proxichain.consensus as consensus
 import proxichain.identity as identity
+import proxichain.ledger as ledger
 from proxichain.consensus import (
     DL_EASY,
     BlockRejectedError,
@@ -35,9 +38,11 @@ from proxichain.ledger import (
     make_transactions,
     next_block,
     save_chain,
+    tx_signing_bytes,
     verify_transactions,
     whash_digest,
     whash_preimage_prefix,
+    whash_state,
     whash_window_for,
 )
 
@@ -153,6 +158,23 @@ class TestWindowedDigest:
         chain = _grow(3)
         cand = dataclasses.replace(chain.tip, index=3, prev_hash=chain.tip.block_hash)
         assert whash_digest(chain.blocks, cand, 1) != whash_digest(chain.blocks, cand, 2)
+
+    @pytest.mark.parametrize("run", [64, 300, 65536])
+    def test_state_hashes_the_joined_prefix(self, run, monkeypatch):
+        """Hashing the parts in runs gives the digest of the joined prefix,
+        whether parts are joined into runs, flushed early by a longer part,
+        or hashed where they lie."""
+        monkeypatch.setattr(ledger, "_HASH_RUN", run)
+        chain = Chain()
+        for k in range(8):
+            txs = [_tx(bytes([k]) * (37 * k * k), ts=k)] if k % 3 else []
+            append_block(chain, _mine_next(chain, whash_window_for(len(chain.blocks), k), txs, k))
+        for block in chain.blocks[1:]:
+            prefix = whash_preimage_prefix(chain.blocks, block)
+            assert whash_state(chain.blocks, block).digest() == hashlib.sha256(prefix).digest()
+            state = whash_state(chain.blocks, block)
+            state.update(block.nonce.to_bytes(8, "little"))
+            assert state.digest() == block.block_hash
 
 
 class TestBlockEncoding:
@@ -479,21 +501,53 @@ class TestChainSegments:
         """A clause that raises mid-pass propagates once the segment's
         chunks are done, and leaves no thread behind."""
         calls = []
-        prefix = consensus.whash_preimage_prefix
+        state = consensus.whash_state
 
         def fails_on_the_fifth(blocks, block):
             calls.append(block.index)
             if len(calls) == 5:
                 raise RuntimeError("window read failed")
-            return prefix(blocks, block)
+            return state(blocks, block)
 
-        monkeypatch.setattr(consensus, "whash_preimage_prefix", fails_on_the_fifth)
+        monkeypatch.setattr(consensus, "whash_state", fails_on_the_fifth)
         with pytest.raises(RuntimeError, match="window read failed"):
             verify_chain(chain)
         assert calls == [1, 2, 3, 4, 5]
         assert batches == [20, 18]
         alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
         assert alive == []
+
+
+def test_verify_chain_holds_no_window_and_no_signed_messages(tmp_path):
+    """Past the loaded chain and its cached encodings, verify_chain holds
+    neither a joined window nor the batch's signed messages: windows are
+    hashed as they are read, and each signature job carries a 32-byte
+    digest. Twelve blocks of eight 19 KB trace payloads, each block's window
+    reaching back to block 1: a joined window of the tip alone is ~1.7 MB,
+    and the batch's signed messages are ~1.8 MB."""
+    chain = Chain()
+    for k in range(12):
+        items = [(sender, TxKind.TT, bytes([k, j]) * 9600) for j, sender in enumerate(SENDERS[:8])]
+        window = whash_window_for(len(chain.blocks), len(chain.blocks))
+        append_block(chain, _mine_next(chain, window, make_transactions(items, k), k))
+    save_chain(chain, str(tmp_path / "chain.jsonl"))
+    loaded = load_chain(str(tmp_path / "chain.jsonl"))
+    signing = sum(
+        len(tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp))
+        for block in loaded
+        for tx in block.transactions
+    )
+    # The first call caches each block's encoding, as any verify does, and
+    # imports the thread pool; the second shows what a verify adds on top.
+    assert verify_chain(loaded) == []
+    tracemalloc.start()
+    try:
+        assert verify_chain(loaded) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 48 KB here; 3.9 MB when windows were joined and messages copied.
+    assert peak < signing // 16
 
 
 class TestSerialization:
@@ -559,10 +613,20 @@ class TestChainTail:
     def test_tip_and_height_are_the_whole_chain(self, grown):
         tail, full, _, _ = grown
         assert len(tail) == len(full) == 2 * WINDOW_MAX + 21
-        assert tail[-1] is full.tip
-        assert tail[len(tail) - 1] is full.tip
+
+        def same(held, block):
+            """The record keeps the block's index, hash and its very
+            encoding object, and none of its transactions."""
+            return (
+                (held.index, held.block_hash) == (block.index, block.block_hash)
+                and encode_block_full(held) is encode_block_full(block)
+                and not hasattr(held, "transactions")
+            )
+
+        assert same(tail[-1], full.tip)
+        assert same(tail[len(tail) - 1], full.tip)
         oldest = len(full) - WINDOW_MAX
-        assert tail[oldest] is full[oldest] and tail[-WINDOW_MAX] is full[oldest]
+        assert same(tail[oldest], full[oldest]) and same(tail[-WINDOW_MAX], full[oldest])
 
     def test_evicted_block_raises(self, grown):
         tail, full, _, _ = grown
