@@ -215,10 +215,10 @@ def mine(
 
     The window predecessors and candidate header are hashed once into a
     SHA-256 state (:func:`~proxichain.ledger.whash_state`); each trial
-    copies that state, feeds only the 8-byte nonce
-    and compares the digest with the level's target. Without this the
-    per-trial cost would grow with the window size, which at the hard level
-    (~65k expected trials) is prohibitive.
+    copies that state, feeds only the 8-byte nonce and compares the digest
+    with the level's target. Without this the per-trial cost would grow with
+    the window size, which at the hard level (~65k expected trials) is
+    prohibitive.
 
     The calling process first tries nonces below ``_SOLO_TRIALS`` alone; a
     search that outlasts them is split across forked helpers, one per extra

@@ -30,8 +30,8 @@ the nonce; see :func:`whash_digest`.
 
 Each :class:`Block` object encodes itself once, on first use, and keeps the
 full encoding (``Block._full``); the header is that encoding minus its last
-40 bytes. A window is hashed from the cached encodings as they are read
-(:func:`whash_state`) and never joined into one buffer.
+40 bytes. A window is hashed from the cached encodings
+(:func:`whash_state`), joined at most 64 KiB at a time.
 """
 
 from __future__ import annotations
