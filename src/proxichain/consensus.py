@@ -13,7 +13,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +28,7 @@ from .ledger import (
     WindowHistoryError,
     encode_block_full,
     make_genesis,
+    mined_block,
     pack_nonce,
     verify_transactions,
     whash_state,
@@ -225,7 +226,9 @@ def mine(
     CPU (see :func:`_split_search`). The nonce, digest, ``trials`` and
     :class:`MiningTimeoutError` are those of a sequential search: ``trials``
     is ``nonce + 1`` and a search that tries ``max_trials`` nonces in vain
-    raises. The winning nonce is hashed again here before the block is built.
+    raises. The winning nonce is hashed again here before the block is built
+    (:func:`~proxichain.ledger.mined_block`, which encodes no transaction
+    again).
 
     ``elapsed`` starts before the window is hashed: that is the one part of
     the search whose cost grows with the window.
@@ -247,8 +250,9 @@ def mine(
     if digest >= target:
         raise RuntimeError(f"nonce {nonce} misses the {level.name} target")
     elapsed = time.perf_counter() - started
-    block = replace(candidate, nonce=nonce, block_hash=digest)
-    return MiningResult(block=block, trials=nonce + 1, elapsed=elapsed)
+    return MiningResult(
+        block=mined_block(candidate, nonce, digest), trials=nonce + 1, elapsed=elapsed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,9 @@ def _check_blocks(
     The signatures of the whole batch go to one verify batch, and while its
     chunks run on helper threads the calling thread checks every other
     clause of each block. A block that fails one of those is rejected for
-    it; otherwise its first bad signature rejects it.
+    it; otherwise its first bad signature rejects it. On a
+    :class:`~proxichain.ledger.ChainTail` the keys parsed for the batch stay
+    in the tail's ``parsed_keys`` for later batches.
     """
     structure: list[ValidationResult] = []
     verdicts = verify_transactions(
@@ -316,6 +322,7 @@ def _check_blocks(
         meanwhile=lambda: structure.extend(
             _check_structure(blocks, block, expected_level) for block in batch
         ),
+        keys=blocks.parsed_keys if isinstance(blocks, ChainTail) else None,
     )
     results = []
     end = 0

@@ -11,7 +11,9 @@ Every signature check runs through one function, ``_verify_chunk``, on
 the SHA-256 digest of the signed message, so a batch holds 32 bytes per
 signature instead of the message; :func:`verify` hashes its message and
 is a batch of one. :func:`verify_many` sorts a batch by public key, so
-each chunk parses a key once. OpenSSL releases the interpreter lock
+each chunk parses a key once, and a caller that checks many batches (a
+``ct-run``) hands it a dict in which each key stays parsed for the
+caller's whole run. OpenSSL releases the interpreter lock
 while it verifies, so the sorted batch is split across every CPU the
 process may run on, as far as each chunk gets ``_MIN_VERIFY_CHUNK``
 signatures, and the chunks are checked on a thread pool that lasts only
@@ -159,15 +161,19 @@ def verify(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
     return _verify_chunk([(public_key_bytes, digest, signature)])[0]
 
 
-def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
+def _verify_chunk(
+    jobs: Sequence[tuple[bytes, bytes, bytes]], keys: Optional[dict] = None
+) -> list[bool]:
     """Whether each ``(public_key, digest, signature)`` triple verifies,
     ``digest`` being the SHA-256 of the signed message; False for an
     unparseable key, a bad signature or a digest of another length. Never
     raises.
 
-    A key is parsed again only where it differs from the previous triple's,
-    so a chunk sorted by key parses each distinct key once and holds only
-    one parsed key at a time (a dict of them costs ~1.9 KB per sender).
+    A key is looked up again only where it differs from the previous
+    triple's, so a chunk sorted by key parses each distinct key once and,
+    without ``keys``, holds only one parsed key at a time. ``keys`` maps
+    key bytes to the parsed key (None if unparseable): a key found there is
+    not parsed, and a key parsed here is added.
     """
     # ECDSA over the message's SHA-256 digest: the same equation, and so the
     # same verdicts, as ``ec.ECDSA(hashes.SHA256())`` over the message. Made
@@ -178,7 +184,13 @@ def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
     key_bytes = key = None
     for public_key, digest, signature in jobs:
         if public_key != key_bytes:
-            key_bytes, key = public_key, _public_key(public_key)
+            key_bytes = public_key
+            if keys is None:
+                key = _public_key(public_key)
+            elif public_key in keys:
+                key = keys[public_key]
+            else:
+                key = keys[public_key] = _public_key(public_key)
         ok = key is not None
         if ok:
             try:
@@ -192,6 +204,7 @@ def _verify_chunk(jobs: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
 def verify_many(
     jobs: Sequence[tuple[bytes, bytes, bytes]],
     meanwhile: Callable[[], object] = lambda: None,
+    keys: Optional[dict] = None,
 ) -> list[bool]:
     """:func:`verify` over ``(public_key, digest, signature)`` triples,
     ``digest`` being the SHA-256 of the signed message.
@@ -200,6 +213,12 @@ def verify_many(
     contiguous chunks across the CPUs, only as far as every chunk gets
     ``_MIN_VERIFY_CHUNK`` triples; a key is parsed once per chunk that
     holds it. Verdicts keep the input order.
+
+    ``keys``, when given, is the caller's store of parsed keys, which the
+    chunks share (see :func:`_verify_chunk`): a key in it is never parsed
+    again, at ~1.9 KB per key held. Two chunks that parse one key at once
+    store equal keys, so a race costs only a parse. The caller owns the
+    store and decides how long it lasts; nothing here keeps one.
 
     ``meanwhile`` is called once on the calling thread: while the chunks
     run when the batch is split, before the one chunk otherwise. A split
@@ -217,7 +236,7 @@ def verify_many(
     chunks = min(_CORES, len(jobs) // _MIN_VERIFY_CHUNK)
     if chunks <= 1:
         meanwhile()
-        checked = _verify_chunk(ordered)
+        checked = _verify_chunk(ordered, keys)
     else:
         # Imported here: a process that never splits a batch (the outbreak
         # simulator, localization, a small ct-run) is spared ~10 ms and ~0.5 MB.
@@ -225,7 +244,7 @@ def verify_many(
 
         bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
         with ThreadPoolExecutor(chunks, thread_name_prefix="proxichain-ecdsa") as pool:
-            parts = [pool.submit(_verify_chunk, ordered[bounds[k] : bounds[k + 1]])
+            parts = [pool.submit(_verify_chunk, ordered[bounds[k] : bounds[k + 1]], keys)
                      for k in range(chunks)]
             meanwhile()
             checked = [verdict for part in parts for verdict in part.result()]

@@ -3,9 +3,9 @@
 Each record has one constructor. :func:`make_transactions` builds and signs
 every transaction (:func:`make_transaction` is its one-item form), and
 :func:`next_block` builds every unmined block on a chain's tip, which
-:func:`proxichain.consensus.mine` then completes with a nonce and digest.
-Only the genesis block and blocks read back from ``chain.jsonl`` are built
-otherwise.
+:func:`proxichain.consensus.mine` then completes with a nonce and digest
+(:func:`mined_block`). Only the genesis block and blocks read back from
+``chain.jsonl`` are built otherwise.
 
 Two encodings exist side by side and must not be confused:
 
@@ -31,7 +31,10 @@ the nonce; see :func:`whash_digest`.
 Each :class:`Block` object encodes itself once, on first use, and keeps the
 full encoding (``Block._full``); the header is that encoding minus its last
 40 bytes. A window is hashed from the cached encodings
-(:func:`whash_state`), joined at most 64 KiB at a time.
+(:func:`whash_state`), joined at most 64 KiB at a time. A
+:class:`ChainTail` keeps the last window state computed on it until its
+next append, so a block mined and then validated on the tail has its window
+hashed once.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 # ``verify`` is unused here but stays bound: the benchmark's tracer
 # (``perfbench/tracing.py``) wraps ``proxichain.ledger.verify``, as it wraps
@@ -139,11 +144,14 @@ def make_transactions(
 
 
 def verify_transactions(
-    txs: Sequence[Transaction], meanwhile: Callable[[], object] = lambda: None
+    txs: Sequence[Transaction],
+    meanwhile: Callable[[], object] = lambda: None,
+    keys: Optional[dict] = None,
 ) -> list[bool]:
     """Per transaction: the sender id matches the embedded key, and the
     signature is valid under that key. Signatures are checked on every CPU
-    while the calling thread runs ``meanwhile`` (see
+    while the calling thread runs ``meanwhile``, with ``keys`` as the
+    caller's store of parsed keys (see
     :func:`proxichain.identity.verify_many`).
 
     Each job carries the SHA-256 digest of its signed message, taken as the
@@ -164,6 +172,7 @@ def verify_transactions(
                 if ok
             ],
             meanwhile,
+            keys,
         )
     )
     return [ok and next(verdicts) for ok in id_ok]
@@ -183,13 +192,24 @@ def encode_transaction(tx: Transaction) -> bytes:
 # Trace/alarm payloads are (node_id, tick) pairs and nothing else: no names,
 # no positions. Keeping the codec here makes that restriction inspectable.
 
-def encode_contact_pairs(pairs: Sequence[tuple[bytes, int]]) -> bytes:
-    out = [struct.pack("<I", len(pairs))]
-    for peer, tick in pairs:
-        if len(peer) != 32:
-            raise ValueError("contact entries must be 32-byte node ids")
-        out.append(peer + struct.pack("<Q", tick))
-    return b"".join(out)
+# One payload record: a 32-byte node id and a u64 tick, 40 bytes unpadded.
+_CONTACT_RECORD = np.dtype([("peer", np.uint8, (32,)), ("tick", "<u8")])
+
+
+def encode_contact_pairs(peers: np.ndarray, ticks: np.ndarray) -> bytes:
+    """The payload listing contact ``k`` as node id ``peers[k]`` (a row of
+    32 bytes of a ``(count, 32)`` ``uint8`` array) met at ``ticks[k]``,
+    after a u32 count; built as one structured array."""
+    peers = np.asarray(peers, dtype=np.uint8)
+    ticks = np.asarray(ticks, dtype=np.int64)
+    if peers.ndim != 2 or peers.shape[1] != 32:
+        raise ValueError("contact entries must be 32-byte node ids")
+    if ticks.shape != peers.shape[:1] or (ticks < 0).any():
+        raise ValueError("contact entries need one tick >= 0 each")
+    records = np.empty(len(peers), dtype=_CONTACT_RECORD)
+    records["peer"] = peers
+    records["tick"] = ticks
+    return struct.pack("<I", len(records)) + records.tobytes()
 
 
 def decode_contact_pairs(payload: bytes) -> list[tuple[bytes, int]]:
@@ -238,6 +258,12 @@ def encode_block_header(block: Block) -> bytes:
     return block._full[: -8 - len(block.block_hash)]
 
 
+def _header_view(block: Block) -> memoryview:
+    """:func:`encode_block_header`'s bytes as a view of the cached
+    encoding, not a copy."""
+    return memoryview(block._full)[: -8 - len(block.block_hash)]
+
+
 def encode_block_full(block: Block) -> bytes:
     return block._full
 
@@ -279,13 +305,12 @@ def whash_window_parts(
     if depth > index or (depth and index > len(blocks)):
         raise WindowHistoryError(
             f"window {window} of block {index} needs {depth} predecessors, "
-            f"chain has {len(blocks)} blocks"
+            f"the block has {min(index, len(blocks))}"
         )
     parts: list[bytes | memoryview] = [
         encode_block_full(blocks[index - j]) for j in range(1, depth + 1)
     ]
-    # encode_block_header's bytes as a view of the cached encoding, not a copy.
-    parts.append(memoryview(candidate._full)[: -8 - len(candidate.block_hash)])
+    parts.append(_header_view(candidate))
     return parts
 
 
@@ -299,9 +324,36 @@ _HASH_RUN = 65536
 def whash_state(blocks: Sequence[Block], candidate: Block) -> hashlib._Hash:
     """A SHA-256 state fed the window parts (:func:`whash_window_parts`),
     i.e. everything a digest covers but the nonce: mining copies it once per
-    trial, validation adds the block's nonce. Besides the blocks' own
-    encodings it holds at most one run of ``_HASH_RUN`` bytes."""
-    parts = whash_window_parts(blocks, candidate)
+    trial, validation adds the block's nonce. Every call returns a state of
+    its own.
+
+    On a :class:`ChainTail` the last state computed stays on the tail until
+    its next append, with a reference to the candidate's encoding. A later
+    call on the same tail reuses it when the candidate has the same index
+    and window and every header byte is the same, so validating the block
+    just mined there hashes no window; a block changed in any header byte
+    misses and is hashed afresh. A :class:`Chain` keeps nothing, since its
+    block list may be edited in place."""
+    if not isinstance(blocks, ChainTail):
+        return _hash_window(whash_window_parts(blocks, candidate))
+    key = (len(blocks), candidate.index, candidate.whash_window)
+    header = _header_view(candidate)
+    memo = blocks._window_memo
+    if (
+        memo is not None
+        and memo[0] == key
+        and len(memo[1]) == len(header)
+        and candidate._full.startswith(memo[1])
+    ):
+        return memo[2].copy()
+    h = _hash_window(whash_window_parts(blocks, candidate))
+    blocks._window_memo = (key, header, h.copy())
+    return h
+
+
+def _hash_window(parts: list[bytes | memoryview]) -> hashlib._Hash:
+    """A SHA-256 state fed ``parts`` in order. Besides the parts it holds
+    at most one run of ``_HASH_RUN`` bytes."""
     if sum(map(len, parts)) <= _HASH_RUN:
         # One run, skipping the loop's per-part cost: a window of small
         # blocks (mine_bench's empty ones) costs what a plain join does.
@@ -335,6 +387,17 @@ def whash_digest(blocks: Sequence[Block], candidate: Block, nonce: int) -> bytes
     h = whash_state(blocks, candidate)
     h.update(pack_nonce(nonce))
     return h.digest()
+
+
+def mined_block(candidate: Block, nonce: int, block_hash: bytes) -> Block:
+    """``candidate`` completed with its nonce and digest. Its encoding is
+    the candidate's header with the two appended, so the transactions are
+    not encoded again."""
+    block = replace(candidate, nonce=nonce, block_hash=block_hash)
+    # A cached_property lives in the instance dict; this fills it with the
+    # bytes the block would encode to.
+    vars(block)["_full"] = b"".join((_header_view(candidate), pack_nonce(nonce), block_hash))
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +490,19 @@ class ChainTail(Sequence[HeldBlock]):
     evicted block raises ``IndexError``. Each block, genesis first, is
     handed to ``write`` as its ``chain.jsonl`` line when it is appended, so
     a file written through it equals :func:`save_chain`'s.
+
+    A tail lasts one run, and it carries two stores for that run: the last
+    window state :func:`whash_state` computed on it (dropped on append),
+    and ``parsed_keys``, every sender key that validation on the tail has
+    parsed (see :func:`proxichain.identity.verify_many`).
     """
 
     def __init__(self, write: Callable[[str], object]):
         self._write = write
         self._blocks: list[HeldBlock] = []
         self._height = 0
+        self._window_memo: Optional[tuple] = None
+        self.parsed_keys: dict = {}
         self.append(make_genesis())
 
     def __len__(self) -> int:
@@ -460,6 +530,7 @@ class ChainTail(Sequence[HeldBlock]):
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]
         self._height += 1
+        self._window_memo = None
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ background submission/query traffic fills the rest of each block.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -425,41 +424,54 @@ def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, o, n - o) - 1, np.where(first, i, peer)
 
 
+def _trace_line(tick: int, node: str, contacts: Iterable[tuple[str, float, int]]) -> str:
+    """The ``contacts.jsonl`` line, newline included, of node ``node``'s
+    report at ``tick`` listing ``(peer, distance, tick)`` contacts (ids in
+    hex): ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` of
+    ``{"tick", "node_id", "contacts": [{"peer", "distance", "tick"}, ...]}``
+    with each distance rounded to 4 places, written from one template per
+    contact. JSON writes a float as its ``repr``, as the template does."""
+    listed = ",".join(
+        f'{{"distance":{round(distance, 4)!r},"peer":"{peer}","tick":{at}}}'
+        for peer, distance, at in contacts
+    )
+    return f'{{"contacts":[{listed}],"node_id":"{node}","tick":{tick}}}\n'
+
+
 def _emit_trace(
     world: WorldState,
     i: int,
     now: int,
     trace_sink: Callable[[str], object],
     node_hex: Sequence[str],
+    node_bytes: np.ndarray,
 ) -> None:
     """Diagnosed agent i reports its retained immediate contacts, in
     ascending peer order.
 
     The report's record goes to ``trace_sink`` as its ``contacts.jsonl``
-    line, newline included. ``node_hex`` holds every agent's node id in hex.
+    line (:func:`_trace_line`). ``node_hex`` holds every agent's node id in
+    hex, and ``node_bytes`` the same ids as a ``(n, 32)`` byte array, from
+    which the TT/AT payload is built in bulk.
     """
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
     row_ticks[i] = -1  # agent i never lists itself
     horizon = max(now - world.config.retention_ticks, 0)
     peers = np.nonzero(row_ticks >= horizon)[0]
-    ticks = row_ticks[peers].tolist()
-    dists = world.last_contact_dist[rows[peers], cols[peers]].tolist()
-    peer_list = peers.tolist()
-    pairs = [(world.identities[j].node_id, tick) for j, tick in zip(peer_list, ticks)]
-    payload = encode_contact_pairs(pairs)
+    ticks = row_ticks[peers]
+    payload = encode_contact_pairs(node_bytes[peers], ticks)
     world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
     world.iup.add(world.identities[i].node_id, now)
-    record = {
-        "tick": now,
-        "node_id": node_hex[i],
-        "contacts": [
-            {"peer": node_hex[j], "distance": round(dist, 4), "tick": tick}
-            for j, dist, tick in zip(peer_list, dists, ticks)
-        ],
-    }
-    trace_sink(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    if pairs and world.manager is not None:
+    dists = world.last_contact_dist[rows[peers], cols[peers]].tolist()
+    trace_sink(
+        _trace_line(
+            now,
+            node_hex[i],
+            zip([node_hex[j] for j in peers.tolist()], dists, ticks.tolist()),
+        )
+    )
+    if peers.size and world.manager is not None:
         # The manager alarms every listed contact; they become notified.
         world.pending.append(make_transaction(world.manager, TxKind.AT, payload, now))
         world.notified[peers] = True
@@ -552,6 +564,7 @@ def run_epoch(
 
     node_ids = [ident.node_id for ident in world.identities]
     node_hex = [node.hex() for node in node_ids]
+    node_bytes = np.frombuffer(b"".join(node_ids), dtype=np.uint8).reshape(n, 32)
 
     world.registry = publish_registry(
         world.manager, [a.public_key for a in world.authorized]
@@ -585,7 +598,7 @@ def run_epoch(
         _spread_tick(world)
         newly = np.nonzero(world.infected() & ~before)[0]
         for i in newly:
-            _emit_trace(world, int(i), t, trace_sink, node_hex)
+            _emit_trace(world, int(i), t, trace_sink, node_hex, node_bytes)
 
         if (
             config.false_claimer_id is not None

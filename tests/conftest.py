@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -30,6 +31,18 @@ def no_child_process_outlives_a_test():
         leaked.append(f"{pid} never reaped")
     if leaked:
         pytest.fail(f"child processes outlived the test: {', '.join(leaked)}")
+
+
+@pytest.fixture(autouse=True)
+def no_ecdsa_thread_outlives_a_test():
+    """Fail a test after which a ``proxichain-ecdsa`` verify thread is still
+    alive: the thread-level twin of ``no_child_process_outlives_a_test``. A
+    split verify batch runs on a pool that must be shut down before
+    ``identity.verify_many`` returns."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]
+    if alive:
+        pytest.fail(f"verify threads outlived the test: {', '.join(alive)}")
 
 
 @pytest.fixture(scope="session")

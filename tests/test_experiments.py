@@ -672,6 +672,17 @@ class TestVerifyChainMalformed:
             + ", ".join(f"{r} {reasons[r]}" for r in sorted(reasons))
         )
 
+    def test_window_past_the_history_counts_the_block_predecessors(
+        self, tiny_chain_blocks, tmp_path, capsys
+    ):
+        """A window deeper than its block's history is reported against the
+        predecessors that block has, not the length of the whole file."""
+        assert len(tiny_chain_blocks) > 3
+        path = _write_mangled(tiny_chain_blocks, _set(2, "whash_window", 99), tmp_path)
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert "block 2: window window 99 of block 2 needs 98 predecessors, the block has 2" in lines
+
     def test_load_error_names_the_line(self, tiny_chain_blocks, tmp_path, capsys):
         path = _write_mangled(tiny_chain_blocks, _set(2, "nonce", -1), tmp_path)
         assert cli.main(["verify-chain", str(path)]) == cli.EXIT_CONFIG

@@ -250,7 +250,7 @@ class TestVerifyMany:
         monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
         finished = []
         chunk = identity._verify_chunk
-        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs: finished.append(chunk(jobs)))
+        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs, keys: finished.append(chunk(jobs, keys)))
 
         def meanwhile():
             raise RuntimeError("caller's work failed")
@@ -265,7 +265,7 @@ class TestVerifyMany:
         monkeypatch.setattr(identity, "_CORES", 3)
         monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 1)
 
-        def chunk(jobs):
+        def chunk(jobs, keys):
             raise LookupError(jobs[0][1])
 
         monkeypatch.setattr(identity, "_verify_chunk", chunk)
@@ -282,7 +282,7 @@ class TestVerifyMany:
         sizes = []
         monkeypatch.setattr(identity, "_CORES", 3)
         monkeypatch.setattr(identity, "_MIN_VERIFY_CHUNK", 25)
-        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs: sizes.append(len(jobs)) or [])
+        monkeypatch.setattr(identity, "_verify_chunk", lambda jobs, keys: sizes.append(len(jobs)) or [])
         jobs = (self._jobs() * 12)[:count]
         verify_many(jobs)
         assert sorted(sizes) == chunks

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import struct
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import proxichain.consensus as consensus
@@ -186,6 +188,22 @@ class TestBlockEncoding:
         assert encode_block_full(moved) != full
         assert encode_block_header(moved) != encode_block_header(block)
         assert encode_block_full(dataclasses.replace(moved, timestamp=5)) == full
+
+    def test_mined_block_reuses_the_candidate_encoding(self, monkeypatch):
+        """mine encodes the candidate's transactions once and builds the
+        mined block's encoding from the candidate's header: it equals a
+        fresh encoding of the same block."""
+        chain = _grow(3)
+        candidate = next_block(chain, 3, [_tx(b"abc"), _tx(b"de", ts=2)], MINER.node_id, 9)
+        encoded = []
+        original = ledger.encode_transaction
+        monkeypatch.setattr(ledger, "encode_transaction", lambda tx: encoded.append(tx) or original(tx))
+        block = mine(chain, candidate, DL_EASY).block
+        full = encode_block_full(block)
+        assert encoded == list(candidate.transactions)
+        # replace builds a new object, which encodes its transactions afresh.
+        assert full == encode_block_full(dataclasses.replace(block))
+        assert len(encoded) == 4
 
     def test_full_encoding_is_header_nonce_digest(self):
         block = _mine_next(_grow(2), 2, txs=[_tx(b"abc")], timestamp=5)
@@ -370,9 +388,9 @@ class TestBatchSignatures:
 
         calls = []
 
-        def counted(txs, meanwhile):
+        def counted(txs, meanwhile, keys):
             calls.append(len(txs))
-            return verify_transactions(txs, meanwhile)
+            return verify_transactions(txs, meanwhile, keys)
 
         def sent(ident):
             return f"transaction from {ident.node_id.hex()[:12]}"
@@ -459,9 +477,9 @@ class TestChainSegments:
         """The size of every signature batch verify_chain starts."""
         calls = []
 
-        def counted(txs, meanwhile):
+        def counted(txs, meanwhile, keys):
             calls.append(len(txs))
-            return verify_transactions(txs, meanwhile)
+            return verify_transactions(txs, meanwhile, keys)
 
         monkeypatch.setattr(consensus, "_SEGMENT_TX", self.SEGMENT)
         monkeypatch.setattr(consensus, "verify_transactions", counted)
@@ -591,13 +609,27 @@ class TestChainTail:
             window = whash_window_for(len(tail) - 1, (37 * k) % (WINDOW_MAX + 1))
             candidate = next_block(tail, window, [_tx(bytes([k % 256]), ts=k)], MINER.node_id, k)
             block = mine(tail, candidate, DL_EASY).block
-            tampered = dataclasses.replace(block, nonce=block.nonce + 1)
+            # Altered after mining, each keeping the mined digest: the tail's
+            # window state of the mined candidate must serve only a block
+            # whose header bytes are all the candidate's.
+            (tx,) = block.transactions
+            flipped = dataclasses.replace(tx, payload=bytes([tx.payload[0] ^ 1]))
+            tampered = [
+                dataclasses.replace(block, nonce=block.nonce + 1),
+                dataclasses.replace(block, timestamp=block.timestamp + 1),
+                dataclasses.replace(block, transactions=(flipped,)),
+            ]
             if (
                 next_block(full, window, candidate.transactions, MINER.node_id, k) != candidate
                 or whash_preimage_prefix(tail, block) != whash_preimage_prefix(full, block)
                 or mine(full, candidate, DL_EASY).block != block
                 or validate_block(tail, block, DL_EASY) != validate_block(full, block, DL_EASY)
-                or validate_block(tail, tampered, DL_EASY) != validate_block(full, tampered, DL_EASY)
+                or any(
+                    validate_block(tail, altered, DL_EASY)
+                    != validate_block(full, altered, DL_EASY)
+                    or validate_block(full, altered, DL_EASY).reason != "digest"
+                    for altered in tampered
+                )
             ):
                 disagreed.append(k)
             append_block(tail, block)
@@ -643,21 +675,47 @@ class TestChainTail:
         assert "".join(lines) == (tmp_path / "chain.jsonl").read_text()
 
 
+def _peer_array(pairs):
+    """The node ids of ``(node_id, tick)`` pairs as a (count, 32) byte array."""
+    return np.frombuffer(b"".join(peer for peer, _ in pairs), dtype=np.uint8).reshape(-1, 32)
+
+
 class TestContactPairs:
     def test_roundtrip(self):
         pairs = [(bytes([i]) * 32, i * 1000) for i in range(5)]
-        assert decode_contact_pairs(encode_contact_pairs(pairs)) == pairs
+        ticks = np.array([tick for _, tick in pairs], dtype=np.int32)
+        assert decode_contact_pairs(encode_contact_pairs(_peer_array(pairs), ticks)) == pairs
 
     def test_empty(self):
-        assert decode_contact_pairs(encode_contact_pairs([])) == []
+        assert decode_contact_pairs(encode_contact_pairs(_peer_array([]), [])) == []
 
     def test_record_width_is_forty_bytes(self):
-        blob = encode_contact_pairs([(b"\x01" * 32, 7)])
+        blob = encode_contact_pairs(_peer_array([(b"\x01" * 32, 7)]), [7])
         assert len(blob) == 4 + 40
 
     def test_bad_id_length_rejected(self):
         with pytest.raises(ValueError):
-            encode_contact_pairs([(b"short", 1)])
+            encode_contact_pairs(np.zeros((1, 5), dtype=np.uint8), [1])
+
+    def test_bad_ticks_rejected(self):
+        peers = _peer_array([(b"\x02" * 32, 0)] * 2)
+        for ticks in ([1], [1, -1]):
+            with pytest.raises(ValueError):
+                encode_contact_pairs(peers, ticks)
+
+    def test_array_payload_is_the_packed_layout(self):
+        """The structured array writes what packing pair by pair writes: a
+        u32 count, then each 32-byte id and its u64 tick; a gathered
+        (fancy-indexed) id array, as a trace builds, round-trips too."""
+        ids = (np.arange(12 * 32) % 251).astype(np.uint8).reshape(12, 32)
+        picked = np.array([0, 3, 4, 9])
+        ticks = np.array([0, 1, 2**31 - 1, 5], dtype=np.int32)
+        blob = encode_contact_pairs(ids[picked], ticks)
+        pairs = [(ids[k].tobytes(), int(t)) for k, t in zip(picked, ticks)]
+        assert blob == struct.pack("<I", 4) + b"".join(
+            peer + struct.pack("<Q", tick) for peer, tick in pairs
+        )
+        assert decode_contact_pairs(blob) == pairs
 
 
 class TestInfectedUsersPool:

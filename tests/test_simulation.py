@@ -5,15 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from proxichain import simulation
+from proxichain import identity, ledger, simulation
 from proxichain.consensus import verify_chain
 from proxichain.credit import MIN_SEPARATION_M, CreditPolicy, EventKind, contact_scores
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     BlockOverflowError,
     Chain,
+    ChainTail,
     MAX_BLOCK_BYTES,
     TxKind,
+    block_from_dict,
     decode_contact_pairs,
     encode_block_full,
     make_transaction,
@@ -534,6 +536,31 @@ class TestEpoch:
         ]
         assert len(registry_tx) == 1
 
+    def test_tail_hashes_each_window_and_parses_each_key_once(self, monkeypatch):
+        """On a ChainTail, as ct-run runs, mining a block and validating it
+        hash its window once between them, and each sender's key is parsed
+        at most once in the whole run, whichever block it signs in."""
+        config = SimConfig(
+            n_agents=40, ticks=12, p_inf=0.3, seed=4, tx_per_block_mean=3, n_blocks=150
+        )
+        world = build_world(config)
+        lines = []
+        tail = ChainTail(lines.append)
+        windows, parsed = [], []
+        parts, parse = ledger.whash_window_parts, identity._public_key
+        monkeypatch.setattr(
+            ledger, "whash_window_parts",
+            lambda blocks, block: windows.append(block.index) or parts(blocks, block),
+        )
+        monkeypatch.setattr(identity, "_public_key", lambda key: parsed.append(key) or parse(key))
+        _, _, metrics = run_epoch(world, tail)
+        assert metrics.blocks_total > ledger.WINDOW_MAX
+        assert windows == list(range(1, len(tail)))
+        chain = Chain(blocks=[block_from_dict(json.loads(line)) for line in lines])
+        senders = {tx.sender_pubkey for block in chain for tx in block.transactions}
+        assert sorted(parsed) == sorted(senders)
+        assert verify_chain(chain) == []
+
     def test_same_seed_is_bit_deterministic_in_memory(self):
         config = SimConfig(n_agents=25, ticks=40, p_inf=0.1, seed=12, **SMALL)
         world_a, chain_a, metrics_a = _run(config)
@@ -542,6 +569,34 @@ class TestEpoch:
         assert metrics_a.rows == metrics_b.rows
         assert metrics_a.credit_rows == metrics_b.credit_rows
         assert np.array_equal(world_a.positions, world_b.positions)
+
+
+class TestTraceLine:
+    @pytest.mark.parametrize(
+        "distances",
+        [
+            [0.0],
+            [1e-05],
+            [0.03125, 1.03125],  # exact ties at the fourth place: half to even
+            [1.9999, float(np.float32(1.9999)), float(np.float32(0.00015))],
+            [],
+        ],
+    )
+    def test_template_is_the_json_record(self, distances):
+        node = "ab" * 32
+        contacts = [
+            (f"{k:064x}", distance, 3 * k) for k, distance in enumerate(distances)
+        ]
+        record = {
+            "tick": 17,
+            "node_id": node,
+            "contacts": [
+                {"peer": peer, "distance": round(distance, 4), "tick": tick}
+                for peer, distance, tick in contacts
+            ],
+        }
+        line = simulation._trace_line(17, node, contacts)
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _credit_contacts(store: CreditStore, node: bytes, distances) -> None:
