@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from . import identity
+from . import _fork
 from .identity import AuthorizedRegistry
 from .ledger import (
     MAX_BLOCK_BYTES,
@@ -130,55 +129,30 @@ def _scan(copy: Callable, target: bytes, start: int, stop: int) -> int:
     return -1
 
 
-def _helper(copy: Callable, target: bytes, first: int, limit: int, stride: int, span: int,
-            report: int, inherited: list[int]) -> None:
-    """Body of a forked helper; never returns. Scans the slice at ``first``
-    and every ``stride`` nonces after it, writing one 8-byte record per
-    slice (its lowest hit, or -1) to ``report``, and exits after a hit or
-    past ``limit``. Any error exits without a record; so does the first
-    write after the caller has died, which closes the pipe's read end."""
-    try:
-        for fd in inherited:
-            os.close(fd)
-        for lo in range(first, limit, stride):
-            nonce = _scan(copy, target, lo, min(lo + span, limit))
-            os.write(report, nonce.to_bytes(8, "little", signed=True))
-            if nonce >= 0:
-                break
-    finally:
-        os._exit(0)
-
-
 def _split_search(copy: Callable, target: bytes, start: int, limit: int) -> int:
     """Lowest satisfying nonce in ``[start, limit)``, or -1, on every core.
 
     The nonces go out in rounds of one ``_ROUND``-nonce slice per process:
     the calling process scans slice 0 of each round, and forked helper
-    ``p`` scans slice ``p``, inheriting the prefix hash state. The first
-    round with a hit gives its lowest hit, so the result is the nonce a
-    scan from ``start`` would find. With one CPU (``identity._CORES``), no
-    ``os.fork``, or other threads running (a fork copies only the calling
-    thread, so a lock another thread holds would stay held in the helper)
-    the same rounds run with no helpers. Every helper is killed and reaped
-    before this returns or raises.
+    ``p`` (see :func:`proxichain._fork.helpers`) scans slice ``p``,
+    inheriting the prefix hash state. A helper writes one 8-byte record per
+    slice (its lowest hit, or -1) and stops after a hit or past ``limit``.
+    The first round with a hit gives its lowest hit, so the result is the
+    nonce a scan from ``start`` would find. With one process the same rounds
+    run with no helpers. Every helper is killed and reaped before this
+    returns or raises.
     """
     span = _ROUND
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    procs = identity._CORES if forkable else 1
-    stride = procs * span
-    pids: list[int] = []
-    reads: list[int] = []
-    try:
-        for first in range(start + span, start + stride, span):
-            read_fd, write_fd = os.pipe()
-            reads.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _helper(copy, target, first, limit, stride, span, write_fd, reads)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
+
+    def helper(p: int, procs: int, report: int) -> None:
+        for lo in range(start + p * span, limit, procs * span):
+            nonce = _scan(copy, target, lo, min(lo + span, limit))
+            os.write(report, nonce.to_bytes(8, "little", signed=True))
+            if nonce >= 0:
+                break
+
+    with _fork.helpers(helper) as reads:
+        stride = (len(reads) + 1) * span
         for lo in range(start, limit, stride):
             nonce = _scan(copy, target, lo, min(lo + span, limit))
             if nonce >= 0:
@@ -194,16 +168,6 @@ def _split_search(copy: Callable, target: bytes, start: int, limit: int) -> int:
                                            f"outside its slice at {first}")
                     return nonce
         return -1
-    finally:
-        if pids:
-            import signal  # only a split search needs it; module load stays lean
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            for pid in pids:
-                os.waitpid(pid, 0)
-        for fd in reads:
-            os.close(fd)
 
 
 def mine(

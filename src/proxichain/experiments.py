@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import aoa
+from . import _fork, aoa
 from .consensus import (
     DL_EASY,
     DL_HARD,
@@ -329,6 +329,65 @@ class LocEvalRow:
     dropped_trials: int
 
 
+# One record per trial and SNR row: the four bearing errors, the squared
+# position error and a flag set when the fix was dropped (its error is then
+# 0.0). A flag rather than a NaN error, so that a NaN error still reaches the
+# RMSE.
+_LOC_FIELDS = 6
+
+
+def _loc_trial(
+    seed: int, trial: int, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray,
+    config: aoa.BlePulseConfig,
+) -> np.ndarray:
+    """The ``(len(channels), _LOC_FIELDS)`` records of one trial, seeded by
+    ``(seed, trial)`` alone."""
+    # Geometry is shared across the SNR rows so they differ only in noise,
+    # which keeps the per-row means comparable.
+    geo = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    target = geo.uniform([0.5, 0.5], [9.5, 9.5])
+    order = np.argsort(np.linalg.norm(beacons - target, axis=1))
+    picked = beacons[order[:4]]
+    elevations = geo.uniform(0.0, 5.0, size=4)
+    deltas = [target - b for b in picked]
+    azimuths = [float(np.degrees(np.arctan2(abs(delta[1]), delta[0]))) for delta in deltas]
+
+    # One batch per trial: every SNR row's snapshots, then their spectra.
+    noise_rngs = [
+        np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
+        for k in range(len(channels))
+    ]
+    samples = aoa.synthesize_snapshots(config, channels, azimuths, elevations, 4, 256, noise_rngs)
+    spectra = aoa.music_spectra(samples.reshape(-1, 4, 256), n_sources=1)
+    peaks = np.argmax(spectra, axis=1).reshape(len(channels), 4)
+    records = np.zeros((len(channels), _LOC_FIELDS))
+    records[:, :4] = np.abs(peaks - azimuths)
+    for k, row_peaks in enumerate(peaks.tolist()):
+        # Undo the mirror ambiguity using the known side of the axis.
+        bearings = [
+            float(est) if delta[1] >= 0 else -float(est) for est, delta in zip(row_peaks, deltas)
+        ]
+        try:
+            point, _ = aoa.estimate_position(picked, bearings)
+            records[k, 4] = np.sum((point - target) ** 2)
+        except aoa.DegenerateGeometryError:
+            records[k, 5] = 1.0
+    return records
+
+
+def _loc_trials(
+    seed: int, start: int, stop: int, channels: Sequence[aoa.ChannelRealization]
+) -> np.ndarray:
+    """The ``(stop - start, len(channels), _LOC_FIELDS)`` records of trials
+    ``start .. stop - 1``, in trial order."""
+    beacons = Venue().beacon_grid()
+    config = aoa.BlePulseConfig()
+    records = np.empty((stop - start, len(channels), _LOC_FIELDS))
+    for row, trial in enumerate(range(start, stop)):
+        records[row] = _loc_trial(seed, trial, channels, beacons, config)
+    return records
+
+
 def run_localization_eval(
     snr_list: Sequence[Optional[float]],
     trials: int,
@@ -347,6 +406,15 @@ def run_localization_eval(
     All SNR points of a trial share its geometry, so a trial's snapshots are
     synthesized in one call (each SNR point with its own noise generator)
     and scanned in one MUSIC call; triangulation stays per fix.
+
+    The trials run on every CPU in ``sched_getaffinity`` (``taskset``
+    limits them): ``range(trials)`` is cut into one contiguous share per
+    process, the calling process runs the first and forked helpers (see
+    :func:`proxichain._fork.helpers`) the others. A trial is seeded by
+    ``(seed, trial)`` alone and the records are merged in trial order, so
+    the rows do not depend on the number of processes. A helper that dies
+    or reports a short record has its share redone here, so an error is the
+    one a sequential run raises, at the same trial.
     """
     if trials < 30:
         raise ValueError("need at least 30 trials per SNR point")
@@ -355,56 +423,42 @@ def run_localization_eval(
     # Building the channels first rejects a non-finite SNR before any work.
     channels = [aoa.awgn_channel(snr) for snr in snr_list]
 
-    beacons = Venue().beacon_grid()
-    config = aoa.BlePulseConfig()
-    az_errors: dict[int, list[float]] = {k: [] for k in range(len(snr_list))}
-    pos_sq: dict[int, list[float]] = {k: [] for k in range(len(snr_list))}
-    dropped = {k: 0 for k in range(len(snr_list))}
+    def bounds(p: int, procs: int) -> tuple[int, int]:
+        return trials * p // procs, trials * (p + 1) // procs
 
-    for trial in range(trials):
-        # Geometry is shared across the SNR rows so they differ only in
-        # noise, which keeps the per-row means comparable.
-        geo = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        target = geo.uniform([0.5, 0.5], [9.5, 9.5])
-        order = np.argsort(np.linalg.norm(beacons - target, axis=1))
-        picked = beacons[order[:4]]
-        elevations = geo.uniform(0.0, 5.0, size=4)
-        deltas = [target - b for b in picked]
-        azimuths = [
-            float(np.degrees(np.arctan2(abs(delta[1]), delta[0]))) for delta in deltas
-        ]
+    def helper(p: int, procs: int, report: int) -> None:
+        view = memoryview(_loc_trials(seed, *bounds(p, procs), channels)).cast("B")
+        while view:
+            view = view[os.write(report, view):]
 
-        # One batch per trial: every SNR row's snapshots, then their spectra.
-        noise_rngs = [
-            np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
-            for k in range(len(channels))
-        ]
-        samples = aoa.synthesize_snapshots(
-            config, channels, azimuths, elevations, 4, 256, noise_rngs
-        )
-        spectra = aoa.music_spectra(samples.reshape(-1, 4, 256), n_sources=1)
-        peaks = np.argmax(spectra, axis=1).reshape(len(channels), 4).tolist()
-        for k, row_peaks in enumerate(peaks):
-            bearings = []
-            for est, azimuth, delta in zip(row_peaks, azimuths, deltas):
-                az_errors[k].append(abs(est - azimuth))
-                # Undo the mirror ambiguity using the known side of the axis.
-                bearings.append(float(est) if delta[1] >= 0 else -float(est))
-            try:
-                point, _ = aoa.estimate_position(picked, bearings)
-                pos_sq[k].append(float(np.sum((point - target) ** 2)))
-            except aoa.DegenerateGeometryError:
-                dropped[k] += 1
+    with _fork.helpers(helper) as reads:
+        procs = len(reads) + 1
+        shares = [_loc_trials(seed, *bounds(0, procs), channels)]
+        for p, fd in enumerate(reads, 1):
+            start, stop = bounds(p, procs)
+            shape = (stop - start, len(channels), _LOC_FIELDS)
+            size = 8 * shape[0] * shape[1] * shape[2]
+            with open(fd, "rb", closefd=False) as fh:
+                block = fh.read(size)
+            if len(block) == size:
+                shares.append(np.frombuffer(block).reshape(shape))
+            else:  # the helper died or its share raised
+                shares.append(_loc_trials(seed, start, stop, channels))
+    records = np.concatenate(shares)
 
     rows: list[LocEvalRow] = []
     for k, snr in enumerate(snr_list):
-        rmse = float(np.sqrt(np.mean(pos_sq[k]))) if pos_sq[k] else float("nan")
+        dropped = records[:, k, 5] != 0.0
+        pos_sq = records[~dropped, k, 4]
+        rmse = float(np.sqrt(np.mean(pos_sq))) if pos_sq.size else float("nan")
         rows.append(
             LocEvalRow(
                 snr_db=snr,
-                mean_abs_azimuth_error_deg=float(np.mean(az_errors[k])),
+                # A contiguous copy, in the order the errors were made, so
+                # that the pairwise sum is that of the sequential loop.
+                mean_abs_azimuth_error_deg=float(np.mean(records[:, k, :4].reshape(-1))),
                 position_rmse_m=rmse,
-                dropped_trials=dropped[k],
+                dropped_trials=int(np.count_nonzero(dropped)),
             )
         )
     return rows

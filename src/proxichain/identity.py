@@ -50,10 +50,10 @@ _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC63255
 _SEED_DOMAIN = b"proxichain/identity/v1"
 
 # CPUs this process may run on: the most chunks a verify batch is split into,
-# and the most processes a long nonce search runs on (the caller plus forked
-# helpers, see ``consensus.mine``). Both read it at call time, so
-# ``taskset -c 0`` gives a serial verify and a serial search. Platforms
-# without CPU affinity (macOS, Windows) count every CPU.
+# and the most processes a long nonce search or a localization eval runs on
+# (the caller plus forked helpers, see ``_fork.helpers``). All read it at
+# call time, so ``taskset -c 0`` gives a serial verify, search and eval.
+# Platforms without CPU affinity (macOS, Windows) count every CPU.
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )

@@ -189,6 +189,12 @@ def encode_transaction(tx: Transaction) -> bytes:
     )
 
 
+def transaction_size(tx: Transaction) -> int:
+    """``len(encode_transaction(tx))``, from the field lengths alone: the
+    kind byte, four length-prefixed fields and the u64 timestamp."""
+    return 25 + len(tx.sender) + len(tx.sender_pubkey) + len(tx.payload) + len(tx.signature)
+
+
 # Trace/alarm payloads are (node_id, tick) pairs and nothing else: no names,
 # no positions. Keeping the codec here makes that restriction inspectable.
 

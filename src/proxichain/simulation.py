@@ -46,13 +46,17 @@ from .ledger import (
     TxKind,
     encode_block_full,
     encode_contact_pairs,
-    encode_transaction,
     make_genesis,
     make_transaction,
     make_transactions,
     next_block,
+    transaction_size,
     whash_window_for,
 )
+
+# ``encode_transaction`` is unused here; perfbench/tracing.py counts calls
+# through this binding.
+from .ledger import encode_transaction
 
 # Everything in a block except its transactions has a fixed encoded size, so
 # the genesis encoding doubles as the per-block overhead for batch budgeting.
@@ -489,7 +493,7 @@ def _take_sized_batch(pending: list[Transaction], batch_size: int) -> tuple[Tran
     used = 0
     taken = 0
     for tx in pending[:batch_size]:
-        cost = len(encode_transaction(tx))
+        cost = transaction_size(tx)
         if used + cost > budget:
             if taken == 0:
                 raise BlockOverflowError("a single transaction exceeds block capacity")

@@ -45,6 +45,22 @@ def no_ecdsa_thread_outlives_a_test():
         pytest.fail(f"verify threads outlived the test: {', '.join(alive)}")
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of every helper forked during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 @pytest.fixture(scope="session")
 def criteria_log(pytestconfig):
     """Collect one pass/fail line per acceptance criterion for the summary."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from proxichain import consensus, identity
+from proxichain import _fork, consensus, identity
 from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
@@ -285,22 +285,6 @@ def procs(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids of every helper forked during the test."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
 def _assert_reaped(pids) -> None:
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -462,6 +446,23 @@ class TestSearchHelpers:
         with pytest.raises(RuntimeError, match="misses the DL_2 target"):
             mine(chain, cand, DL_TWO)
         _assert_reaped(forked)
+
+
+def test_forked_helper_that_raises_exits_without_a_record(forked, monkeypatch):
+    """The shared fork helper, driven directly: a body that fails after
+    one record exits without another, and the caller still reaps it."""
+    monkeypatch.setattr(identity, "_CORES", 2)
+
+    def body(p, procs, report):
+        os.write(report, bytes([p, procs]))
+        raise ValueError("the helper's work failed")
+
+    with _fork.helpers(body) as reads:
+        assert len(reads) == 1
+        with os.fdopen(reads[0], "rb", closefd=False) as fh:
+            assert fh.read() == bytes([1, 2])
+    assert len(forked) == 1
+    _assert_reaped(forked)
 
 
 class TestRejectionReasons:

@@ -5,6 +5,7 @@ import json
 import os
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from proxichain import aoa, cli
+from proxichain import aoa, cli, experiments, identity
 from proxichain.consensus import DL_EASY, mine, verify_chain
 from proxichain.experiments import (
     ConfigError,
@@ -389,6 +390,116 @@ class TestLocalizationEval:
         assert paired[1].mean_abs_azimuth_error_deg == pytest.approx(
             lone[0].mean_abs_azimuth_error_deg
         )
+
+
+SPLIT_SNRS = [None, 20.0, 10.0]
+# 31 trials cut unevenly into two (15 + 16) and three (10 + 10 + 11) shares.
+SPLIT_TRIALS = 31
+
+
+def _hex_rows(rows) -> list[tuple]:
+    return [
+        (r.snr_db, r.mean_abs_azimuth_error_deg.hex(), r.position_rmse_m.hex(), r.dropped_trials)
+        for r in rows
+    ]
+
+
+def _split_eval() -> list[tuple]:
+    return _hex_rows(run_localization_eval(SPLIT_SNRS, trials=SPLIT_TRIALS, seed=3))
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("forked where the eval must run in one process")
+
+
+@pytest.fixture(scope="module")
+def sequential_rows() -> list[tuple]:
+    """The split eval's rows from one process, with ``os.fork`` gone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identity, "_CORES", 1)
+        mp.delattr(os, "fork")
+        return _split_eval()
+
+
+class TestSplitLocalizationEval:
+    """The trials are cut into one share per CPU, helpers run every share
+    but the first, and the rows must be those of one process, bit for bit."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3], ids=["one-core", "two-cores", "three-cores"])
+    def test_rows_do_not_depend_on_the_core_count(self, cores, forked, sequential_rows,
+                                                    monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", cores)
+        assert _split_eval() == sequential_rows
+        assert len(forked) == cores - 1
+        _assert_reaped(forked)
+
+    def test_one_core_never_forks(self, sequential_rows, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert _split_eval() == sequential_rows
+
+    def test_no_fork_beside_other_threads(self, sequential_rows, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(_split_eval).result() == sequential_rows
+
+    def test_no_fork_available(self, sequential_rows, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.delattr(os, "fork")
+        assert _split_eval() == sequential_rows
+
+    def test_error_in_a_helpers_share_surfaces_unchanged(self, forked, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        caller, trial_records = os.getpid(), experiments._loc_trial
+        run_here = []
+
+        def fails_at_trial_20(seed, trial, *args):
+            if os.getpid() == caller:
+                run_here.append(trial)
+            if trial == 20:
+                raise aoa.NumericalRankError("injected at trial 20")
+            return trial_records(seed, trial, *args)
+
+        monkeypatch.setattr(experiments, "_loc_trial", fails_at_trial_20)
+        with pytest.raises(aoa.NumericalRankError, match="^injected at trial 20$"):
+            run_localization_eval(SPLIT_SNRS, trials=SPLIT_TRIALS, seed=3)
+        # The caller ran its share (0-14), then redid the helper's share
+        # (15-30), which had failed, up to the trial a sequential run stops at.
+        assert run_here == list(range(21))
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_share_of_a_helper_that_dies_is_redone(self, forked, sequential_rows, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 3)
+        caller, trial_records = os.getpid(), experiments._loc_trial
+
+        def helper_dies(seed, trial, *args):
+            if os.getpid() != caller and trial == 25:
+                os._exit(1)
+            return trial_records(seed, trial, *args)
+
+        monkeypatch.setattr(experiments, "_loc_trial", helper_dies)
+        assert _split_eval() == sequential_rows
+        assert len(forked) == 2
+        _assert_reaped(forked)
+
+    def test_cli_csv_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch):
+        written = []
+        for cores in (1, 2):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            out = tmp_path / f"cores-{cores}"
+            argv = ["loc-eval", "--snr", "inf,20,10", "--trials", str(SPLIT_TRIALS),
+                    "--seed", "3", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            written.append((out / "loc_eval.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 def test_window_attack_cost_grows_with_window_count():

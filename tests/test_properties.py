@@ -1,4 +1,5 @@
-"""Property tests for chain verification over a small windowed chain.
+"""Property tests for chain verification over a small windowed chain, and
+for the transaction size that block batching budgets with.
 
 The chain is built once per module. Every example either edits one block in
 memory and checks exactly which digests fail, or mangles the saved
@@ -17,10 +18,13 @@ from proxichain.consensus import DL_EASY, append_block, mine, verify_chain
 from proxichain.identity import Role, generate_identity
 from proxichain.ledger import (
     Chain,
+    Transaction,
     TxKind,
     block_to_json_line,
+    encode_transaction,
     make_transaction,
     next_block,
+    transaction_size,
 )
 
 SENDERS = [generate_identity(Role.LIGHT, seed=s) for s in (701, 702)]
@@ -143,3 +147,33 @@ def test_mangled_chain_file_exits_2_or_3(chain_lines, tmp_path_factory, data, ma
     else:
         path.write_text(content)
     assert cli.main(["verify-chain", str(path)]) in (cli.EXIT_VALIDATION, cli.EXIT_CONFIG)
+
+
+# Empty, one-byte and past-64-KiB payloads, plus anything short.
+_PAYLOADS = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    st.integers(64 * 1024 + 1, 70_000).map(lambda n: bytes([n % 251]) * n),
+    st.binary(max_size=300),
+)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(TxKind),
+    sender=st.binary(max_size=40),
+    pubkey=st.binary(max_size=80),
+    payload=_PAYLOADS,
+    timestamp=st.integers(0, 2**64 - 1),
+    signature=st.binary(max_size=80),
+)
+def test_transaction_size_is_the_encoded_length(kind, sender, pubkey, payload, timestamp, signature):
+    tx = Transaction(kind, sender, pubkey, payload, timestamp, signature)
+    assert transaction_size(tx) == len(encode_transaction(tx))
+
+
+@pytest.mark.parametrize("kind", list(TxKind), ids=lambda kind: kind.name)
+@pytest.mark.parametrize("size", [0, 1, 64 * 1024 + 1], ids=["empty", "one-byte", "past-64KiB"])
+def test_signed_transaction_size_is_the_encoded_length(kind, size):
+    tx = make_transaction(SENDERS[0], kind, b"\x5a" * size, 3)
+    assert transaction_size(tx) == len(encode_transaction(tx))
