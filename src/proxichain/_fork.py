@@ -2,8 +2,10 @@
 
 A caller that splits its work (``consensus.mine``'s nonce search,
 ``experiments.run_localization_eval``'s trials) runs share 0 itself and
-reads every other share's records from a helper's pipe. When to fork, what a
-helper may touch and how it ends all live in :func:`helpers`.
+reads every other share's records from a helper's pipe. A caller that
+hands work off (``simulation.run_epoch``'s block validator) also feeds its
+helper through a second pipe. When to fork, what a helper may touch and how
+it ends all live in :func:`helpers`.
 """
 
 from __future__ import annotations
@@ -11,50 +13,86 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from . import identity
 
+# The pipe ends this process holds for its live helpers. A helper forked
+# while others live (a nonce search beside ct-run's validator) closes them
+# all, so that an end is held only by the process it belongs to and a
+# helper sees end-of-file when its caller closes its end.
+_held: list[int] = []
+
+
+def write_all(fd: int, data: bytes) -> None:
+    """Write every byte of ``data`` to ``fd``; ``os.write`` may take part."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
 
 @contextmanager
-def helpers(body: Callable[[int, int, int], None]) -> Iterator[list[int]]:
+def helpers(
+    body: Callable[..., None], most: Optional[int] = None, inbound: bool = False
+) -> Iterator[list]:
     """Run ``body(p, procs, report)`` in a forked helper for each ``p`` in
     ``1 .. procs - 1`` and yield the read ends of their pipes, in ``p``
     order; the caller runs share 0 and counts ``len(reads) + 1`` processes.
 
     ``procs`` is ``identity._CORES``, the CPUs in ``sched_getaffinity``, so
-    ``taskset`` limits it. Without ``os.fork``, or while another thread runs
-    (a fork copies only the calling thread, so a lock another thread holds
-    would stay held in the helper), ``procs`` is 1 and nothing is forked.
+    ``taskset`` limits it, and at most ``most + 1`` when ``most`` is given.
+    Without ``os.fork``, or while another thread runs (a fork copies only
+    the calling thread, so a lock another thread holds would stay held in
+    the helper), ``procs`` is 1 and nothing is forked.
+
+    With ``inbound`` each helper also gets a pipe from the caller: it runs
+    ``body(p, procs, report, feed)`` and reads ``feed``, and the block
+    yields ``(read end of report, write end of feed)`` per helper. Every
+    end the block yields stays the block's to close.
 
     A helper writes its records to the pipe ``report`` and exits when
     ``body`` returns. If ``body`` raises, the helper exits without a further
     record; so does the first write after the caller has died, which closes
-    the read end. A helper never runs the caller's cleanup code. On leaving
-    the block every helper is killed and reaped and every read end closed,
-    whether the block returned or raised.
+    the read end. A helper never runs the caller's cleanup code, and holds
+    no pipe end of the caller's other helpers. On leaving the block every
+    helper is killed and reaped and every end closed, whether the block
+    returned or raised.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     procs = identity._CORES if forkable else 1
+    if most is not None:
+        procs = min(procs, most + 1)
     pids: list[int] = []
-    reads: list[int] = []
+    kept: list[int] = []  # the caller's ends, in helper order
+
+    def pipe(caller_reads: bool) -> int:
+        """Open a pipe, keep the caller's end and return the helper's."""
+        read_fd, write_fd = os.pipe()
+        mine, theirs = (read_fd, write_fd) if caller_reads else (write_fd, read_fd)
+        kept.append(mine)
+        _held.append(mine)
+        return theirs
+
     try:
         for p in range(1, procs):
-            read_fd, write_fd = os.pipe()
-            reads.append(read_fd)
+            given = [pipe(caller_reads=True)]
             try:
+                if inbound:
+                    given.append(pipe(caller_reads=False))
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        for fd in reads:
+                        for fd in _held:
                             os.close(fd)
-                        body(p, procs, write_fd)
+                        _held.clear()
+                        body(p, procs, *given)
                     finally:
                         os._exit(0)
                 pids.append(pid)
             finally:
-                os.close(write_fd)
-        yield reads
+                for fd in given:
+                    os.close(fd)
+        yield list(zip(kept[::2], kept[1::2])) if inbound else kept
     finally:
         if pids:
             import signal  # only a split run needs it; module load stays lean
@@ -63,5 +101,6 @@ def helpers(body: Callable[[int, int, int], None]) -> Iterator[list[int]]:
                 os.kill(pid, signal.SIGKILL)
             for pid in pids:
                 os.waitpid(pid, 0)
-        for fd in reads:
+        for fd in kept:
             os.close(fd)
+            _held.remove(fd)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .consensus import verify_chain
+from .consensus import BlockRejectedError, verify_chain
 from .experiments import (
     ConfigError,
     ExperimentSpec,
@@ -114,7 +114,11 @@ def _cmd_mine_bench(args: argparse.Namespace) -> int:
 
 def _cmd_ct_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    paths, stats = run_ct_experiment(spec)
+    try:
+        paths, stats = run_ct_experiment(spec)
+    except BlockRejectedError as exc:
+        print(f"block rejected: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(
         f"ticks done: tx={stats['tx_total']} blocks={stats['blocks_total']} "
         f"infected_2m={stats['infected_2m']} infected_5m={stats['infected_5m']} "

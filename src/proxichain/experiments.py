@@ -427,9 +427,7 @@ def run_localization_eval(
         return trials * p // procs, trials * (p + 1) // procs
 
     def helper(p: int, procs: int, report: int) -> None:
-        view = memoryview(_loc_trials(seed, *bounds(p, procs), channels)).cast("B")
-        while view:
-            view = view[os.write(report, view):]
+        _fork.write_all(report, _loc_trials(seed, *bounds(p, procs), channels))
 
     with _fork.helpers(helper) as reads:
         procs = len(reads) + 1

@@ -495,7 +495,8 @@ class ChainTail(Sequence[HeldBlock]):
     :class:`HeldBlock`. ``len`` is the height of the whole chain; reading an
     evicted block raises ``IndexError``. Each block, genesis first, is
     handed to ``write`` as its ``chain.jsonl`` line when it is appended, so
-    a file written through it equals :func:`save_chain`'s.
+    a file written through it equals :func:`save_chain`'s; a tail whose
+    ``write`` is None makes no lines.
 
     A tail lasts one run, and it carries two stores for that run: the last
     window state :func:`whash_state` computed on it (dropped on append),
@@ -503,7 +504,7 @@ class ChainTail(Sequence[HeldBlock]):
     parsed (see :func:`proxichain.identity.verify_many`).
     """
 
-    def __init__(self, write: Callable[[str], object]):
+    def __init__(self, write: Optional[Callable[[str], object]]):
         self._write = write
         self._blocks: list[HeldBlock] = []
         self._height = 0
@@ -530,13 +531,27 @@ class ChainTail(Sequence[HeldBlock]):
         # the chain ended there; this raises instead.
         return (self[i] for i in range(self._height))
 
-    def append(self, block: Block) -> None:
-        self._write(block_to_json_line(block) + "\n")
+    def replica(self) -> "ChainTail":
+        """A tail of the same blocks that writes no lines and holds no
+        window state or parsed key: ``simulation.run_epoch``'s validator
+        checks each new block against one."""
+        tail = ChainTail(None)
+        tail._blocks = list(self._blocks)
+        tail._height = self._height
+        return tail
+
+    def append(self, block: Block) -> Optional[str]:
+        """Hold ``block`` as the new tip; returns the line written, if any."""
+        line = None
+        if self._write is not None:
+            line = block_to_json_line(block) + "\n"
+            self._write(line)
         self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]
         self._height += 1
         self._window_memo = None
+        return line
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,20 @@ background submission/query traffic fills the rest of each block.
 
 from __future__ import annotations
 
+import json
+import os
+import select
+import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .consensus import append_block, difficulty_for, mine
+from . import _fork, identity
+from .consensus import BlockRejectedError, append_block, difficulty_for, mine
 from .credit import (
     CreditEvent,
     CreditPolicy,
@@ -44,6 +50,7 @@ from .ledger import (
     MAX_BLOCK_BYTES,
     Transaction,
     TxKind,
+    block_from_dict,
     encode_block_full,
     encode_contact_pairs,
     make_genesis,
@@ -503,14 +510,158 @@ def _take_sized_batch(pending: list[Transaction], batch_size: int) -> tuple[Tran
     return tuple(pending[:taken])
 
 
+# One frame on the validator's feed: the byte length of a block's
+# ``chain.jsonl`` line and its miner's credit at append time, then the line.
+# A frame of length 0 ends the run.
+_FRAME = struct.Struct("<Qd")
+# Capacity asked for the feed pipe. At the kernel's default 64 KiB a
+# benchmark ct_run call (~15 blocks of ~4 KB lines a tick) spent 34 ms of
+# ~640 ms waiting to send, and 5 ms at 1 MiB.
+_FEED_BYTES = 1 << 20
+
+
+def _leave_caller_cpu() -> None:
+    """Take this process off the CPU its parent last ran on, if the
+    affinity leaves it another. A pipe write wakes the reader onto the
+    writer's CPU, and there the validator shared one CPU with the
+    simulation while the other idled: on a 2-vCPU Xeon a default
+    ``ct-run --seed 5`` took 19.5-21.8 s with both processes on one vCPU,
+    and 16.7-16.9 s with the validator moved off it."""
+    try:
+        with open(f"/proc/{os.getppid()}/stat") as fh:
+            # Field 39, "processor", counted from field 3 after the name.
+            caller_cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {caller_cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (OSError, AttributeError, ValueError, IndexError):
+        pass  # no /proc or no affinity calls here: the scheduler decides
+
+
+def _validate_feed(
+    chain: ChainTail, registry: AuthorizedRegistry, alpha_d: float, report: int, feed: int
+) -> None:
+    """The validator process: check each block fed to it on a write-less
+    replica of ``chain``, until a block is refused or the run ends.
+
+    Each block is rebuilt from its line as ``verify-chain`` loads it, so
+    the bytes checked are the bytes persisted, and goes through the
+    unchanged :func:`~proxichain.consensus.append_block`, with the credit
+    the caller sent as the miner's. The verdict goes to ``report`` as a
+    JSON array: ``[reason, detail]`` for the first refused block, or ``[]``
+    once the end frame follows only accepted blocks. A caller gone before
+    its end frame gets nothing.
+
+    The simulation process keeps one CPU busy, so the validator leaves its
+    CPU (see :func:`_leave_caller_cpu`) and splits a signature batch across
+    the other CPUs only (on two, it stays on one thread)."""
+    _leave_caller_cpu()
+    identity._CORES = max(identity._CORES - 1, 1)
+    own = chain.replica()
+    verdict: list[str] = []
+    with open(feed, "rb") as fh:
+        while True:
+            header = fh.read(_FRAME.size)
+            if len(header) < _FRAME.size:
+                return
+            size, credit = _FRAME.unpack(header)
+            if not size:
+                break
+            block = block_from_dict(json.loads(fh.read(size)))
+            try:
+                append_block(
+                    own, block, registry, credit_view=lambda node: credit, alpha_d=alpha_d
+                )
+            except BlockRejectedError as exc:
+                verdict = [exc.reason, exc.detail]
+                break
+    _fork.write_all(report, json.dumps(verdict).encode())
+
+
+class _Validator:
+    """The caller's side of a validator process (:func:`_validate_feed`):
+    the read end of its verdict and the write end of its feed."""
+
+    def __init__(self, status: int, feed: int):
+        self._status = status
+        self._feed = feed
+        self._poller = select.poll()
+        self._poller.register(status, select.POLLIN)
+        try:
+            import fcntl
+
+            fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, _FEED_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass  # the default capacity only makes sends wait more often
+
+    def send(self, line: str, credit: float) -> None:
+        """Feed one appended block's line and its miner's credit. A
+        validator that has refused a block or died closes the feed, so a
+        write that fails for it raises what :meth:`_verdict` finds."""
+        data = line.encode()
+        try:
+            _fork.write_all(self._feed, _FRAME.pack(len(data), credit) + data)
+        except BrokenPipeError:
+            self._verdict()
+
+    def poll(self) -> None:
+        """Raise the validator's verdict if one has come, without waiting."""
+        if self._poller.poll(0):
+            self._verdict()
+
+    def finish(self) -> None:
+        """End the feed and wait until every block sent has been checked."""
+        try:
+            _fork.write_all(self._feed, _FRAME.pack(0, 0.0))
+        finally:
+            self._verdict()
+
+    def _verdict(self) -> None:
+        """Read the verdict to end-of-file: :class:`BlockRejectedError` for
+        a refused block, ``RuntimeError`` if the validator left none."""
+        chunks = []
+        while chunk := os.read(self._status, 65536):
+            chunks.append(chunk)
+        if not chunks:
+            raise RuntimeError("the block validator exited without a verdict")
+        refused = json.loads(b"".join(chunks))
+        if refused:
+            raise BlockRejectedError(*refused)
+
+
+@contextmanager
+def _block_validator(
+    world: WorldState, chain: Chain | ChainTail
+) -> Iterator[Optional[_Validator]]:
+    """A validator process for the run on ``chain``, or None when blocks are
+    validated in process: on a :class:`Chain`, on one CPU or beside another
+    thread (see :func:`proxichain._fork.helpers`). The validator is forked
+    once the registry is published, and killed and reaped on leaving."""
+    if not isinstance(chain, ChainTail):
+        yield None
+        return
+    registry, alpha_d = world.registry, world.config.policy.alpha_d
+
+    def body(p: int, procs: int, report: int, feed: int) -> None:
+        _validate_feed(chain, registry, alpha_d, report, feed)
+
+    with _fork.helpers(body, most=1, inbound=True) as ends:
+        yield _Validator(*ends[0]) if ends else None
+
+
 def _mine_pending(
     world: WorldState,
     chain: Chain | ChainTail,
     miner_pool: list[NodeIdentity],
     now: int,
     flush: bool,
+    validator: Optional[_Validator] = None,
 ) -> int:
-    """Batch pending transactions into blocks and mine them onto the tip."""
+    """Batch pending transactions into blocks and mine them onto the tip.
+
+    Each block is validated by :func:`~proxichain.consensus.append_block`
+    as it is appended; with a ``validator``, it is appended unchecked and
+    its line goes to the validator process, which checks it there."""
     config = world.config
     batch_size = config.tx_per_block_mean
     credit_now = now + 1
@@ -527,13 +678,19 @@ def _mine_pending(
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
         result = mine(chain, next_block(chain, window, batch, miner.node_id, now), level)
-        append_block(
-            chain,
-            result.block,
-            world.registry,
-            credit_view=lambda node: world.credit.total(node, credit_now),
-            alpha_d=config.policy.alpha_d,
-        )
+        if validator is None:
+            append_block(
+                chain,
+                result.block,
+                world.registry,
+                credit_view=lambda node: world.credit.total(node, credit_now),
+                alpha_d=config.policy.alpha_d,
+            )
+        else:
+            validator.send(
+                chain.append(result.block),
+                world.credit.total(result.block.miner, credit_now),
+            )
         mined += 1
     return mined
 
@@ -558,6 +715,16 @@ def run_epoch(
     is made (the default drops it). Mined blocks are appended to ``chain``,
     which may be a :class:`~proxichain.ledger.ChainTail` holding only the
     window.
+
+    On a tail, with a second CPU and no other thread, the blocks are
+    validated in a forked validator process that lasts for the run (see
+    :func:`_validate_feed`) while this process goes on simulating and
+    mining. A refused block raises the :class:`BlockRejectedError` that
+    validating in process raises: at the end of the first tick after the
+    validator has refused it (the verdict is polled once per tick), at a
+    later block's send if that finds the validator gone, and at the latest
+    once the last tick's blocks are checked. A validator that dies raises
+    ``RuntimeError``.
     """
     if world.identities is None:
         raise ValueError("run_epoch needs a world built with identities")
@@ -584,79 +751,86 @@ def run_epoch(
 
     tx_rate = config.tx_per_block_mean * config.n_blocks / max(config.ticks, 1)
 
-    for t in range(config.ticks):
-        step_mobility(world)
-        tx_before = len(world.pending)
+    with _block_validator(world, chain) as validator:
+        for t in range(config.ticks):
+            step_mobility(world)
+            tx_before = len(world.pending)
 
-        metrics.observed_pairs += _score_contacts(world, t)
-        if config.violator_id is not None:
-            v = config.violator_id
-            x, y = world.positions[:, 0], world.positions[:, 1]
-            dx, dy = x[v] - x, y[v] - y
-            row = np.sqrt(dx * dx + dy * dy)
-            row[v] = np.inf
-            world._violator_target = world.positions[int(np.argmin(row))].copy()
+            metrics.observed_pairs += _score_contacts(world, t)
+            if config.violator_id is not None:
+                v = config.violator_id
+                x, y = world.positions[:, 0], world.positions[:, 1]
+                dx, dy = x[v] - x, y[v] - y
+                row = np.sqrt(dx * dx + dy * dy)
+                row[v] = np.inf
+                world._violator_target = world.positions[int(np.argmin(row))].copy()
 
-        # Shared draws couple the exposure-radius processes within the run.
-        before = world.infected().copy()
-        _spread_tick(world)
-        newly = np.nonzero(world.infected() & ~before)[0]
-        for i in newly:
-            _emit_trace(world, int(i), t, trace_sink, node_hex, node_bytes)
+            # Shared draws couple the exposure-radius processes within the run.
+            before = world.infected().copy()
+            _spread_tick(world)
+            newly = np.nonzero(world.infected() & ~before)[0]
+            for i in newly:
+                _emit_trace(world, int(i), t, trace_sink, node_hex, node_bytes)
 
-        if (
-            config.false_claimer_id is not None
-            and t == config.false_claim_tick
-            and not world.infected()[config.false_claimer_id]
-        ):
-            # Authorized validation cross-checks the pool; the claim fails
-            # and the claimant is punished instead of traced.
-            world.credit.punish(
-                node_ids[config.false_claimer_id], EventKind.FALSE_CLAIM, t
+            if (
+                config.false_claimer_id is not None
+                and t == config.false_claim_tick
+                and not world.infected()[config.false_claimer_id]
+            ):
+                # Authorized validation cross-checks the pool; the claim fails
+                # and the claimant is punished instead of traced.
+                world.credit.punish(
+                    node_ids[config.false_claimer_id], EventKind.FALSE_CLAIM, t
+                )
+            if config.attacker_id is not None and t == config.attack_tick:
+                world.credit.punish(
+                    node_ids[config.attacker_id], EventKind.NETWORK_ATTACK, t
+                )
+
+            n_tx = int(world.streams["traffic"].poisson(tx_rate))
+            senders = world.streams["traffic"].integers(0, n, size=n_tx)
+            kind_draw = world.streams["traffic"].random(n_tx)
+            traffic = []
+            for s, kd in zip(senders, kind_draw):
+                ident = world.identities[int(s)]
+                if kd < 0.7:
+                    payload = world.venue.zone_of(world.positions[int(s)]).to_bytes(2, "little")
+                    kind = TxKind.ST
+                else:
+                    payload = ident.node_id
+                    kind = TxKind.QT
+                traffic.append((ident, kind, payload))
+            world.pending.extend(make_transactions(traffic, t))
+
+            tx_count = len(world.pending) - tx_before
+
+            pool = list(world.authorized) + [world.manager]
+            totals = world.credit.totals(now=t + 1)
+            top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
+            pool.extend(world.identities[int(m)] for m in top)
+            blocks = _mine_pending(
+                world, chain, pool, t, flush=(t == config.ticks - 1), validator=validator
             )
-        if config.attacker_id is not None and t == config.attack_tick:
-            world.credit.punish(
-                node_ids[config.attacker_id], EventKind.NETWORK_ATTACK, t
+            if validator is not None:
+                validator.poll()
+
+            for idx in metrics.tracked:
+                p, neg, tot = world.credit.breakdown(node_ids[idx], t + 1)
+                metrics.credit_rows.append((t, node_hex[idx], p, neg, tot))
+
+            metrics.rows.append(
+                {
+                    "tick": t,
+                    "infected_count_2m": int(world.infections[2.0].sum()),
+                    "infected_count_5m": int(world.infections[5.0].sum()),
+                    "tx_count": tx_count,
+                    "blocks_mined": blocks,
+                }
             )
-
-        n_tx = int(world.streams["traffic"].poisson(tx_rate))
-        senders = world.streams["traffic"].integers(0, n, size=n_tx)
-        kind_draw = world.streams["traffic"].random(n_tx)
-        traffic = []
-        for s, kd in zip(senders, kind_draw):
-            ident = world.identities[int(s)]
-            if kd < 0.7:
-                payload = world.venue.zone_of(world.positions[int(s)]).to_bytes(2, "little")
-                kind = TxKind.ST
-            else:
-                payload = ident.node_id
-                kind = TxKind.QT
-            traffic.append((ident, kind, payload))
-        world.pending.extend(make_transactions(traffic, t))
-
-        tx_count = len(world.pending) - tx_before
-
-        pool = list(world.authorized) + [world.manager]
-        totals = world.credit.totals(now=t + 1)
-        top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
-        pool.extend(world.identities[int(m)] for m in top)
-        blocks = _mine_pending(world, chain, pool, t, flush=(t == config.ticks - 1))
-
-        for idx in metrics.tracked:
-            p, neg, tot = world.credit.breakdown(node_ids[idx], t + 1)
-            metrics.credit_rows.append((t, node_hex[idx], p, neg, tot))
-
-        metrics.rows.append(
-            {
-                "tick": t,
-                "infected_count_2m": int(world.infections[2.0].sum()),
-                "infected_count_5m": int(world.infections[5.0].sum()),
-                "tx_count": tx_count,
-                "blocks_mined": blocks,
-            }
-        )
-        metrics.tx_total += tx_count
-        metrics.blocks_total += blocks
+            metrics.tx_total += tx_count
+            metrics.blocks_total += blocks
+        if validator is not None:
+            validator.finish()
 
     world.iup.prune(config.ticks)
     metrics.prox_final = world.credit.prox.copy()

@@ -45,6 +45,33 @@ def no_ecdsa_thread_outlives_a_test():
         pytest.fail(f"verify threads outlived the test: {', '.join(alive)}")
 
 
+def _pipe_ends() -> int:
+    """The pipe ends this process holds, from ``/proc/self/fd``."""
+    count = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{name}").startswith("pipe:")
+        except OSError:  # the descriptor listdir itself used, now closed
+            pass
+    return count
+
+
+@pytest.fixture(autouse=True)
+def no_pipe_end_outlives_a_test():
+    """Fail a test after which this process holds more pipe ends than
+    before it: the descriptor-level twin of
+    ``no_child_process_outlives_a_test``. A helper's pipe end left open
+    would keep its peer from seeing end-of-file. Linux only."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _pipe_ends()
+    yield
+    leaked = _pipe_ends() - before
+    if leaked > 0:
+        pytest.fail(f"{leaked} pipe end(s) outlived the test")
+
+
 @pytest.fixture
 def forked(monkeypatch):
     """The pids of every helper forked during the test."""

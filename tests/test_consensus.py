@@ -465,6 +465,25 @@ def test_forked_helper_that_raises_exits_without_a_record(forked, monkeypatch):
     _assert_reaped(forked)
 
 
+def test_forked_helper_with_an_inbound_pipe(forked, monkeypatch):
+    """``most`` caps the helpers below the CPU count, and ``inbound`` gives
+    each helper a pipe from the caller, whose write end the block yields."""
+    monkeypatch.setattr(identity, "_CORES", 3)
+
+    def body(p, procs, report, feed):
+        with os.fdopen(feed, "rb") as fh:
+            _fork.write_all(report, bytes([p, procs]) + fh.read(3)[::-1])
+
+    with _fork.helpers(body, most=1, inbound=True) as ends:
+        assert len(ends) == 1
+        (status, feed), = ends
+        _fork.write_all(feed, b"abc")
+        with os.fdopen(status, "rb", closefd=False) as fh:
+            assert fh.read() == bytes([1, 2]) + b"cba"
+    assert len(forked) == 1
+    _assert_reaped(forked)
+
+
 class TestRejectionReasons:
     def test_window_out_of_range(self):
         chain = _grow(2)

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import os
+import signal
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -13,8 +15,9 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from proxichain import aoa, cli, experiments, identity
-from proxichain.consensus import DL_EASY, mine, verify_chain
+from proxichain import aoa, cli, consensus, experiments, identity, simulation
+from proxichain.consensus import DL_EASY, BlockRejectedError, mine, verify_chain
+from proxichain.credit import CreditPolicy
 from proxichain.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -28,15 +31,17 @@ from proxichain.experiments import (
     write_bench_csv,
     write_loc_eval_csv,
 )
-from proxichain.identity import node_id_for
+from proxichain.identity import Role, generate_identity, node_id_for
 from proxichain.ledger import (
     WINDOW_MAX,
     Block,
     ChainTail,
     HeldBlock,
+    TxKind,
     block_from_dict,
     block_to_dict,
     load_chain,
+    make_transaction,
     tx_signing_bytes,
 )
 from proxichain.simulation import SimConfig, run_epoch
@@ -287,6 +292,10 @@ class TestCtExperiment:
         assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
     def test_crash_during_chain_write_leaves_no_chain(self, tmp_path, monkeypatch):
+        self.crash_during_chain_write(tmp_path, monkeypatch)
+
+    @classmethod
+    def crash_during_chain_write(cls, tmp_path, monkeypatch):
         import proxichain.experiments as exp
 
         written = []
@@ -305,7 +314,7 @@ class TestCtExperiment:
             run_ct_experiment(_tiny_spec(str(tmp_path)))
         # Genesis and two mined blocks went out before the failing write.
         assert [json.loads(line)["index"] for line in written] == [0, 1, 2]
-        self._assert_crashed_mid_run(tmp_path)
+        cls._assert_crashed_mid_run(tmp_path)
 
     def test_crash_during_contacts_write_leaves_neither_stream(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
@@ -327,6 +336,218 @@ class TestCtExperiment:
         # The tiny run reports two traces; the second write fails.
         assert len(written) == 1
         self._assert_crashed_mid_run(tmp_path)
+
+
+# The tiny run with both kinds of scripted misbehaviour, and a run of 40
+# agents with a high alpha_d: its first four light-miner blocks come from
+# miners below it, whose DL_h searches fork helpers while the validator
+# lives, and its last seven from miners above it, which mine DL_e. So the
+# validator's entitlement verdicts depend on the credit sent with a block.
+AGREEMENT_SIMS = {
+    "tiny-misbehaving": replace(
+        TINY_SIM, attacker_id=3, attack_tick=5, false_claimer_id=4, false_claim_tick=6
+    ),
+    "high-alpha-d": SimConfig(
+        n_agents=40, ticks=10, p_inf=0.15, seed=2, tx_per_block_mean=4, n_blocks=15,
+        policy=CreditPolicy(alpha_d=500.0),
+    ),
+}
+CT_ARTIFACTS = ("metrics_csv", "credits_csv", "contacts_jsonl", "chain_jsonl", "iup_json",
+                "spec_json")
+
+
+def _signature_flipped(candidate: Block) -> Block:
+    """``candidate`` with one byte of its first transaction's signature
+    flipped, for the miner to mine as if it were sound."""
+    first, *rest = candidate.transactions
+    signature = bytearray(first.signature)
+    signature[-1] ^= 1
+    return replace(candidate, transactions=(replace(first, signature=bytes(signature)), *rest))
+
+
+def _miner_tampering_at(monkeypatch, index: int, then=None) -> list[int]:
+    """Make ct-run's miner flip a signature byte of block ``index`` and
+    re-mine it; ``then`` edits each later candidate before it is mined.
+    Returns a list that gets the tick at which block ``index`` is mined."""
+    honest, tampered_at = simulation.mine, []
+
+    def tampering(blocks, candidate, level):
+        if candidate.index == index:
+            tampered_at.append(candidate.timestamp)
+            candidate = _signature_flipped(candidate)
+        elif then is not None and candidate.index > index:
+            candidate = then(candidate)
+        return honest(blocks, candidate, level)
+
+    monkeypatch.setattr(simulation, "mine", tampering)
+    return tampered_at
+
+
+def _tick_counter(monkeypatch, pause: float = 0.0) -> list[int]:
+    """The number of ticks ``run_epoch`` has started, as a one-item list;
+    each tick first sleeps ``pause`` seconds."""
+    started, step = [0], simulation.step_mobility
+
+    def counting(world):
+        started[0] += 1
+        time.sleep(pause)
+        return step(world)
+
+    monkeypatch.setattr(simulation, "step_mobility", counting)
+    return started
+
+
+@pytest.fixture
+def within_60_s():
+    """Fail a test still running after 60 s, rather than hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestCtValidator:
+    """On more than one CPU, ct-run validates its blocks in a forked
+    validator process; on one, in process. The outcome must not differ."""
+
+    @pytest.mark.parametrize("sim", list(AGREEMENT_SIMS.values()), ids=list(AGREEMENT_SIMS))
+    def test_artifacts_do_not_depend_on_the_core_count(self, sim, tmp_path, forked,
+                                                        monkeypatch):
+        spec = ExperimentSpec(name="agree", sim=sim, output_dir=str(tmp_path))
+        written = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            before = len(forked)
+            paths, _ = run_ct_experiment(spec)
+            if cores == 1:
+                assert len(forked) == before
+            for field in CT_ARTIFACTS:
+                with open(getattr(paths, field), "rb") as fh:
+                    written.setdefault(field, []).append(fh.read())
+        for field, blobs in written.items():
+            assert blobs[0] == blobs[1] == blobs[2], field
+        assert verify_chain(load_chain(paths.chain_jsonl)) == []
+        assert forked
+        _assert_reaped(forked)
+
+    def test_nonce_search_helpers_hold_no_validator_pipe(self, tmp_path, forked, monkeypatch):
+        """A nonce search forked while the validator lives closes the
+        validator's pipe ends, which only this process may hold."""
+        monkeypatch.setattr(identity, "_CORES", 2)
+        caller, scan = os.getpid(), consensus._scan
+        validator_ends, report = [], tmp_path / "held.txt"
+        validator = simulation._Validator
+
+        class Recorded(validator):
+            def __init__(self, status, feed):
+                validator_ends.extend((status, feed))
+                super().__init__(status, feed)
+
+        def checking_scan(copy, target, start, stop):
+            if os.getpid() != caller:
+                held = []
+                for fd in validator_ends:
+                    try:
+                        os.fstat(fd)
+                        held.append(fd)
+                    except OSError:
+                        pass
+                with open(report, "a") as fh:
+                    fh.write(f"{held}\n")
+            return scan(copy, target, start, stop)
+
+        monkeypatch.setattr(simulation, "_Validator", Recorded)
+        monkeypatch.setattr(consensus, "_scan", checking_scan)
+        sim = AGREEMENT_SIMS["high-alpha-d"]
+        run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path / "out")))
+        lines = report.read_text().splitlines()
+        assert len(validator_ends) == 2
+        assert lines and set(lines) == {"[]"}
+        _assert_reaped(forked)
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "validator"])
+    def test_refused_block_exits_2_naming_the_reason(self, cores, tmp_path, capsys, forked,
+                                                      monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", cores)
+        _miner_tampering_at(monkeypatch, 3)
+        out = tmp_path / "run"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(_tiny_spec(str(out))))
+        assert cli.main(["ct-run", "--config", str(spec_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("block rejected: signature: "), err
+        TestCtExperiment._assert_crashed_mid_run(out)
+        assert len(forked) == cores - 1
+        _assert_reaped(forked)
+
+    def test_refusal_is_polled_once_per_tick(self, tmp_path, forked, monkeypatch):
+        """With ticks long enough for the validator to check a block, a
+        refusal ends the run at the end of the tick after the one that sent
+        the block, at the latest, not only after the last tick."""
+        monkeypatch.setattr(identity, "_CORES", 2)
+        sent_at = _miner_tampering_at(monkeypatch, 3)
+        started = _tick_counter(monkeypatch, pause=0.05)
+        with pytest.raises(BlockRejectedError, match="^signature: "):
+            run_ct_experiment(_tiny_spec(str(tmp_path)))
+        assert started[0] <= sent_at[0] + 2 < TINY_SIM.ticks
+        _assert_reaped(forked)
+
+    def test_killed_validator_raises_without_hanging(self, tmp_path, forked, monkeypatch,
+                                                     within_60_s):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        started, step = [0], simulation.step_mobility
+
+        def killing_at_tick_10(world):
+            started[0] += 1
+            if started[0] == 10:
+                assert len(forked) == 1
+                os.kill(forked[0], signal.SIGKILL)
+            return step(world)
+
+        monkeypatch.setattr(simulation, "step_mobility", killing_at_tick_10)
+        with pytest.raises(RuntimeError, match="block validator exited without a verdict"):
+            run_ct_experiment(_tiny_spec(str(tmp_path)))
+        TestCtExperiment._assert_crashed_mid_run(tmp_path)
+        _assert_reaped(forked)
+
+    def test_crash_during_chain_write_reaps_the_validator(self, tmp_path, forked, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 2)
+        TestCtExperiment.crash_during_chain_write(tmp_path, monkeypatch)
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_refusal_beats_a_send_blocked_on_a_large_block(self, tmp_path, forked, monkeypatch,
+                                                            within_60_s):
+        """A block larger than the feed pipe, sent after a block the
+        validator refuses, blocks until the validator exits; the refusal,
+        not the broken pipe, ends the run, within the tick that sent it."""
+        sim = AGREEMENT_SIMS["tiny-misbehaving"]
+        spec = ExperimentSpec(name="big", sim=sim, output_dir=str(tmp_path / "dry"))
+        monkeypatch.setattr(identity, "_CORES", 1)
+        paths, _ = run_ct_experiment(spec)
+        ticks = [block.timestamp for block in load_chain(paths.chain_jsonl)]
+        # The first block after the registry's whose successor shares its tick.
+        index = next(i for i in range(2, len(ticks) - 1) if ticks[i] == ticks[i + 1])
+
+        sender = generate_identity(Role.LIGHT, seed=99)
+
+        def padded(candidate):
+            big = make_transaction(sender, TxKind.ST, bytes(700_000), candidate.timestamp)
+            return replace(candidate, transactions=(*candidate.transactions, big))
+
+        monkeypatch.setattr(identity, "_CORES", 2)
+        _miner_tampering_at(monkeypatch, index, then=padded)
+        started = _tick_counter(monkeypatch)
+        with pytest.raises(BlockRejectedError, match="^signature: ") as caught:
+            run_ct_experiment(replace(spec, output_dir=str(tmp_path / "run")))
+        assert isinstance(caught.value.__context__, BrokenPipeError)
+        assert started[0] == ticks[index] + 1
+        _assert_reaped(forked)
 
 
 class TestLocalizationEval:

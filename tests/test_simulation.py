@@ -1,4 +1,6 @@
 import json
+import os
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -536,10 +538,11 @@ class TestEpoch:
         ]
         assert len(registry_tx) == 1
 
-    def test_tail_hashes_each_window_and_parses_each_key_once(self, monkeypatch):
-        """On a ChainTail, as ct-run runs, mining a block and validating it
-        hash its window once between them, and each sender's key is parsed
-        at most once in the whole run, whichever block it signs in."""
+    @staticmethod
+    def _counted_tail_run(monkeypatch):
+        """``run_epoch`` on a ChainTail, as ct-run runs, recording in this
+        process the index of each block whose window is hashed and each
+        public key parsed; returns them with the run's chain and metrics."""
         config = SimConfig(
             n_agents=40, ticks=12, p_inf=0.3, seed=4, tx_per_block_mean=3, n_blocks=150
         )
@@ -556,10 +559,52 @@ class TestEpoch:
         _, _, metrics = run_epoch(world, tail)
         assert metrics.blocks_total > ledger.WINDOW_MAX
         assert windows == list(range(1, len(tail)))
+        run_parsed = list(parsed)
         chain = Chain(blocks=[block_from_dict(json.loads(line)) for line in lines])
+        assert verify_chain(chain) == []
+        return chain, run_parsed
+
+    def test_tail_hashes_each_window_and_parses_each_key_once(self, monkeypatch):
+        """On one CPU, where blocks are validated in process, mining a
+        block and validating it hash its window once between them, and each
+        sender's key is parsed at most once in the whole run, whichever
+        block it signs in."""
+        monkeypatch.setattr(identity, "_CORES", 1)
+        chain, parsed = self._counted_tail_run(monkeypatch)
         senders = {tx.sender_pubkey for block in chain for tx in block.transactions}
         assert sorted(parsed) == sorted(senders)
-        assert verify_chain(chain) == []
+
+    def test_tail_validated_off_process_parses_no_key_here(self, monkeypatch, forked):
+        """On two CPUs a validator process checks the blocks: this process
+        hashes each window once, to mine, and parses no key at all."""
+        monkeypatch.setattr(identity, "_CORES", 2)
+        _, parsed = self._counted_tail_run(monkeypatch)
+        assert parsed == []
+        assert len(forked) == 1
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs an affinity of two CPUs or more",
+    )
+    def test_validator_leaves_the_callers_cpu(self, monkeypatch, forked):
+        """The validator process takes one CPU out of its affinity, the one
+        this process last ran on, and keeps the rest."""
+        monkeypatch.setattr(identity, "_CORES", 2)
+        mine, seen, step = os.sched_getaffinity(0), [], simulation.step_mobility
+
+        def watching(world):
+            if not seen:
+                deadline = time.monotonic() + 10
+                while os.sched_getaffinity(forked[0]) == mine and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(os.sched_getaffinity(forked[0]))
+            return step(world)
+
+        monkeypatch.setattr(simulation, "step_mobility", watching)
+        config = SimConfig(n_agents=20, ticks=3, seed=1, **SMALL)
+        run_epoch(build_world(config), ChainTail(lambda line: None))
+        assert len(forked) == 1
+        assert seen[0] < mine and len(seen[0]) == len(mine) - 1
 
     def test_same_seed_is_bit_deterministic_in_memory(self):
         config = SimConfig(n_agents=25, ticks=40, p_inf=0.1, seed=12, **SMALL)
