@@ -269,24 +269,29 @@ def _check_signatures(block: Block, verdicts: Sequence[bool]) -> ValidationResul
 
 
 def _check_blocks(
-    blocks: Sequence[Block], batch: Sequence[Block], expected_level: DifficultyLevel
+    blocks: Sequence[Block],
+    batch: Sequence[Block],
+    expected_level: DifficultyLevel,
+    keys: Optional[dict] = None,
 ) -> list[ValidationResult]:
     """Every clause but index and linkage, for each block of ``batch``.
 
     The signatures of the whole batch go to one verify batch, and while its
     chunks run on helper threads the calling thread checks every other
     clause of each block. A block that fails one of those is rejected for
-    it; otherwise its first bad signature rejects it. On a
-    :class:`~proxichain.ledger.ChainTail` the keys parsed for the batch stay
-    in the tail's ``parsed_keys`` for later batches.
+    it; otherwise its first bad signature rejects it. The keys parsed for
+    the batch stay in ``keys`` for later batches when it is given, else in
+    the tail's ``parsed_keys`` on a :class:`~proxichain.ledger.ChainTail`.
     """
+    if keys is None and isinstance(blocks, ChainTail):
+        keys = blocks.parsed_keys
     structure: list[ValidationResult] = []
     verdicts = verify_transactions(
         [tx for block in batch for tx in block.transactions],
         meanwhile=lambda: structure.extend(
             _check_structure(blocks, block, expected_level) for block in batch
         ),
-        keys=blocks.parsed_keys if isinstance(blocks, ChainTail) else None,
+        keys=keys,
     )
     results = []
     end = 0
@@ -347,8 +352,8 @@ def append_block(
 # the whole chain in one batch, taking 2.80-3.13, 2.76-3.13, 2.75-3.24 and
 # 2.66-2.84 s (five alternating runs each, two CPUs). Most of the peak is
 # the loaded chain and its cached encodings. One batch would be ~0.2 s
-# faster but 5 MB higher; a smaller segment parses each sender's key more
-# often (once per segment that holds it). The benchmark chain (1,758 tx) is
+# faster but 5 MB higher. Segments share their parsed keys, so the size does
+# not change how often a key is parsed. The benchmark chain (1,758 tx) is
 # one segment.
 _SEGMENT_TX = 4096
 
@@ -375,7 +380,9 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     transactions (a larger block is a segment of its own). Each segment's
     signatures are checked in one batch split across the CPUs, while the
     calling thread checks the segment's other clauses, so the signature
-    jobs held at once are those of one segment.
+    jobs held at once are those of one segment. On more than one segment,
+    the segments share one store of parsed keys, so each sender's key is
+    parsed once per call.
     """
     found: list[ChainViolation] = []
     segments: list[list[Block]] = []
@@ -393,8 +400,11 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
         segments[-1].append(block)
         count += len(block.transactions)
 
+    # A one-segment chain keeps no store: its sorted chunks hold one parsed
+    # key at a time.
+    keys = {} if len(segments) > 1 else None
     for segment in segments:
-        for block, result in zip(segment, _check_blocks(blocks, segment, DL_EASY)):
+        for block, result in zip(segment, _check_blocks(blocks, segment, DL_EASY, keys)):
             if not result.accepted:
                 found.append(ChainViolation(block.index, result.reason, result.detail))
     # Stable: a block's linkage violation stays ahead of its other one.

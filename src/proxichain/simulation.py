@@ -200,6 +200,7 @@ class WorldState:
     config: SimConfig
     venue: Venue
     positions: np.ndarray                 # (n, 2) meters
+    bounds: np.ndarray                    # (2n,) wall per flattened coordinate
     infections: dict[float, np.ndarray]   # exposure radius -> infected mask
     notified: np.ndarray                  # bool (n,)
     streams: dict[str, np.random.Generator]
@@ -266,6 +267,7 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         config=config,
         venue=venue,
         positions=positions,
+        bounds=np.tile([venue.width, venue.height], n),
         infections=infections,
         notified=np.zeros(n, dtype=bool),
         streams=streams,
@@ -279,12 +281,17 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     )
 
 
-def _reflect(values: np.ndarray, upper: float) -> np.ndarray:
+def _reflect(values: np.ndarray, upper: np.ndarray | float) -> np.ndarray:
     # Fold the real line onto [0, upper] like a billiard: exact for any
-    # step size, not just small ones.
+    # step size, not just small ones. ``upper`` may hold one bound per value.
+    # ``np.mod`` is ``fmod`` plus the period where that is negative, and +0.0
+    # where it is zero; spelling it out costs half as much. A zero of either
+    # sign goes to the period here, which folds back to +0.0.
     period = 2.0 * upper
-    m = np.mod(values, period)
-    return np.where(m > upper, period - m, m)
+    m = np.fmod(values, period)
+    np.add(m, period, out=m, where=m <= 0)
+    np.subtract(period, m, out=m, where=m > upper)
+    return m
 
 
 def step_mobility(world: WorldState) -> WorldState:
@@ -298,30 +305,45 @@ def step_mobility(world: WorldState) -> WorldState:
     if vid is not None and world._violator_target is not None:
         # The distancing violator drifts toward wherever the crowd last was.
         world.positions[vid] += 0.8 * (world._violator_target - world.positions[vid])
-    world.positions[:, 0] = _reflect(world.positions[:, 0], world.venue.width)
-    world.positions[:, 1] = _reflect(world.positions[:, 1], world.venue.height)
+    # One fold over the flattened (x0, y0, x1, y1, ...) coordinates, so its
+    # loops run over 2n contiguous values, not n values at stride 2.
+    world.positions[:] = _reflect(world.positions.ravel(), world.bounds).reshape(-1, 2)
     return world
 
 
-def _spread_tick(world: WorldState) -> None:
-    """Advance every exposure-radius process on one tick's shared draws.
+def _spread_tick(world: WorldState) -> np.ndarray:
+    """Advance every exposure-radius process on one tick's shared draws, and
+    return the ascending indices newly infected at ``config.infection_radius``.
 
     Only a susceptible agent whose draw is below ``p_inf`` can be infected,
     so distances are taken from those candidates to the infected and never
     over all pairs. Being exposed and drawing low are independent tests, so
-    the result equals applying them the other way round.
+    the result equals applying them the other way round. The squared
+    distances are built one coordinate column at a time, so every pass runs
+    over a whole candidate row; the root is taken of each row's minimum,
+    which equals the minimum of the roots since a rounded square root is
+    monotone.
     """
     draws = world.streams["infection"].random(world.n)
     lucky = draws < world.config.p_inf
-    pos = world.positions
+    x, y = world.positions[:, 0], world.positions[:, 1]
+    newly = np.empty(0, dtype=np.intp)
     for radius in sorted(world.infections):
         infected = world.infections[radius]
-        cand = np.nonzero(lucky & ~infected)[0]
+        cand = np.flatnonzero(lucky & ~infected)
         if cand.size == 0 or not infected.any():
             continue
-        diff = pos[cand][:, None, :] - pos[infected][None, :, :]
-        exposed = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min(axis=1) <= radius
-        infected[cand[exposed]] = True
+        src = np.flatnonzero(infected)
+        dx = x[cand][:, None] - x[src]
+        dy = y[cand][:, None] - y[src]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        hit = cand[np.sqrt(dx.min(axis=1)) <= radius]
+        infected[hit] = True
+        if radius == world.config.infection_radius:
+            newly = hit
+    return newly
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +788,8 @@ def run_epoch(
                 world._violator_target = world.positions[int(np.argmin(row))].copy()
 
             # Shared draws couple the exposure-radius processes within the run.
-            before = world.infected().copy()
-            _spread_tick(world)
-            newly = np.nonzero(world.infected() & ~before)[0]
-            for i in newly:
-                _emit_trace(world, int(i), t, trace_sink, node_hex, node_bytes)
+            for i in _spread_tick(world).tolist():
+                _emit_trace(world, i, t, trace_sink, node_hex, node_bytes)
 
             if (
                 config.false_claimer_id is not None
@@ -861,7 +880,7 @@ def run_outbreak(config: SimConfig) -> list[tuple[int, int, int]]:
     for t in range(config.ticks):
         step_mobility(world)
         _spread_tick(world)
-        out.append(
-            (t, int(world.infections[2.0].sum()), int(world.infections[5.0].sum()))
-        )
+        c2 = np.count_nonzero(world.infections[2.0])
+        c5 = np.count_nonzero(world.infections[5.0])
+        out.append((t, int(c2), int(c5)))
     return out

@@ -510,6 +510,28 @@ class TestChainSegments:
         # boundary (block 8's is masked by its digest violation).
         assert batches == [20, 18, 20, 9]
 
+    def test_each_sender_key_is_parsed_once_per_call(self, chain, batches, monkeypatch):
+        """The four segments share one store of parsed keys. One chunk per
+        batch: two chunks may both parse a key they share before either
+        stores it."""
+        monkeypatch.setattr(identity, "_CORES", 1)
+        reference = _sequential_violations(chain.blocks)
+        batches.clear()
+        parsed = []
+        parse = identity._public_key
+
+        def counted(key):
+            parsed.append(key)
+            return parse(key)
+
+        monkeypatch.setattr(identity, "_public_key", counted)
+        for _ in range(2):
+            parsed.clear()
+            got = [(v.index, v.reason, v.detail) for v in verify_chain(chain)]
+            assert got == reference
+            assert sorted(parsed) == sorted(s.public_key for s in SENDERS)
+        assert batches == [20, 18, 20, 9] * 2
+
     def test_no_helper_thread_outlives_the_call(self, cores, chain, batches):
         verify_chain(chain)
         alive = [t.name for t in threading.enumerate() if t.name.startswith("proxichain-ecdsa")]

@@ -1,16 +1,19 @@
-"""Property tests for chain verification over a small windowed chain, and
-for the transaction size that block batching budgets with.
+"""Property tests for chain verification over a small windowed chain, for
+the transaction size that block batching budgets with, and for one tick of
+the exposure kernel against the all-pairs rule.
 
 The chain is built once per module. Every example either edits one block in
 memory and checks exactly which digests fail, or mangles the saved
 ``chain.jsonl`` and checks that ``verify-chain`` keeps its exit codes.
 """
 
+import copy
 import dataclasses
 import json
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from proxichain import cli
@@ -26,6 +29,7 @@ from proxichain.ledger import (
     next_block,
     transaction_size,
 )
+from proxichain.simulation import SimConfig, _spread_tick, build_world
 
 SENDERS = [generate_identity(Role.LIGHT, seed=s) for s in (701, 702)]
 MINER = generate_identity(Role.LIGHT, seed=703)
@@ -177,3 +181,59 @@ def test_transaction_size_is_the_encoded_length(kind, sender, pubkey, payload, t
 def test_signed_transaction_size_is_the_encoded_length(kind, size):
     tx = make_transaction(SENDERS[0], kind, b"\x5a" * size, 3)
     assert transaction_size(tx) == len(encode_transaction(tx))
+
+
+def _all_pairs_tick(points, masks, draws, p_inf):
+    """Newly infected agents per radius: a susceptible agent whose draw is
+    below ``p_inf`` and that lies within the radius of an agent infected
+    before the tick. Distances are compared squared, in integers."""
+    newly = {}
+    for radius, mask in masks.items():
+        newly[radius] = [
+            i for i, (xi, yi) in enumerate(points)
+            if not mask[i] and draws[i] < p_inf
+            and any(mask[j] and (xi - xj) ** 2 + (yi - yj) ** 2 <= radius**2
+                    for j, (xj, yj) in enumerate(points))
+        ]
+    return newly
+
+
+_GRID = st.tuples(st.integers(0, 10), st.integers(0, 10))
+
+
+@SETTINGS
+@given(
+    agents=st.lists(st.tuples(_GRID, st.booleans(), st.booleans(), st.booleans()),
+                    min_size=2, max_size=14),
+    radius=st.sampled_from([2.0, 3.0, 5.0]),
+    p_inf=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+# Exact ties: (3, 4) and (0, 2) lie 5.0 and 2.0 from the origin.
+@example(
+    agents=[((0, 0), True, True, True), ((3, 4), False, False, False),
+            ((0, 2), False, False, False), ((4, 4), False, True, False)],
+    radius=2.0, p_inf=1.0, seed=0,
+)
+def test_spread_tick_is_the_all_pairs_rule(agents, radius, p_inf, seed):
+    """On integer-grid positions, with infected masks that need not nest
+    across radii, one tick infects exactly whom the all-pairs rule does,
+    ties at the radius included, and returns the newly infected at the
+    configured radius in ascending order."""
+    n = len(agents)
+    world = build_world(
+        SimConfig(n_agents=n, ticks=1, p_inf=p_inf, infection_radius=radius, seed=seed), False
+    )
+    points = [point for point, *_ in agents]
+    world.positions[:] = points
+    for r, column in zip(sorted(world.infections), range(1, 4)):
+        world.infections[r][:] = [agent[column] for agent in agents]
+    masks = {r: mask.copy() for r, mask in world.infections.items()}
+    draws = copy.deepcopy(world.streams["infection"]).random(n)
+    expected = _all_pairs_tick(points, masks, draws, p_inf)
+
+    returned = _spread_tick(world)
+    for r, mask in masks.items():
+        assert np.flatnonzero(world.infections[r] & ~mask).tolist() == expected[r]
+        assert (world.infections[r] >= mask).all()
+    assert returned.tolist() == expected[radius]

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import time
@@ -67,6 +68,38 @@ class TestMobility:
     def test_reflection_folds_exactly(self):
         values = np.array([-0.3, 0.0, 5.0, 10.0, 10.5, 21.0])
         assert np.allclose(_reflect(values, 10.0), [0.3, 0.0, 5.0, 10.0, 9.5, 1.0])
+
+    @staticmethod
+    def _column_fold(values, upper):
+        """The fold as ``np.mod`` and ``np.where`` on one coordinate column
+        against its scalar wall."""
+        period = 2.0 * upper
+        m = np.mod(values, period)
+        return np.where(m > upper, period - m, m)
+
+    def test_flat_fold_is_bitwise_the_column_fold(self, monkeypatch):
+        """On a 7.5 x 3 m venue, with steps spanning several periods, each
+        tick's one fold over the flattened coordinates equals folding the x
+        and y columns apart, bit for bit, zeros' signs included."""
+        monkeypatch.setattr(simulation, "Venue", lambda: Venue(width=7.5, height=3.0))
+        config = SimConfig(n_agents=300, ticks=5, step_std=40.0, seed=3, **SMALL)
+        world = build_world(config, with_identities=False)
+        mobility = copy.deepcopy(world.streams["mobility"])
+        expected = world.positions.copy()
+        for _ in range(5):
+            moved = expected + mobility.normal(0.0, config.step_std, size=expected.shape)
+            expected = np.stack(
+                [self._column_fold(moved[:, 0], 7.5), self._column_fold(moved[:, 1], 3.0)], axis=1
+            )
+            step_mobility(world)
+            assert world.positions.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+        edges = np.array([-0.0, 0.0, -15.0, -6.0, 15.0, 6.0, 7.5, 3.0, -7.5, -3.0,
+                          -5e-324, 5e-324, -1e-17, np.nextafter(15.0, 0.0), 1e300, -1e300])
+        bounds = np.tile([7.5, 3.0], edges.size // 2)
+        folded = _reflect(edges, bounds)
+        expected = np.where(bounds == 7.5, self._column_fold(edges, 7.5), self._column_fold(edges, 3.0))
+        assert folded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_zero_step_std_keeps_positions(self):
         config = SimConfig(n_agents=10, ticks=5, step_std=0.0, **SMALL)
