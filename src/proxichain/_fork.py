@@ -3,9 +3,9 @@
 A caller that splits its work (``consensus.mine``'s nonce search,
 ``experiments.run_localization_eval``'s trials) runs share 0 itself and
 reads every other share's records from a helper's pipe. A caller that
-hands work off (``simulation.run_epoch``'s block validator) also feeds its
-helper through a second pipe. When to fork, what a helper may touch and how
-it ends all live in :func:`helpers`.
+hands work off (``simulation.run_epoch``'s block validator) gets one helper
+and feeds it through a second pipe. When to fork, what a helper may touch
+and how it ends all live in :func:`helpers`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from . import identity
 
@@ -32,23 +32,21 @@ def write_all(fd: int, data: bytes) -> None:
 
 
 @contextmanager
-def helpers(
-    body: Callable[..., None], most: Optional[int] = None, inbound: bool = False
-) -> Iterator[list]:
+def helpers(body: Callable[..., None], inbound: bool = False) -> Iterator[list]:
     """Run ``body(p, procs, report)`` in a forked helper for each ``p`` in
     ``1 .. procs - 1`` and yield the read ends of their pipes, in ``p``
     order; the caller runs share 0 and counts ``len(reads) + 1`` processes.
 
     ``procs`` is ``identity._CORES``, the CPUs in ``sched_getaffinity``, so
-    ``taskset`` limits it, and at most ``most + 1`` when ``most`` is given.
-    Without ``os.fork``, or while another thread runs (a fork copies only
-    the calling thread, so a lock another thread holds would stay held in
-    the helper), ``procs`` is 1 and nothing is forked.
+    ``taskset`` limits it. Without ``os.fork``, or while another thread runs
+    (a fork copies only the calling thread, so a lock another thread holds
+    would stay held in the helper), ``procs`` is 1 and nothing is forked.
 
-    With ``inbound`` each helper also gets a pipe from the caller: it runs
+    With ``inbound`` the caller hands work off to one helper (``procs`` is
+    at most 2), which also gets a pipe from the caller: it runs
     ``body(p, procs, report, feed)`` and reads ``feed``, and the block
-    yields ``(read end of report, write end of feed)`` per helper. Every
-    end the block yields stays the block's to close.
+    yields ``[(read end of report, write end of feed)]``. Every end the
+    block yields stays the block's to close.
 
     A helper writes its records to the pipe ``report`` and exits when
     ``body`` returns. If ``body`` raises, the helper exits without a further
@@ -60,8 +58,8 @@ def helpers(
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     procs = identity._CORES if forkable else 1
-    if most is not None:
-        procs = min(procs, most + 1)
+    if inbound:
+        procs = min(procs, 2)
     pids: list[int] = []
     kept: list[int] = []  # the caller's ends, in helper order
 

@@ -10,7 +10,9 @@ azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
 each take a batch in one call: ``synthesize_snapshots`` records B arrays
 through C channels, each channel drawing from its own generator, and
 ``music_spectra`` scans any stack of array outputs. The one-snapshot
-functions are batches of one.
+functions are batches of one on plain arrays. Every call reads the element
+spacing from ``SPACING_OVER_LAMBDA`` when it runs, so that constant is the
+only one to change.
 
 Positions come from intersecting bearing lines of several fixed receivers in
 a least-squares sense; a learned image classifier could replace that last
@@ -27,13 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-SPEED_OF_LIGHT = 3.0e8
 AZIMUTH_GRID = np.arange(181)
 ANGLE_IMAGE_SIDE = 28
 ANGLE_IMAGE_BEACONS = 4
 ANGLE_IMAGE_PAYLOAD = ANGLE_IMAGE_BEACONS * 181  # 724 spectrum samples
 # Element spacing in wavelengths: synthesis, steering vectors and the MUSIC
-# scan all read it from here.
+# scan all read it from here at call time.
 SPACING_OVER_LAMBDA = 0.5
 
 
@@ -62,10 +63,6 @@ class BlePulseConfig:
             raise ValueError("modulation index must sit in [0.45, 0.55]")
         if not 2.4e9 <= self.carrier_hz <= 2.48e9:
             raise ValueError("carrier must sit in the 2.4 to 2.48 GHz band")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 @dataclass(frozen=True)
@@ -140,27 +137,12 @@ def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np
     return amplitude * np.exp(1j * phase)
 
 
-def steering_vector(
-    azimuth_deg: float,
-    elevation_deg: float,
-    n_elements: int,
-    spacing_over_lambda: float = SPACING_OVER_LAMBDA,
-) -> np.ndarray:
+def steering_vector(azimuth_deg: float, elevation_deg: float, n_elements: int) -> np.ndarray:
     """Per-element phase response of the linear array to a plane wave."""
     theta = math.radians(azimuth_deg)
     phi = math.radians(elevation_deg)
-    phase_step = -2.0j * math.pi * spacing_over_lambda * math.cos(theta) * math.cos(phi)
+    phase_step = -2.0j * math.pi * SPACING_OVER_LAMBDA * math.cos(theta) * math.cos(phi)
     return np.exp(phase_step * np.arange(n_elements))
-
-
-@dataclass(frozen=True)
-class ArraySnapshot:
-    elements: int
-    spacing: float
-    samples: np.ndarray  # complex, shape (elements, M)
-    true_azimuth: float
-    true_elevation: float
-    wavelength: float
 
 
 def synthesize_snapshots(
@@ -249,19 +231,12 @@ def synthesize_snapshot(
     n_elements: int,
     n_samples: int,
     rng: np.random.Generator,
-) -> ArraySnapshot:
-    """One array's recording of one advertising burst (see ``synthesize_snapshots``)."""
-    samples = synthesize_snapshots(
+) -> np.ndarray:
+    """One array's recording of one advertising burst, shape
+    ``(n_elements, n_samples)`` (see ``synthesize_snapshots``)."""
+    return synthesize_snapshots(
         config, [channel], [azimuth_deg], [elevation_deg], n_elements, n_samples, [rng]
-    )
-    return ArraySnapshot(
-        elements=n_elements,
-        spacing=config.wavelength * SPACING_OVER_LAMBDA,
-        samples=samples[0, 0],
-        true_azimuth=azimuth_deg,
-        true_elevation=elevation_deg,
-        wavelength=config.wavelength,
-    )
+    )[0, 0]
 
 
 def _covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,26 +255,22 @@ def _covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, eigvecs
 
 
-def snapshot_covariance(snapshot: ArraySnapshot) -> np.ndarray:
-    """Sample covariance of the array output, forced exactly Hermitian."""
-    r, _ = _covariances(snapshot.samples[None])
-    return r[0]
+def snapshot_covariance(samples: np.ndarray) -> np.ndarray:
+    """Sample covariance of one array output, forced exactly Hermitian."""
+    return _covariances(samples[None])[0][0]
 
 
 @functools.lru_cache(maxsize=16)
-def _steering_matrix(n_elements: int, spacing_over_lambda: float) -> np.ndarray:
-    """All 181 grid steering vectors at elevation zero: column theta scans the grid."""
-    phase_step = -2j * np.pi * spacing_over_lambda * np.cos(np.radians(AZIMUTH_GRID))
+def _steering_matrix(n_elements: int, spacing: float) -> np.ndarray:
+    """All 181 grid steering vectors at elevation zero for elements ``spacing``
+    wavelengths apart: column theta scans the grid."""
+    phase_step = -2j * np.pi * spacing * np.cos(np.radians(AZIMUTH_GRID))
     a = np.exp(np.outer(np.arange(n_elements), phase_step))
     a.setflags(write=False)
     return a
 
 
-def music_spectra(
-    samples: np.ndarray,
-    n_sources: int,
-    spacing_over_lambda: float = SPACING_OVER_LAMBDA,
-) -> np.ndarray:
+def music_spectra(samples: np.ndarray, n_sources: int) -> np.ndarray:
     """Pseudo-spectra over integer azimuths 0..180 at elevation zero.
 
     ``samples`` stacks B array outputs, shape ``(B, n_elements, M)``; the
@@ -318,18 +289,14 @@ def music_spectra(
     noise_space = eigvecs[:, :, : n_e - n_sources]
     projector = noise_space @ noise_space.conj().swapaxes(-1, -2)
 
-    a = _steering_matrix(n_e, spacing_over_lambda)
+    a = _steering_matrix(n_e, SPACING_OVER_LAMBDA)
     denom = np.real(np.einsum("it,bit->bt", a.conj(), projector @ a))
     return 1.0 / np.maximum(denom, np.finfo(float).tiny)
 
 
-def music_spectrum(snapshot: ArraySnapshot, n_sources: int) -> np.ndarray:
-    """One snapshot's MUSIC pseudo-spectrum (see ``music_spectra``), scanned
-    with the snapshot's own element spacing."""
-    spectra = music_spectra(
-        snapshot.samples[None], n_sources, snapshot.spacing / snapshot.wavelength
-    )
-    return spectra[0]
+def music_spectrum(samples: np.ndarray, n_sources: int) -> np.ndarray:
+    """One array output's MUSIC pseudo-spectrum (see ``music_spectra``)."""
+    return music_spectra(samples[None], n_sources)[0]
 
 
 def spectrum_peak(spectrum: np.ndarray) -> int:

@@ -322,19 +322,19 @@ def append_block(
     chain: Chain | ChainTail,
     block: Block,
     registry: Optional[AuthorizedRegistry] = None,
-    credit_view: Optional[Callable[[bytes], float]] = None,
+    credit: Optional[float] = None,
     alpha_d: float = 0.0,
 ) -> Chain | ChainTail:
     """Validate a mined block against the tip and append it.
 
-    When ``credit_view`` is given, the miner's difficulty entitlement is
-    checked against its credit at append time; without it only the
-    structural rules apply (offline verification has no credit history).
+    When ``credit`` (the miner's credit at append time) is given, the
+    miner's difficulty entitlement is checked against it; without it only
+    the structural rules apply (offline verification has no credit history).
     Raises :class:`BlockRejectedError` with the failed clause on refusal.
     """
-    if credit_view is not None:
+    if credit is not None:
         is_auth = registry.contains(block.miner) if registry is not None else False
-        expected = difficulty_for(credit_view(block.miner), alpha_d, is_auth)
+        expected = difficulty_for(credit, alpha_d, is_auth)
     else:
         expected = DL_EASY
     result = validate_block(chain, block, expected)

@@ -259,14 +259,9 @@ class Block:
         return b"".join(parts)
 
 
-def encode_block_header(block: Block) -> bytes:
-    """Everything that gets mined over: the block minus nonce and digest."""
-    return block._full[: -8 - len(block.block_hash)]
-
-
-def _header_view(block: Block) -> memoryview:
-    """:func:`encode_block_header`'s bytes as a view of the cached
-    encoding, not a copy."""
+def encode_block_header(block: Block) -> memoryview:
+    """Everything that gets mined over: the block minus nonce and digest,
+    as a view of the cached encoding, not a copy."""
     return memoryview(block._full)[: -8 - len(block.block_hash)]
 
 
@@ -316,7 +311,7 @@ def whash_window_parts(
     parts: list[bytes | memoryview] = [
         encode_block_full(blocks[index - j]) for j in range(1, depth + 1)
     ]
-    parts.append(_header_view(candidate))
+    parts.append(encode_block_header(candidate))
     return parts
 
 
@@ -343,7 +338,7 @@ def whash_state(blocks: Sequence[Block], candidate: Block) -> hashlib._Hash:
     if not isinstance(blocks, ChainTail):
         return _hash_window(whash_window_parts(blocks, candidate))
     key = (len(blocks), candidate.index, candidate.whash_window)
-    header = _header_view(candidate)
+    header = encode_block_header(candidate)
     memo = blocks._window_memo
     if (
         memo is not None
@@ -402,7 +397,9 @@ def mined_block(candidate: Block, nonce: int, block_hash: bytes) -> Block:
     block = replace(candidate, nonce=nonce, block_hash=block_hash)
     # A cached_property lives in the instance dict; this fills it with the
     # bytes the block would encode to.
-    vars(block)["_full"] = b"".join((_header_view(candidate), pack_nonce(nonce), block_hash))
+    vars(block)["_full"] = b"".join(
+        (encode_block_header(candidate), pack_nonce(nonce), block_hash)
+    )
     return block
 
 

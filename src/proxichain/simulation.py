@@ -591,9 +591,7 @@ def _validate_feed(
                 break
             block = block_from_dict(json.loads(fh.read(size)))
             try:
-                append_block(
-                    own, block, registry, credit_view=lambda node: credit, alpha_d=alpha_d
-                )
+                append_block(own, block, registry, credit=credit, alpha_d=alpha_d)
             except BlockRejectedError as exc:
                 verdict = [exc.reason, exc.detail]
                 break
@@ -667,7 +665,7 @@ def _block_validator(
     def body(p: int, procs: int, report: int, feed: int) -> None:
         _validate_feed(chain, registry, alpha_d, report, feed)
 
-    with _fork.helpers(body, most=1, inbound=True) as ends:
+    with _fork.helpers(body, inbound=True) as ends:
         yield _Validator(*ends[0]) if ends else None
 
 
@@ -692,27 +690,15 @@ def _mine_pending(
         batch = _take_sized_batch(world.pending, batch_size)
         del world.pending[: len(batch)]
         miner = miner_pool[int(world.streams["misc"].integers(len(miner_pool)))]
-        level = difficulty_for(
-            world.credit.total(miner.node_id, credit_now),
-            config.policy.alpha_d,
-            miner.is_authorized,
-        )
+        credit = world.credit.total(miner.node_id, credit_now)
+        level = difficulty_for(credit, config.policy.alpha_d, miner.is_authorized)
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
         result = mine(chain, next_block(chain, window, batch, miner.node_id, now), level)
         if validator is None:
-            append_block(
-                chain,
-                result.block,
-                world.registry,
-                credit_view=lambda node: world.credit.total(node, credit_now),
-                alpha_d=config.policy.alpha_d,
-            )
+            append_block(chain, result.block, world.registry, credit, config.policy.alpha_d)
         else:
-            validator.send(
-                chain.append(result.block),
-                world.credit.total(result.block.miner, credit_now),
-            )
+            validator.send(chain.append(result.block), credit)
         mined += 1
     return mined
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from proxichain import aoa
 from proxichain.aoa import (
     ANGLE_IMAGE_PAYLOAD,
     ANGLE_IMAGE_SIDE,
     AZIMUTH_GRID,
-    ArraySnapshot,
     BlePulseConfig,
     ChannelRealization,
     DegenerateGeometryError,
@@ -61,10 +61,6 @@ class TestWaveformConfig:
         BlePulseConfig(carrier_hz=2.48e9)
         with pytest.raises(ValueError):
             BlePulseConfig(carrier_hz=2.5e9)
-
-    def test_wavelength(self):
-        cfg = BlePulseConfig(carrier_hz=2.4e9)
-        assert cfg.wavelength == pytest.approx(0.125)
 
 
 class TestChannel:
@@ -126,7 +122,7 @@ class TestSnapshot:
     def test_seed_determinism(self):
         a = _snapshot(70.0, snr_db=10.0, seed=8)
         b = _snapshot(70.0, snr_db=10.0, seed=8)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_input_guards(self):
         rng = np.random.default_rng(0)
@@ -142,8 +138,8 @@ class TestSnapshot:
         for target_db in (0.0, 10.0, 20.0):
             noisy = _snapshot(75.0, snr_db=target_db, seed=21, n_samples=20_000)
             clean = _snapshot(75.0, snr_db=None, seed=21, n_samples=20_000)
-            noise = noisy.samples - clean.samples
-            p_sig = np.mean(np.abs(clean.samples) ** 2)
+            noise = noisy - clean
+            p_sig = np.mean(np.abs(clean) ** 2)
             p_noise = np.mean(np.abs(noise) ** 2)
             measured = 10.0 * math.log10(p_sig / p_noise)
             assert measured == pytest.approx(target_db, abs=0.5)
@@ -157,7 +153,7 @@ class TestSnapshot:
         reference = synthesize_snapshot(
             CONFIG, awgn_channel(None), 60.0, 0.0, 4, 128, np.random.default_rng(2)
         )
-        ratio = snap.samples / reference.samples
+        ratio = snap / reference
         assert np.allclose(ratio, ratio[0, 0])
 
 
@@ -198,14 +194,7 @@ class TestMusic:
         a = _snapshot(60.0, seed=31, n_samples=512)
         b = _snapshot(120.0, seed=32, n_samples=512)
         rng = np.random.default_rng(33)
-        mixed = ArraySnapshot(
-            elements=a.elements,
-            spacing=a.spacing,
-            samples=a.samples + b.samples + 1e-3 * rng.normal(size=a.samples.shape),
-            true_azimuth=float("nan"),
-            true_elevation=0.0,
-            wavelength=a.wavelength,
-        )
+        mixed = a + b + 1e-3 * rng.normal(size=a.shape)
         spectrum = music_spectrum(mixed, n_sources=2)
         interior = spectrum[1:-1]
         local_max = np.where((interior > spectrum[:-2]) & (interior > spectrum[2:]))[0] + 1
@@ -222,31 +211,22 @@ class TestMusic:
 
     def test_global_phase_invariance(self):
         snap = _snapshot(95.0, snr_db=12.0, seed=17)
-        rotated = ArraySnapshot(
-            elements=snap.elements,
-            spacing=snap.spacing,
-            samples=snap.samples * np.exp(1j * 0.7),
-            true_azimuth=snap.true_azimuth,
-            true_elevation=snap.true_elevation,
-            wavelength=snap.wavelength,
-        )
+        rotated = snap * np.exp(1j * 0.7)
         base = music_spectrum(snap, n_sources=1)
         spun = music_spectrum(rotated, n_sources=1)
         assert np.allclose(base, spun, rtol=1e-9, atol=0)
 
-    def test_scan_uses_the_snapshot_spacing(self):
-        """A 0.4-wavelength array peaks at the true bearing, not where a
-        half-wavelength scan would put it (66 deg for a true 60 deg)."""
+    def test_one_spacing_drives_synthesis_and_scan(self, monkeypatch):
+        """Steering and scan both read ``SPACING_OVER_LAMBDA`` when called: a
+        0.4-wavelength array scanned at 0.4 peaks at the true bearing, and the
+        same samples scanned at half a wavelength peak at 66 deg for a true
+        60 deg."""
         source = _baseband(256, seed=4)
-        snap = ArraySnapshot(
-            elements=4,
-            spacing=0.4 * CONFIG.wavelength,
-            samples=np.outer(steering_vector(60.0, 0.0, 4, 0.4), source),
-            true_azimuth=60.0,
-            true_elevation=0.0,
-            wavelength=CONFIG.wavelength,
-        )
-        assert spectrum_peak(music_spectrum(snap, n_sources=1)) == 60
+        monkeypatch.setattr(aoa, "SPACING_OVER_LAMBDA", 0.4)
+        samples = np.outer(steering_vector(60.0, 0.0, 4), source)
+        assert spectrum_peak(music_spectrum(samples, n_sources=1)) == 60
+        monkeypatch.setattr(aoa, "SPACING_OVER_LAMBDA", 0.5)
+        assert spectrum_peak(music_spectrum(samples, n_sources=1)) == 66
 
     def test_spectrum_covers_whole_grid(self):
         spectrum = music_spectrum(_snapshot(44.0, seed=2), n_sources=1)
@@ -278,7 +258,7 @@ class TestBatch:
         batch = self._batch([channel], [9])
         rng = np.random.default_rng(9)
         singles = [
-            synthesize_snapshot(CONFIG, channel, az, el, 4, 256, rng).samples
+            synthesize_snapshot(CONFIG, channel, az, el, 4, 256, rng)
             for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
         ]
         assert batch.shape == (1, 4, 4, 256)
@@ -336,12 +316,8 @@ class TestBatch:
         samples = self._batch([awgn_channel(15.0)], [10])[0]
         spectra = music_spectra(samples, n_sources=1)
         assert spectra.shape == (4, AZIMUTH_GRID.size)
-        for row, x, az in zip(spectra, samples, self.AZIMUTHS):
-            snap = ArraySnapshot(
-                elements=4, spacing=CONFIG.wavelength / 2, samples=x,
-                true_azimuth=az, true_elevation=0.0, wavelength=CONFIG.wavelength,
-            )
-            assert np.allclose(row, music_spectrum(snap, n_sources=1), rtol=1e-9, atol=0)
+        for row, x in zip(spectra, samples):
+            assert np.allclose(row, music_spectrum(x, n_sources=1), rtol=1e-9, atol=0)
 
     def test_synthesis_guards_cover_every_member(self):
         rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 """The package's public names: every entry of ``proxichain.__all__`` resolves."""
 
 import proxichain
+from proxichain import aoa, ledger
 
 
 def test_star_import_resolves_every_public_name():
@@ -14,3 +15,9 @@ def test_removed_names_stay_out_of_the_api():
     removed = "total_credit"
     assert removed not in proxichain.__all__
     assert not hasattr(proxichain, removed)
+
+    # Removed when aoa.SPACING_OVER_LAMBDA became the only element spacing and
+    # ledger.encode_block_header the only header slice.
+    gone = [(aoa, "ArraySnapshot"), (aoa, "SPEED_OF_LIGHT"), (ledger, "_header_view")]
+    for module, name in gone:
+        assert not hasattr(module, name), name

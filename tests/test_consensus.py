@@ -466,15 +466,15 @@ def test_forked_helper_that_raises_exits_without_a_record(forked, monkeypatch):
 
 
 def test_forked_helper_with_an_inbound_pipe(forked, monkeypatch):
-    """``most`` caps the helpers below the CPU count, and ``inbound`` gives
-    each helper a pipe from the caller, whose write end the block yields."""
+    """``inbound`` forks one helper whatever the CPU count, and gives it a
+    pipe from the caller, whose write end the block yields."""
     monkeypatch.setattr(identity, "_CORES", 3)
 
     def body(p, procs, report, feed):
         with os.fdopen(feed, "rb") as fh:
             _fork.write_all(report, bytes([p, procs]) + fh.read(3)[::-1])
 
-    with _fork.helpers(body, most=1, inbound=True) as ends:
+    with _fork.helpers(body, inbound=True) as ends:
         assert len(ends) == 1
         (status, feed), = ends
         _fork.write_all(feed, b"abc")
@@ -549,7 +549,7 @@ class TestRejectionReasons:
             registry = publish_registry(manager, [MINER.public_key])
         rejected = None
         try:
-            append_block(chain, block, registry, lambda node: credit, alpha_d=0.0)
+            append_block(chain, block, registry, credit, alpha_d=0.0)
         except BlockRejectedError as exc:
             rejected = exc.reason
         assert rejected == reason

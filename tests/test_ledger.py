@@ -208,7 +208,9 @@ class TestBlockEncoding:
     def test_full_encoding_is_header_nonce_digest(self):
         block = _mine_next(_grow(2), 2, txs=[_tx(b"abc")], timestamp=5)
         assert encode_block_full(block) == (
-            encode_block_header(block) + block.nonce.to_bytes(8, "little") + block.block_hash
+            bytes(encode_block_header(block))
+            + block.nonce.to_bytes(8, "little")
+            + block.block_hash
         )
 
     def test_verify_chain_encodes_each_transaction_once(self, monkeypatch):
