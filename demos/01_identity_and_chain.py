@@ -54,7 +54,7 @@ print("chain verifies cleanly:", verify_chain(chain) == [])
 # ---------------------------------------------------------------------------
 # Tamper with history. The forged timestamp breaks the stored digest.
 
-forged = list(chain.blocks)
+forged = list(chain)
 forged[1] = dataclasses.replace(forged[1], timestamp=999)
 for violation in verify_chain(forged):
     print(f"violation at block {violation.index}: {violation.reason} ({violation.detail})")

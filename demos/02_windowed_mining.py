@@ -27,14 +27,14 @@ for i in range(30):
     block = mine(chain, next_block(chain, window, (), miner.node_id, i), DL_EASY).block
     append_block(chain, block)
 
-windows = [b.whash_window for b in chain.blocks]
+windows = [b.whash_window for b in chain]
 print("window sizes along the chain:", windows)
 
 # ---------------------------------------------------------------------------
 # Mine a tip that definitely covers the last 14 predecessors.
 
 tip = mine(chain, next_block(chain, 15, (), miner.node_id, 100), DL_EASY).block
-blocks = chain.blocks + [tip]
+blocks = chain + [tip]
 tip_index = tip.index
 print(f"tip at index {tip_index} hashes predecessors {tip_index - 14}..{tip_index - 1}")
 

@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_spec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="experiment spec as a JSON file")
         p.add_argument("--seed", type=int, help="override the simulation seed")
-        p.add_argument("--blocks", type=int, help="override blocks per cell / run")
+        p.add_argument("--blocks", type=int, dest="n_blocks",
+                       help="override blocks per cell / run")
         p.add_argument("--out", help="override the output directory")
 
     bench = sub.add_parser("mine-bench", help="mine blocks across window/level cells")
@@ -78,7 +79,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_spec(args.config) if args.config else ExperimentSpec()
     overrides = {
         "seed": args.seed,
-        "n_blocks": args.blocks,
+        "n_blocks": args.n_blocks,
         "infection_radius": getattr(args, "radius", None),
     }
     try:

@@ -324,7 +324,7 @@ def append_block(
     registry: Optional[AuthorizedRegistry] = None,
     credit: Optional[float] = None,
     alpha_d: float = 0.0,
-) -> Chain | ChainTail:
+) -> None:
     """Validate a mined block against the tip and append it.
 
     When ``credit`` (the miner's credit at append time) is given, the
@@ -341,7 +341,6 @@ def append_block(
     if not result.accepted:
         raise BlockRejectedError(result.reason, result.detail)
     chain.append(block)
-    return chain
 
 
 # Most transactions whose signatures verify_chain checks in one batch. A

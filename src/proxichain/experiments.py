@@ -137,7 +137,7 @@ def _bench_base_chain(depth: int, miner_id: bytes, rng: np.random.Generator) -> 
     for _ in range(depth):
         window = whash_window_for(len(chain) - 1, int(rng.integers(0, 101)))
         result = mine(chain, next_block(chain, window, (), miner_id, len(chain)), DL_EASY)
-        chain.blocks.append(result.block)
+        chain.append(result.block)
     return chain
 
 
@@ -160,13 +160,13 @@ def run_mining_benchmark(
     summary: dict = {}
     for whash in spec.whash_values:
         for level in spec.level_objects():
-            chain = Chain(blocks=list(base.blocks))
+            chain = Chain(base)
             cell: list[BenchRow] = []
             for k in range(spec.sim.n_blocks):
                 window = whash_window_for(len(chain) - 1, whash)
                 # Stamped with the attempt, not the height, so that an attempt
                 # after a truncated one searches a new candidate.
-                candidate = next_block(chain, window, (), bench_id, len(base.blocks) + k)
+                candidate = next_block(chain, window, (), bench_id, len(base) + k)
                 try:
                     result = mine(chain, candidate, level, max_trials=max_trials)
                 except MiningTimeoutError as exc:
@@ -174,7 +174,7 @@ def run_mining_benchmark(
                         BenchRow(whash, level.name, len(chain), max_trials, exc.elapsed, True)
                     )
                     continue
-                chain.blocks.append(result.block)
+                chain.append(result.block)
                 cell.append(
                     BenchRow(whash, level.name, result.block.index, result.trials, result.elapsed)
                 )

@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -218,18 +218,6 @@ def encode_contact_pairs(peers: np.ndarray, ticks: np.ndarray) -> bytes:
     return struct.pack("<I", len(records)) + records.tobytes()
 
 
-def decode_contact_pairs(payload: bytes) -> list[tuple[bytes, int]]:
-    (count,) = struct.unpack_from("<I", payload, 0)
-    pairs = []
-    offset = 4
-    for _ in range(count):
-        peer = payload[offset : offset + 32]
-        (tick,) = struct.unpack_from("<Q", payload, offset + 32)
-        pairs.append((peer, tick))
-        offset += 40
-    return pairs
-
-
 @dataclass(frozen=True)
 class Block:
     index: int
@@ -333,8 +321,8 @@ def whash_state(blocks: Sequence[Block], candidate: Block) -> hashlib._Hash:
     call on the same tail reuses it when the candidate has the same index
     and window and every header byte is the same, so validating the block
     just mined there hashes no window; a block changed in any header byte
-    misses and is hashed afresh. A :class:`Chain` keeps nothing, since its
-    block list may be edited in place."""
+    misses and is hashed afresh. A :class:`Chain` keeps nothing, since it is
+    a plain list that may be edited in place."""
     if not isinstance(blocks, ChainTail):
         return _hash_window(whash_window_parts(blocks, candidate))
     key = (len(blocks), candidate.index, candidate.whash_window)
@@ -445,27 +433,12 @@ def next_block(
     )
 
 
-@dataclass
-class Chain(Sequence[Block]):
-    """Append-only block list rooted at a fixed genesis block."""
+class Chain(list[Block]):
+    """Append-only block list: ``Chain()`` holds the fixed genesis block,
+    ``Chain(blocks)`` the blocks given."""
 
-    blocks: list[Block] = field(default_factory=lambda: [make_genesis()])
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, index):
-        return self.blocks[index]
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
-
-    @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
-
-    def append(self, block: Block) -> None:
-        self.blocks.append(block)
+    def __init__(self, blocks: Optional[Iterable[Block]] = None):
+        super().__init__([make_genesis()] if blocks is None else blocks)
 
 
 class HeldBlock:
@@ -644,7 +617,7 @@ def block_to_json_line(block: Block) -> str:
 
 def save_chain(chain: Chain, path: str) -> None:
     with open(path, "w") as fh:
-        for block in chain.blocks:
+        for block in chain:
             fh.write(block_to_json_line(block))
             fh.write("\n")
 
@@ -668,7 +641,7 @@ def load_chain(path: str) -> Chain:
                 raise ValueError(f"line {number}: {exc}") from exc
     if not blocks:
         raise ValueError(f"{path} holds no blocks")
-    return Chain(blocks=blocks)
+    return Chain(blocks)
 
 
 # ---------------------------------------------------------------------------

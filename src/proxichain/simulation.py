@@ -295,7 +295,9 @@ def _reflect(values: np.ndarray, upper: np.ndarray | float) -> np.ndarray:
 
 
 def step_mobility(world: WorldState) -> WorldState:
-    """Advance every agent by a reflected Gaussian step."""
+    """Advance every agent by a reflected Gaussian step. The violator, if
+    any, then closes 0.8 of its gap to the agent nearest it after the last
+    step, before the fold."""
     step = world.streams["mobility"].normal(
         0.0, world.config.step_std, size=world.positions.shape
     )
@@ -303,11 +305,17 @@ def step_mobility(world: WorldState) -> WorldState:
         world.positions += step
     vid = world.config.violator_id
     if vid is not None and world._violator_target is not None:
-        # The distancing violator drifts toward wherever the crowd last was.
         world.positions[vid] += 0.8 * (world._violator_target - world.positions[vid])
     # One fold over the flattened (x0, y0, x1, y1, ...) coordinates, so its
     # loops run over 2n contiguous values, not n values at stride 2.
     world.positions[:] = _reflect(world.positions.ravel(), world.bounds).reshape(-1, 2)
+    if vid is not None:
+        # Next step's target: the agent now nearest the violator.
+        x, y = world.positions[:, 0], world.positions[:, 1]
+        dx, dy = x[vid] - x, y[vid] - y
+        row = np.sqrt(dx * dx + dy * dy)
+        row[vid] = np.inf
+        world._violator_target = world.positions[int(np.argmin(row))].copy()
     return world
 
 
@@ -765,13 +773,6 @@ def run_epoch(
             tx_before = len(world.pending)
 
             metrics.observed_pairs += _score_contacts(world, t)
-            if config.violator_id is not None:
-                v = config.violator_id
-                x, y = world.positions[:, 0], world.positions[:, 1]
-                dx, dy = x[v] - x, y[v] - y
-                row = np.sqrt(dx * dx + dy * dy)
-                row[v] = np.inf
-                world._violator_target = world.positions[int(np.argmin(row))].copy()
 
             # Shared draws couple the exposure-radius processes within the run.
             for i in _spread_tick(world).tolist():

@@ -90,16 +90,16 @@ def test_criterion_1_difficulty_trial_ratio(criteria_log):
 def test_criterion_2_window_sensitivity(criteria_log):
     miner = generate_identity(Role.LIGHT, seed=701)
     chain = Chain()
-    while len(chain.blocks) < 120:
-        draw = (7 * len(chain.blocks)) % 101
+    while len(chain) < 120:
+        draw = (7 * len(chain)) % 101
         candidate = Block(
-            index=len(chain.blocks),
-            prev_hash=chain.tip.block_hash,
-            whash_window=whash_window_for(len(chain.blocks) - 1, draw),
+            index=len(chain),
+            prev_hash=chain[-1].block_hash,
+            whash_window=whash_window_for(len(chain) - 1, draw),
             nonce=0,
             transactions=(),
             miner=miner.node_id,
-            timestamp=len(chain.blocks),
+            timestamp=len(chain),
             block_hash=b"\x00" * 32,
         )
         append_block(chain, mine(chain, candidate, DL_EASY).block)
@@ -114,10 +114,10 @@ def test_criterion_2_window_sensitivity(criteria_log):
 
     for window in (20, 40, 60, 80, 100):
         tip = mine(
-            chain.blocks,
+            chain,
             Block(
                 index=tip_index,
-                prev_hash=chain.tip.block_hash,
+                prev_hash=chain[-1].block_hash,
                 whash_window=window,
                 nonce=0,
                 transactions=(),
@@ -127,7 +127,7 @@ def test_criterion_2_window_sensitivity(criteria_log):
             ),
             DL_EASY,
         ).block
-        full = chain.blocks + [tip]
+        full = chain + [tip]
         covered = np.arange(tip_index - window + 1, tip_index)
         outside = np.arange(1, tip_index - window + 1)
 
@@ -295,8 +295,8 @@ def test_criterion_5_difficulty_gating(criteria_log):
     timestamp = 9000
     while True:
         candidate = Block(
-            index=len(chain.blocks),
-            prev_hash=chain.tip.block_hash,
+            index=len(chain),
+            prev_hash=chain[-1].block_hash,
             whash_window=0,
             nonce=0,
             transactions=(),

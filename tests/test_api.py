@@ -19,5 +19,13 @@ def test_removed_names_stay_out_of_the_api():
     # Removed when aoa.SPACING_OVER_LAMBDA became the only element spacing and
     # ledger.encode_block_header the only header slice.
     gone = [(aoa, "ArraySnapshot"), (aoa, "SPEED_OF_LIGHT"), (ledger, "_header_view")]
-    for module, name in gone:
-        assert not hasattr(module, name), name
+    # Removed with its last callers, the tests' own round trips.
+    gone.append((ledger, "decode_contact_pairs"))
+    # Removed when Chain became a list: the list itself replaces its blocks
+    # field, and chain[-1] its tip property.
+    gone += [(ledger.Chain, "blocks"), (ledger.Chain, "tip")]
+    for owner, name in gone:
+        assert not hasattr(owner, name), name
+    assert isinstance(ledger.Chain(), list)
+    assert ledger.Chain() == [ledger.make_genesis()]
+    assert ledger.Chain([]) == []

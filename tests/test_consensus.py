@@ -55,7 +55,7 @@ def _nibble_rule(digest: bytes, prefix_nibbles: int) -> bool:
 def _grow(length: int) -> Chain:
     chain = Chain()
     for i in range(length):
-        window = whash_window_for(len(chain.blocks), i % 3)
+        window = whash_window_for(len(chain), i % 3)
         append_block(chain, mine(chain, _candidate(chain, window, timestamp=i + 1), DL_EASY).block)
     return chain
 
@@ -154,7 +154,7 @@ class TestMine:
 
     def test_every_window_size_validates(self):
         chain = _grow(6)
-        for window in range(len(chain.blocks) + 1):
+        for window in range(len(chain) + 1):
             block = mine(chain, _candidate(chain, window), DL_EASY).block
             result = validate_block(chain, block, DL_EASY)
             assert result.accepted, (window, result.reason)
@@ -166,11 +166,11 @@ class TestMine:
         chain = _grow(6)
         cand = _candidate(chain, window)
         nonce = 0
-        while not _nibble_rule(whash_digest(chain.blocks, cand, nonce), level.prefix_nibbles):
+        while not _nibble_rule(whash_digest(chain, cand, nonce), level.prefix_nibbles):
             nonce += 1
         result = mine(chain, cand, level)
         assert result.block.nonce == nonce
-        assert result.block.block_hash == whash_digest(chain.blocks, cand, nonce)
+        assert result.block.block_hash == whash_digest(chain, cand, nonce)
         assert result.trials == nonce + 1
 
     def test_elapsed_counts_the_window_prefix(self, monkeypatch):
@@ -254,7 +254,7 @@ PLACEMENTS = {
 
 def _reference_nonce(chain: Chain, cand: Block, level: DifficultyLevel) -> int:
     nonce = 0
-    while not _nibble_rule(whash_digest(chain.blocks, cand, nonce), level.prefix_nibbles):
+    while not _nibble_rule(whash_digest(chain, cand, nonce), level.prefix_nibbles):
         nonce += 1
     return nonce
 
@@ -317,7 +317,7 @@ class TestSplitSearch:
         monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - PLACEMENTS[placement](procs))
         result = mine(chain, cand, DL_TWO)
         assert result.block.nonce == nonce
-        assert result.block.block_hash == whash_digest(chain.blocks, cand, nonce)
+        assert result.block.block_hash == whash_digest(chain, cand, nonce)
         assert result.trials == nonce + 1
 
     def test_budget_ending_in_a_helpers_slice(self, procs, far_case, monkeypatch):
@@ -511,9 +511,9 @@ class TestRejectionReasons:
         chain = _grow(2)
         cand = _candidate(chain)
         nonce = 0
-        while digest_satisfies(whash_digest(chain.blocks, cand, nonce), DL_EASY):
+        while digest_satisfies(whash_digest(chain, cand, nonce), DL_EASY):
             nonce += 1
-        honest_digest = whash_digest(chain.blocks, cand, nonce)
+        honest_digest = whash_digest(chain, cand, nonce)
         block = dataclasses.replace(cand, nonce=nonce, block_hash=honest_digest)
         result = validate_block(chain, block, DL_EASY)
         assert (result.accepted, result.reason) == (False, "prefix")
@@ -562,13 +562,13 @@ class TestVerifyChain:
 
     def test_tampered_timestamp_is_caught(self):
         chain = _grow(8)
-        chain.blocks[4] = dataclasses.replace(chain.blocks[4], timestamp=424242)
+        chain[4] = dataclasses.replace(chain[4], timestamp=424242)
         reasons = {(v.index, v.reason) for v in verify_chain(chain)}
         assert (4, "digest") in reasons
 
     def test_tampered_hash_breaks_linkage(self):
         chain = _grow(8)
-        chain.blocks[4] = dataclasses.replace(chain.blocks[4], block_hash=b"\x11" * 32)
+        chain[4] = dataclasses.replace(chain[4], block_hash=b"\x11" * 32)
         reasons = {(v.index, v.reason) for v in verify_chain(chain)}
         assert (4, "digest") in reasons
         assert (5, "linkage") in reasons
@@ -576,7 +576,7 @@ class TestVerifyChain:
     def test_tampered_genesis_is_caught(self):
         for change in ({"timestamp": 1}, {"whash_window": 5}):
             chain = _grow(3)
-            chain.blocks[0] = dataclasses.replace(chain.blocks[0], **change)
+            chain[0] = dataclasses.replace(chain[0], **change)
             reasons = {(v.index, v.reason) for v in verify_chain(chain)}
             assert (0, "genesis") in reasons
 
@@ -588,7 +588,7 @@ class TestVerifyChain:
             tx = make_transaction(MINER, TxKind.ST, bytes([i]), i)
             candidate = _candidate(chain, window=min(i, 2), txs=[tx], timestamp=i + 1)
             append_block(chain, mine(chain, candidate, DL_EASY).block)
-        block = chain.blocks[3]
+        block = chain[3]
         tx = block.transactions[0]
         sig = bytearray(tx.signature)
         sig[len(sig) // 2] ^= 0x01
@@ -597,7 +597,7 @@ class TestVerifyChain:
             prev_hash=bytes(32),
             transactions=(dataclasses.replace(tx, signature=bytes(sig)),) + block.transactions[1:],
         )
-        chain.blocks[3] = mine(chain.blocks[:3], forged, DL_EASY).block
+        chain[3] = mine(chain[:3], forged, DL_EASY).block
         reasons = {(v.index, v.reason) for v in verify_chain(chain)}
         assert {(3, "linkage"), (3, "signature")} <= reasons
 

@@ -29,7 +29,6 @@ from proxichain.ledger import (
     TxKind,
     WindowDomainError,
     WindowHistoryError,
-    decode_contact_pairs,
     encode_block_full,
     encode_block_header,
     encode_contact_pairs,
@@ -63,7 +62,7 @@ def _mine_next(chain: Chain, window: int, txs=(), timestamp: int = 10) -> Block:
 def _grow(length: int, window: int = 0) -> Chain:
     chain = Chain()
     for i in range(length):
-        block = _mine_next(chain, whash_window_for(len(chain.blocks), window), timestamp=i + 1)
+        block = _mine_next(chain, whash_window_for(len(chain), window), timestamp=i + 1)
         append_block(chain, block)
     return chain
 
@@ -98,7 +97,7 @@ class TestWindowedDigest:
         chain_b = Chain()
         for i in range(5):
             append_block(chain_b, _mine_next(chain_b, 0, timestamp=100 + i))
-        assert chain_a.tip.block_hash != chain_b.tip.block_hash
+        assert chain_a[-1].block_hash != chain_b[-1].block_hash
 
         for window in (0, 1):
             cand = Block(
@@ -111,20 +110,20 @@ class TestWindowedDigest:
                 timestamp=77,
                 block_hash=b"\x00" * 32,
             )
-            da = whash_digest(chain_a.blocks, cand, 7)
-            db = whash_digest(chain_b.blocks, cand, 7)
+            da = whash_digest(chain_a, cand, 7)
+            db = whash_digest(chain_b, cand, 7)
             assert da == db
 
     def test_deeper_window_sees_predecessors(self):
         chain = _grow(6)
-        cand = dataclasses.replace(chain.tip, index=6, whash_window=3, prev_hash=chain.tip.block_hash)
-        reference = whash_digest(chain.blocks, cand, 0)
+        cand = dataclasses.replace(chain[-1], index=6, whash_window=3, prev_hash=chain[-1].block_hash)
+        reference = whash_digest(chain, cand, 0)
 
-        tampered = list(chain.blocks)
+        tampered = list(chain)
         tampered[5] = dataclasses.replace(tampered[5], timestamp=9999)
         assert whash_digest(tampered, cand, 0) != reference
 
-        outside = list(chain.blocks)
+        outside = list(chain)
         outside[2] = dataclasses.replace(outside[2], timestamp=9999)
         assert whash_digest(outside, cand, 0) == reference
 
@@ -132,7 +131,7 @@ class TestWindowedDigest:
         chain = _grow(2)
         cand = Block(
             index=3,
-            prev_hash=chain.tip.block_hash,
+            prev_hash=chain[-1].block_hash,
             whash_window=50,
             nonce=0,
             transactions=(),
@@ -141,25 +140,25 @@ class TestWindowedDigest:
             block_hash=b"\x00" * 32,
         )
         with pytest.raises(WindowHistoryError):
-            whash_preimage_prefix(chain.blocks, cand)
+            whash_preimage_prefix(chain, cand)
 
     def test_history_past_the_candidate_is_ignored(self):
         chain = _grow(6, window=3)
-        for block in chain.blocks[1:]:
-            assert whash_preimage_prefix(chain.blocks, block) == whash_preimage_prefix(
-                chain.blocks[: block.index], block
+        for block in chain[1:]:
+            assert whash_preimage_prefix(chain, block) == whash_preimage_prefix(
+                chain[: block.index], block
             )
 
     def test_candidate_beyond_the_history_rejected(self):
         chain = _grow(3)
-        cand = dataclasses.replace(chain.tip, index=5, whash_window=2)
+        cand = dataclasses.replace(chain[-1], index=5, whash_window=2)
         with pytest.raises(WindowHistoryError):
-            whash_preimage_prefix(chain.blocks, cand)
+            whash_preimage_prefix(chain, cand)
 
     def test_nonce_changes_digest(self):
         chain = _grow(3)
-        cand = dataclasses.replace(chain.tip, index=3, prev_hash=chain.tip.block_hash)
-        assert whash_digest(chain.blocks, cand, 1) != whash_digest(chain.blocks, cand, 2)
+        cand = dataclasses.replace(chain[-1], index=3, prev_hash=chain[-1].block_hash)
+        assert whash_digest(chain, cand, 1) != whash_digest(chain, cand, 2)
 
     @pytest.mark.parametrize("run", [64, 300, 65536])
     def test_state_hashes_the_joined_prefix(self, run, monkeypatch):
@@ -170,10 +169,10 @@ class TestWindowedDigest:
         chain = Chain()
         for k in range(8):
             txs = [_tx(bytes([k]) * (37 * k * k), ts=k)] if k % 3 else []
-            append_block(chain, _mine_next(chain, whash_window_for(len(chain.blocks), k), txs, k))
-        for block in chain.blocks[1:]:
-            prefix = whash_preimage_prefix(chain.blocks, block)
-            state = whash_state(chain.blocks, block)
+            append_block(chain, _mine_next(chain, whash_window_for(len(chain), k), txs, k))
+        for block in chain[1:]:
+            prefix = whash_preimage_prefix(chain, block)
+            state = whash_state(chain, block)
             assert state.copy().digest() == hashlib.sha256(prefix).digest()
             state.update(block.nonce.to_bytes(8, "little"))
             assert state.digest() == block.block_hash
@@ -219,9 +218,9 @@ class TestBlockEncoding:
         chain = Chain()
         for i in range(6):
             txs = [_tx(bytes([i, k]), ts=i) for k in range(2)]
-            window = whash_window_for(len(chain.blocks), 4)
+            window = whash_window_for(len(chain), 4)
             append_block(chain, _mine_next(chain, window, txs, timestamp=i + 1))
-        loaded = Chain(blocks=[dataclasses.replace(b) for b in chain.blocks])
+        loaded = Chain([dataclasses.replace(b) for b in chain])
         calls = []
         original = ledger.encode_transaction
         monkeypatch.setattr(ledger, "encode_transaction", lambda tx: calls.append(tx) or original(tx))
@@ -234,11 +233,11 @@ class TestNextBlock:
         chain = _grow(3)  # genesis plus three
         txs = [_tx(b"a"), _tx(b"b")]
         block = next_block(chain, 2, txs, MINER.node_id, 77)
-        assert (block.index, block.prev_hash, block.whash_window) == (4, chain.tip.block_hash, 2)
+        assert (block.index, block.prev_hash, block.whash_window) == (4, chain[-1].block_hash, 2)
         assert type(block.transactions) is tuple and block.transactions == tuple(txs)
         assert (block.miner, block.timestamp) == (MINER.node_id, 77)
         assert (block.nonce, block.block_hash) == (0, bytes(32))
-        assert next_block(chain.blocks, 2, txs, MINER.node_id, 77) == block
+        assert next_block(chain, 2, txs, MINER.node_id, 77) == block
 
     def test_window_is_taken_as_given(self):
         # whash_window_for(2, 50) would collapse the draw to 0.
@@ -249,7 +248,7 @@ class TestNextBlock:
         candidate = next_block(chain, 2, [_tx(b"x")], MINER.node_id, 9)
         mined = mine(chain, candidate, DL_EASY).block
         append_block(chain, mined)
-        assert chain.tip is mined and len(chain) == 5
+        assert chain[-1] is mined and len(chain) == 5
         assert verify_chain(chain) == []
 
 
@@ -262,14 +261,14 @@ class TestAppend:
         chain = Chain()
         block = _mine_next(chain, 0, txs=[_tx(b"hello")])
         append_block(chain, block)
-        assert len(chain.blocks) == 2
-        assert chain.tip is block
+        assert len(chain) == 2
+        assert chain[-1] is block
 
     def test_stale_prev_hash_rejected(self):
         chain = _grow(3)
-        stale = dataclasses.replace(chain.blocks[1])
+        stale = dataclasses.replace(chain[1])
         fork = Block(
-            index=len(chain.blocks),
+            index=len(chain),
             prev_hash=stale.block_hash,
             whash_window=0,
             nonce=0,
@@ -278,7 +277,7 @@ class TestAppend:
             timestamp=50,
             block_hash=b"\x00" * 32,
         )
-        mined = mine(Chain(blocks=list(chain.blocks)), dataclasses.replace(fork, prev_hash=chain.tip.block_hash), DL_EASY).block
+        mined = mine(Chain(chain), dataclasses.replace(fork, prev_hash=chain[-1].block_hash), DL_EASY).block
         bad = dataclasses.replace(mined, prev_hash=stale.block_hash)
         with pytest.raises(BlockRejectedError) as err:
             append_block(chain, bad)
@@ -349,7 +348,7 @@ class TestBatchSignatures:
         assert (result.reason, result.detail) == (
             "signature", f"transaction from {SENDERS[bad[0]].node_id.hex()[:12]}"
         )
-        assert [(v.index, v.reason, v.detail) for v in verify_chain(chain.blocks + [block])] == [
+        assert [(v.index, v.reason, v.detail) for v in verify_chain(chain + [block])] == [
             (1, "signature", result.detail)
         ]
 
@@ -385,8 +384,8 @@ class TestBatchSignatures:
         forge(bodies[6], 2)
         chain = Chain()
         for k, txs in enumerate(bodies):
-            chain.blocks.append(_mine_next(chain, 0, txs, timestamp=k + 1))
-        chain.blocks[5] = dataclasses.replace(chain.blocks[5], index=50)
+            chain.append(_mine_next(chain, 0, txs, timestamp=k + 1))
+        chain[5] = dataclasses.replace(chain[5], index=50)
 
         calls = []
 
@@ -466,12 +465,12 @@ class TestChainSegments:
             bodies[k][pos] = dataclasses.replace(bodies[k][pos], payload=b"forged")
         chain = Chain()
         for k, txs in enumerate(bodies):
-            window = whash_window_for(len(chain.blocks), 3)
+            window = whash_window_for(len(chain), 3)
             candidate = next_block(chain, window, txs, MINER.node_id, k + 1)
             if k == 2:
                 candidate = dataclasses.replace(candidate, prev_hash=bytes(32))
-            chain.blocks.append(mine(chain, candidate, DL_EASY).block)
-        chain.blocks[7] = dataclasses.replace(chain.blocks[7], index=70)
+            chain.append(mine(chain, candidate, DL_EASY).block)
+        chain[7] = dataclasses.replace(chain[7], index=70)
         return chain
 
     @pytest.fixture
@@ -488,7 +487,7 @@ class TestChainSegments:
         return calls
 
     def test_equals_the_sequential_reference(self, cores, chain, batches):
-        reference = _sequential_violations(chain.blocks)
+        reference = _sequential_violations(chain)
         batches.clear()
         got = [(v.index, v.reason, v.detail) for v in verify_chain(chain)]
         assert got == reference
@@ -517,7 +516,7 @@ class TestChainSegments:
         batch: two chunks may both parse a key they share before either
         stores it."""
         monkeypatch.setattr(identity, "_CORES", 1)
-        reference = _sequential_violations(chain.blocks)
+        reference = _sequential_violations(chain)
         batches.clear()
         parsed = []
         parse = identity._public_key
@@ -570,7 +569,7 @@ def test_verify_chain_holds_no_window_and_no_signed_messages(tmp_path):
     chain = Chain()
     for k in range(12):
         items = [(sender, TxKind.TT, bytes([k, j]) * 9600) for j, sender in enumerate(SENDERS[:8])]
-        window = whash_window_for(len(chain.blocks), len(chain.blocks))
+        window = whash_window_for(len(chain), len(chain))
         append_block(chain, _mine_next(chain, window, make_transactions(items, k), k))
     save_chain(chain, str(tmp_path / "chain.jsonl"))
     loaded = load_chain(str(tmp_path / "chain.jsonl"))
@@ -597,14 +596,14 @@ class TestSerialization:
         chain = Chain()
         for i in range(4):
             txs = [_tx(bytes([i, j]), ts=i * 10 + j) for j in range(3)]
-            append_block(chain, _mine_next(chain, whash_window_for(len(chain.blocks), i), txs, timestamp=i + 1))
+            append_block(chain, _mine_next(chain, whash_window_for(len(chain), i), txs, timestamp=i + 1))
 
         path = tmp_path / "chain.jsonl"
         save_chain(chain, str(path))
         first = path.read_bytes()
 
         restored = load_chain(str(path))
-        assert restored.blocks == chain.blocks
+        assert restored == chain
         assert verify_chain(restored) == []
 
         save_chain(restored, str(path))
@@ -616,7 +615,7 @@ class TestSerialization:
         path = tmp_path / "c.jsonl"
         save_chain(chain, str(path))
         restored = load_chain(str(path))
-        assert all(verify_transactions(restored.tip.transactions))
+        assert all(verify_transactions(restored[-1].transactions))
 
 
 class TestChainTail:
@@ -679,8 +678,8 @@ class TestChainTail:
                 and not hasattr(held, "transactions")
             )
 
-        assert same(tail[-1], full.tip)
-        assert same(tail[len(tail) - 1], full.tip)
+        assert same(tail[-1], full[-1])
+        assert same(tail[len(tail) - 1], full[-1])
         oldest = len(full) - WINDOW_MAX
         assert same(tail[oldest], full[oldest]) and same(tail[-WINDOW_MAX], full[oldest])
 
@@ -704,14 +703,22 @@ def _peer_array(pairs):
     return np.frombuffer(b"".join(peer for peer, _ in pairs), dtype=np.uint8).reshape(-1, 32)
 
 
+def _packed(pairs):
+    """The payload layout spelled out: a u32 count, then for each contact its
+    32-byte id and its u64 tick."""
+    return struct.pack("<I", len(pairs)) + b"".join(
+        peer + struct.pack("<Q", tick) for peer, tick in pairs
+    )
+
+
 class TestContactPairs:
-    def test_roundtrip(self):
+    def test_payload_is_count_then_records(self):
         pairs = [(bytes([i]) * 32, i * 1000) for i in range(5)]
         ticks = np.array([tick for _, tick in pairs], dtype=np.int32)
-        assert decode_contact_pairs(encode_contact_pairs(_peer_array(pairs), ticks)) == pairs
+        assert encode_contact_pairs(_peer_array(pairs), ticks) == _packed(pairs)
 
     def test_empty(self):
-        assert decode_contact_pairs(encode_contact_pairs(_peer_array([]), [])) == []
+        assert encode_contact_pairs(_peer_array([]), []) == struct.pack("<I", 0)
 
     def test_record_width_is_forty_bytes(self):
         blob = encode_contact_pairs(_peer_array([(b"\x01" * 32, 7)]), [7])
@@ -728,18 +735,13 @@ class TestContactPairs:
                 encode_contact_pairs(peers, ticks)
 
     def test_array_payload_is_the_packed_layout(self):
-        """The structured array writes what packing pair by pair writes: a
-        u32 count, then each 32-byte id and its u64 tick; a gathered
-        (fancy-indexed) id array, as a trace builds, round-trips too."""
+        """The structured array writes what packing pair by pair writes, also
+        from a gathered (fancy-indexed) id array, as a trace builds."""
         ids = (np.arange(12 * 32) % 251).astype(np.uint8).reshape(12, 32)
         picked = np.array([0, 3, 4, 9])
         ticks = np.array([0, 1, 2**31 - 1, 5], dtype=np.int32)
-        blob = encode_contact_pairs(ids[picked], ticks)
         pairs = [(ids[k].tobytes(), int(t)) for k, t in zip(picked, ticks)]
-        assert blob == struct.pack("<I", 4) + b"".join(
-            peer + struct.pack("<Q", tick) for peer, tick in pairs
-        )
-        assert decode_contact_pairs(blob) == pairs
+        assert encode_contact_pairs(ids[picked], ticks) == _packed(pairs)
 
 
 class TestInfectedUsersPool:

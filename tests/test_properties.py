@@ -58,7 +58,7 @@ def chain() -> Chain:
 
 @pytest.fixture(scope="module")
 def chain_lines(chain) -> list[str]:
-    return [block_to_json_line(block) for block in chain.blocks]
+    return [block_to_json_line(block) for block in chain]
 
 
 def _covering(j: int) -> set[int]:
@@ -70,7 +70,7 @@ def _covering(j: int) -> set[int]:
 @given(data=st.data())
 def test_one_changed_block_fails_exactly_the_windows_over_it(chain, data):
     j = data.draw(st.integers(1, len(WINDOWS)), label="block")
-    block = chain.blocks[j]
+    block = chain[j]
     if data.draw(st.booleans(), label="timestamp"):
         changed = dataclasses.replace(block, timestamp=block.timestamp + 1)
     else:
@@ -83,7 +83,7 @@ def test_one_changed_block_fails_exactly_the_windows_over_it(chain, data):
         txs = list(block.transactions)
         txs[t] = dataclasses.replace(tx, payload=bytes(payload))
         changed = dataclasses.replace(block, transactions=tuple(txs))
-    blocks = list(chain.blocks)
+    blocks = list(chain)
     blocks[j] = changed
     reported = [(v.index, v.reason) for v in verify_chain(blocks)]
     expected = {(j, "digest")} | {(k, "digest") for k in _covering(j)}

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import struct
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -19,7 +20,6 @@ from proxichain.ledger import (
     MAX_BLOCK_BYTES,
     TxKind,
     block_from_dict,
-    decode_contact_pairs,
     encode_block_full,
     make_transaction,
 )
@@ -40,6 +40,15 @@ from proxichain.simulation import (
 )
 
 SMALL = dict(tx_per_block_mean=20, n_blocks=6)
+
+
+def _contact_pairs(payload: bytes) -> list[tuple[bytes, int]]:
+    """The (node id, tick) records of a trace or alarm payload, after its
+    u32 count, which must match them."""
+    (count,) = struct.unpack_from("<I", payload)
+    pairs = list(struct.iter_unpack("<32sQ", payload[4:]))
+    assert len(pairs) == count
+    return pairs
 
 
 def _run(config: SimConfig, trace_lines=None):
@@ -236,6 +245,21 @@ class TestSpread:
             _spread_tick(world)
         for r, mask in infections.items():
             assert np.array_equal(world.infections[r], mask)
+
+    @pytest.mark.parametrize("violator", [None, 5])
+    def test_outbreak_rows_are_the_epoch_counts(self, violator):
+        """Both simulators move agents, the violator too, through
+        ``step_mobility`` alone, so their infection curves agree."""
+        for seed in range(1, 5):
+            config = SimConfig(
+                n_agents=60, ticks=50, p_inf=0.1, seed=seed, violator_id=violator, **SMALL
+            )
+            _, _, metrics = _run(config)
+            counts = [
+                (row["tick"], row["infected_count_2m"], row["infected_count_5m"])
+                for row in metrics.rows
+            ]
+            assert run_outbreak(config) == counts, f"seed {seed}"
 
     def test_outbreak_allocates_no_pairwise_matrix(self):
         # A dense 10k x 10k float64 matrix alone would be 800 MB.
@@ -494,7 +518,7 @@ class TestEpoch:
         node_index = {ident.node_id: k for k, ident in enumerate(world.identities)}
         for tx in tt:
             assert world.infected()[node_index[tx.sender]]
-            for peer, tick in decode_contact_pairs(tx.payload):
+            for peer, tick in _contact_pairs(tx.payload):
                 assert peer in node_index
                 assert 0 <= tick <= tx.timestamp
 
@@ -513,7 +537,7 @@ class TestEpoch:
         notified_by_alarm = set()
         for tx in alarms:
             assert tx.sender == world.manager.node_id
-            for peer, _ in decode_contact_pairs(tx.payload):
+            for peer, _ in _contact_pairs(tx.payload):
                 notified_by_alarm.add(node_index[peer])
         for i in notified_by_alarm:
             assert world.infected()[i] or world.notified[i]
@@ -593,7 +617,7 @@ class TestEpoch:
         assert metrics.blocks_total > ledger.WINDOW_MAX
         assert windows == list(range(1, len(tail)))
         run_parsed = list(parsed)
-        chain = Chain(blocks=[block_from_dict(json.loads(line)) for line in lines])
+        chain = Chain([block_from_dict(json.loads(line)) for line in lines])
         assert verify_chain(chain) == []
         return chain, run_parsed
 
@@ -776,9 +800,9 @@ class TestBlockPacking:
         chain = Chain()
         mined = _mine_pending(world, chain, [sender], now=1, flush=True)
         assert mined == 2
-        assert [len(b.transactions) for b in chain.blocks[1:]] == [3, 2]
+        assert [len(b.transactions) for b in chain[1:]] == [3, 2]
         assert not world.pending
-        for block in chain.blocks:
+        for block in chain:
             assert len(encode_block_full(block)) <= MAX_BLOCK_BYTES
         assert verify_chain(chain) == []
 
@@ -791,7 +815,7 @@ class TestBlockPacking:
         chain = Chain()
         mined = _mine_pending(world, chain, [sender], now=1, flush=True)
         assert mined == 3
-        assert [len(b.transactions) for b in chain.blocks[1:]] == [20, 20, 5]
+        assert [len(b.transactions) for b in chain[1:]] == [20, 20, 5]
 
     def test_single_transaction_over_capacity_raises(self):
         sender = generate_identity(Role.LIGHT, seed=9)
