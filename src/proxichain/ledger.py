@@ -611,8 +611,26 @@ def block_from_dict(d: dict) -> Block:
     )
 
 
+def _transaction_json(tx: Transaction) -> str:
+    return (
+        f'{{"kind":"{tx.kind.value}","payload":"{tx.payload.hex()}",'
+        f'"sender":"{tx.sender.hex()}","sender_pubkey":"{tx.sender_pubkey.hex()}",'
+        f'"signature":"{tx.signature.hex()}","timestamp":{tx.timestamp}}}'
+    )
+
+
 def block_to_json_line(block: Block) -> str:
-    return json.dumps(block_to_dict(block), sort_keys=True, separators=(",", ":"))
+    """``json.dumps(block_to_dict(block), sort_keys=True, separators=(",",
+    ":"))``, written from a template with the keys in sorted order. Every
+    value is an int, a ``TxKind`` value or lowercase hex, none of which
+    JSON escapes."""
+    txs = ",".join(map(_transaction_json, block.transactions))
+    return (
+        f'{{"block_hash":"{block.block_hash.hex()}","index":{block.index},'
+        f'"miner":"{block.miner.hex()}","nonce":{block.nonce},'
+        f'"prev_hash":"{block.prev_hash.hex()}","timestamp":{block.timestamp},'
+        f'"transactions":[{txs}],"whash_window":{block.whash_window}}}'
+    )
 
 
 def save_chain(chain: Chain, path: str) -> None:

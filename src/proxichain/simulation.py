@@ -18,7 +18,7 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -419,7 +419,8 @@ def _score_contacts(world: WorldState, t: int) -> int:
     is added to its first ends (agent i) and then to its second ends (agent
     i + o), unobserved pairs as +0.0. Distance noise is drawn per block over
     the observed cells in C order, so both ends of a pair score the same
-    measured distance. Contacts go to cell [o - 1, i] of the contact log.
+    measured distance. Contacts go to cell [o - 1, i] of the contact log,
+    with their true distance.
     """
     config, policy = world.config, world.config.policy
     n, half = world.n, world.n // 2
@@ -446,9 +447,11 @@ def _score_contacts(world: WorldState, t: int) -> int:
             prox[o:] += row[: n - o]
             prox[:o] += row[n - o :]
 
-        immediate = observed & (d < policy.immediate_threshold)
-        np.copyto(world.last_contact_tick[o0 - 1 : o1 - 1], t, where=immediate)
-        np.copyto(world.last_contact_dist[o0 - 1 : o1 - 1], d, where=immediate)
+        # Only the immediate cells are written, by their flat index.
+        immediate = np.flatnonzero(observed & (d < policy.immediate_threshold))
+        cells = immediate + (o0 - 1) * n
+        world.last_contact_tick.put(cells, t)
+        world.last_contact_dist.put(cells, d.take(immediate))
     return pairs
 
 
@@ -465,18 +468,56 @@ def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, o, n - o) - 1, np.where(first, i, peer)
 
 
-def _trace_line(tick: int, node: str, contacts: Iterable[tuple[str, float, int]]) -> str:
-    """The ``contacts.jsonl`` line, newline included, of node ``node``'s
-    report at ``tick`` listing ``(peer, distance, tick)`` contacts (ids in
-    hex): ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` of
-    ``{"tick", "node_id", "contacts": [{"peer", "distance", "tick"}, ...]}``
-    with each distance rounded to 4 places, written from one template per
-    contact. JSON writes a float as its ``repr``, as the template does."""
-    listed = ",".join(
-        f'{{"distance":{round(distance, 4)!r},"peer":"{peer}","tick":{at}}}'
-        for peer, distance, at in contacts
-    )
-    return f'{{"contacts":[{listed}],"node_id":"{node}","tick":{tick}}}\n'
+# ``contacts.jsonl`` text of the distance q * 1e-4 m at index q, i.e.
+# ``repr(round(q / 1e4, 4))``. It depends on q alone, so one table serves
+# every run in the process: its 20,001 strings at the default 2 m immediate
+# threshold took 30-40 ms to build on a 2-vCPU Xeon, which each ~0.5 s
+# benchmark ct_run call would pay again. Built at the first trace, not at import, and grown as
+# longer distances come, so it ends one past the longest yet written.
+_DISTANCE_TEXT: list[str] = []
+
+
+def _distance_texts(dists: np.ndarray) -> list[str]:
+    """``repr(round(float(d), 4))`` of each ``float32`` distance d >= 0, as
+    JSON writes ``round(d, 4)``, read from :data:`_DISTANCE_TEXT`.
+
+    A ``float32`` has a 24-bit significand and 10^4 needs 14 bits, so
+    ``float64(d) * 1e4`` is exact and ``np.rint`` rounds it half to even as
+    ``round(d, 4)`` rounds the exact decimal value of d: both give q, and
+    the double nearest q / 10^4 is ``q / 1e4``."""
+    q = np.rint(dists.astype(np.float64) * 1e4).astype(np.intp).tolist()
+    table = _DISTANCE_TEXT
+    if q and max(q) >= len(table):
+        table.extend(repr(round(k / 1e4, 4)) for k in range(len(table), max(q) + 1))
+    return list(map(table.__getitem__, q))
+
+
+class _TraceText:
+    """Writes a run's ``contacts.jsonl`` lines from templates: each agent's
+    ``,"peer":"<hex>","tick":`` fragment is made once, and each distance's
+    text is read from :data:`_DISTANCE_TEXT`."""
+
+    def __init__(self, node_hex: Sequence[str]):
+        self.node_hex = node_hex
+        self._peer = [f',"peer":"{h}","tick":' for h in node_hex]
+
+    def line(
+        self, tick: int, i: int, peers: np.ndarray, dists: np.ndarray, ticks: np.ndarray
+    ) -> str:
+        """The line, newline included, of agent i's report at ``tick``
+        listing agent ``peers[k]`` met ``dists[k]`` m away (``float32``) at
+        ``ticks[k]``: ``json.dumps(record, sort_keys=True, separators=(",",
+        ":"))`` of ``{"tick", "node_id", "contacts": [{"peer", "distance",
+        "tick"}, ...]}`` with ids in hex and each distance rounded to 4
+        places."""
+        head = '{"contacts":[{"distance":' if len(peers) else '{"contacts":['
+        parts = ['},{"distance":'] * (4 * len(peers))
+        parts[0::4] = _distance_texts(dists)
+        parts[1::4] = map(self._peer.__getitem__, peers.tolist())
+        parts[2::4] = map(str, ticks.tolist())
+        if parts:
+            parts[-1] = "}"
+        return f'{head}{"".join(parts)}],"node_id":"{self.node_hex[i]}","tick":{tick}}}\n'
 
 
 def _emit_trace(
@@ -484,16 +525,15 @@ def _emit_trace(
     i: int,
     now: int,
     trace_sink: Callable[[str], object],
-    node_hex: Sequence[str],
+    text: _TraceText,
     node_bytes: np.ndarray,
 ) -> None:
     """Diagnosed agent i reports its retained immediate contacts, in
     ascending peer order.
 
-    The report's record goes to ``trace_sink`` as its ``contacts.jsonl``
-    line (:func:`_trace_line`). ``node_hex`` holds every agent's node id in
-    hex, and ``node_bytes`` the same ids as a ``(n, 32)`` byte array, from
-    which the TT/AT payload is built in bulk.
+    The report's ``contacts.jsonl`` line, written by ``text``, goes to
+    ``trace_sink``. ``node_bytes`` holds every agent's node id as a
+    ``(n, 32)`` byte array, from which the TT/AT payload is built in bulk.
     """
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
@@ -504,14 +544,8 @@ def _emit_trace(
     payload = encode_contact_pairs(node_bytes[peers], ticks)
     world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
     world.iup.add(world.identities[i].node_id, now)
-    dists = world.last_contact_dist[rows[peers], cols[peers]].tolist()
-    trace_sink(
-        _trace_line(
-            now,
-            node_hex[i],
-            zip([node_hex[j] for j in peers.tolist()], dists, ticks.tolist()),
-        )
-    )
+    dists = world.last_contact_dist[rows[peers], cols[peers]]
+    trace_sink(text.line(now, i, peers, dists, ticks))
     if peers.size and world.manager is not None:
         # The manager alarms every listed contact; they become notified.
         world.pending.append(make_transaction(world.manager, TxKind.AT, payload, now))
@@ -751,6 +785,7 @@ def run_epoch(
 
     node_ids = [ident.node_id for ident in world.identities]
     node_hex = [node.hex() for node in node_ids]
+    text = _TraceText(node_hex)
     node_bytes = np.frombuffer(b"".join(node_ids), dtype=np.uint8).reshape(n, 32)
 
     world.registry = publish_registry(
@@ -776,7 +811,7 @@ def run_epoch(
 
             # Shared draws couple the exposure-radius processes within the run.
             for i in _spread_tick(world).tolist():
-                _emit_trace(world, i, t, trace_sink, node_hex, node_bytes)
+                _emit_trace(world, i, t, trace_sink, text, node_bytes)
 
             if (
                 config.false_claimer_id is not None

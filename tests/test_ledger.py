@@ -11,6 +11,7 @@ import pytest
 import proxichain.consensus as consensus
 import proxichain.identity as identity
 import proxichain.ledger as ledger
+from proxichain import simulation
 from proxichain.consensus import (
     DL_EASY,
     BlockRejectedError,
@@ -21,6 +22,7 @@ from proxichain.consensus import (
 )
 from proxichain.identity import NodeIdentity, Role, SigningCapabilityError, generate_identity
 from proxichain.ledger import (
+    MAX_BLOCK_BYTES,
     WINDOW_MAX,
     Block,
     Chain,
@@ -29,6 +31,8 @@ from proxichain.ledger import (
     TxKind,
     WindowDomainError,
     WindowHistoryError,
+    block_to_dict,
+    block_to_json_line,
     encode_block_full,
     encode_block_header,
     encode_contact_pairs,
@@ -616,6 +620,52 @@ class TestSerialization:
         save_chain(chain, str(path))
         restored = load_chain(str(path))
         assert all(verify_transactions(restored[-1].transactions))
+
+
+def _template_cases():
+    """Genesis, an empty block, a block holding every kind, a block near
+    the size bound and every block of a tiny seeded run."""
+    chain = Chain()
+    append_block(chain, _mine_next(chain, 0))
+    kinds = make_transactions([(SENDER, kind, bytes([k])) for k, kind in enumerate(TxKind)], 7)
+    append_block(chain, _mine_next(chain, 1, kinds, timestamp=11))
+    big = _tx(bytes(MAX_BLOCK_BYTES - 600), ts=12)
+    append_block(chain, _mine_next(chain, 2, [big], timestamp=12))
+    config = simulation.SimConfig(
+        n_agents=20, ticks=6, seed=3, p_inf=0.2, tx_per_block_mean=20, n_blocks=6
+    )
+    _, run, _ = simulation.run_epoch(simulation.build_world(config), Chain())
+    named = dict(zip(["genesis", "empty", "every-kind", "near-bound"], chain))
+    return named, run
+
+
+class TestJsonLine:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _template_cases()
+
+    def test_cases_cover_what_they_name(self, cases):
+        named, run = cases
+        assert {tx.kind for tx in named["every-kind"].transactions} == set(TxKind)
+        assert not named["empty"].transactions
+        size = len(encode_block_full(named["near-bound"]))
+        assert MAX_BLOCK_BYTES - 1024 < size <= MAX_BLOCK_BYTES
+        assert len(run) > 3 and {TxKind.TT, TxKind.AT} <= {
+            tx.kind for block in run for tx in block.transactions
+        }
+
+    @pytest.mark.parametrize("name", ["genesis", "empty", "every-kind", "near-bound", "run"])
+    def test_template_is_the_json_dump_and_loads_back(self, cases, name, tmp_path):
+        named, run = cases
+        blocks = run if name == "run" else [named[name]]
+        for block in blocks:
+            dumped = json.dumps(block_to_dict(block), sort_keys=True, separators=(",", ":"))
+            assert block_to_json_line(block) == dumped
+        path = tmp_path / "chain.jsonl"
+        save_chain(Chain(blocks), str(path))
+        restored = load_chain(str(path))
+        assert list(restored) == list(blocks)
+        assert [block_to_json_line(b) for b in restored] == [block_to_json_line(b) for b in blocks]
 
 
 class TestChainTail:

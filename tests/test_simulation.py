@@ -425,6 +425,36 @@ class TestCreditKernel:
         scale = np.abs(ref_metrics.prox_final).max()
         assert np.abs(metrics.prox_final - ref_metrics.prox_final).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("n", [3, 4, 130, 257])
+    def test_log_is_the_masked_copy(self, n, noise, monkeypatch):
+        # Beside each tick's kernel, a reference log is written the old way:
+        # two masked copies over every offset row, true distances, and for
+        # even n only cells i < n / 2 of offset n / 2. At 130 and 257 the
+        # offsets span several blocks, the last one short.
+        config = _kernel_config(n, noise)
+        world = build_world(config)
+        ref_tick = world.last_contact_tick.copy()
+        ref_dist = world.last_contact_dist.copy()
+        score = simulation._score_contacts
+
+        def scored_and_logged(w, t):
+            pairs = score(w, t)
+            px, py = simulation._partner_coordinates(w)
+            d = simulation._offset_distances(px, py, 1, n // 2 + 1)
+            immediate = (d <= config.observe_radius) & (d < config.policy.immediate_threshold)
+            if n % 2 == 0:
+                immediate[-1, n // 2 :] = False
+            np.copyto(ref_tick, t, where=immediate)
+            np.copyto(ref_dist, d, where=immediate)
+            return pairs
+
+        monkeypatch.setattr(simulation, "_score_contacts", scored_and_logged)
+        world, _, _ = run_epoch(world, Chain())
+        assert (ref_tick >= 0).any()
+        assert world.last_contact_tick.tobytes() == ref_tick.tobytes()
+        assert world.last_contact_dist.tobytes() == ref_dist.tobytes()
+
     def test_both_ends_of_a_pair_share_its_noise(self):
         # Only the offset-2 pairs (0, 2) and (1, 3) are within 10 m, and for
         # n = 4 offset 2 is its own mirror.
@@ -685,20 +715,65 @@ class TestTraceLine:
         ],
     )
     def test_template_is_the_json_record(self, distances):
+        # The log holds float32 distances, so they reach the writer as such.
         node = "ab" * 32
-        contacts = [
-            (f"{k:064x}", distance, 3 * k) for k, distance in enumerate(distances)
-        ]
+        node_hex = [f"{k:064x}" for k in range(len(distances))] + [node]
+        dists = np.array(distances, dtype=np.float32)
+        peers = np.arange(len(distances))
         record = {
             "tick": 17,
             "node_id": node,
             "contacts": [
-                {"peer": peer, "distance": round(distance, 4), "tick": tick}
-                for peer, distance, tick in contacts
+                {"peer": node_hex[k], "distance": round(float(dists[k]), 4), "tick": 3 * k}
+                for k in peers.tolist()
             ],
         }
-        line = simulation._trace_line(17, node, contacts)
+        line = simulation._TraceText(node_hex).line(17, len(distances), peers, dists, 3 * peers)
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _rounded_texts(dists: np.ndarray) -> list[str]:
+    return [repr(round(d, 4)) for d in dists.tolist()]
+
+
+class TestDistanceText:
+    def test_every_float32_near_a_tie(self):
+        # The float32 values within 4 ulps of each tie (k + 0.5) * 1e-4.
+        ties = ((np.arange(20_000) + 0.5) * 1e-4).astype(np.float32).view(np.int32)
+        near = (ties[:, None] + np.arange(-4, 5)).ravel().view(np.float32)
+        assert simulation._distance_texts(near) == _rounded_texts(near)
+
+    def test_seeded_sample(self):
+        dists = np.random.default_rng(28).uniform(0.0, 2.0, 200_000).astype(np.float32)
+        assert simulation._distance_texts(dists) == _rounded_texts(dists)
+
+    def test_long_threshold_grows_the_table_and_writes_the_same_lines(self, monkeypatch):
+        # Distances up to 6.5 m pass the 20,001 strings a 2 m run needs.
+        config = SimConfig(
+            n_agents=40, ticks=8, seed=4, p_inf=0.2,
+            policy=CreditPolicy(immediate_threshold=6.5), **SMALL,
+        )
+        monkeypatch.setattr(simulation, "_DISTANCE_TEXT", [])
+        lines, ref_lines = [], []
+        _run(config, lines)
+
+        def record_line(text, tick, i, peers, dists, ticks):
+            record = {
+                "tick": tick,
+                "node_id": text.node_hex[i],
+                "contacts": [
+                    {"peer": text.node_hex[j], "distance": round(d, 4), "tick": at}
+                    for j, d, at in zip(peers.tolist(), dists.tolist(), ticks.tolist())
+                ],
+            }
+            return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+        monkeypatch.setattr(simulation._TraceText, "line", record_line)
+        _run(config, ref_lines)
+        assert lines == ref_lines
+        assert 20_001 < len(simulation._DISTANCE_TEXT) <= 65_001
+        longest = max(c["distance"] for line in lines for c in json.loads(line)["contacts"])
+        assert len(simulation._DISTANCE_TEXT) == round(longest * 1e4) + 1
 
 
 def _credit_contacts(store: CreditStore, node: bytes, distances) -> None:
