@@ -12,11 +12,9 @@ angle-image layout used for downstream classifiers.
 import numpy as np
 
 from proxichain import aoa
-from proxichain.simulation import Venue
+from proxichain.simulation import beacon_grid
 
-config = aoa.BlePulseConfig()
-venue = Venue()
-beacons = venue.beacon_grid()
+beacons = beacon_grid()
 target = np.array([6.3, 2.8])
 
 # Use the four receivers closest to the device.
@@ -33,9 +31,7 @@ for snr in (None, 20.0, 10.0, 0.0):
     for b in picked:
         delta = target - b
         azimuth = float(np.degrees(np.arctan2(abs(delta[1]), delta[0])))
-        snap = aoa.synthesize_snapshot(
-            config, aoa.awgn_channel(snr), azimuth, 0.0, 4, 256, rng
-        )
+        snap = aoa.synthesize_snapshot(aoa.awgn_channel(snr), azimuth, 0.0, 4, 256, rng)
         spectrum = aoa.music_spectrum(snap, n_sources=1)
         spectra.append(aoa.normalize_spectrum(spectrum))
         estimate = aoa.spectrum_peak(spectrum)

@@ -14,6 +14,13 @@ functions are batches of one on plain arrays. Every call reads the element
 spacing from ``SPACING_OVER_LAMBDA`` when it runs, so that constant is the
 only one to change.
 
+The transmitter sends one GFSK advertising burst, fixed by module constants:
+``SYMBOL_ENERGY`` and ``SYMBOL_PERIOD`` set its amplitude,
+``MODULATION_INDEX`` (BLE's 0.45 to 0.55 band) and ``INITIAL_PHASE`` its
+phase, ``CARRIER_HZ`` (in the 2.4 to 2.48 GHz band) the multipath phase
+rotation, and ``BT_PRODUCT`` and ``SAMPLES_PER_SYMBOL`` the Gaussian pulse
+``_PULSE``, which is built from them once, at import.
+
 Positions come from intersecting bearing lines of several fixed receivers in
 a least-squares sense; a learned image classifier could replace that last
 step, which is why the stacked per-receiver spectra are also exportable as a
@@ -36,6 +43,14 @@ ANGLE_IMAGE_PAYLOAD = ANGLE_IMAGE_BEACONS * 181  # 724 spectrum samples
 # Element spacing in wavelengths: synthesis, steering vectors and the MUSIC
 # scan all read it from here at call time.
 SPACING_OVER_LAMBDA = 0.5
+# The GFSK advertising burst.
+SYMBOL_ENERGY = 1.0
+SYMBOL_PERIOD = 1e-6
+MODULATION_INDEX = 0.5
+INITIAL_PHASE = 0.0
+CARRIER_HZ = 2.44e9
+BT_PRODUCT = 0.5
+SAMPLES_PER_SYMBOL = 8
 
 
 class NumericalRankError(Exception):
@@ -44,25 +59,6 @@ class NumericalRankError(Exception):
 
 class DegenerateGeometryError(Exception):
     """Bearing lines are parallel or nearly so; no stable intersection."""
-
-
-@dataclass(frozen=True)
-class BlePulseConfig:
-    """GFSK waveform parameters for the advertising transmitter."""
-
-    symbol_energy: float = 1.0
-    symbol_period: float = 1e-6
-    modulation_index: float = 0.5
-    initial_phase: float = 0.0
-    carrier_hz: float = 2.44e9
-    bt_product: float = 0.5
-    samples_per_symbol: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.45 <= self.modulation_index <= 0.55:
-            raise ValueError("modulation index must sit in [0.45, 0.55]")
-        if not 2.4e9 <= self.carrier_hz <= 2.48e9:
-            raise ValueError("carrier must sit in the 2.4 to 2.48 GHz band")
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,10 @@ def awgn_channel(snr_db: Optional[float]) -> ChannelRealization:
     return ChannelRealization(attenuations=(1.0 + 0.0j,), delays=(0.0,), snr_db=snr_db)
 
 
-@functools.lru_cache(maxsize=None)
-def _gaussian_pulse(config: BlePulseConfig) -> np.ndarray:
+def _gaussian_pulse() -> np.ndarray:
     """Gaussian frequency pulse truncated to +/-2 symbol periods, unit sum."""
-    sps = config.samples_per_symbol
-    delta = math.sqrt(math.log(2.0)) / (2.0 * math.pi * config.bt_product)
+    sps = SAMPLES_PER_SYMBOL
+    delta = math.sqrt(math.log(2.0)) / (2.0 * math.pi * BT_PRODUCT)
     t = np.arange(-2 * sps, 2 * sps + 1) / sps
     pulse = np.exp(-(t ** 2) / (2.0 * delta ** 2))
     pulse /= pulse.sum()
@@ -103,21 +98,20 @@ def _gaussian_pulse(config: BlePulseConfig) -> np.ndarray:
     return pulse
 
 
+_PULSE = _gaussian_pulse()
 _SYMBOLS = np.array([-1.0, 1.0])
 _SYMBOLS.setflags(write=False)
 
 
-def _draw_symbols(
-    config: BlePulseConfig, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
+def _draw_symbols(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Random +/-1 symbols for one burst. Indexing an integer draw gives the
     values of ``rng.choice([-1.0, 1.0], size)`` and leaves ``rng`` in the same
     state, without ``choice``'s per-call overhead."""
-    n_symbols = n_samples // config.samples_per_symbol + 4
+    n_symbols = n_samples // SAMPLES_PER_SYMBOL + 4
     return _SYMBOLS[rng.integers(0, 2, size=n_symbols)]
 
 
-def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np.ndarray:
+def _modulate(symbols: np.ndarray, n_samples: int) -> np.ndarray:
     """GFSK baseband for each row of +/-1 symbols: (R, n_symbols) -> (R, n_samples).
 
     The symbols are pulse-shaped by a Gaussian filter whose normalized
@@ -125,15 +119,11 @@ def _modulate(config: BlePulseConfig, symbols: np.ndarray, n_samples: int) -> np
     per symbol. Only the first ``n_samples`` of each row are kept, so the
     phase is accumulated and exponentiated only that far.
     """
-    sps = config.samples_per_symbol
-    pulse = _gaussian_pulse(config)
+    sps = SAMPLES_PER_SYMBOL
     held = np.repeat(symbols, sps, axis=1)
-    freq = np.stack([np.convolve(row, pulse, mode="same")[:n_samples] for row in held])
-    phase = (
-        config.initial_phase
-        + np.pi * config.modulation_index * np.cumsum(freq, axis=1) / sps
-    )
-    amplitude = math.sqrt(2.0 * config.symbol_energy / config.symbol_period)
+    freq = np.stack([np.convolve(row, _PULSE, mode="same")[:n_samples] for row in held])
+    phase = INITIAL_PHASE + np.pi * MODULATION_INDEX * np.cumsum(freq, axis=1) / sps
+    amplitude = math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD)
     return amplitude * np.exp(1j * phase)
 
 
@@ -146,7 +136,6 @@ def steering_vector(azimuth_deg: float, elevation_deg: float, n_elements: int) -
 
 
 def synthesize_snapshots(
-    config: BlePulseConfig,
     channels: Sequence[ChannelRealization],
     azimuths_deg: Sequence[float],
     elevations_deg: Sequence[float],
@@ -187,13 +176,13 @@ def synthesize_snapshots(
     symbols, unit_noise = [], []
     for rng in rngs:
         for _ in range(n_arrays):
-            symbols.append(_draw_symbols(config, n_samples, rng))
+            symbols.append(_draw_symbols(n_samples, rng))
             unit_noise.append(rng.normal(size=(2, n_elements, n_samples)))
-    source = _modulate(config, np.stack(symbols), n_samples)
+    source = _modulate(np.stack(symbols), n_samples)
     gains = np.array(
         [
             sum(
-                rho * np.exp(-2j * np.pi * config.carrier_hz * tau)
+                rho * np.exp(-2j * np.pi * CARRIER_HZ * tau)
                 for rho, tau in zip(channel.attenuations, channel.delays)
             )
             for channel in channels
@@ -224,7 +213,6 @@ def synthesize_snapshots(
 
 
 def synthesize_snapshot(
-    config: BlePulseConfig,
     channel: ChannelRealization,
     azimuth_deg: float,
     elevation_deg: float,
@@ -235,7 +223,7 @@ def synthesize_snapshot(
     """One array's recording of one advertising burst, shape
     ``(n_elements, n_samples)`` (see ``synthesize_snapshots``)."""
     return synthesize_snapshots(
-        config, [channel], [azimuth_deg], [elevation_deg], n_elements, n_samples, [rng]
+        [channel], [azimuth_deg], [elevation_deg], n_elements, n_samples, [rng]
     )[0, 0]
 
 

@@ -31,7 +31,7 @@ from .credit import CreditPolicy
 from .identity import Role, generate_identity
 # ``save_chain`` is unused here; perfbench/tracing.py wraps this binding.
 from .ledger import Chain, ChainTail, next_block, save_chain, save_iup, whash_window_for
-from .simulation import SimConfig, Venue, build_world, run_epoch
+from .simulation import SimConfig, beacon_grid, build_world, run_epoch
 
 ALLOWED_WHASH = (0, 20, 40, 60, 80, 100)
 
@@ -337,8 +337,7 @@ _LOC_FIELDS = 6
 
 
 def _loc_trial(
-    seed: int, trial: int, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray,
-    config: aoa.BlePulseConfig,
+    seed: int, trial: int, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray
 ) -> np.ndarray:
     """The ``(len(channels), _LOC_FIELDS)`` records of one trial, seeded by
     ``(seed, trial)`` alone."""
@@ -357,7 +356,7 @@ def _loc_trial(
         np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
         for k in range(len(channels))
     ]
-    samples = aoa.synthesize_snapshots(config, channels, azimuths, elevations, 4, 256, noise_rngs)
+    samples = aoa.synthesize_snapshots(channels, azimuths, elevations, 4, 256, noise_rngs)
     spectra = aoa.music_spectra(samples.reshape(-1, 4, 256), n_sources=1)
     peaks = np.argmax(spectra, axis=1).reshape(len(channels), 4)
     records = np.zeros((len(channels), _LOC_FIELDS))
@@ -380,11 +379,10 @@ def _loc_trials(
 ) -> np.ndarray:
     """The ``(stop - start, len(channels), _LOC_FIELDS)`` records of trials
     ``start .. stop - 1``, in trial order."""
-    beacons = Venue().beacon_grid()
-    config = aoa.BlePulseConfig()
+    beacons = beacon_grid()
     records = np.empty((stop - start, len(channels), _LOC_FIELDS))
     for row, trial in enumerate(range(start, stop)):
-        records[row] = _loc_trial(seed, trial, channels, beacons, config)
+        records[row] = _loc_trial(seed, trial, channels, beacons)
     return records
 
 

@@ -680,9 +680,6 @@ class InfectedUsersPool:
         horizon = now - self.retention_ticks
         self.entries = {(n, t) for n, t in self.entries if t >= horizon}
 
-    def contains(self, node_id: bytes) -> bool:
-        return any(n == node_id for n, _ in self.entries)
-
     def to_json(self) -> str:
         rows = [
             {"node_id": n.hex(), "tick": t}

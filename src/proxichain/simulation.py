@@ -1,12 +1,14 @@
 """Discrete-time indoor world driving credits, transactions and mining.
 
-One tick is one simulated second. Agents random-walk inside a 10 by 10 m
-venue; every tick their pairwise distances feed the credit rules, immediate
-contacts (below 2 m) are logged for later trace evidence, and two infection
-processes (2 m and 5 m exposure radius) advance on shared random draws so
-their cumulative counts are comparable tick by tick within a single run.
-Diagnosed agents emit trace transactions listing only (node id, tick) pairs;
-background submission/query traffic fills the rest of each block.
+One tick is one simulated second. Agents random-walk inside a square venue
+``VENUE_SIDE`` (10 m) on a side, split into ``ZONE_SIZE`` (0.5 m) zones for
+submission payloads (``zone_of``) and watched by the 16 receiver anchors of
+``beacon_grid``. Every tick their pairwise distances feed the credit rules,
+immediate contacts (below 2 m) are logged for later trace evidence, and two
+infection processes (2 m and 5 m exposure radius) advance on shared random
+draws so their cumulative counts are comparable tick by tick within a single
+run. Diagnosed agents emit trace transactions listing only (node id, tick)
+pairs; background submission/query traffic fills the rest of each block.
 """
 
 from __future__ import annotations
@@ -74,29 +76,31 @@ class EmptyMetricsError(Exception):
     """Statistics were requested from a run that produced no rows."""
 
 
-@dataclass(frozen=True)
-class Venue:
-    width: float = 10.0
-    height: float = 10.0
-    zone_size: float = 0.5
+# The venue is a square floor, folded into zones for submission payloads.
+# Every function reads these when it runs.
+VENUE_SIDE = 10.0
+ZONE_SIZE = 0.5
 
-    def zone_of(self, position: np.ndarray) -> int:
-        cols = round(self.width / self.zone_size)
-        rows = round(self.height / self.zone_size)
-        cx = min(int(position[0] / self.zone_size), cols - 1)
-        cy = min(int(position[1] / self.zone_size), rows - 1)
-        return cy * cols + cx
 
-    def beacon_grid(self) -> np.ndarray:
-        """Receiver anchors on a square grid centered on the venue.
+def zone_of(position: np.ndarray) -> int:
+    """Row-major index of the zone holding ``position``; the far walls count
+    as part of the last row and column."""
+    side = round(VENUE_SIDE / ZONE_SIZE)
+    cx = min(int(position[0] / ZONE_SIZE), side - 1)
+    cy = min(int(position[1] / ZONE_SIZE), side - 1)
+    return cy * side + cx
 
-        Four per side at 4 m pitch spans 12 m, so the outer rows sit 1 m
-        outside the floor area (wall-mounted), keeping the grid symmetric.
-        """
-        start = (self.width - 12.0) / 2.0
-        coords = start + 4.0 * np.arange(4)
-        xs, ys = np.meshgrid(coords, coords)
-        return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+def beacon_grid() -> np.ndarray:
+    """Receiver anchors on a square grid centered on the venue.
+
+    Four per side at 4 m pitch spans 12 m, so the outer rows sit 1 m
+    outside the floor area (wall-mounted), keeping the grid symmetric.
+    """
+    start = (VENUE_SIDE - 12.0) / 2.0
+    coords = start + 4.0 * np.arange(4)
+    xs, ys = np.meshgrid(coords, coords)
+    return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
 
 @dataclass(frozen=True)
@@ -198,9 +202,7 @@ class CreditStore:
 @dataclass
 class WorldState:
     config: SimConfig
-    venue: Venue
     positions: np.ndarray                 # (n, 2) meters
-    bounds: np.ndarray                    # (2n,) wall per flattened coordinate
     infections: dict[float, np.ndarray]   # exposure radius -> infected mask
     notified: np.ndarray                  # bool (n,)
     streams: dict[str, np.random.Generator]
@@ -238,9 +240,8 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     """Lay out agents and infection seeds, plus key material when asked."""
     streams = _derive_streams(config.seed)
     n = config.n_agents
-    venue = Venue()
     positions = streams["misc"].uniform(
-        [0.0, 0.0], [venue.width, venue.height], size=(n, 2)
+        [0.0, 0.0], [VENUE_SIDE, VENUE_SIDE], size=(n, 2)
     )
 
     infections = {}
@@ -265,9 +266,7 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
 
     return WorldState(
         config=config,
-        venue=venue,
         positions=positions,
-        bounds=np.tile([venue.width, venue.height], n),
         infections=infections,
         notified=np.zeros(n, dtype=bool),
         streams=streams,
@@ -281,12 +280,12 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     )
 
 
-def _reflect(values: np.ndarray, upper: np.ndarray | float) -> np.ndarray:
+def _reflect(values: np.ndarray, upper: float) -> np.ndarray:
     # Fold the real line onto [0, upper] like a billiard: exact for any
-    # step size, not just small ones. ``upper`` may hold one bound per value.
-    # ``np.mod`` is ``fmod`` plus the period where that is negative, and +0.0
-    # where it is zero; spelling it out costs half as much. A zero of either
-    # sign goes to the period here, which folds back to +0.0.
+    # step size, not just small ones. ``np.mod`` is ``fmod`` plus the period
+    # where that is negative, and +0.0 where it is zero; spelling it out costs
+    # half as much. A zero of either sign goes to the period here, which folds
+    # back to +0.0.
     period = 2.0 * upper
     m = np.fmod(values, period)
     np.add(m, period, out=m, where=m <= 0)
@@ -308,7 +307,7 @@ def step_mobility(world: WorldState) -> WorldState:
         world.positions[vid] += 0.8 * (world._violator_target - world.positions[vid])
     # One fold over the flattened (x0, y0, x1, y1, ...) coordinates, so its
     # loops run over 2n contiguous values, not n values at stride 2.
-    world.positions[:] = _reflect(world.positions.ravel(), world.bounds).reshape(-1, 2)
+    world.positions[:] = _reflect(world.positions.ravel(), VENUE_SIDE).reshape(-1, 2)
     if vid is not None:
         # Next step's target: the agent now nearest the violator.
         x, y = world.positions[:, 0], world.positions[:, 1]
@@ -835,7 +834,7 @@ def run_epoch(
             for s, kd in zip(senders, kind_draw):
                 ident = world.identities[int(s)]
                 if kd < 0.7:
-                    payload = world.venue.zone_of(world.positions[int(s)]).to_bytes(2, "little")
+                    payload = zone_of(world.positions[int(s)]).to_bytes(2, "little")
                     kind = TxKind.ST
                 else:
                     payload = ident.node_id

@@ -20,7 +20,6 @@ from proxichain.aoa import (
     spectrum_peak,
     synthesize_snapshot,
     unpad_angle_image,
-    BlePulseConfig,
 )
 from proxichain.consensus import (
     DL_EASY,
@@ -368,14 +367,13 @@ def test_criterion_7_bearing_estimator(criteria_log):
     err10 = rows[0].mean_abs_azimuth_error_deg
     err20 = rows[1].mean_abs_azimuth_error_deg
 
-    config = BlePulseConfig()
     rng = np.random.default_rng(777)
     worst = 0.0
     hermitian_psd = True
     for trial in range(100):
         truth = float(rng.uniform(2.0, 178.0))
         snap = synthesize_snapshot(
-            config, awgn_channel(None), truth, 0.0, 4, 256,
+            awgn_channel(None), truth, 0.0, 4, 256,
             np.random.default_rng(np.random.SeedSequence((777, trial))),
         )
         r = snapshot_covariance(snap)

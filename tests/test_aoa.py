@@ -8,10 +8,14 @@ from proxichain.aoa import (
     ANGLE_IMAGE_PAYLOAD,
     ANGLE_IMAGE_SIDE,
     AZIMUTH_GRID,
-    BlePulseConfig,
+    CARRIER_HZ,
     ChannelRealization,
     DegenerateGeometryError,
+    MODULATION_INDEX,
     NumericalRankError,
+    SAMPLES_PER_SYMBOL,
+    SYMBOL_ENERGY,
+    SYMBOL_PERIOD,
     _draw_symbols,
     _modulate,
     awgn_channel,
@@ -28,13 +32,11 @@ from proxichain.aoa import (
     unpad_angle_image,
 )
 
-CONFIG = BlePulseConfig()
-
 
 def _snapshot(azimuth, snr_db=None, seed=0, n_elements=4, n_samples=256, elevation=0.0):
     rng = np.random.default_rng(seed)
     return synthesize_snapshot(
-        CONFIG, awgn_channel(snr_db), azimuth, elevation, n_elements, n_samples, rng
+        awgn_channel(snr_db), azimuth, elevation, n_elements, n_samples, rng
     )
 
 
@@ -43,24 +45,14 @@ def _baseband(n_samples, seed):
     steering phase and channel gain are both exactly 1."""
     rng = np.random.default_rng(seed)
     return synthesize_snapshots(
-        CONFIG, [awgn_channel(None)], [90.0], [0.0], 2, n_samples, [rng]
+        [awgn_channel(None)], [90.0], [0.0], 2, n_samples, [rng]
     )[0, 0, 0]
 
 
-class TestWaveformConfig:
-    def test_modulation_index_band(self):
-        BlePulseConfig(modulation_index=0.45)
-        BlePulseConfig(modulation_index=0.55)
-        with pytest.raises(ValueError):
-            BlePulseConfig(modulation_index=0.44)
-        with pytest.raises(ValueError):
-            BlePulseConfig(modulation_index=0.56)
-
-    def test_carrier_band(self):
-        BlePulseConfig(carrier_hz=2.4e9)
-        BlePulseConfig(carrier_hz=2.48e9)
-        with pytest.raises(ValueError):
-            BlePulseConfig(carrier_hz=2.5e9)
+class TestWaveform:
+    def test_constants_sit_in_the_ble_bands(self):
+        assert 0.45 <= MODULATION_INDEX <= 0.55
+        assert 2.4e9 <= CARRIER_HZ <= 2.48e9
 
 
 class TestChannel:
@@ -90,7 +82,7 @@ class TestBaseband:
     def test_length_and_constant_envelope(self):
         samples = _baseband(512, seed=1)
         assert samples.shape == (512,)
-        expected = math.sqrt(2.0 * CONFIG.symbol_energy / CONFIG.symbol_period)
+        expected = math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD)
         assert np.allclose(np.abs(samples), expected)
 
     def test_seed_determinism(self):
@@ -127,11 +119,11 @@ class TestSnapshot:
     def test_input_guards(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthesize_snapshot(CONFIG, awgn_channel(None), 190.0, 0.0, 4, 64, rng)
+            synthesize_snapshot(awgn_channel(None), 190.0, 0.0, 4, 64, rng)
         with pytest.raises(ValueError):
-            synthesize_snapshot(CONFIG, awgn_channel(None), 90.0, 0.0, 1, 64, rng)
+            synthesize_snapshot(awgn_channel(None), 90.0, 0.0, 1, 64, rng)
         with pytest.raises(ValueError):
-            synthesize_snapshot(CONFIG, awgn_channel(None), 90.0, 0.0, 4, 2, rng)
+            synthesize_snapshot(awgn_channel(None), 90.0, 0.0, 4, 2, rng)
 
     def test_empirical_snr_matches_request(self):
         """Subtracting a same-seed noiseless run isolates the injected noise."""
@@ -149,9 +141,9 @@ class TestSnapshot:
         channel = ChannelRealization(
             attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9)
         )
-        snap = synthesize_snapshot(CONFIG, channel, 60.0, 0.0, 4, 128, rng)
+        snap = synthesize_snapshot(channel, 60.0, 0.0, 4, 128, rng)
         reference = synthesize_snapshot(
-            CONFIG, awgn_channel(None), 60.0, 0.0, 4, 128, np.random.default_rng(2)
+            awgn_channel(None), 60.0, 0.0, 4, 128, np.random.default_rng(2)
         )
         ratio = snap / reference
         assert np.allclose(ratio, ratio[0, 0])
@@ -249,7 +241,7 @@ class TestBatch:
 
     def _batch(self, channels, seeds, n_samples=256):
         return synthesize_snapshots(
-            CONFIG, channels, self.AZIMUTHS, self.ELEVATIONS, 4, n_samples,
+            channels, self.AZIMUTHS, self.ELEVATIONS, 4, n_samples,
             [np.random.default_rng(s) for s in seeds],
         )
 
@@ -258,7 +250,7 @@ class TestBatch:
         batch = self._batch([channel], [9])
         rng = np.random.default_rng(9)
         singles = [
-            synthesize_snapshot(CONFIG, channel, az, el, 4, 256, rng)
+            synthesize_snapshot(channel, az, el, 4, 256, rng)
             for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
         ]
         assert batch.shape == (1, 4, 4, 256)
@@ -267,13 +259,13 @@ class TestBatch:
     def test_channels_match_one_channel_calls_bit_for_bit(self):
         rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
         batch = synthesize_snapshots(
-            CONFIG, self.CHANNELS, self.AZIMUTHS, self.ELEVATIONS, 4, 256, rngs
+            self.CHANNELS, self.AZIMUTHS, self.ELEVATIONS, 4, 256, rngs
         )
         assert batch.shape == (3, 4, 4, 256)
         for c, (channel, seed) in enumerate(zip(self.CHANNELS, (4, 5, 6))):
             rng = np.random.default_rng(seed)
             single = synthesize_snapshots(
-                CONFIG, [channel], self.AZIMUTHS, self.ELEVATIONS, 4, 256, [rng]
+                [channel], self.AZIMUTHS, self.ELEVATIONS, 4, 256, [rng]
             )
             assert batch[c].tobytes() == single[0].tobytes()
             assert rngs[c].bit_generator.state == rng.bit_generator.state
@@ -285,11 +277,11 @@ class TestBatch:
         batch = self._batch([channel], [8])[0]
         rng = np.random.default_rng(8)
         gain = sum(
-            rho * np.exp(-2j * np.pi * CONFIG.carrier_hz * tau)
+            rho * np.exp(-2j * np.pi * CARRIER_HZ * tau)
             for rho, tau in zip(channel.attenuations, channel.delays)
         )
         for samples, az, el in zip(batch, self.AZIMUTHS, self.ELEVATIONS):
-            source = _modulate(CONFIG, _draw_symbols(CONFIG, 256, rng)[None], 256)
+            source = _modulate(_draw_symbols(256, rng)[None], 256)
             z = rng.normal(size=(2, 4, 256))
             clean = steering_vector(az, el, 4)[:, None] * (gain * source)
             sigma = np.sqrt(np.mean(np.abs(clean) ** 2) * 10.0 ** (-channel.snr_db / 10.0))
@@ -305,10 +297,10 @@ class TestBatch:
     @pytest.mark.parametrize("n_samples", [1, 8, 256, 264, 800])
     def test_symbols_match_choice(self, n_samples):
         """Odd symbol counts leave half a 64-bit draw buffered in the generator."""
-        size = n_samples // CONFIG.samples_per_symbol + 4
+        size = n_samples // SAMPLES_PER_SYMBOL + 4
         for seed in range(50):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            symbols = _draw_symbols(CONFIG, n_samples, ours)
+            symbols = _draw_symbols(n_samples, ours)
             assert np.array_equal(symbols, theirs.choice(np.array([-1.0, 1.0]), size=size))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -325,7 +317,7 @@ class TestBatch:
         noiseless = [awgn_channel(None)]
 
         def call(azimuths, elevations, channels=noiseless, rngs=(rng,)):
-            synthesize_snapshots(CONFIG, channels, azimuths, elevations, 4, 64, list(rngs))
+            synthesize_snapshots(channels, azimuths, elevations, 4, 64, list(rngs))
 
         with pytest.raises(ValueError):
             call([30.0, 190.0], [0.0, 0.0])

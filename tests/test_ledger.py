@@ -800,14 +800,13 @@ class TestInfectedUsersPool:
         pool.add(b"\x01" * 32, tick=10)
         pool.add(b"\x02" * 32, tick=150)
         pool.prune(now=200)
-        assert not pool.contains(b"\x01" * 32)
-        assert pool.contains(b"\x02" * 32)
+        assert pool.entries == {(b"\x02" * 32, 150)}
 
     def test_entry_on_horizon_survives(self):
         pool = InfectedUsersPool(retention_ticks=50)
         pool.add(b"\x03" * 32, tick=150)
         pool.prune(now=200)
-        assert pool.contains(b"\x03" * 32)
+        assert pool.entries == {(b"\x03" * 32, 150)}
 
     def test_json_roundtrip(self):
         pool = InfectedUsersPool(retention_ticks=10)

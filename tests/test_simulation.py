@@ -27,16 +27,18 @@ from proxichain.simulation import (
     CreditStore,
     EmptyMetricsError,
     SimConfig,
-    Venue,
+    VENUE_SIDE,
     _mine_pending,
     _reflect,
     _spread_tick,
     _take_sized_batch,
+    beacon_grid,
     build_world,
     interaction_stats,
     run_epoch,
     run_outbreak,
     step_mobility,
+    zone_of,
 )
 
 SMALL = dict(tx_per_block_mean=20, n_blocks=6)
@@ -59,15 +61,14 @@ def _run(config: SimConfig, trace_lines=None):
 
 class TestVenue:
     def test_zone_partition(self):
-        venue = Venue()
-        assert venue.zone_of(np.array([0.0, 0.0])) == 0
-        assert venue.zone_of(np.array([0.6, 0.0])) == 1
-        assert venue.zone_of(np.array([0.0, 0.6])) == 20
-        assert venue.zone_of(np.array([9.99, 9.99])) == 399
-        assert venue.zone_of(np.array([10.0, 10.0])) == 399
+        assert zone_of(np.array([0.0, 0.0])) == 0
+        assert zone_of(np.array([0.6, 0.0])) == 1
+        assert zone_of(np.array([0.0, 0.6])) == 20
+        assert zone_of(np.array([9.99, 9.99])) == 399
+        assert zone_of(np.array([10.0, 10.0])) == 399
 
     def test_beacon_grid_overhangs_walls(self):
-        grid = Venue().beacon_grid()
+        grid = beacon_grid()
         assert grid.shape == (16, 2)
         assert set(np.unique(grid[:, 0])) == {-1.0, 3.0, 7.0, 11.0}
         assert set(np.unique(grid[:, 1])) == {-1.0, 3.0, 7.0, 11.0}
@@ -87,10 +88,10 @@ class TestMobility:
         return np.where(m > upper, period - m, m)
 
     def test_flat_fold_is_bitwise_the_column_fold(self, monkeypatch):
-        """On a 7.5 x 3 m venue, with steps spanning several periods, each
-        tick's one fold over the flattened coordinates equals folding the x
-        and y columns apart, bit for bit, zeros' signs included."""
-        monkeypatch.setattr(simulation, "Venue", lambda: Venue(width=7.5, height=3.0))
+        """On a 7.5 m venue, with steps spanning several periods, each tick's
+        one fold over the flattened coordinates equals folding the x and y
+        columns apart, bit for bit, zeros' signs included."""
+        monkeypatch.setattr(simulation, "VENUE_SIDE", 7.5)
         config = SimConfig(n_agents=300, ticks=5, step_std=40.0, seed=3, **SMALL)
         world = build_world(config, with_identities=False)
         mobility = copy.deepcopy(world.streams["mobility"])
@@ -98,16 +99,15 @@ class TestMobility:
         for _ in range(5):
             moved = expected + mobility.normal(0.0, config.step_std, size=expected.shape)
             expected = np.stack(
-                [self._column_fold(moved[:, 0], 7.5), self._column_fold(moved[:, 1], 3.0)], axis=1
+                [self._column_fold(moved[:, 0], 7.5), self._column_fold(moved[:, 1], 7.5)], axis=1
             )
             step_mobility(world)
             assert world.positions.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
         edges = np.array([-0.0, 0.0, -15.0, -6.0, 15.0, 6.0, 7.5, 3.0, -7.5, -3.0,
                           -5e-324, 5e-324, -1e-17, np.nextafter(15.0, 0.0), 1e300, -1e300])
-        bounds = np.tile([7.5, 3.0], edges.size // 2)
-        folded = _reflect(edges, bounds)
-        expected = np.where(bounds == 7.5, self._column_fold(edges, 7.5), self._column_fold(edges, 3.0))
+        folded = _reflect(edges, 7.5)
+        expected = self._column_fold(edges, 7.5)
         assert folded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_zero_step_std_keeps_positions(self):
@@ -123,8 +123,7 @@ class TestMobility:
         for _ in range(30):
             step_mobility(world)
         assert world.positions.min() >= 0.0
-        assert world.positions[:, 0].max() <= world.venue.width
-        assert world.positions[:, 1].max() <= world.venue.height
+        assert world.positions.max() <= VENUE_SIDE
 
     def test_same_seed_same_walk(self):
         config = SimConfig(n_agents=12, ticks=5, seed=9, **SMALL)
@@ -590,7 +589,7 @@ class TestEpoch:
             for b in chain
             for tx in b.transactions
         )
-        assert not world.iup.contains(claimer)
+        assert all(node != claimer for node, _ in world.iup.entries)
 
     def test_attack_penalty_shows_in_tracked_credit(self):
         config = SimConfig(
