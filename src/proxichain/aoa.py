@@ -7,19 +7,23 @@ elevation phi reaches element ``m`` with phase
 ``exp(-2j pi (d / lambda) m cos(theta) cos(phi))``. Snapshots stack M
 complex samples per element; the MUSIC spectrum scans the 181 integer
 azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
-each take a batch in one call: ``synthesize_snapshots`` records B arrays
-through C channels, each channel drawing from its own generator, and
-``music_spectra`` scans any stack of array outputs. The one-snapshot
-functions are batches of one on plain arrays. Every call reads the element
-spacing from ``SPACING_OVER_LAMBDA`` when it runs, so that constant is the
-only one to change.
+each take a batch in one call: ``synthesize_snapshots`` records, in each of
+T trials, B arrays through C channels, each channel of each trial drawing
+from its own generator, and ``music_spectra`` scans any stack of array
+outputs. The one-snapshot functions are batches of one on plain arrays.
+Every call reads the element spacing from ``SPACING_OVER_LAMBDA`` when it
+runs, so that constant is the only one to change.
 
 The transmitter sends one GFSK advertising burst, fixed by module constants:
 ``SYMBOL_ENERGY`` and ``SYMBOL_PERIOD`` set its amplitude,
 ``MODULATION_INDEX`` (BLE's 0.45 to 0.55 band) and ``INITIAL_PHASE`` its
 phase, ``CARRIER_HZ`` (in the 2.4 to 2.48 GHz band) the multipath phase
 rotation, and ``BT_PRODUCT`` and ``SAMPLES_PER_SYMBOL`` the Gaussian pulse
-``_PULSE``, which is built from them once, at import.
+``_PULSE``, which is built from them once, at import. The tables of the
+pulse's filtered frequency (``_frequency_tables``), read off
+``np.convolve``, are built once per process, at the first burst, so
+modulating a burst is a table lookup, a running sum and one complex
+exponential per sample.
 
 Positions come from intersecting bearing lines of several fixed receivers in
 a least-squares sense; a learned image classifier could replace that last
@@ -111,17 +115,59 @@ def _draw_symbols(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     return _SYMBOLS[rng.integers(0, 2, size=n_symbols)]
 
 
+@functools.cache
+def _frequency_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample ``_modulate`` can need of a pulse-shaped burst, read off
+    ``np.convolve`` itself, so a lookup gives its bytes. Built at the first
+    burst, not at import: building them raises a process's peak RSS by
+    0.25 MB, which a process that never synthesizes does not need.
+
+    The pulse spans two symbols on each side, so a sample's window holds
+    five symbols: the sample at phase ``r`` of symbol ``q >= 2`` is
+    ``interior[pattern, r]``, ``pattern`` being symbols ``q - 2 .. q + 2``
+    read as bits (+1 is 1), most significant first. The first two symbols'
+    samples, where ``np.convolve`` truncates the window, depend only on the
+    first four symbols: ``head[pattern]``. A burst of fewer than
+    ``SAMPLES_PER_SYMBOL`` samples holds four symbols, fewer samples than
+    the pulse has taps, and there ``np.convolve`` swaps its operands:
+    ``short[pattern]``.
+    """
+    sps = SAMPLES_PER_SYMBOL
+
+    def filtered(n_symbols: int) -> np.ndarray:
+        bits = (np.arange(2 ** n_symbols)[:, None] >> np.arange(n_symbols - 1, -1, -1)) & 1
+        held = np.repeat(_SYMBOLS[bits], sps, axis=1)
+        return np.stack([np.convolve(row, _PULSE, mode="same") for row in held])
+
+    five = filtered(5)
+    tables = (five[:, 2 * sps : 3 * sps], five[::2, : 2 * sps], filtered(4)[:, :sps])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _modulate(symbols: np.ndarray, n_samples: int) -> np.ndarray:
     """GFSK baseband for each row of +/-1 symbols: (R, n_symbols) -> (R, n_samples).
 
     The symbols are pulse-shaped by a Gaussian filter whose normalized
     cumulative response advances the phase by pi times the modulation index
-    per symbol. Only the first ``n_samples`` of each row are kept, so the
-    phase is accumulated and exponentiated only that far.
+    per symbol. The filtered frequency is read from tables that hold
+    ``np.convolve``'s bytes (see :func:`_frequency_tables`), and only the
+    first ``n_samples`` of each row are made, so the phase is accumulated
+    and exponentiated only that far.
     """
     sps = SAMPLES_PER_SYMBOL
-    held = np.repeat(symbols, sps, axis=1)
-    freq = np.stack([np.convolve(row, _PULSE, mode="same")[:n_samples] for row in held])
+    interior_table, head_table, short_table = _frequency_tables()
+    bits = (symbols > 0).astype(np.intp)
+    head = bits[:, 0] << 3 | bits[:, 1] << 2 | bits[:, 2] << 1 | bits[:, 3]
+    if n_samples < sps:
+        freq = short_table[head, :n_samples]
+    else:
+        # Symbols 2 .. n_held - 1 hold the samples past the head.
+        n_held = max(-(-n_samples // sps), 2)
+        windows = sum(bits[:, k : n_held - 2 + k] << (4 - k) for k in range(5))
+        interior = interior_table[windows].reshape(len(bits), -1)
+        freq = np.concatenate([head_table[head], interior], axis=1)[:, :n_samples]
     phase = INITIAL_PHASE + np.pi * MODULATION_INDEX * np.cumsum(freq, axis=1) / sps
     amplitude = math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD)
     return amplitude * np.exp(1j * phase)
@@ -137,48 +183,68 @@ def steering_vector(azimuth_deg: float, elevation_deg: float, n_elements: int) -
 
 def synthesize_snapshots(
     channels: Sequence[ChannelRealization],
-    azimuths_deg: Sequence[float],
-    elevations_deg: Sequence[float],
+    azimuths_deg: Sequence[Sequence[float]],
+    elevations_deg: Sequence[Sequence[float]],
     n_elements: int,
     n_samples: int,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[Sequence[np.random.Generator]],
 ) -> np.ndarray:
     """Simulate what B arrays record for one advertising burst each, through
-    each of C channels.
+    each of C channels, in each of T trials.
 
-    Returns complex samples of shape ``(C, B, n_elements, n_samples)``: one
-    array per (azimuth, elevation) pair, all of them once per channel. The
-    multipath sum collapses to one complex gain because path delays are
+    Trial ``t`` places its B arrays at ``azimuths_deg[t]`` and
+    ``elevations_deg[t]`` and draws from its C generators ``rngs[t]``.
+    Returns complex samples of shape ``(T, C, B, n_elements, n_samples)``:
+    one array per (azimuth, elevation) pair, all of them once per channel.
+    The multipath sum collapses to one complex gain because path delays are
     tiny against the symbol period (narrowband assumption); each array's
     noise level is set from its channel's SNR against its actual signal
     power, so the empirical SNR of every output matches the request.
 
-    Channel ``c`` draws from ``rngs[c]`` array by array (the symbols, then
-    the real and imaginary noise), so ``out[c]`` consumes that stream
-    exactly as B one-array calls would and returns the same samples. The
-    geometry is shared, so the steering vectors are computed once, and the
-    bursts of all channels are modulated together.
+    Channel ``c`` of trial ``t`` draws from ``rngs[t][c]`` array by array
+    (the symbols, then the real and imaginary noise), so ``out[t, c]``
+    consumes that stream exactly as B one-array calls would and returns the
+    same samples. The bursts of every trial and channel are modulated
+    together, and each array's steering vector is computed once for all
+    channels.
     """
-    if len(channels) != len(rngs) or len(channels) < 1:
+    if len(channels) < 1 or any(len(trial) != len(channels) for trial in rngs):
         raise ValueError("need one generator per channel, and at least one channel")
-    if len(azimuths_deg) != len(elevations_deg) or len(azimuths_deg) < 1:
-        raise ValueError("need one elevation per azimuth, and at least one of each")
-    if not all(0.0 <= az <= 180.0 for az in azimuths_deg):
+    if not len(azimuths_deg) == len(elevations_deg) == len(rngs) >= 1:
+        raise ValueError("need azimuths, elevations and generators for each of one or more trials")
+    n_arrays = len(azimuths_deg[0])
+    if n_arrays < 1 or any(
+        len(az) != n_arrays or len(el) != n_arrays for az, el in zip(azimuths_deg, elevations_deg)
+    ):
+        raise ValueError("need one elevation per azimuth, at least one of each, "
+                         "and as many in every trial")
+    if not all(0.0 <= az <= 180.0 for trial in azimuths_deg for az in trial):
         raise ValueError("azimuth must sit in [0, 180] degrees")
-    if not all(-90.0 <= el <= 90.0 for el in elevations_deg):
+    if not all(-90.0 <= el <= 90.0 for trial in elevations_deg for el in trial):
         raise ValueError("elevation must be finite and sit in [-90, 90] degrees")
     if n_elements < 2:
         raise ValueError("need at least two array elements")
     if n_samples < n_elements:
         raise ValueError("need at least as many samples as elements")
 
-    n_channels, n_arrays = len(channels), len(azimuths_deg)
-    symbols, unit_noise = [], []
-    for rng in rngs:
-        for _ in range(n_arrays):
-            symbols.append(_draw_symbols(n_samples, rng))
-            unit_noise.append(rng.normal(size=(2, n_elements, n_samples)))
-    source = _modulate(np.stack(symbols), n_samples)
+    shape = (len(rngs), len(channels), n_arrays)
+    # Each array's unit noise is drawn into the block its samples will take:
+    # real and imaginary noise planes fill as many bytes as the complex
+    # samples, so a call holds one array of the output's size, not two. With
+    # two (786 KB each for four loc_eval trials), the C allocator handed the
+    # memory back after every call and page-faulted it in again.
+    out = np.empty((*shape, n_elements, n_samples), dtype=complex)
+    noise = out.view(np.float64).reshape(*shape, 2, n_elements, n_samples)
+    blocks = iter(noise.reshape(-1, 2, n_elements, n_samples))
+    symbols = []
+    for trial in rngs:
+        for rng in trial:
+            for _ in range(n_arrays):
+                symbols.append(_draw_symbols(n_samples, rng))
+                # rng.normal(size=...)'s draws: it returns 0.0 + z, which is
+                # z but for the sign of a zero draw, and a zero of either
+                # sign leaves a nonzero clean sample as it is.
+                rng.standard_normal(out=next(blocks))
     gains = np.array(
         [
             sum(
@@ -188,27 +254,31 @@ def synthesize_snapshots(
             for channel in channels
         ]
     )
-    steering = np.stack(
-        [
-            steering_vector(az, el, n_elements)
-            for az, el in zip(azimuths_deg, elevations_deg)
-        ]
+    faded = gains[:, None, None] * _modulate(np.stack(symbols), n_samples).reshape(
+        *shape, n_samples
     )
-    faded = gains[:, None, None] * source.reshape(n_channels, n_arrays, n_samples)
-    out = steering[None, :, :, None] * faded[:, :, None, :]
-
     # Noise power per channel relative to each array's signal power; zero
     # for a noiseless channel.
     relative = np.array(
         [0.0 if ch.snr_db is None else 10.0 ** (-ch.snr_db / 10.0) for ch in channels]
     )
-    signal_power = np.mean(np.abs(out) ** 2, axis=(2, 3))
-    scale = np.sqrt(signal_power * relative[:, None]) / math.sqrt(2.0)
-    noise = np.stack(unit_noise).reshape(n_channels, n_arrays, 2, n_elements, n_samples)
-    noise *= scale[:, :, None, None, None]
-    # Same bytes as out + (z0 + 1j z1) * scale, without complex temporaries.
-    out.real += noise[:, :, 0]
-    out.imag += noise[:, :, 1]
+    steering = np.array(
+        [
+            [steering_vector(az, el, n_elements) for az, el in zip(trial_az, trial_el)]
+            for trial_az, trial_el in zip(azimuths_deg, elevations_deg)
+        ]
+    )
+    # One trial at a time: its clean samples and scaled noise are the only
+    # temporaries, and its result replaces its noise in ``out``.
+    for t in range(len(rngs)):
+        clean = steering[t, None, :, :, None] * faded[t, :, :, None, :]
+        signal_power = np.mean(np.abs(clean) ** 2, axis=(2, 3))
+        scale = np.sqrt(signal_power * relative[:, None]) / math.sqrt(2.0)
+        # Same bytes as clean + (z0 + 1j z1) * scale, without complex temporaries.
+        scaled = noise[t] * scale[:, :, None, None, None]
+        clean.real += scaled[:, :, 0]
+        clean.imag += scaled[:, :, 1]
+        out[t] = clean
     return out
 
 
@@ -223,8 +293,8 @@ def synthesize_snapshot(
     """One array's recording of one advertising burst, shape
     ``(n_elements, n_samples)`` (see ``synthesize_snapshots``)."""
     return synthesize_snapshots(
-        [channel], [azimuth_deg], [elevation_deg], n_elements, n_samples, [rng]
-    )[0, 0]
+        [channel], [[azimuth_deg]], [[elevation_deg]], n_elements, n_samples, [[rng]]
+    )[0, 0, 0]
 
 
 def _covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import os
 import statistics
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -334,55 +334,94 @@ class LocEvalRow:
 # 0.0). A flag rather than a NaN error, so that a NaN error still reaches the
 # RMSE.
 _LOC_FIELDS = 6
+# Trials synthesized in one call. Four spread synthesis's per-call cost
+# and keep a group's arrays under 1 MB; MUSIC stays per trial, whose
+# batches over trials cost more memory than they saved time.
+_LOC_GROUP = 4
 
 
-def _loc_trial(
-    seed: int, trial: int, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray
-) -> np.ndarray:
-    """The ``(len(channels), _LOC_FIELDS)`` records of one trial, seeded by
-    ``(seed, trial)`` alone."""
+class _LocGeometry(NamedTuple):
+    """Where one trial drops the agent, and how its four receivers see it."""
+
+    target: np.ndarray  # (2,) the agent's position
+    picked: np.ndarray  # (4, 2) the four anchors nearest to it
+    deltas: np.ndarray  # (4, 2) target - anchor
+    azimuths: np.ndarray  # (4,) degrees in [0, 180], folded onto one side
+    elevations: np.ndarray  # (4,) degrees
+
+
+def _loc_geometry(seed: int, trial: int, beacons: np.ndarray) -> _LocGeometry:
+    """The geometry of trial ``trial``, seeded by ``(seed, trial)`` alone."""
     # Geometry is shared across the SNR rows so they differ only in noise,
     # which keeps the per-row means comparable.
     geo = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-    target = geo.uniform([0.5, 0.5], [9.5, 9.5])
-    order = np.argsort(np.linalg.norm(beacons - target, axis=1))
-    picked = beacons[order[:4]]
+    target = geo.uniform(0.5, 9.5, size=2)
+    picked = beacons[np.argsort(np.linalg.norm(beacons - target, axis=1))[:4]]
     elevations = geo.uniform(0.0, 5.0, size=4)
-    deltas = [target - b for b in picked]
-    azimuths = [float(np.degrees(np.arctan2(abs(delta[1]), delta[0]))) for delta in deltas]
+    deltas = target - picked
+    azimuths = np.degrees(np.arctan2(np.abs(deltas[:, 1]), deltas[:, 0]))
+    return _LocGeometry(target, picked, deltas, azimuths, elevations)
 
-    # One batch per trial: every SNR row's snapshots, then their spectra.
-    noise_rngs = [
-        np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
-        for k in range(len(channels))
-    ]
-    samples = aoa.synthesize_snapshots(channels, azimuths, elevations, 4, 256, noise_rngs)
-    spectra = aoa.music_spectra(samples.reshape(-1, 4, 256), n_sources=1)
-    peaks = np.argmax(spectra, axis=1).reshape(len(channels), 4)
-    records = np.zeros((len(channels), _LOC_FIELDS))
-    records[:, :4] = np.abs(peaks - azimuths)
-    for k, row_peaks in enumerate(peaks.tolist()):
-        # Undo the mirror ambiguity using the known side of the axis.
-        bearings = [
-            float(est) if delta[1] >= 0 else -float(est) for est, delta in zip(row_peaks, deltas)
-        ]
+
+def _loc_fixes(geometry: _LocGeometry, samples: np.ndarray) -> np.ndarray:
+    """The ``(C, _LOC_FIELDS)`` records of one trial's snapshots, shape
+    ``(C, 4, n_elements, n_samples)``: one MUSIC call over them all, then
+    one triangulation per SNR row."""
+    n_channels = len(samples)
+    spectra = aoa.music_spectra(samples.reshape(-1, *samples.shape[2:]), n_sources=1)
+    peaks = np.argmax(spectra, axis=1).reshape(n_channels, 4)
+    records = np.zeros((n_channels, _LOC_FIELDS))
+    records[:, :4] = np.abs(peaks - geometry.azimuths)
+    # Undo the mirror ambiguity using the known side of the axis (a peak at
+    # 0 below it becomes -0.0).
+    bearings = peaks * np.where(geometry.deltas[:, 1] >= 0, 1.0, -1.0)
+    for k, row in enumerate(bearings):
         try:
-            point, _ = aoa.estimate_position(picked, bearings)
-            records[k, 4] = np.sum((point - target) ** 2)
+            point, _ = aoa.estimate_position(geometry.picked, row)
+            records[k, 4] = np.sum((point - geometry.target) ** 2)
         except aoa.DegenerateGeometryError:
             records[k, 5] = 1.0
     return records
+
+
+def _loc_group(
+    seed: int, group: range, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray
+) -> np.ndarray:
+    """The ``(len(group), len(channels), _LOC_FIELDS)`` records of the
+    trials in ``group``, synthesized in one call: SNR row ``k`` of trial
+    ``t`` draws from its own generator, seeded by ``(seed, t, k + 1)``.
+    MUSIC and triangulation run per trial."""
+    geometries = [_loc_geometry(seed, trial, beacons) for trial in group]
+    noise_rngs = [
+        [
+            np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
+            for k in range(len(channels))
+        ]
+        for trial in group
+    ]
+    samples = aoa.synthesize_snapshots(
+        channels,
+        [g.azimuths for g in geometries],
+        [g.elevations for g in geometries],
+        4,
+        256,
+        noise_rngs,
+    )
+    return np.stack([_loc_fixes(g, trial_samples) for g, trial_samples in zip(geometries, samples)])
 
 
 def _loc_trials(
     seed: int, start: int, stop: int, channels: Sequence[aoa.ChannelRealization]
 ) -> np.ndarray:
     """The ``(stop - start, len(channels), _LOC_FIELDS)`` records of trials
-    ``start .. stop - 1``, in trial order."""
+    ``start .. stop - 1``, in trial order, ``_LOC_GROUP`` trials at a time."""
     beacons = beacon_grid()
     records = np.empty((stop - start, len(channels), _LOC_FIELDS))
-    for row, trial in enumerate(range(start, stop)):
-        records[row] = _loc_trial(seed, trial, channels, beacons)
+    for first in range(start, stop, _LOC_GROUP):
+        last = min(first + _LOC_GROUP, stop)
+        records[first - start : last - start] = _loc_group(
+            seed, range(first, last), channels, beacons
+        )
     return records
 
 
@@ -401,9 +440,10 @@ def run_localization_eval(
     from its mirror across their axis, so the eval resolves that half-plane
     choice from the known geometry before intersecting.
 
-    All SNR points of a trial share its geometry, so a trial's snapshots are
-    synthesized in one call (each SNR point with its own noise generator)
-    and scanned in one MUSIC call; triangulation stays per fix.
+    All SNR points of a trial share its geometry, and each has its own noise
+    generator. The snapshots of four trials are synthesized in one call,
+    those of one trial are scanned in one MUSIC call, and triangulation
+    stays per fix.
 
     The trials run on every CPU in ``sched_getaffinity`` (``taskset``
     limits them): ``range(trials)`` is cut into one contiguous share per

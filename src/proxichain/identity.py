@@ -13,13 +13,15 @@ signature instead of the message; :func:`verify` hashes its message and
 is a batch of one. :func:`verify_many` sorts a batch by public key, so
 each chunk parses a key once, and a caller that checks many batches (a
 ``ct-run``) hands it a dict in which each key stays parsed for the
-caller's whole run. OpenSSL releases the interpreter lock
-while it verifies, so the sorted batch is split across every CPU the
+caller's whole run. The sorted batch is split across every CPU the
 process may run on, as far as each chunk gets ``_MIN_VERIFY_CHUNK``
 signatures, and the chunks are checked on a thread pool that lasts only
-for that call. Meanwhile the calling thread runs whatever work the
-caller hands over (``meanwhile``), such as the cheaper block clauses of
-:func:`proxichain.consensus.verify_chain`. Smaller batches, signing
+for that call. OpenSSL, through cryptography 48, holds the interpreter
+lock while it verifies, so the chunks take turns rather than run at once.
+What the split buys is the calling thread's time: meanwhile it runs
+whatever work the caller hands over (``meanwhile``), such as the block
+clauses of :func:`proxichain.consensus.verify_chain`, whose window
+hashing ``hashlib`` does without the lock. Smaller batches, signing
 (:func:`sign`, one message per call) and key generation stay on the
 calling thread.
 """
@@ -57,9 +59,12 @@ _SEED_DOMAIN = b"proxichain/identity/v1"
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-# Fewest triples a chunk of a split verify batch may get. On a 2-CPU host two
-# chunks took 0.81-1.03 times as long as one at 4-10 triples and 0.65-0.71
-# at 24-400, so small batches (a ct-run block holds ~10) stay on one thread.
+# Fewest triples a chunk of a split verify batch may get, so that a small
+# batch (a ct-run block holds ~10) does not pay for a thread pool. The checks
+# themselves do not overlap: cryptography 48 holds the interpreter lock while
+# OpenSSL verifies, and on a 2-vCPU Xeon two threads checking 500 signatures
+# each under one parsed key took 113 ms, as long as one thread checking all
+# 1000.
 _MIN_VERIFY_CHUNK = 25
 
 

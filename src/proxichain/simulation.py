@@ -583,24 +583,6 @@ _FRAME = struct.Struct("<Qd")
 _FEED_BYTES = 1 << 20
 
 
-def _leave_caller_cpu() -> None:
-    """Take this process off the CPU its parent last ran on, if the
-    affinity leaves it another. A pipe write wakes the reader onto the
-    writer's CPU, and there the validator shared one CPU with the
-    simulation while the other idled: on a 2-vCPU Xeon a default
-    ``ct-run --seed 5`` took 19.5-21.8 s with both processes on one vCPU,
-    and 16.7-16.9 s with the validator moved off it."""
-    try:
-        with open(f"/proc/{os.getppid()}/stat") as fh:
-            # Field 39, "processor", counted from field 3 after the name.
-            caller_cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {caller_cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except (OSError, AttributeError, ValueError, IndexError):
-        pass  # no /proc or no affinity calls here: the scheduler decides
-
-
 def _validate_feed(
     chain: ChainTail, registry: AuthorizedRegistry, alpha_d: float, report: int, feed: int
 ) -> None:
@@ -615,10 +597,10 @@ def _validate_feed(
     once the end frame follows only accepted blocks. A caller gone before
     its end frame gets nothing.
 
-    The simulation process keeps one CPU busy, so the validator leaves its
-    CPU (see :func:`_leave_caller_cpu`) and splits a signature batch across
-    the other CPUs only (on two, it stays on one thread)."""
-    _leave_caller_cpu()
+    The simulation process keeps one CPU busy, so the validator, which
+    starts off that CPU (see :func:`proxichain._fork.helpers`), splits a
+    signature batch across the other CPUs only (on two, it stays on one
+    thread)."""
     identity._CORES = max(identity._CORES - 1, 1)
     own = chain.replica()
     verdict: list[str] = []

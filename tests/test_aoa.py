@@ -45,8 +45,18 @@ def _baseband(n_samples, seed):
     steering phase and channel gain are both exactly 1."""
     rng = np.random.default_rng(seed)
     return synthesize_snapshots(
-        [awgn_channel(None)], [90.0], [0.0], 2, n_samples, [rng]
-    )[0, 0, 0]
+        [awgn_channel(None)], [[90.0]], [[0.0]], 2, n_samples, [[rng]]
+    )[0, 0, 0, 0]
+
+
+def _convolved_baseband(symbols, n_samples):
+    """``_modulate`` as written with one ``np.convolve`` per row: the
+    reference its frequency tables must reproduce."""
+    sps = SAMPLES_PER_SYMBOL
+    held = np.repeat(symbols, sps, axis=1)
+    freq = np.stack([np.convolve(row, aoa._PULSE, mode="same")[:n_samples] for row in held])
+    phase = aoa.INITIAL_PHASE + np.pi * MODULATION_INDEX * np.cumsum(freq, axis=1) / sps
+    return math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD) * np.exp(1j * phase)
 
 
 class TestWaveform:
@@ -89,6 +99,20 @@ class TestBaseband:
         a = _baseband(256, seed=5)
         b = _baseband(256, seed=5)
         assert np.array_equal(a, b)
+
+    def test_frequency_tables_give_convolve_bytes(self):
+        """Random batches of 1-19 bursts of 2-599 samples, most of them not
+        a whole number of symbols, and every length up to three symbols,
+        which includes those below one symbol, where np.convolve swaps its
+        operands."""
+        rng = np.random.default_rng(30)
+        shapes = [(int(rng.integers(1, 20)), int(rng.integers(2, 600))) for _ in range(400)]
+        shapes += [(16, n) for n in range(2, 3 * SAMPLES_PER_SYMBOL)]
+        for rows, n_samples in shapes:
+            size = (rows, n_samples // SAMPLES_PER_SYMBOL + 4)
+            symbols = np.where(rng.integers(0, 2, size=size) > 0, 1.0, -1.0)
+            expected = _convolved_baseband(symbols, n_samples)
+            assert _modulate(symbols, n_samples).tobytes() == expected.tobytes(), (rows, n_samples)
 
 
 class TestSteering:
@@ -240,10 +264,11 @@ class TestBatch:
     ]
 
     def _batch(self, channels, seeds, n_samples=256):
+        """One trial's samples, shape (C, B, n_elements, n_samples)."""
         return synthesize_snapshots(
-            channels, self.AZIMUTHS, self.ELEVATIONS, 4, n_samples,
-            [np.random.default_rng(s) for s in seeds],
-        )
+            channels, [self.AZIMUTHS], [self.ELEVATIONS], 4, n_samples,
+            [[np.random.default_rng(s) for s in seeds]],
+        )[0]
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=["noiseless", "20dB", "two-path"])
     def test_synthesis_matches_sequential_calls_bit_for_bit(self, channel):
@@ -259,16 +284,37 @@ class TestBatch:
     def test_channels_match_one_channel_calls_bit_for_bit(self):
         rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
         batch = synthesize_snapshots(
-            self.CHANNELS, self.AZIMUTHS, self.ELEVATIONS, 4, 256, rngs
+            self.CHANNELS, [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [rngs]
         )
-        assert batch.shape == (3, 4, 4, 256)
+        assert batch.shape == (1, 3, 4, 4, 256)
         for c, (channel, seed) in enumerate(zip(self.CHANNELS, (4, 5, 6))):
             rng = np.random.default_rng(seed)
             single = synthesize_snapshots(
-                [channel], self.AZIMUTHS, self.ELEVATIONS, 4, 256, [rng]
+                [channel], [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [[rng]]
             )
-            assert batch[c].tobytes() == single[0].tobytes()
+            assert batch[0, c].tobytes() == single[0, 0].tobytes()
             assert rngs[c].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_samples", [256, 61])
+    def test_trials_match_one_trial_calls_bit_for_bit(self, n_samples):
+        """T trials in one call, each with its own geometry and generators,
+        give the bytes of T one-trial calls and leave every generator in
+        the state those calls leave it."""
+        rng = np.random.default_rng(17)
+        azimuths = rng.uniform(0.0, 180.0, size=(5, 4)).tolist()
+        elevations = rng.uniform(-10.0, 10.0, size=(5, 4)).tolist()
+        seeds = rng.integers(0, 2**32, size=(5, 3)).tolist()
+        rngs = [[np.random.default_rng(s) for s in trial] for trial in seeds]
+        batch = synthesize_snapshots(self.CHANNELS, azimuths, elevations, 4, n_samples, rngs)
+        assert batch.shape == (5, 3, 4, 4, n_samples)
+        for t, trial_seeds in enumerate(seeds):
+            own = [np.random.default_rng(s) for s in trial_seeds]
+            single = synthesize_snapshots(
+                self.CHANNELS, [azimuths[t]], [elevations[t]], 4, n_samples, [own]
+            )
+            assert batch[t].tobytes() == single[0].tobytes()
+            for ours, theirs in zip(rngs[t], own):
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_noise_mixing_matches_the_complex_formula(self):
         """Scaling the real noise and adding it to the real and imaginary
@@ -317,7 +363,7 @@ class TestBatch:
         noiseless = [awgn_channel(None)]
 
         def call(azimuths, elevations, channels=noiseless, rngs=(rng,)):
-            synthesize_snapshots(channels, azimuths, elevations, 4, 64, list(rngs))
+            synthesize_snapshots(channels, [azimuths], [elevations], 4, 64, [list(rngs)])
 
         with pytest.raises(ValueError):
             call([30.0, 190.0], [0.0, 0.0])
@@ -332,6 +378,28 @@ class TestBatch:
             call([30.0], [0.0], channels=noiseless * 2)
         with pytest.raises(ValueError, match="generator"):
             call([30.0], [0.0], channels=[], rngs=())
+        # Across trials: one set of angles and generators per trial, as
+        # many arrays and generators in each, and every angle in range.
+        with pytest.raises(ValueError, match="trial"):
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0]], 4, 64, [[rng], [rng]])
+        with pytest.raises(ValueError, match="trial"):
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], 4, 64, [[rng]])
+        with pytest.raises(ValueError, match="trial"):
+            synthesize_snapshots(noiseless, [], [], 4, 64, [])
+        with pytest.raises(ValueError, match="every trial"):
+            synthesize_snapshots(
+                noiseless, [[30.0], [60.0, 90.0]], [[0.0], [0.0, 0.0]], 4, 64, [[rng], [rng]]
+            )
+        with pytest.raises(ValueError, match="generator"):
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], 4, 64, [[rng], []])
+        with pytest.raises(ValueError, match="azimuth"):
+            synthesize_snapshots(
+                noiseless, [[30.0], [181.0]], [[0.0], [0.0]], 4, 64, [[rng], [rng]]
+            )
+        with pytest.raises(ValueError, match="elevation"):
+            synthesize_snapshots(
+                noiseless, [[30.0], [60.0]], [[0.0], [float("nan")]], 4, 64, [[rng], [rng]]
+            )
         # Every guard fires before the first draw.
         assert rng.bit_generator.state == state
         call([30.0, 60.0], [-90.0, 90.0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from proxichain import _fork, consensus, identity
+from proxichain import _fork, consensus, experiments, identity, simulation
 from proxichain.consensus import (
     DL_EASY,
     DL_HARD,
@@ -482,6 +482,67 @@ def test_forked_helper_with_an_inbound_pipe(forked, monkeypatch):
             assert fh.read() == bytes([1, 2]) + b"cba"
     assert len(forked) == 1
     _assert_reaped(forked)
+
+
+def _affinity_recorded(tmp_path, func):
+    """``func`` made to write, in a forked helper only, the CPUs that helper
+    may run on to a file named by its pid, before it runs."""
+    caller = os.getpid()
+
+    def recording(*args, **kwargs):
+        if os.getpid() != caller:
+            cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+            (tmp_path / str(os.getpid())).write_text(cpus)
+        return func(*args, **kwargs)
+
+    return recording
+
+
+def _run_validated_epoch(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        simulation, "_validate_feed", _affinity_recorded(tmp_path, simulation._validate_feed)
+    )
+    config = simulation.SimConfig(n_agents=20, ticks=3, seed=1, tx_per_block_mean=20, n_blocks=6)
+    simulation.run_epoch(simulation.build_world(config), simulation.ChainTail(lambda line: None))
+
+
+def _run_loc_eval(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        experiments, "_loc_trials", _affinity_recorded(tmp_path, experiments._loc_trials)
+    )
+    experiments.run_localization_eval([None], trials=30, seed=1)
+
+
+def _run_split_search(monkeypatch, tmp_path, far_case):
+    chain, cand, nonce = far_case
+    monkeypatch.setattr(consensus, "_ROUND", ROUND)
+    monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - PLACEMENTS["last-of-the-last-slice"](2))
+    monkeypatch.setattr(consensus, "_scan", _affinity_recorded(tmp_path, consensus._scan))
+    assert mine(chain, cand, DL_TWO).block.nonce == nonce
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs an affinity of two CPUs or more",
+)
+@pytest.mark.parametrize("kind", ["validator", "loc-eval", "split-search"])
+def test_every_forked_helper_leaves_the_callers_cpu(kind, far_case, tmp_path, forked,
+                                                    monkeypatch):
+    """Each kind of forked helper (ct-run's block validator, a share of the
+    localization eval, a slice of a nonce search) takes out of its affinity
+    the one CPU this process last ran on, and keeps the rest."""
+    monkeypatch.setattr(identity, "_CORES", 2)
+    mine_cpus = os.sched_getaffinity(0)
+    if kind == "validator":
+        _run_validated_epoch(monkeypatch, tmp_path)
+    elif kind == "loc-eval":
+        _run_loc_eval(monkeypatch, tmp_path)
+    else:
+        _run_split_search(monkeypatch, tmp_path, far_case)
+    assert len(forked) == 1
+    _assert_reaped(forked)
+    seen = {int(cpu) for cpu in (tmp_path / str(forked[0])).read_text().split(",")}
+    assert seen < mine_cpus and len(seen) == len(mine_cpus) - 1
 
 
 class TestRejectionReasons:

@@ -1,5 +1,7 @@
-"""Every script in ``demos/`` runs to completion in a fresh interpreter."""
+"""Every script in ``demos/`` runs to completion in a fresh interpreter, and
+the deterministic one that localizes prints what it always has."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,18 +17,31 @@ def test_demos_are_found():
     assert DEMOS, "no demos/*.py found"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo, tmp_path):
+def _run(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo, tmp_path):
+    result = _run(demo, tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
+
+
+def test_music_localization_output_is_pinned(tmp_path):
+    """Demo 04 runs the one-snapshot synthesis and MUSIC path end to end;
+    its printed positions, errors and residuals are deterministic."""
+    result = _run(ROOT / "demos" / "04_music_localization.py", tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "204d9134a4462bf85e5c3b1c49f74f25eb27f773ec310005e099f6b2967f194d"
+    )

@@ -678,7 +678,7 @@ class TestSplitLocalizationEval:
 
     def test_error_in_a_helpers_share_surfaces_unchanged(self, forked, monkeypatch):
         monkeypatch.setattr(identity, "_CORES", 2)
-        caller, trial_records = os.getpid(), experiments._loc_trial
+        caller, trial_geometry = os.getpid(), experiments._loc_geometry
         run_here = []
 
         def fails_at_trial_20(seed, trial, *args):
@@ -686,9 +686,9 @@ class TestSplitLocalizationEval:
                 run_here.append(trial)
             if trial == 20:
                 raise aoa.NumericalRankError("injected at trial 20")
-            return trial_records(seed, trial, *args)
+            return trial_geometry(seed, trial, *args)
 
-        monkeypatch.setattr(experiments, "_loc_trial", fails_at_trial_20)
+        monkeypatch.setattr(experiments, "_loc_geometry", fails_at_trial_20)
         with pytest.raises(aoa.NumericalRankError, match="^injected at trial 20$"):
             run_localization_eval(SPLIT_SNRS, trials=SPLIT_TRIALS, seed=3)
         # The caller ran its share (0-14), then redid the helper's share
@@ -699,16 +699,41 @@ class TestSplitLocalizationEval:
 
     def test_share_of_a_helper_that_dies_is_redone(self, forked, sequential_rows, monkeypatch):
         monkeypatch.setattr(identity, "_CORES", 3)
-        caller, trial_records = os.getpid(), experiments._loc_trial
+        caller, trial_geometry = os.getpid(), experiments._loc_geometry
 
         def helper_dies(seed, trial, *args):
             if os.getpid() != caller and trial == 25:
                 os._exit(1)
-            return trial_records(seed, trial, *args)
+            return trial_geometry(seed, trial, *args)
 
-        monkeypatch.setattr(experiments, "_loc_trial", helper_dies)
+        monkeypatch.setattr(experiments, "_loc_geometry", helper_dies)
         assert _split_eval() == sequential_rows
         assert len(forked) == 2
+        _assert_reaped(forked)
+
+    # Rows recorded before trials were synthesized four at a time. At 31
+    # and 37 trials the last group of every share is short, at one CPU and
+    # at two (shares of 15 + 16 and 18 + 19 trials).
+    PINNED_HEX_ROWS = {
+        31: [
+            (None, "0x1.49e32418af7efp-2", "0x1.7c9c6797ecbabp-6", 0),
+            (20.0, "0x1.6818e28013204p-2", "0x1.bbf4aa2004bf1p-6", 0),
+            (10.0, "0x1.8a09257b21cc6p-2", "0x1.151dcf6410b43p-5", 0),
+        ],
+        37: [
+            (None, "0x1.83e8fa8674b45p-2", "0x1.20fe7b08e17bdp-5", 0),
+            (20.0, "0x1.ac3e5525fd37ep-2", "0x1.45a5d2a3995a5p-5", 0),
+            (10.0, "0x1.aa13cab4481b7p+0", "0x1.ad4721c33b46dp-5", 0),
+        ],
+    }
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["one-core", "two-cores"])
+    @pytest.mark.parametrize("trials", sorted(PINNED_HEX_ROWS))
+    def test_rows_of_short_groups_are_pinned(self, trials, cores, forked, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", cores)
+        rows = run_localization_eval(SPLIT_SNRS, trials=trials, seed=3)
+        assert _hex_rows(rows) == self.PINNED_HEX_ROWS[trials]
+        assert len(forked) == cores - 1
         _assert_reaped(forked)
 
     def test_cli_csv_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch):

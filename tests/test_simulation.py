@@ -668,30 +668,6 @@ class TestEpoch:
         assert parsed == []
         assert len(forked) == 1
 
-    @pytest.mark.skipif(
-        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-        reason="needs an affinity of two CPUs or more",
-    )
-    def test_validator_leaves_the_callers_cpu(self, monkeypatch, forked):
-        """The validator process takes one CPU out of its affinity, the one
-        this process last ran on, and keeps the rest."""
-        monkeypatch.setattr(identity, "_CORES", 2)
-        mine, seen, step = os.sched_getaffinity(0), [], simulation.step_mobility
-
-        def watching(world):
-            if not seen:
-                deadline = time.monotonic() + 10
-                while os.sched_getaffinity(forked[0]) == mine and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                seen.append(os.sched_getaffinity(forked[0]))
-            return step(world)
-
-        monkeypatch.setattr(simulation, "step_mobility", watching)
-        config = SimConfig(n_agents=20, ticks=3, seed=1, **SMALL)
-        run_epoch(build_world(config), ChainTail(lambda line: None))
-        assert len(forked) == 1
-        assert seen[0] < mine and len(seen[0]) == len(mine) - 1
-
     def test_same_seed_is_bit_deterministic_in_memory(self):
         config = SimConfig(n_agents=25, ticks=40, p_inf=0.1, seed=12, **SMALL)
         world_a, chain_a, metrics_a = _run(config)
