@@ -3,9 +3,10 @@
 A caller that splits its work (``consensus.mine``'s nonce search,
 ``experiments.run_localization_eval``'s trials) runs share 0 itself and
 reads every other share's records from a helper's pipe. A caller that
-hands work off (``simulation.run_epoch``'s block validator) gets one helper
-and feeds it through a second pipe. When to fork, what a helper may touch
-and how it ends all live in :func:`helpers`.
+hands work off (``simulation.run_epoch``'s block process) gets one helper
+and feeds it through a second pipe. A helper may itself split its work:
+the block process splits a long nonce search. When to fork, what a helper
+may touch and how it ends all live in :func:`helpers`.
 """
 
 from __future__ import annotations
@@ -17,31 +18,41 @@ from typing import Callable, Iterator
 
 from . import identity
 
-# The pipe ends this process holds for its live helpers. A helper forked
-# while others live (a nonce search beside ct-run's validator) closes them
-# all, so that an end is held only by the process it belongs to and a
-# helper sees end-of-file when its caller closes its end.
+# The pipe ends this process holds for its live helpers, and in a helper
+# also the ends its caller gave it. A helper closes every end it inherits
+# from here, so that an end is held only by the process it belongs to and a
+# process sees end-of-file when its peer closes its end: a nonce search
+# forked by ct-run's block process holds no end between that process and
+# the simulation process.
 _held: list[int] = []
 
 
 def _leave_caller_cpu() -> None:
-    """Take this process off the CPU its parent last ran on, if the
-    affinity leaves it another. A fork and a pipe write wake the new
-    process onto the waker's CPU, and there a helper shared one CPU with
-    its caller while the other idled: on a 2-vCPU Xeon a default
-    ``ct-run --seed 5`` took 19.5-21.8 s with its validator on the
-    simulation's vCPU, and 16.7-16.9 s with the validator moved off it. In
-    two of four fresh processes the first 150-trial localization evals kept
-    0.95-1.31 CPUs busy (227-372 ms a call); with their helpers moved off,
-    the first call of each of four kept 1.80-1.90 busy (150-174 ms)."""
+    """Let this process run on every CPU the program started with
+    (``identity._AFFINITY``) but the one its parent last ran on, if that
+    leaves one.
+
+    A fork and a pipe write wake the new process onto the waker's CPU, and
+    there a helper shared one CPU with its caller while the other idled: on
+    a 2-vCPU Xeon a default ``ct-run --seed 5`` took 19.5-21.8 s with its
+    second process on the simulation's vCPU, and 16.7-16.9 s with that
+    process moved off it. In two of four fresh processes the first
+    150-trial localization evals kept 0.95-1.31 CPUs busy (227-372 ms a
+    call); with their helpers moved off, the first call of each of four kept
+    1.80-1.90 busy (150-174 ms).
+
+    The set is the program's and not the inherited affinity because of a
+    helper's helper: ct-run's block process is pinned to the CPUs its
+    caller left it (one, on two CPUs), and a nonce search it splits would
+    otherwise run both of its processes there."""
     try:
         with open(f"/proc/{os.getppid()}/stat") as fh:
             # Field 39, "processor", counted from field 3 after the name.
             caller_cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {caller_cpu}
+        others = identity._AFFINITY - {caller_cpu}
         if others:
             os.sched_setaffinity(0, others)
-    except (OSError, AttributeError, ValueError, IndexError):
+    except (OSError, AttributeError, TypeError, ValueError, IndexError):
         pass  # no /proc or no affinity calls here: the scheduler decides
 
 
@@ -76,7 +87,8 @@ def helpers(body: Callable[..., None], inbound: bool = False) -> Iterator[list]:
     ``body`` returns. If ``body`` raises, the helper exits without a further
     record; so does the first write after the caller has died, which closes
     the read end. A helper never runs the caller's cleanup code, and holds
-    no pipe end of the caller's other helpers. On leaving the block every
+    no pipe end of the caller's other helpers; a helper it forks in turn
+    holds none of its ends either. On leaving the block every
     helper is killed and reaped and every end closed, whether the block
     returned or raised.
     """
@@ -106,7 +118,7 @@ def helpers(body: Callable[..., None], inbound: bool = False) -> Iterator[list]:
                     try:
                         for fd in _held:
                             os.close(fd)
-                        _held.clear()
+                        _held[:] = given
                         _leave_caller_cpu()
                         body(p, procs, *given)
                     finally:

@@ -51,14 +51,16 @@ _CURVE = ec.SECP256R1()
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SEED_DOMAIN = b"proxichain/identity/v1"
 
-# CPUs this process may run on: the most chunks a verify batch is split into,
-# and the most processes a long nonce search or a localization eval runs on
-# (the caller plus forked helpers, see ``_fork.helpers``). All read it at
-# call time, so ``taskset -c 0`` gives a serial verify, search and eval.
-# Platforms without CPU affinity (macOS, Windows) count every CPU.
-_CORES = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# The CPUs the program may run on, as it started: a forked helper takes its
+# caller's CPU out of this set (``_fork._leave_caller_cpu``). None on
+# platforms without CPU affinity (macOS, Windows).
+_AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+# How many: the most chunks a verify batch is split into, and the most
+# processes a long nonce search or a localization eval runs on (the caller
+# plus forked helpers, see ``_fork.helpers``). All read it at call time, so
+# ``taskset -c 0`` gives a serial verify, search and eval. Without affinity
+# every CPU counts.
+_CORES = len(_AFFINITY) if _AFFINITY is not None else os.cpu_count() or 1
 # Fewest triples a chunk of a split verify batch may get, so that a small
 # batch (a ct-run block holds ~10) does not pay for a thread pool. The checks
 # themselves do not overlap: cryptography 48 holds the interpreter lock while

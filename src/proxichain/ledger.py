@@ -470,12 +470,17 @@ class ChainTail(Sequence[HeldBlock]):
 
     A tail lasts one run, and it carries two stores for that run: the last
     window state :func:`whash_state` computed on it (dropped on append),
-    and ``parsed_keys``, every sender key that validation on the tail has
-    parsed (see :func:`proxichain.identity.verify_many`).
+    and ``parsed_keys``, the parsed sender keys that validation on the tail
+    reads and adds to (see :func:`proxichain.identity.verify_many`).
+
+    ``simulation.run_epoch`` may hand the blocks to a forked process, whose
+    copy of the tail appends them; there the copy's ``write`` sends each
+    line back, and the caller hands it to this tail's ``write``. The
+    caller's tail then only counts the blocks (:meth:`append_elsewhere`).
     """
 
     def __init__(self, write: Optional[Callable[[str], object]]):
-        self._write = write
+        self.write = write
         self._blocks: list[HeldBlock] = []
         self._height = 0
         self._window_memo: Optional[tuple] = None
@@ -501,27 +506,24 @@ class ChainTail(Sequence[HeldBlock]):
         # the chain ended there; this raises instead.
         return (self[i] for i in range(self._height))
 
-    def replica(self) -> "ChainTail":
-        """A tail of the same blocks that writes no lines and holds no
-        window state or parsed key: ``simulation.run_epoch``'s validator
-        checks each new block against one."""
-        tail = ChainTail(None)
-        tail._blocks = list(self._blocks)
-        tail._height = self._height
-        return tail
-
-    def append(self, block: Block) -> Optional[str]:
-        """Hold ``block`` as the new tip; returns the line written, if any."""
-        line = None
-        if self._write is not None:
-            line = block_to_json_line(block) + "\n"
-            self._write(line)
+    def append(self, block: Block) -> None:
+        """Hold ``block`` as the new tip, after writing its line."""
+        if self.write is not None:
+            self.write(block_to_json_line(block) + "\n")
         self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]
         self._height += 1
         self._window_memo = None
-        return line
+
+    def append_elsewhere(self) -> None:
+        """Count one block appended to another process's copy of this tail,
+        and hold no block from here on: reading any block then raises
+        ``IndexError``, as reading an evicted block does. Nothing is
+        written; the line comes back from that process."""
+        self._blocks.clear()
+        self._height += 1
+        self._window_memo = None
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,26 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import select
 import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _fork, identity
-from .consensus import BlockRejectedError, append_block, difficulty_for, mine
+from . import _fork
+from .consensus import (
+    LEVELS_BY_NAME,
+    BlockRejectedError,
+    append_block,
+    difficulty_for,
+    mine,
+)
 from .credit import (
     CreditEvent,
     CreditPolicy,
@@ -52,7 +60,6 @@ from .ledger import (
     MAX_BLOCK_BYTES,
     Transaction,
     TxKind,
-    block_from_dict,
     encode_block_full,
     encode_contact_pairs,
     make_genesis,
@@ -573,36 +580,64 @@ def _take_sized_batch(pending: list[Transaction], batch_size: int) -> tuple[Tran
     return tuple(pending[:taken])
 
 
-# One frame on the validator's feed: the byte length of a block's
-# ``chain.jsonl`` line and its miner's credit at append time, then the line.
-# A frame of length 0 ends the run.
+def _add_block(
+    chain: Chain | ChainTail,
+    registry: Optional[AuthorizedRegistry],
+    alpha_d: float,
+    job: tuple,
+    credit: float,
+) -> None:
+    """Build the block ``job`` decides on the tip of ``chain``, mine it and
+    append it. The job is what :func:`_mine_pending` decided: the batch,
+    the miner's node id, the window, the timestamp and the name of the
+    level to mine at. :func:`~proxichain.consensus.append_block` checks
+    every clause, the miner's entitlement at ``credit`` included, and on a
+    :class:`~proxichain.ledger.ChainTail` reuses the window state that
+    mining left, so the window is hashed once. Every block of a run is
+    added here, in process or in the block process (:func:`_build_blocks`).
+    """
+    batch, miner, window, timestamp, level = job
+    candidate = next_block(chain, window, batch, miner, timestamp)
+    block = mine(chain, candidate, LEVELS_BY_NAME[level]).block
+    append_block(chain, block, registry, credit, alpha_d)
+
+
+# One frame on the block process's feed: the byte length of a pickled job
+# and the miner's credit at append time, then the job. The two processes run
+# one program image, so pickle needs no decoder kept in step. A frame of
+# length 0 ends the run.
 _FRAME = struct.Struct("<Qd")
-# Capacity asked for the feed pipe. At the kernel's default 64 KiB a
-# benchmark ct_run call (~15 blocks of ~4 KB lines a tick) spent 34 ms of
-# ~640 ms waiting to send, and 5 ms at 1 MiB.
-_FEED_BYTES = 1 << 20
+# One record on its report pipe: the byte length of a ``chain.jsonl`` line,
+# then the line. A record of length 0 is followed by the verdict.
+_LINE = struct.Struct("<Q")
+# Capacity asked for each of the two pipes. A benchmark ct_run call sends
+# ~1.7 MB of jobs and gets ~5.6 MB of lines back, ~15 blocks a tick. At the
+# kernel's default 64 KiB its sends waited 281-295 ms of a 745 ms call on a
+# 2-vCPU Xeon, as the block process stalled on lines not yet read; at 1 MiB
+# they wait ~6 ms of ~500 ms.
+_PIPE_BYTES = 1 << 20
 
 
-def _validate_feed(
+def _build_blocks(
     chain: ChainTail, registry: AuthorizedRegistry, alpha_d: float, report: int, feed: int
 ) -> None:
-    """The validator process: check each block fed to it on a write-less
-    replica of ``chain``, until a block is refused or the run ends.
+    """The block process: add each job fed to it to its own copy of
+    ``chain`` with :func:`_add_block`, as one CPU adds them in process,
+    until a block is refused or the run ends.
 
-    Each block is rebuilt from its line as ``verify-chain`` loads it, so
-    the bytes checked are the bytes persisted, and goes through the
-    unchanged :func:`~proxichain.consensus.append_block`, with the credit
-    the caller sent as the miner's. The verdict goes to ``report`` as a
-    JSON array: ``[reason, detail]`` for the first refused block, or ``[]``
-    once the end frame follows only accepted blocks. A caller gone before
-    its end frame gets nothing.
+    The copy's ``write`` sends each appended block's line to ``report``,
+    for the caller to write; lines the caller's tail would not make are not
+    made. After the last line comes a record of length 0 and the verdict,
+    a JSON array: ``[reason, detail]`` for the first refused block, or
+    ``[]`` once the end frame follows only accepted blocks. A caller gone
+    before its end frame gets nothing."""
+    if chain.write is not None:
 
-    The simulation process keeps one CPU busy, so the validator, which
-    starts off that CPU (see :func:`proxichain._fork.helpers`), splits a
-    signature batch across the other CPUs only (on two, it stays on one
-    thread)."""
-    identity._CORES = max(identity._CORES - 1, 1)
-    own = chain.replica()
+        def send_line(line: str) -> None:
+            data = line.encode()
+            _fork.write_all(report, _LINE.pack(len(data)) + data)
+
+        chain.write = send_line
     verdict: list[str] = []
     with open(feed, "rb") as fh:
         while True:
@@ -612,84 +647,137 @@ def _validate_feed(
             size, credit = _FRAME.unpack(header)
             if not size:
                 break
-            block = block_from_dict(json.loads(fh.read(size)))
             try:
-                append_block(own, block, registry, credit=credit, alpha_d=alpha_d)
+                _add_block(chain, registry, alpha_d, pickle.loads(fh.read(size)), credit)
             except BlockRejectedError as exc:
                 verdict = [exc.reason, exc.detail]
                 break
-    _fork.write_all(report, json.dumps(verdict).encode())
+    _fork.write_all(report, _LINE.pack(0) + json.dumps(verdict).encode())
 
 
-class _Validator:
-    """The caller's side of a validator process (:func:`_validate_feed`):
-    the read end of its verdict and the write end of its feed."""
+class _BlockProcess:
+    """The caller's side of the block process (:func:`_build_blocks`): the
+    read end of its report and the write end of its feed.
 
-    def __init__(self, status: int, feed: int):
-        self._status = status
+    Lines come back while jobs go out, and the line of a block near 1 MiB
+    is about 2 MiB, more than either pipe holds. So the feed does not block:
+    a send that has to wait reads the report meanwhile, since the block
+    process may be waiting for its own line to be read."""
+
+    def __init__(self, chain: ChainTail, report: int, feed: int):
+        self._chain = chain
+        self._report = report
         self._feed = feed
+        self._inbox = bytearray()
         self._poller = select.poll()
-        self._poller.register(status, select.POLLIN)
+        self._poller.register(report, select.POLLIN)
+        self._poller.register(feed, select.POLLOUT)
+        os.set_blocking(feed, False)
         try:
             import fcntl
 
-            fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, _FEED_BYTES)
+            for fd in (report, feed):
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except (ImportError, AttributeError, OSError):
-            pass  # the default capacity only makes sends wait more often
+            pass  # the default capacity only makes both sides wait more often
 
-    def send(self, line: str, credit: float) -> None:
-        """Feed one appended block's line and its miner's credit. A
-        validator that has refused a block or died closes the feed, so a
-        write that fails for it raises what :meth:`_verdict` finds."""
-        data = line.encode()
-        try:
-            _fork.write_all(self._feed, _FRAME.pack(len(data), credit) + data)
-        except BrokenPipeError:
-            self._verdict()
+    def send(self, job: tuple, credit: float) -> None:
+        """Feed one block's job and its miner's credit, and count the block
+        on the caller's tail."""
+        data = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+        self._write(_FRAME.pack(len(data), credit) + data)
+        self._chain.append_elsewhere()
 
     def poll(self) -> None:
-        """Raise the validator's verdict if one has come, without waiting."""
-        if self._poller.poll(0):
-            self._verdict()
+        """Write the lines that have come back, and raise the verdict if it
+        has come, without waiting."""
+        if any(fd == self._report for fd, _ in self._poller.poll(0)):
+            self._read()
 
     def finish(self) -> None:
-        """End the feed and wait until every block sent has been checked."""
-        try:
-            _fork.write_all(self._feed, _FRAME.pack(0, 0.0))
-        finally:
-            self._verdict()
+        """End the feed, and write every line until the verdict."""
+        self._write(_FRAME.pack(0, 0.0))
+        while not self._read():
+            pass
 
-    def _verdict(self) -> None:
-        """Read the verdict to end-of-file: :class:`BlockRejectedError` for
-        a refused block, ``RuntimeError`` if the validator left none."""
-        chunks = []
-        while chunk := os.read(self._status, 65536):
-            chunks.append(chunk)
-        if not chunks:
-            raise RuntimeError("the block validator exited without a verdict")
-        refused = json.loads(b"".join(chunks))
-        if refused:
-            raise BlockRejectedError(*refused)
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(self._feed, view):]
+            except BlockingIOError:
+                for fd, _ in self._poller.poll():
+                    if fd == self._report:
+                        self._read()
+            except BrokenPipeError:
+                # The block process has refused a block or died, so reading
+                # its report to the end raises.
+                while True:
+                    self._read()
+
+    def _read(self) -> bool:
+        """Read the report once, waiting if it is empty, and hand each whole
+        line to the tail's ``write``. At the verdict, read it to end-of-file
+        and raise :class:`BlockRejectedError` for a refused block, or return
+        True. ``RuntimeError`` if the block process left no verdict."""
+        chunk = os.read(self._report, _PIPE_BYTES)
+        if not chunk:
+            raise RuntimeError("the block process exited without a verdict")
+        inbox = self._inbox
+        inbox += chunk
+        done = 0
+        while len(inbox) - done >= _LINE.size:
+            (size,) = _LINE.unpack_from(inbox, done)
+            start = done + _LINE.size
+            if not size:
+                chunks = [bytes(inbox[start:])]
+                while chunk := os.read(self._report, 65536):
+                    chunks.append(chunk)
+                refused = json.loads(b"".join(chunks))
+                if refused:
+                    raise BlockRejectedError(*refused)
+                return True
+            if len(inbox) < start + size:
+                break
+            self._chain.write(inbox[start : start + size].decode())
+            done = start + size
+        del inbox[:done]
+        return False
 
 
 @contextmanager
-def _block_validator(
+def _block_process(
     world: WorldState, chain: Chain | ChainTail
-) -> Iterator[Optional[_Validator]]:
-    """A validator process for the run on ``chain``, or None when blocks are
-    validated in process: on a :class:`Chain`, on one CPU or beside another
-    thread (see :func:`proxichain._fork.helpers`). The validator is forked
-    once the registry is published, and killed and reaped on leaving."""
+) -> Iterator[Optional[_BlockProcess]]:
+    """A block process for the run on ``chain``, or None when blocks are
+    added in process: on a :class:`Chain`, on one CPU or beside another
+    thread (see :func:`proxichain._fork.helpers`). It is forked once the
+    registry is published, and killed and reaped on leaving.
+
+    On a tail, the process that adds the blocks first seeds the tail's
+    store of parsed keys with every identity's key, taken from its secret
+    key: ~2.5 us a key, against ~45 us to parse a compressed one. Only keys
+    from elsewhere are then parsed, and the caller of a block process holds
+    no parsed key."""
     if not isinstance(chain, ChainTail):
         yield None
         return
     registry, alpha_d = world.registry, world.config.policy.alpha_d
 
+    def seed_keys() -> None:
+        chain.parsed_keys.update(
+            (ident.public_key, ident.secret_key.public_key())
+            for ident in (*world.identities, world.manager, *world.authorized)
+        )
+
     def body(p: int, procs: int, report: int, feed: int) -> None:
-        _validate_feed(chain, registry, alpha_d, report, feed)
+        seed_keys()
+        _build_blocks(chain, registry, alpha_d, report, feed)
 
     with _fork.helpers(body, inbound=True) as ends:
-        yield _Validator(*ends[0]) if ends else None
+        if not ends:
+            seed_keys()
+        yield _BlockProcess(chain, *ends[0]) if ends else None
 
 
 def _mine_pending(
@@ -698,14 +786,17 @@ def _mine_pending(
     miner_pool: list[NodeIdentity],
     now: int,
     flush: bool,
-    validator: Optional[_Validator] = None,
+    add: Optional[Callable[[tuple, float], None]] = None,
 ) -> int:
-    """Batch pending transactions into blocks and mine them onto the tip.
+    """Batch pending transactions into blocks on the tip of ``chain``.
 
-    Each block is validated by :func:`~proxichain.consensus.append_block`
-    as it is appended; with a ``validator``, it is appended unchecked and
-    its line goes to the validator process, which checks it there."""
+    This decides each block: its batch, its miner, the window draw, the
+    level and the miner's credit. ``add(job, credit)`` then builds, mines
+    and appends it: the block process's ``send``, or by default
+    :func:`_add_block` on ``chain`` in process."""
     config = world.config
+    if add is None:
+        add = partial(_add_block, chain, world.registry, config.policy.alpha_d)
     batch_size = config.tx_per_block_mean
     credit_now = now + 1
     mined = 0
@@ -717,11 +808,7 @@ def _mine_pending(
         level = difficulty_for(credit, config.policy.alpha_d, miner.is_authorized)
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
-        result = mine(chain, next_block(chain, window, batch, miner.node_id, now), level)
-        if validator is None:
-            append_block(chain, result.block, world.registry, credit, config.policy.alpha_d)
-        else:
-            validator.send(chain.append(result.block), credit)
+        add((batch, miner.node_id, window, now, level.name), credit)
         mined += 1
     return mined
 
@@ -745,16 +832,24 @@ def run_epoch(
     Each trace report's ``contacts.jsonl`` line goes to ``trace_sink`` as it
     is made (the default drops it). Mined blocks are appended to ``chain``,
     which may be a :class:`~proxichain.ledger.ChainTail` holding only the
-    window.
+    window; the tail's store of parsed keys is seeded with every identity's
+    key (see :func:`_block_process`).
 
-    On a tail, with a second CPU and no other thread, the blocks are
-    validated in a forked validator process that lasts for the run (see
-    :func:`_validate_feed`) while this process goes on simulating and
-    mining. A refused block raises the :class:`BlockRejectedError` that
-    validating in process raises: at the end of the first tick after the
-    validator has refused it (the verdict is polled once per tick), at a
-    later block's send if that finds the validator gone, and at the latest
-    once the last tick's blocks are checked. A validator that dies raises
+    On a tail, with a second CPU and no other thread, the blocks are added
+    in a forked block process that lasts for the run (see
+    :func:`_build_blocks`). This process still decides every block and
+    sends it there (:func:`_mine_pending`); the block process builds, mines
+    and appends it on its own copy of the tail, exactly as one CPU does in
+    process, and sends its line back. Each line goes to the tail's
+    ``write`` in block order, so a tail writes the same lines on any CPU
+    count. This tail counts the blocks sent, so ``len(chain)`` is the
+    chain's height on any CPU count, but it holds none of them: reading one
+    raises ``IndexError``, as reading an evicted block does. A refused
+    block raises the :class:`BlockRejectedError` that adding in process
+    raises: at the end of the first tick after the block process has
+    refused it (its report is read once per tick), at a later send that
+    finds the block process gone or waits for it, and at the latest once
+    the last tick's blocks are added. A block process that dies raises
     ``RuntimeError``.
     """
     if world.identities is None:
@@ -783,7 +878,7 @@ def run_epoch(
 
     tx_rate = config.tx_per_block_mean * config.n_blocks / max(config.ticks, 1)
 
-    with _block_validator(world, chain) as validator:
+    with _block_process(world, chain) as blocks:
         for t in range(config.ticks):
             step_mobility(world)
             tx_before = len(world.pending)
@@ -830,11 +925,12 @@ def run_epoch(
             totals = world.credit.totals(now=t + 1)
             top = np.argsort(totals, kind="stable")[-max(n // 10, 1):]
             pool.extend(world.identities[int(m)] for m in top)
-            blocks = _mine_pending(
-                world, chain, pool, t, flush=(t == config.ticks - 1), validator=validator
+            mined = _mine_pending(
+                world, chain, pool, t, flush=(t == config.ticks - 1),
+                add=blocks.send if blocks is not None else None,
             )
-            if validator is not None:
-                validator.poll()
+            if blocks is not None:
+                blocks.poll()
 
             for idx in metrics.tracked:
                 p, neg, tot = world.credit.breakdown(node_ids[idx], t + 1)
@@ -846,13 +942,13 @@ def run_epoch(
                     "infected_count_2m": int(world.infections[2.0].sum()),
                     "infected_count_5m": int(world.infections[5.0].sum()),
                     "tx_count": tx_count,
-                    "blocks_mined": blocks,
+                    "blocks_mined": mined,
                 }
             )
             metrics.tx_total += tx_count
-            metrics.blocks_total += blocks
-        if validator is not None:
-            validator.finish()
+            metrics.blocks_total += mined
+        if blocks is not None:
+            blocks.finish()
 
     world.iup.prune(config.ticks)
     metrics.prox_final = world.credit.prox.copy()

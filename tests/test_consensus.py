@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import signal
 import time
@@ -500,7 +501,7 @@ def _affinity_recorded(tmp_path, func):
 
 def _run_validated_epoch(monkeypatch, tmp_path):
     monkeypatch.setattr(
-        simulation, "_validate_feed", _affinity_recorded(tmp_path, simulation._validate_feed)
+        simulation, "_build_blocks", _affinity_recorded(tmp_path, simulation._build_blocks)
     )
     config = simulation.SimConfig(n_agents=20, ticks=3, seed=1, tx_per_block_mean=20, n_blocks=6)
     simulation.run_epoch(simulation.build_world(config), simulation.ChainTail(lambda line: None))
@@ -528,7 +529,7 @@ def _run_split_search(monkeypatch, tmp_path, far_case):
 @pytest.mark.parametrize("kind", ["validator", "loc-eval", "split-search"])
 def test_every_forked_helper_leaves_the_callers_cpu(kind, far_case, tmp_path, forked,
                                                     monkeypatch):
-    """Each kind of forked helper (ct-run's block validator, a share of the
+    """Each kind of forked helper (ct-run's block process, a share of the
     localization eval, a slice of a nonce search) takes out of its affinity
     the one CPU this process last ran on, and keeps the rest."""
     monkeypatch.setattr(identity, "_CORES", 2)
@@ -543,6 +544,64 @@ def test_every_forked_helper_leaves_the_callers_cpu(kind, far_case, tmp_path, fo
     _assert_reaped(forked)
     seen = {int(cpu) for cpu in (tmp_path / str(forked[0])).read_text().split(",")}
     assert seen < mine_cpus and len(seen) == len(mine_cpus) - 1
+
+
+def _nested_helpers() -> tuple[set[int], set[int], list[str]]:
+    """Fork a helper that forks a helper in turn, as ct-run's block process
+    does for a long nonce search. Returns the CPUs each may run on, and
+    which of the ends the first was given the second still holds."""
+
+    def outer(p, procs, report):
+        given = {"report": report}
+
+        def inner(p, procs, inner_report):
+            held = []
+            for name, fd in given.items():
+                try:
+                    os.fstat(fd)
+                    held.append(name)
+                except OSError:
+                    pass
+            cpus = sorted(os.sched_getaffinity(0))
+            _fork.write_all(inner_report, json.dumps([cpus, held]).encode())
+
+        with _fork.helpers(inner) as reads:
+            with os.fdopen(reads[0], "rb", closefd=False) as fh:
+                inner_cpus, held = json.loads(fh.read())
+        outer_cpus = sorted(os.sched_getaffinity(0))
+        _fork.write_all(report, json.dumps([outer_cpus, inner_cpus, held]).encode())
+
+    with _fork.helpers(outer) as reads:
+        with os.fdopen(reads[0], "rb", closefd=False) as fh:
+            outer_cpus, inner_cpus, held = json.loads(fh.read())
+    return set(outer_cpus), set(inner_cpus), held
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs an affinity of two CPUs or more",
+)
+def test_a_helpers_helper_runs_on_every_cpu_but_its_callers(forked, monkeypatch):
+    """A helper forked by a helper leaves only its own caller's CPU out of
+    the CPUs the program started with, not out of the fewer its caller was
+    left: on two CPUs the two helpers run on different CPUs."""
+    monkeypatch.setattr(identity, "_CORES", 2)
+    outer, inner, _ = _nested_helpers()
+    start = identity._AFFINITY
+    assert len(outer) == len(inner) == len(start) - 1
+    assert inner | outer == start
+    assert len(forked) == 1
+    _assert_reaped(forked)
+
+
+def test_a_helpers_helper_holds_none_of_its_callers_ends(forked, monkeypatch):
+    """The pipe ends a helper was given belong to it alone: a helper it
+    forks closes them, as it closes every end its caller holds."""
+    monkeypatch.setattr(identity, "_CORES", 2)
+    _, _, held = _nested_helpers()
+    assert held == []
+    assert len(forked) == 1
+    _assert_reaped(forked)
 
 
 class TestRejectionReasons:

@@ -40,6 +40,7 @@ from proxichain.ledger import (
     TxKind,
     block_from_dict,
     block_to_dict,
+    encode_block_full,
     load_chain,
     make_transaction,
     tx_signing_bytes,
@@ -251,37 +252,54 @@ class TestCtExperiment:
         assert os.path.exists(tmp_path / ".partial")
 
     def test_run_holds_the_window_not_the_run(self, tmp_path, monkeypatch):
+        """On one CPU the run's tail keeps one record per window block and
+        no Block (with its transactions) at all. On two the block process
+        keeps those records, and this process keeps neither."""
         import proxichain.experiments as exp
 
-        live = []
+        live, build = [], simulation._build_blocks
+
+        def objects_live():
+            objects = gc.get_objects()
+            return [
+                sum(isinstance(o, HeldBlock) for o in objects),
+                sum(isinstance(o, Block) for o in objects),
+            ]
 
         def counting_epoch(*args):
             result = run_epoch(*args)
-            objects = gc.get_objects()
-            live.append((
-                sum(isinstance(o, HeldBlock) for o in objects),
-                sum(isinstance(o, Block) for o in objects),
-            ))
+            live.append(objects_live())
             return result
 
+        def counting_build(*args):
+            build(*args)
+            (tmp_path / "block-process.json").write_text(json.dumps(objects_live()))
+
         monkeypatch.setattr(exp, "run_epoch", counting_epoch)
+        monkeypatch.setattr(simulation, "_build_blocks", counting_build)
         sim = SimConfig(
             n_agents=200, ticks=400, p_inf=0.05, seed=1, tx_per_block_mean=5, n_blocks=400
         )
+        monkeypatch.setattr(identity, "_CORES", 1)
         tracemalloc.start()
         try:
-            paths, stats = run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path)))
+            paths, stats = run_ct_experiment(
+                ExperimentSpec(sim=sim, output_dir=str(tmp_path / "one"))
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert stats["blocks_total"] > 4 * WINDOW_MAX
-        # The tail keeps one record per window block and no Block (with
-        # its transactions) at all.
-        assert live == [(WINDOW_MAX, 0)]
+        assert live == [[WINDOW_MAX, 0]]
         # A run that kept its whole chain and every trace record until the
         # end peaked at 7.8 MiB here, above the 4.5 MiB it wrote.
         streamed = os.path.getsize(paths.chain_jsonl) + os.path.getsize(paths.contacts_jsonl)
         assert peak < streamed
+
+        monkeypatch.setattr(identity, "_CORES", 2)
+        run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path / "two")))
+        assert live[1] == [0, 0]
+        assert json.loads((tmp_path / "block-process.json").read_text()) == [WINDOW_MAX, 0]
 
     @staticmethod
     def _assert_crashed_mid_run(out):
@@ -368,7 +386,8 @@ def _signature_flipped(candidate: Block) -> Block:
 def _miner_tampering_at(monkeypatch, index: int, then=None) -> list[int]:
     """Make ct-run's miner flip a signature byte of block ``index`` and
     re-mine it; ``then`` edits each later candidate before it is mined.
-    Returns a list that gets the tick at which block ``index`` is mined."""
+    Returns a list that gets the tick at which block ``index`` is mined, if
+    it is mined in this process (on two CPUs the block process mines)."""
     honest, tampered_at = simulation.mine, []
 
     def tampering(blocks, candidate, level):
@@ -381,6 +400,14 @@ def _miner_tampering_at(monkeypatch, index: int, then=None) -> list[int]:
 
     monkeypatch.setattr(simulation, "mine", tampering)
     return tampered_at
+
+
+def _block_ticks(spec: ExperimentSpec, monkeypatch) -> list[int]:
+    """The tick at which each block of ``spec``'s chain is mined, read from
+    the chain of a dry run on one CPU."""
+    monkeypatch.setattr(identity, "_CORES", 1)
+    paths, _ = run_ct_experiment(spec)
+    return [block.timestamp for block in load_chain(paths.chain_jsonl)]
 
 
 def _tick_counter(monkeypatch, pause: float = 0.0) -> list[int]:
@@ -412,8 +439,9 @@ def within_60_s():
 
 
 class TestCtValidator:
-    """On more than one CPU, ct-run validates its blocks in a forked
-    validator process; on one, in process. The outcome must not differ."""
+    """On more than one CPU, ct-run builds, mines and validates its blocks
+    in a forked block process; on one, in process. The outcome must not
+    differ."""
 
     @pytest.mark.parametrize("sim", list(AGREEMENT_SIMS.values()), ids=list(AGREEMENT_SIMS))
     def test_artifacts_do_not_depend_on_the_core_count(self, sim, tmp_path, forked,
@@ -436,38 +464,37 @@ class TestCtValidator:
         _assert_reaped(forked)
 
     def test_nonce_search_helpers_hold_no_validator_pipe(self, tmp_path, forked, monkeypatch):
-        """A nonce search forked while the validator lives closes the
-        validator's pipe ends, which only this process may hold."""
+        """A nonce search that the block process splits forks its helpers
+        from there, and they close the block process's ends to this
+        process, which only the block process may hold."""
         monkeypatch.setattr(identity, "_CORES", 2)
-        caller, scan = os.getpid(), consensus._scan
-        validator_ends, report = [], tmp_path / "held.txt"
-        validator = simulation._Validator
+        build, scan = simulation._build_blocks, consensus._scan
+        block_process, report = [], tmp_path / "held.txt"
 
-        class Recorded(validator):
-            def __init__(self, status, feed):
-                validator_ends.extend((status, feed))
-                super().__init__(status, feed)
+        def recorded_build(chain, registry, alpha_d, status, feed):
+            block_process.extend((os.getpid(), status, feed))
+            build(chain, registry, alpha_d, status, feed)
 
         def checking_scan(copy, target, start, stop):
-            if os.getpid() != caller:
+            if block_process and os.getpid() != block_process[0]:
                 held = []
-                for fd in validator_ends:
+                for fd in block_process[1:]:
                     try:
                         os.fstat(fd)
                         held.append(fd)
                     except OSError:
                         pass
                 with open(report, "a") as fh:
-                    fh.write(f"{held}\n")
+                    fh.write(f"{os.getppid() == block_process[0]} {held}\n")
             return scan(copy, target, start, stop)
 
-        monkeypatch.setattr(simulation, "_Validator", Recorded)
+        monkeypatch.setattr(simulation, "_build_blocks", recorded_build)
         monkeypatch.setattr(consensus, "_scan", checking_scan)
         sim = AGREEMENT_SIMS["high-alpha-d"]
         run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path / "out")))
         lines = report.read_text().splitlines()
-        assert len(validator_ends) == 2
-        assert lines and set(lines) == {"[]"}
+        assert lines and set(lines) == {"True []"}
+        assert len(forked) == 1
         _assert_reaped(forked)
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "validator"])
@@ -486,15 +513,17 @@ class TestCtValidator:
         _assert_reaped(forked)
 
     def test_refusal_is_polled_once_per_tick(self, tmp_path, forked, monkeypatch):
-        """With ticks long enough for the validator to check a block, a
+        """With ticks long enough for the block process to add a block, a
         refusal ends the run at the end of the tick after the one that sent
-        the block, at the latest, not only after the last tick."""
+        the block, at the latest, not only after the last tick. The block
+        process mines the block, so its tick comes from a dry run."""
+        ticks = _block_ticks(_tiny_spec(str(tmp_path / "dry")), monkeypatch)
         monkeypatch.setattr(identity, "_CORES", 2)
-        sent_at = _miner_tampering_at(monkeypatch, 3)
+        _miner_tampering_at(monkeypatch, 3)
         started = _tick_counter(monkeypatch, pause=0.05)
         with pytest.raises(BlockRejectedError, match="^signature: "):
-            run_ct_experiment(_tiny_spec(str(tmp_path)))
-        assert started[0] <= sent_at[0] + 2 < TINY_SIM.ticks
+            run_ct_experiment(_tiny_spec(str(tmp_path / "run")))
+        assert started[0] <= ticks[3] + 2 < TINY_SIM.ticks
         _assert_reaped(forked)
 
     def test_killed_validator_raises_without_hanging(self, tmp_path, forked, monkeypatch,
@@ -510,7 +539,7 @@ class TestCtValidator:
             return step(world)
 
         monkeypatch.setattr(simulation, "step_mobility", killing_at_tick_10)
-        with pytest.raises(RuntimeError, match="block validator exited without a verdict"):
+        with pytest.raises(RuntimeError, match="block process exited without a verdict"):
             run_ct_experiment(_tiny_spec(str(tmp_path)))
         TestCtExperiment._assert_crashed_mid_run(tmp_path)
         _assert_reaped(forked)
@@ -523,30 +552,87 @@ class TestCtValidator:
 
     def test_refusal_beats_a_send_blocked_on_a_large_block(self, tmp_path, forked, monkeypatch,
                                                             within_60_s):
-        """A block larger than the feed pipe, sent after a block the
-        validator refuses, blocks until the validator exits; the refusal,
-        not the broken pipe, ends the run, within the tick that sent it."""
+        """A job larger than the feed pipe, sent after a block the block
+        process refuses, waits until the block process has exited; the
+        refusal, not the broken pipe, ends the run, within the tick that
+        sent it."""
         sim = AGREEMENT_SIMS["tiny-misbehaving"]
         spec = ExperimentSpec(name="big", sim=sim, output_dir=str(tmp_path / "dry"))
-        monkeypatch.setattr(identity, "_CORES", 1)
-        paths, _ = run_ct_experiment(spec)
-        ticks = [block.timestamp for block in load_chain(paths.chain_jsonl)]
+        ticks = _block_ticks(spec, monkeypatch)
         # The first block after the registry's whose successor shares its tick.
         index = next(i for i in range(2, len(ticks) - 1) if ticks[i] == ticks[i + 1])
 
         sender = generate_identity(Role.LIGHT, seed=99)
+        big = make_transaction(sender, TxKind.ST, bytes(1_100_000), 0)
+        send, sent = simulation._BlockProcess.send, [0]
 
-        def padded(candidate):
-            big = make_transaction(sender, TxKind.ST, bytes(700_000), candidate.timestamp)
-            return replace(candidate, transactions=(*candidate.transactions, big))
+        def padded(self, job, credit):
+            sent[0] += 1  # the index of the block the job decides
+            if sent[0] > index:
+                batch, *rest = job
+                job = ((*batch, big), *rest)
+            send(self, job, credit)
 
         monkeypatch.setattr(identity, "_CORES", 2)
-        _miner_tampering_at(monkeypatch, index, then=padded)
+        monkeypatch.setattr(simulation._BlockProcess, "send", padded)
+        _miner_tampering_at(monkeypatch, index)
         started = _tick_counter(monkeypatch)
-        with pytest.raises(BlockRejectedError, match="^signature: ") as caught:
+        with pytest.raises(BlockRejectedError, match="^signature: "):
             run_ct_experiment(replace(spec, output_dir=str(tmp_path / "run")))
-        assert isinstance(caught.value.__context__, BrokenPipeError)
+        assert sent[0] == index + 1
         assert started[0] == ticks[index] + 1
+        _assert_reaped(forked)
+
+    def test_blocks_near_1_mib_come_back_whole(self, tmp_path, forked, monkeypatch, within_60_s):
+        """Four blocks near 1 MiB in one tick: their jobs fill the feed while
+        their ~2 MiB lines fill the report, and neither process waits for
+        the other for good. The artifacts equal one CPU's."""
+        sim = replace(TINY_SIM, tx_per_block_mean=1, n_blocks=40)
+        sender = generate_identity(Role.LIGHT, seed=98)
+        heavy = [make_transaction(sender, TxKind.ST, bytes([k]) * 1_000_000, 5) for k in range(4)]
+        started, step = [0], simulation.step_mobility
+
+        def heavy_tick(world):
+            started[0] += 1
+            if started[0] == 6:
+                world.pending.extend(heavy)
+            return step(world)
+
+        monkeypatch.setattr(simulation, "step_mobility", heavy_tick)
+        written = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            started[0] = 0
+            paths, _ = run_ct_experiment(
+                ExperimentSpec(name="heavy", sim=sim, output_dir=str(tmp_path / "run"))
+            )
+            for field in CT_ARTIFACTS:
+                with open(getattr(paths, field), "rb") as fh:
+                    written.setdefault(field, []).append(fh.read())
+        for field, blobs in written.items():
+            assert blobs[0] == blobs[1], field
+        chain = load_chain(paths.chain_jsonl)
+        assert sum(len(encode_block_full(block)) > 1_000_000 for block in chain) == 4
+        assert verify_chain(chain) == []
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_benchmark_size_chain_is_pinned(self, tmp_path, forked, monkeypatch):
+        """The benchmark's seed-1 ``ct_run`` spec writes the same
+        ``chain.jsonl`` on one CPU and on two; the specs above are tiny."""
+        sim = SimConfig(
+            n_agents=1000, ticks=12, tx_per_block_mean=10, n_blocks=150, p_inf=0.02, seed=1,
+            attacker_id=500, attack_tick=3, false_claimer_id=501, false_claim_tick=2,
+        )
+        for cores in (1, 2):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            paths, _ = run_ct_experiment(
+                ExperimentSpec(sim=sim, output_dir=str(tmp_path / str(cores)))
+            )
+            with open(paths.chain_jsonl, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == "77c2fd5741664cc14edf6b3f4180f0a0a9d2ba9fcff8be6e0cb480182b8550f9"
+        assert len(forked) == 1
         _assert_reaped(forked)
 
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from proxichain import identity, ledger, simulation
 from proxichain.consensus import verify_chain
@@ -625,48 +626,93 @@ class TestEpoch:
         assert len(registry_tx) == 1
 
     @staticmethod
-    def _counted_tail_run(monkeypatch):
-        """``run_epoch`` on a ChainTail, as ct-run runs, recording in this
-        process the index of each block whose window is hashed and each
-        public key parsed; returns them with the run's chain and metrics."""
+    def _tail_run(tail: ChainTail) -> None:
+        """``run_epoch`` on ``tail``, as ct-run runs, past the window."""
         config = SimConfig(
             n_agents=40, ticks=12, p_inf=0.3, seed=4, tx_per_block_mean=3, n_blocks=150
         )
-        world = build_world(config)
+        _, _, metrics = run_epoch(build_world(config), tail)
+        assert metrics.blocks_total > ledger.WINDOW_MAX
+
+    def _counted_tail_run(self, monkeypatch, tmp_path):
+        """:meth:`_tail_run`, recording in a file, from whichever process
+        does it, the index of each block whose window is hashed, each public
+        key parsed and each block read back from a line; returns the records
+        by kind as ``(pid, value)`` pairs, with the run's tail and lines."""
+        log = tmp_path / "counted.jsonl"
         lines = []
         tail = ChainTail(lines.append)
-        windows, parsed = [], []
-        parts, parse = ledger.whash_window_parts, identity._public_key
-        monkeypatch.setattr(
-            ledger, "whash_window_parts",
-            lambda blocks, block: windows.append(block.index) or parts(blocks, block),
-        )
-        monkeypatch.setattr(identity, "_public_key", lambda key: parsed.append(key) or parse(key))
-        _, _, metrics = run_epoch(world, tail)
-        assert metrics.blocks_total > ledger.WINDOW_MAX
-        assert windows == list(range(1, len(tail)))
-        run_parsed = list(parsed)
+
+        def recorded(kind, func, value):
+            def wrapper(*args):
+                with open(log, "a") as fh:
+                    fh.write(json.dumps([kind, os.getpid(), value(*args)]) + "\n")
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ledger, "whash_window_parts", recorded(
+            "window", ledger.whash_window_parts, lambda blocks, block: block.index))
+        monkeypatch.setattr(identity, "_public_key", recorded(
+            "key", identity._public_key, lambda key: key.hex()))
+        monkeypatch.setattr(ledger, "block_from_dict", recorded(
+            "rebuilt", ledger.block_from_dict, lambda d: d.get("index")))
+        self._tail_run(tail)
+        counted = {"window": [], "key": [], "rebuilt": []}
+        for kind, pid, value in map(json.loads, log.read_text().splitlines()):
+            counted[kind].append((pid, value))
+        monkeypatch.undo()
         chain = Chain([block_from_dict(json.loads(line)) for line in lines])
         assert verify_chain(chain) == []
-        return chain, run_parsed
+        return counted, tail, lines
 
-    def test_tail_hashes_each_window_and_parses_each_key_once(self, monkeypatch):
-        """On one CPU, where blocks are validated in process, mining a
-        block and validating it hash its window once between them, and each
-        sender's key is parsed at most once in the whole run, whichever
-        block it signs in."""
+    def test_tail_hashes_each_window_and_parses_each_key_once(self, monkeypatch, tmp_path):
+        """On one CPU, where blocks are added in process, mining a block and
+        validating it hash its window once between them. The tail's key
+        store is seeded with every identity's key, and every sender is one,
+        so no key is parsed."""
         monkeypatch.setattr(identity, "_CORES", 1)
-        chain, parsed = self._counted_tail_run(monkeypatch)
-        senders = {tx.sender_pubkey for block in chain for tx in block.transactions}
-        assert sorted(parsed) == sorted(senders)
+        counted, tail, _ = self._counted_tail_run(monkeypatch, tmp_path)
+        assert counted["window"] == [(os.getpid(), k) for k in range(1, len(tail))]
+        assert counted["key"] == counted["rebuilt"] == []
 
-    def test_tail_validated_off_process_parses_no_key_here(self, monkeypatch, forked):
-        """On two CPUs a validator process checks the blocks: this process
-        hashes each window once, to mine, and parses no key at all."""
+    def test_tail_validated_off_process_parses_no_key_here(self, monkeypatch, tmp_path, forked):
+        """On two CPUs the block process hashes each window once, to mine
+        and validate it, and reads no block back from its line; no key is
+        parsed, and this process hashes no window at all."""
         monkeypatch.setattr(identity, "_CORES", 2)
-        _, parsed = self._counted_tail_run(monkeypatch)
-        assert parsed == []
+        counted, tail, _ = self._counted_tail_run(monkeypatch, tmp_path)
         assert len(forked) == 1
+        assert counted["window"] == [(forked[0], k) for k in range(1, len(tail))]
+        assert counted["key"] == counted["rebuilt"] == []
+
+    def test_tail_writes_the_same_lines_on_any_cpu_count(self, monkeypatch, forked):
+        """``ChainTail(lines.append)`` collects every line of the run on two
+        CPUs as on one, in block order, and its height is the chain's."""
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(identity, "_CORES", cores)
+            lines = []
+            tail = ChainTail(lines.append)
+            self._tail_run(tail)
+            runs.append((len(tail), lines))
+        assert runs[0] == runs[1]
+        height, lines = runs[0]
+        assert [json.loads(line)["index"] for line in lines] == list(range(height))
+        assert len(forked) == 1
+
+    def test_seeded_keys_are_the_identities_keys(self, monkeypatch):
+        """Each key the run seeds its tail's store with is stored under its
+        own compressed encoding, and every identity's key is there. On one
+        CPU this process adds the blocks, and seeds the store."""
+        monkeypatch.setattr(identity, "_CORES", 1)
+        world = build_world(SimConfig(n_agents=12, ticks=2, seed=3, **SMALL))
+        tail = ChainTail(None)
+        run_epoch(world, tail)
+        identities = (*world.identities, world.manager, *world.authorized)
+        assert {ident.public_key for ident in identities} <= tail.parsed_keys.keys()
+        for key, parsed in tail.parsed_keys.items():
+            assert parsed.public_bytes(Encoding.X962, PublicFormat.CompressedPoint) == key
 
     def test_same_seed_is_bit_deterministic_in_memory(self):
         config = SimConfig(n_agents=25, ticks=40, p_inf=0.1, seed=12, **SMALL)
