@@ -4,9 +4,11 @@ A caller that splits its work (``consensus.mine``'s nonce search,
 ``experiments.run_localization_eval``'s trials) runs share 0 itself and
 reads every other share's records from a helper's pipe. A caller that
 hands work off (``simulation.run_epoch``'s block process) gets one helper
-and feeds it through a second pipe. A helper may itself split its work:
-the block process splits a long nonce search. When to fork, what a helper
-may touch and how it ends all live in :func:`helpers`.
+and feeds it through a second pipe; that helper writes its output to a
+file it inherits (``chain.jsonl``) and reports only its verdict. A helper
+may itself split its work: the block process splits a long nonce search.
+When to fork, what a helper may touch and how it ends all live in
+:func:`helpers`.
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ def helpers(body: Callable[..., None], inbound: bool = False) -> Iterator[list]:
     Every helper first leaves the CPU the caller last ran on, as far as
     its affinity allows (:func:`_leave_caller_cpu`), so that the caller
     keeps a CPU to itself. A helper writes its records to the pipe
-    ``report`` and exits when
-    ``body`` returns. If ``body`` raises, the helper exits without a further
-    record; so does the first write after the caller has died, which closes
-    the read end. A helper never runs the caller's cleanup code, and holds
-    no pipe end of the caller's other helpers; a helper it forks in turn
-    holds none of its ends either. On leaving the block every
-    helper is killed and reaped and every end closed, whether the block
-    returned or raised.
+    ``report`` and exits when ``body`` returns, without flushing any
+    Python file it inherited: a buffer it copied at the fork is written by
+    the caller, and one it filled, only if ``body`` flushes it. If ``body``
+    raises, the helper exits without a further record; so does the first
+    write after the caller has died, which closes the read end. A helper
+    never runs the caller's cleanup code, and holds no pipe end of the
+    caller's other helpers; a helper it forks in turn holds none of its
+    ends either. On leaving the block every helper is killed and reaped and
+    every end closed, whether the block returned or raised.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     procs = identity._CORES if forkable else 1

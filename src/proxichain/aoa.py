@@ -8,17 +8,18 @@ elevation phi reaches element ``m`` with phase
 complex samples per element; the MUSIC spectrum scans the 181 integer
 azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
 each take a batch in one call: ``synthesize_snapshots`` records, in each of
-T trials, B arrays through C channels, each channel of each trial drawing
-from its own generator, and ``music_spectra`` scans any stack of array
-outputs. The one-snapshot functions are batches of one on plain arrays.
-Every call reads the element spacing from ``SPACING_OVER_LAMBDA`` when it
-runs, so that constant is the only one to change.
+T trials, B arrays at each of C signal-to-noise ratios, each SNR of each
+trial drawing from its own generator, and ``music_spectra`` scans any stack
+of array outputs. A burst reaches an array on one line-of-sight path, plus
+white noise at the requested SNR. The one-snapshot functions are batches of
+one on plain arrays. Every call reads the element spacing from
+``SPACING_OVER_LAMBDA`` when it runs, so that constant is the only one to
+change.
 
 The transmitter sends one GFSK advertising burst, fixed by module constants:
 ``SYMBOL_ENERGY`` and ``SYMBOL_PERIOD`` set its amplitude,
 ``MODULATION_INDEX`` (BLE's 0.45 to 0.55 band) and ``INITIAL_PHASE`` its
-phase, ``CARRIER_HZ`` (in the 2.4 to 2.48 GHz band) the multipath phase
-rotation, and ``BT_PRODUCT`` and ``SAMPLES_PER_SYMBOL`` the Gaussian pulse
+phase, and ``BT_PRODUCT`` and ``SAMPLES_PER_SYMBOL`` the Gaussian pulse
 ``_PULSE``, which is built from them once, at import. The tables of the
 pulse's filtered frequency (``_frequency_tables``), read off
 ``np.convolve``, are built once per process, at the first burst, so
@@ -52,7 +53,6 @@ SYMBOL_ENERGY = 1.0
 SYMBOL_PERIOD = 1e-6
 MODULATION_INDEX = 0.5
 INITIAL_PHASE = 0.0
-CARRIER_HZ = 2.44e9
 BT_PRODUCT = 0.5
 SAMPLES_PER_SYMBOL = 8
 
@@ -65,30 +65,13 @@ class DegenerateGeometryError(Exception):
     """Bearing lines are parallel or nearly so; no stable intersection."""
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Multipath gains/delays plus the additive-noise operating point."""
-
-    attenuations: tuple[complex, ...]
-    delays: tuple[float, ...]
-    snr_db: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if len(self.attenuations) < 1 or len(self.attenuations) != len(self.delays):
-            raise ValueError("need at least one path, with one delay per gain")
-        if any(d < 0 for d in self.delays):
-            raise ValueError("path delays must be non-negative")
-        if list(self.delays) != sorted(self.delays):
-            raise ValueError("path delays must be sorted ascending")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
+def _check_snrs(snrs_db: Sequence[Optional[float]]) -> None:
+    """``ValueError`` unless every SNR is a finite dB value or None."""
+    for snr_db in snrs_db:
+        if snr_db is not None and not math.isfinite(snr_db):
             raise ValueError(
-                f"SNR must be a finite dB value, or None for noiseless; got {self.snr_db!r}"
+                f"SNR must be a finite dB value, or None for noiseless; got {snr_db!r}"
             )
-
-
-def awgn_channel(snr_db: Optional[float]) -> ChannelRealization:
-    """Single line-of-sight path with additive noise only."""
-    return ChannelRealization(attenuations=(1.0 + 0.0j,), delays=(0.0,), snr_db=snr_db)
 
 
 def _gaussian_pulse() -> np.ndarray:
@@ -182,34 +165,33 @@ def steering_vector(azimuth_deg: float, elevation_deg: float, n_elements: int) -
 
 
 def synthesize_snapshots(
-    channels: Sequence[ChannelRealization],
+    snrs_db: Sequence[Optional[float]],
     azimuths_deg: Sequence[Sequence[float]],
     elevations_deg: Sequence[Sequence[float]],
     n_elements: int,
     n_samples: int,
     rngs: Sequence[Sequence[np.random.Generator]],
 ) -> np.ndarray:
-    """Simulate what B arrays record for one advertising burst each, through
-    each of C channels, in each of T trials.
+    """Simulate what B arrays record for one advertising burst each, at
+    each of C signal-to-noise ratios, in each of T trials.
 
     Trial ``t`` places its B arrays at ``azimuths_deg[t]`` and
     ``elevations_deg[t]`` and draws from its C generators ``rngs[t]``.
     Returns complex samples of shape ``(T, C, B, n_elements, n_samples)``:
-    one array per (azimuth, elevation) pair, all of them once per channel.
-    The multipath sum collapses to one complex gain because path delays are
-    tiny against the symbol period (narrowband assumption); each array's
-    noise level is set from its channel's SNR against its actual signal
-    power, so the empirical SNR of every output matches the request.
+    one array per (azimuth, elevation) pair, all of them once per SNR.
+    ``snrs_db[c]`` is in dB, or None for no noise; each array's noise level
+    is set from it against the array's actual signal power, so the
+    empirical SNR of every output matches the request.
 
-    Channel ``c`` of trial ``t`` draws from ``rngs[t][c]`` array by array
-    (the symbols, then the real and imaginary noise), so ``out[t, c]``
-    consumes that stream exactly as B one-array calls would and returns the
-    same samples. The bursts of every trial and channel are modulated
-    together, and each array's steering vector is computed once for all
-    channels.
+    SNR ``c`` of trial ``t`` draws from ``rngs[t][c]`` array by array (the
+    symbols, then the real and imaginary noise), so ``out[t, c]`` consumes
+    that stream exactly as B one-array calls would and returns the same
+    samples. The bursts of every trial and SNR are modulated together, and
+    each array's steering vector is computed once for all SNRs.
     """
-    if len(channels) < 1 or any(len(trial) != len(channels) for trial in rngs):
-        raise ValueError("need one generator per channel, and at least one channel")
+    _check_snrs(snrs_db)
+    if len(snrs_db) < 1 or any(len(trial) != len(snrs_db) for trial in rngs):
+        raise ValueError("need one generator per SNR, and at least one SNR")
     if not len(azimuths_deg) == len(elevations_deg) == len(rngs) >= 1:
         raise ValueError("need azimuths, elevations and generators for each of one or more trials")
     n_arrays = len(azimuths_deg[0])
@@ -227,7 +209,7 @@ def synthesize_snapshots(
     if n_samples < n_elements:
         raise ValueError("need at least as many samples as elements")
 
-    shape = (len(rngs), len(channels), n_arrays)
+    shape = (len(rngs), len(snrs_db), n_arrays)
     # Each array's unit noise is drawn into the block its samples will take:
     # real and imaginary noise planes fill as many bytes as the complex
     # samples, so a call holds one array of the output's size, not two. With
@@ -245,23 +227,10 @@ def synthesize_snapshots(
                 # z but for the sign of a zero draw, and a zero of either
                 # sign leaves a nonzero clean sample as it is.
                 rng.standard_normal(out=next(blocks))
-    gains = np.array(
-        [
-            sum(
-                rho * np.exp(-2j * np.pi * CARRIER_HZ * tau)
-                for rho, tau in zip(channel.attenuations, channel.delays)
-            )
-            for channel in channels
-        ]
-    )
-    faded = gains[:, None, None] * _modulate(np.stack(symbols), n_samples).reshape(
-        *shape, n_samples
-    )
-    # Noise power per channel relative to each array's signal power; zero
-    # for a noiseless channel.
-    relative = np.array(
-        [0.0 if ch.snr_db is None else 10.0 ** (-ch.snr_db / 10.0) for ch in channels]
-    )
+    bursts = _modulate(np.stack(symbols), n_samples).reshape(*shape, n_samples)
+    # Noise power per SNR relative to each array's signal power; zero
+    # without noise.
+    relative = np.array([0.0 if snr is None else 10.0 ** (-snr / 10.0) for snr in snrs_db])
     steering = np.array(
         [
             [steering_vector(az, el, n_elements) for az, el in zip(trial_az, trial_el)]
@@ -271,7 +240,7 @@ def synthesize_snapshots(
     # One trial at a time: its clean samples and scaled noise are the only
     # temporaries, and its result replaces its noise in ``out``.
     for t in range(len(rngs)):
-        clean = steering[t, None, :, :, None] * faded[t, :, :, None, :]
+        clean = steering[t, None, :, :, None] * bursts[t, :, :, None, :]
         signal_power = np.mean(np.abs(clean) ** 2, axis=(2, 3))
         scale = np.sqrt(signal_power * relative[:, None]) / math.sqrt(2.0)
         # Same bytes as clean + (z0 + 1j z1) * scale, without complex temporaries.
@@ -283,7 +252,7 @@ def synthesize_snapshots(
 
 
 def synthesize_snapshot(
-    channel: ChannelRealization,
+    snr_db: Optional[float],
     azimuth_deg: float,
     elevation_deg: float,
     n_elements: int,
@@ -293,7 +262,7 @@ def synthesize_snapshot(
     """One array's recording of one advertising burst, shape
     ``(n_elements, n_samples)`` (see ``synthesize_snapshots``)."""
     return synthesize_snapshots(
-        [channel], [[azimuth_deg]], [[elevation_deg]], n_elements, n_samples, [[rng]]
+        [snr_db], [[azimuth_deg]], [[elevation_deg]], n_elements, n_samples, [[rng]]
     )[0, 0, 0]
 
 

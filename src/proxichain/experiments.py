@@ -283,7 +283,7 @@ def run_ct_experiment(spec: ExperimentSpec) -> tuple[CtArtifacts, dict]:
         _renamed_into_place(paths.contacts_jsonl) as contacts_tmp,
         open(contacts_tmp, "w") as contacts_fh,
     ):
-        world, _, metrics = run_epoch(world, ChainTail(chain_fh.write), contacts_fh.write)
+        world, _, metrics = run_epoch(world, ChainTail(chain_fh), contacts_fh.write)
 
         with _renamed_into_place(paths.metrics_csv) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -385,9 +385,9 @@ def _loc_fixes(geometry: _LocGeometry, samples: np.ndarray) -> np.ndarray:
 
 
 def _loc_group(
-    seed: int, group: range, channels: Sequence[aoa.ChannelRealization], beacons: np.ndarray
+    seed: int, group: range, snrs: Sequence[Optional[float]], beacons: np.ndarray
 ) -> np.ndarray:
-    """The ``(len(group), len(channels), _LOC_FIELDS)`` records of the
+    """The ``(len(group), len(snrs), _LOC_FIELDS)`` records of the
     trials in ``group``, synthesized in one call: SNR row ``k`` of trial
     ``t`` draws from its own generator, seeded by ``(seed, t, k + 1)``.
     MUSIC and triangulation run per trial."""
@@ -395,12 +395,12 @@ def _loc_group(
     noise_rngs = [
         [
             np.random.default_rng(np.random.SeedSequence((seed, trial, k + 1)))
-            for k in range(len(channels))
+            for k in range(len(snrs))
         ]
         for trial in group
     ]
     samples = aoa.synthesize_snapshots(
-        channels,
+        snrs,
         [g.azimuths for g in geometries],
         [g.elevations for g in geometries],
         4,
@@ -411,16 +411,16 @@ def _loc_group(
 
 
 def _loc_trials(
-    seed: int, start: int, stop: int, channels: Sequence[aoa.ChannelRealization]
+    seed: int, start: int, stop: int, snrs: Sequence[Optional[float]]
 ) -> np.ndarray:
-    """The ``(stop - start, len(channels), _LOC_FIELDS)`` records of trials
+    """The ``(stop - start, len(snrs), _LOC_FIELDS)`` records of trials
     ``start .. stop - 1``, in trial order, ``_LOC_GROUP`` trials at a time."""
     beacons = beacon_grid()
-    records = np.empty((stop - start, len(channels), _LOC_FIELDS))
+    records = np.empty((stop - start, len(snrs), _LOC_FIELDS))
     for first in range(start, stop, _LOC_GROUP):
         last = min(first + _LOC_GROUP, stop)
         records[first - start : last - start] = _loc_group(
-            seed, range(first, last), channels, beacons
+            seed, range(first, last), snrs, beacons
         )
     return records
 
@@ -458,28 +458,27 @@ def run_localization_eval(
         raise ValueError("need at least 30 trials per SNR point")
     if not snr_list:
         raise ValueError("need at least one SNR point")
-    # Building the channels first rejects a non-finite SNR before any work.
-    channels = [aoa.awgn_channel(snr) for snr in snr_list]
+    aoa._check_snrs(snr_list)  # before any work
 
     def bounds(p: int, procs: int) -> tuple[int, int]:
         return trials * p // procs, trials * (p + 1) // procs
 
     def helper(p: int, procs: int, report: int) -> None:
-        _fork.write_all(report, _loc_trials(seed, *bounds(p, procs), channels))
+        _fork.write_all(report, _loc_trials(seed, *bounds(p, procs), snr_list))
 
     with _fork.helpers(helper) as reads:
         procs = len(reads) + 1
-        shares = [_loc_trials(seed, *bounds(0, procs), channels)]
+        shares = [_loc_trials(seed, *bounds(0, procs), snr_list)]
         for p, fd in enumerate(reads, 1):
             start, stop = bounds(p, procs)
-            shape = (stop - start, len(channels), _LOC_FIELDS)
+            shape = (stop - start, len(snr_list), _LOC_FIELDS)
             size = 8 * shape[0] * shape[1] * shape[2]
             with open(fd, "rb", closefd=False) as fh:
                 block = fh.read(size)
             if len(block) == size:
                 shares.append(np.frombuffer(block).reshape(shape))
             else:  # the helper died or its share raised
-                shares.append(_loc_trials(seed, start, stop, channels))
+                shares.append(_loc_trials(seed, start, stop, snr_list))
     records = np.concatenate(shares)
 
     rows: list[LocEvalRow] = []

@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -464,9 +464,9 @@ class ChainTail(Sequence[HeldBlock]):
     on the tip read nothing older. Each block is kept as a
     :class:`HeldBlock`. ``len`` is the height of the whole chain; reading an
     evicted block raises ``IndexError``. Each block, genesis first, is
-    handed to ``write`` as its ``chain.jsonl`` line when it is appended, so
-    a file written through it equals :func:`save_chain`'s; a tail whose
-    ``write`` is None makes no lines.
+    written to ``file`` as its ``chain.jsonl`` line when it is appended, so
+    the file equals :func:`save_chain`'s; a tail whose ``file`` is None
+    makes no lines.
 
     A tail lasts one run, and it carries two stores for that run: the last
     window state :func:`whash_state` computed on it (dropped on append),
@@ -474,13 +474,13 @@ class ChainTail(Sequence[HeldBlock]):
     reads and adds to (see :func:`proxichain.identity.verify_many`).
 
     ``simulation.run_epoch`` may hand the blocks to a forked process, whose
-    copy of the tail appends them; there the copy's ``write`` sends each
-    line back, and the caller hands it to this tail's ``write``. The
-    caller's tail then only counts the blocks (:meth:`append_elsewhere`).
+    copy of the tail appends them and writes their lines to its copy of
+    ``file``. The caller's tail then only counts the blocks
+    (:meth:`append_elsewhere`), and writes nothing.
     """
 
-    def __init__(self, write: Optional[Callable[[str], object]]):
-        self.write = write
+    def __init__(self, file: Optional[TextIO]):
+        self.file = file
         self._blocks: list[HeldBlock] = []
         self._height = 0
         self._window_memo: Optional[tuple] = None
@@ -508,8 +508,8 @@ class ChainTail(Sequence[HeldBlock]):
 
     def append(self, block: Block) -> None:
         """Hold ``block`` as the new tip, after writing its line."""
-        if self.write is not None:
-            self.write(block_to_json_line(block) + "\n")
+        if self.file is not None:
+            self.file.write(block_to_json_line(block) + "\n")
         self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]
@@ -520,7 +520,7 @@ class ChainTail(Sequence[HeldBlock]):
         """Count one block appended to another process's copy of this tail,
         and hold no block from here on: reading any block then raises
         ``IndexError``, as reading an evicted block does. Nothing is
-        written; the line comes back from that process."""
+        written: that process writes the line."""
         self._blocks.clear()
         self._height += 1
         self._window_memo = None

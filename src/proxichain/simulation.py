@@ -14,7 +14,6 @@ pairs; background submission/query traffic fills the rest of each block.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import select
 import struct
@@ -607,15 +606,6 @@ def _add_block(
 # one program image, so pickle needs no decoder kept in step. A frame of
 # length 0 ends the run.
 _FRAME = struct.Struct("<Qd")
-# One record on its report pipe: the byte length of a ``chain.jsonl`` line,
-# then the line. A record of length 0 is followed by the verdict.
-_LINE = struct.Struct("<Q")
-# Capacity asked for each of the two pipes. A benchmark ct_run call sends
-# ~1.7 MB of jobs and gets ~5.6 MB of lines back, ~15 blocks a tick. At the
-# kernel's default 64 KiB its sends waited 281-295 ms of a 745 ms call on a
-# 2-vCPU Xeon, as the block process stalled on lines not yet read; at 1 MiB
-# they wait ~6 ms of ~500 ms.
-_PIPE_BYTES = 1 << 20
 
 
 def _build_blocks(
@@ -625,61 +615,45 @@ def _build_blocks(
     ``chain`` with :func:`_add_block`, as one CPU adds them in process,
     until a block is refused or the run ends.
 
-    The copy's ``write`` sends each appended block's line to ``report``,
-    for the caller to write; lines the caller's tail would not make are not
-    made. After the last line comes a record of length 0 and the verdict,
-    a JSON array: ``[reason, detail]`` for the first refused block, or
-    ``[]`` once the end frame follows only accepted blocks. A caller gone
+    The copy writes each appended block's line to its copy of the chain
+    file, which is flushed before the verdict goes to ``report``: a JSON
+    array, ``[reason, detail]`` for the first refused block, ``[]`` once
+    the end frame follows only accepted blocks, or ``["type: message"]``
+    for any other exception, a failed chain write included. A caller gone
     before its end frame gets nothing."""
-    if chain.write is not None:
-
-        def send_line(line: str) -> None:
-            data = line.encode()
-            _fork.write_all(report, _LINE.pack(len(data)) + data)
-
-        chain.write = send_line
     verdict: list[str] = []
-    with open(feed, "rb") as fh:
-        while True:
-            header = fh.read(_FRAME.size)
-            if len(header) < _FRAME.size:
-                return
-            size, credit = _FRAME.unpack(header)
-            if not size:
-                break
-            try:
-                _add_block(chain, registry, alpha_d, pickle.loads(fh.read(size)), credit)
-            except BlockRejectedError as exc:
-                verdict = [exc.reason, exc.detail]
-                break
-    _fork.write_all(report, _LINE.pack(0) + json.dumps(verdict).encode())
+    try:
+        with open(feed, "rb") as fh:
+            while True:
+                header = fh.read(_FRAME.size)
+                if len(header) < _FRAME.size:
+                    return
+                size, credit = _FRAME.unpack(header)
+                if not size:
+                    break
+                try:
+                    _add_block(chain, registry, alpha_d, pickle.loads(fh.read(size)), credit)
+                except BlockRejectedError as exc:
+                    verdict = [exc.reason, exc.detail]
+                    break
+        if chain.file is not None:
+            chain.file.flush()
+    except Exception as exc:
+        verdict = [f"{type(exc).__name__}: {exc}"]
+    _fork.write_all(report, json.dumps(verdict).encode())
 
 
 class _BlockProcess:
     """The caller's side of the block process (:func:`_build_blocks`): the
-    read end of its report and the write end of its feed.
-
-    Lines come back while jobs go out, and the line of a block near 1 MiB
-    is about 2 MiB, more than either pipe holds. So the feed does not block:
-    a send that has to wait reads the report meanwhile, since the block
-    process may be waiting for its own line to be read."""
+    read end of its report, which carries only the verdict, and the write
+    end of its feed."""
 
     def __init__(self, chain: ChainTail, report: int, feed: int):
         self._chain = chain
         self._report = report
         self._feed = feed
-        self._inbox = bytearray()
         self._poller = select.poll()
         self._poller.register(report, select.POLLIN)
-        self._poller.register(feed, select.POLLOUT)
-        os.set_blocking(feed, False)
-        try:
-            import fcntl
-
-            for fd in (report, feed):
-                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass  # the default capacity only makes both sides wait more often
 
     def send(self, job: tuple, credit: float) -> None:
         """Feed one block's job and its miner's credit, and count the block
@@ -689,60 +663,38 @@ class _BlockProcess:
         self._chain.append_elsewhere()
 
     def poll(self) -> None:
-        """Write the lines that have come back, and raise the verdict if it
-        has come, without waiting."""
-        if any(fd == self._report for fd, _ in self._poller.poll(0)):
-            self._read()
+        """Raise the verdict if it has come, without waiting."""
+        if self._poller.poll(0):
+            self._verdict()
 
     def finish(self) -> None:
-        """End the feed, and write every line until the verdict."""
+        """End the feed and wait for the verdict."""
         self._write(_FRAME.pack(0, 0.0))
-        while not self._read():
-            pass
+        self._verdict()
 
     def _write(self, data: bytes) -> None:
-        view = memoryview(data)
-        while view:
-            try:
-                view = view[os.write(self._feed, view):]
-            except BlockingIOError:
-                for fd, _ in self._poller.poll():
-                    if fd == self._report:
-                        self._read()
-            except BrokenPipeError:
-                # The block process has refused a block or died, so reading
-                # its report to the end raises.
-                while True:
-                    self._read()
+        try:
+            _fork.write_all(self._feed, data)
+        except BrokenPipeError:
+            # The block process has refused a block, failed or died, so its
+            # verdict, or the lack of one, raises.
+            self._verdict()
+            raise
 
-    def _read(self) -> bool:
-        """Read the report once, waiting if it is empty, and hand each whole
-        line to the tail's ``write``. At the verdict, read it to end-of-file
-        and raise :class:`BlockRejectedError` for a refused block, or return
-        True. ``RuntimeError`` if the block process left no verdict."""
-        chunk = os.read(self._report, _PIPE_BYTES)
-        if not chunk:
+    def _verdict(self) -> None:
+        """Read the report to end-of-file and raise what it says:
+        :class:`BlockRejectedError` for a refused block, ``RuntimeError``
+        naming the exception that ended the block process, or
+        ``RuntimeError`` if it exited without a verdict."""
+        with open(self._report, "rb", closefd=False) as fh:
+            data = fh.read()
+        if not data:
             raise RuntimeError("the block process exited without a verdict")
-        inbox = self._inbox
-        inbox += chunk
-        done = 0
-        while len(inbox) - done >= _LINE.size:
-            (size,) = _LINE.unpack_from(inbox, done)
-            start = done + _LINE.size
-            if not size:
-                chunks = [bytes(inbox[start:])]
-                while chunk := os.read(self._report, 65536):
-                    chunks.append(chunk)
-                refused = json.loads(b"".join(chunks))
-                if refused:
-                    raise BlockRejectedError(*refused)
-                return True
-            if len(inbox) < start + size:
-                break
-            self._chain.write(inbox[start : start + size].decode())
-            done = start + size
-        del inbox[:done]
-        return False
+        verdict = json.loads(data)
+        if len(verdict) == 2:
+            raise BlockRejectedError(*verdict)
+        if verdict:
+            raise RuntimeError(f"the block process failed: {verdict[0]}")
 
 
 @contextmanager
@@ -758,10 +710,18 @@ def _block_process(
     store of parsed keys with every identity's key, taken from its secret
     key: ~2.5 us a key, against ~45 us to parse a compressed one. Only keys
     from elsewhere are then parsed, and the caller of a block process holds
-    no parsed key."""
+    no parsed key.
+
+    The chain file has one writer at a time. This process flushes it before
+    the fork, so that no line it holds is written again by the block
+    process, and writes no byte to it after; the block process flushes it
+    before its verdict, so every line is in the file when ``finish``
+    returns."""
     if not isinstance(chain, ChainTail):
         yield None
         return
+    if chain.file is not None:
+        chain.file.flush()
     registry, alpha_d = world.registry, world.config.policy.alpha_d
 
     def seed_keys() -> None:
@@ -840,17 +800,18 @@ def run_epoch(
     :func:`_build_blocks`). This process still decides every block and
     sends it there (:func:`_mine_pending`); the block process builds, mines
     and appends it on its own copy of the tail, exactly as one CPU does in
-    process, and sends its line back. Each line goes to the tail's
-    ``write`` in block order, so a tail writes the same lines on any CPU
-    count. This tail counts the blocks sent, so ``len(chain)`` is the
-    chain's height on any CPU count, but it holds none of them: reading one
-    raises ``IndexError``, as reading an evicted block does. A refused
-    block raises the :class:`BlockRejectedError` that adding in process
-    raises: at the end of the first tick after the block process has
-    refused it (its report is read once per tick), at a later send that
-    finds the block process gone or waits for it, and at the latest once
-    the last tick's blocks are added. A block process that dies raises
-    ``RuntimeError``.
+    process, and writes its line to the tail's file itself, so a tail
+    writes the same lines on any CPU count. This tail counts the blocks
+    sent, so ``len(chain)`` is the chain's height on any CPU count, but it
+    holds none of them: reading one raises ``IndexError``, as reading an
+    evicted block does. A refused block raises the
+    :class:`BlockRejectedError` that adding in process raises: at the end
+    of the first tick after the block process has refused it (its report is
+    polled once per tick), at a later send that finds the block process
+    gone, and at the latest once the last tick's blocks are added. Any
+    other exception in the block process, a failed chain write included,
+    raises ``RuntimeError`` naming it, and so does a block process that
+    dies.
     """
     if world.identities is None:
         raise ValueError("run_epoch needs a world built with identities")

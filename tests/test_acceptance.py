@@ -13,7 +13,6 @@ import numpy as np
 
 from proxichain import cli
 from proxichain.aoa import (
-    awgn_channel,
     build_angle_image,
     music_spectrum,
     snapshot_covariance,
@@ -373,7 +372,7 @@ def test_criterion_7_bearing_estimator(criteria_log):
     for trial in range(100):
         truth = float(rng.uniform(2.0, 178.0))
         snap = synthesize_snapshot(
-            awgn_channel(None), truth, 0.0, 4, 256,
+            None, truth, 0.0, 4, 256,
             np.random.default_rng(np.random.SeedSequence((777, trial))),
         )
         r = snapshot_covariance(snap)

@@ -8,8 +8,6 @@ from proxichain.aoa import (
     ANGLE_IMAGE_PAYLOAD,
     ANGLE_IMAGE_SIDE,
     AZIMUTH_GRID,
-    CARRIER_HZ,
-    ChannelRealization,
     DegenerateGeometryError,
     MODULATION_INDEX,
     NumericalRankError,
@@ -18,7 +16,6 @@ from proxichain.aoa import (
     SYMBOL_PERIOD,
     _draw_symbols,
     _modulate,
-    awgn_channel,
     build_angle_image,
     estimate_position,
     music_spectra,
@@ -35,18 +32,14 @@ from proxichain.aoa import (
 
 def _snapshot(azimuth, snr_db=None, seed=0, n_elements=4, n_samples=256, elevation=0.0):
     rng = np.random.default_rng(seed)
-    return synthesize_snapshot(
-        awgn_channel(snr_db), azimuth, elevation, n_elements, n_samples, rng
-    )
+    return synthesize_snapshot(snr_db, azimuth, elevation, n_elements, n_samples, rng)
 
 
 def _baseband(n_samples, seed):
     """The GFSK source of one burst: element 0 of a noiseless array, whose
-    steering phase and channel gain are both exactly 1."""
+    steering phase is exactly 1."""
     rng = np.random.default_rng(seed)
-    return synthesize_snapshots(
-        [awgn_channel(None)], [[90.0]], [[0.0]], 2, n_samples, [[rng]]
-    )[0, 0, 0, 0]
+    return synthesize_snapshots([None], [[90.0]], [[0.0]], 2, n_samples, [[rng]])[0, 0, 0, 0]
 
 
 def _convolved_baseband(symbols, n_samples):
@@ -62,30 +55,31 @@ def _convolved_baseband(symbols, n_samples):
 class TestWaveform:
     def test_constants_sit_in_the_ble_bands(self):
         assert 0.45 <= MODULATION_INDEX <= 0.55
-        assert 2.4e9 <= CARRIER_HZ <= 2.48e9
 
 
 class TestChannel:
-    def test_path_count_and_delay_guards(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(attenuations=(), delays=())
-        with pytest.raises(ValueError):
-            ChannelRealization(attenuations=(1.0 + 0j,), delays=(0.0, 1e-9))
-        with pytest.raises(ValueError):
-            ChannelRealization(attenuations=(1.0 + 0j,), delays=(-1e-9,))
-        with pytest.raises(ValueError):
-            ChannelRealization(attenuations=(1j, 1j), delays=(1e-9, 0.0))
-
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_is_rejected(self, snr_db):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="finite"):
-            awgn_channel(snr_db)
+            synthesize_snapshot(snr_db, 90.0, 0.0, 4, 64, rng)
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_snapshots([20.0, snr_db], [[90.0]], [[0.0]], 4, 64, [[rng, rng]])
+        assert rng.bit_generator.state == state
 
     def test_awgn_is_single_clean_path(self):
-        ch = awgn_channel(snr_db=15.0)
-        assert ch.attenuations == (1.0 + 0.0j,)
-        assert ch.delays == (0.0,)
-        assert ch.snr_db == 15.0
+        """Without noise an array records the burst on one path: each
+        element is the burst times its steering phase, bit for bit; noise
+        is added on top of that."""
+        azimuth, elevation = 60.0, 2.0
+        snap = _snapshot(azimuth, snr_db=None, seed=6, elevation=elevation)
+        rng = np.random.default_rng(6)
+        burst = _modulate(_draw_symbols(256, rng)[None], 256)
+        clean = steering_vector(azimuth, elevation, 4)[:, None] * burst
+        assert snap.tobytes() == clean.tobytes()
+        noisy = _snapshot(azimuth, snr_db=15.0, seed=6, elevation=elevation)
+        assert not np.array_equal(noisy, snap)
 
 
 class TestBaseband:
@@ -143,11 +137,11 @@ class TestSnapshot:
     def test_input_guards(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthesize_snapshot(awgn_channel(None), 190.0, 0.0, 4, 64, rng)
+            synthesize_snapshot(None, 190.0, 0.0, 4, 64, rng)
         with pytest.raises(ValueError):
-            synthesize_snapshot(awgn_channel(None), 90.0, 0.0, 1, 64, rng)
+            synthesize_snapshot(None, 90.0, 0.0, 1, 64, rng)
         with pytest.raises(ValueError):
-            synthesize_snapshot(awgn_channel(None), 90.0, 0.0, 4, 2, rng)
+            synthesize_snapshot(None, 90.0, 0.0, 4, 2, rng)
 
     def test_empirical_snr_matches_request(self):
         """Subtracting a same-seed noiseless run isolates the injected noise."""
@@ -159,18 +153,6 @@ class TestSnapshot:
             p_noise = np.mean(np.abs(noise) ** 2)
             measured = 10.0 * math.log10(p_sig / p_noise)
             assert measured == pytest.approx(target_db, abs=0.5)
-
-    def test_multipath_collapses_to_scalar_gain(self):
-        rng = np.random.default_rng(2)
-        channel = ChannelRealization(
-            attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9)
-        )
-        snap = synthesize_snapshot(channel, 60.0, 0.0, 4, 128, rng)
-        reference = synthesize_snapshot(
-            awgn_channel(None), 60.0, 0.0, 4, 128, np.random.default_rng(2)
-        )
-        ratio = snap / reference
-        assert np.allclose(ratio, ratio[0, 0])
 
 
 class TestCovariance:
@@ -255,27 +237,21 @@ class TestBatch:
 
     AZIMUTHS = [12.5, 60.0, 91.3, 170.0]
     ELEVATIONS = [0.0, 1.5, 3.0, 4.9]
-    CHANNELS = [
-        awgn_channel(None),
-        awgn_channel(20.0),
-        ChannelRealization(
-            attenuations=(0.8 + 0.1j, 0.3 - 0.2j), delays=(0.0, 30e-9), snr_db=10.0
-        ),
-    ]
+    SNRS = [None, 20.0, 10.0]
 
-    def _batch(self, channels, seeds, n_samples=256):
+    def _batch(self, snrs, seeds, n_samples=256):
         """One trial's samples, shape (C, B, n_elements, n_samples)."""
         return synthesize_snapshots(
-            channels, [self.AZIMUTHS], [self.ELEVATIONS], 4, n_samples,
+            snrs, [self.AZIMUTHS], [self.ELEVATIONS], 4, n_samples,
             [[np.random.default_rng(s) for s in seeds]],
         )[0]
 
-    @pytest.mark.parametrize("channel", CHANNELS, ids=["noiseless", "20dB", "two-path"])
-    def test_synthesis_matches_sequential_calls_bit_for_bit(self, channel):
-        batch = self._batch([channel], [9])
+    @pytest.mark.parametrize("snr", SNRS[:2], ids=["noiseless", "20dB"])
+    def test_synthesis_matches_sequential_calls_bit_for_bit(self, snr):
+        batch = self._batch([snr], [9])
         rng = np.random.default_rng(9)
         singles = [
-            synthesize_snapshot(channel, az, el, 4, 256, rng)
+            synthesize_snapshot(snr, az, el, 4, 256, rng)
             for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
         ]
         assert batch.shape == (1, 4, 4, 256)
@@ -283,15 +259,11 @@ class TestBatch:
 
     def test_channels_match_one_channel_calls_bit_for_bit(self):
         rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
-        batch = synthesize_snapshots(
-            self.CHANNELS, [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [rngs]
-        )
+        batch = synthesize_snapshots(self.SNRS, [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [rngs])
         assert batch.shape == (1, 3, 4, 4, 256)
-        for c, (channel, seed) in enumerate(zip(self.CHANNELS, (4, 5, 6))):
+        for c, (snr, seed) in enumerate(zip(self.SNRS, (4, 5, 6))):
             rng = np.random.default_rng(seed)
-            single = synthesize_snapshots(
-                [channel], [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [[rng]]
-            )
+            single = synthesize_snapshots([snr], [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [[rng]])
             assert batch[0, c].tobytes() == single[0, 0].tobytes()
             assert rngs[c].bit_generator.state == rng.bit_generator.state
 
@@ -305,12 +277,12 @@ class TestBatch:
         elevations = rng.uniform(-10.0, 10.0, size=(5, 4)).tolist()
         seeds = rng.integers(0, 2**32, size=(5, 3)).tolist()
         rngs = [[np.random.default_rng(s) for s in trial] for trial in seeds]
-        batch = synthesize_snapshots(self.CHANNELS, azimuths, elevations, 4, n_samples, rngs)
+        batch = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, n_samples, rngs)
         assert batch.shape == (5, 3, 4, 4, n_samples)
         for t, trial_seeds in enumerate(seeds):
             own = [np.random.default_rng(s) for s in trial_seeds]
             single = synthesize_snapshots(
-                self.CHANNELS, [azimuths[t]], [elevations[t]], 4, n_samples, [own]
+                self.SNRS, [azimuths[t]], [elevations[t]], 4, n_samples, [own]
             )
             assert batch[t].tobytes() == single[0].tobytes()
             for ours, theirs in zip(rngs[t], own):
@@ -319,23 +291,19 @@ class TestBatch:
     def test_noise_mixing_matches_the_complex_formula(self):
         """Scaling the real noise and adding it to the real and imaginary
         parts gives the bytes of clean + (z0 + 1j z1) * sigma / sqrt(2)."""
-        channel = self.CHANNELS[2]
-        batch = self._batch([channel], [8])[0]
+        snr = self.SNRS[2]
+        batch = self._batch([snr], [8])[0]
         rng = np.random.default_rng(8)
-        gain = sum(
-            rho * np.exp(-2j * np.pi * CARRIER_HZ * tau)
-            for rho, tau in zip(channel.attenuations, channel.delays)
-        )
         for samples, az, el in zip(batch, self.AZIMUTHS, self.ELEVATIONS):
             source = _modulate(_draw_symbols(256, rng)[None], 256)
             z = rng.normal(size=(2, 4, 256))
-            clean = steering_vector(az, el, 4)[:, None] * (gain * source)
-            sigma = np.sqrt(np.mean(np.abs(clean) ** 2) * 10.0 ** (-channel.snr_db / 10.0))
+            clean = steering_vector(az, el, 4)[:, None] * source
+            sigma = np.sqrt(np.mean(np.abs(clean) ** 2) * 10.0 ** (-snr / 10.0))
             expected = clean + (z[0] + 1j * z[1]) * (sigma / math.sqrt(2.0))
             assert samples.tobytes() == expected.tobytes()
 
     def test_twelve_array_spectra_match_three_four_array_calls(self):
-        samples = self._batch(self.CHANNELS, [1, 2, 3])
+        samples = self._batch(self.SNRS, [1, 2, 3])
         spectra = music_spectra(samples.reshape(12, 4, 256), n_sources=1)
         parts = [music_spectra(samples[c], n_sources=1) for c in range(3)]
         assert np.array_equal(spectra, np.concatenate(parts))
@@ -351,7 +319,7 @@ class TestBatch:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_spectra_match_single_spectra(self):
-        samples = self._batch([awgn_channel(15.0)], [10])[0]
+        samples = self._batch([15.0], [10])[0]
         spectra = music_spectra(samples, n_sources=1)
         assert spectra.shape == (4, AZIMUTH_GRID.size)
         for row, x in zip(spectra, samples):
@@ -360,10 +328,10 @@ class TestBatch:
     def test_synthesis_guards_cover_every_member(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        noiseless = [awgn_channel(None)]
+        noiseless = [None]
 
-        def call(azimuths, elevations, channels=noiseless, rngs=(rng,)):
-            synthesize_snapshots(channels, [azimuths], [elevations], 4, 64, [list(rngs)])
+        def call(azimuths, elevations, snrs=noiseless, rngs=(rng,)):
+            synthesize_snapshots(snrs, [azimuths], [elevations], 4, 64, [list(rngs)])
 
         with pytest.raises(ValueError):
             call([30.0, 190.0], [0.0, 0.0])
@@ -375,9 +343,9 @@ class TestBatch:
             with pytest.raises(ValueError, match="elevation"):
                 call([30.0, 60.0], [0.0, bad])
         with pytest.raises(ValueError, match="generator"):
-            call([30.0], [0.0], channels=noiseless * 2)
+            call([30.0], [0.0], snrs=noiseless * 2)
         with pytest.raises(ValueError, match="generator"):
-            call([30.0], [0.0], channels=[], rngs=())
+            call([30.0], [0.0], snrs=[], rngs=())
         # Across trials: one set of angles and generators per trial, as
         # many arrays and generators in each, and every angle in range.
         with pytest.raises(ValueError, match="trial"):
@@ -405,7 +373,7 @@ class TestBatch:
         call([30.0, 60.0], [-90.0, 90.0])
 
     def test_spectra_guards(self):
-        samples = self._batch([awgn_channel(10.0)], [3], n_samples=64)[0]
+        samples = self._batch([10.0], [3], n_samples=64)[0]
         with pytest.raises(NumericalRankError):
             music_spectra(samples[:, :, :3], n_sources=1)
         for bad in (0, 4):
@@ -416,7 +384,7 @@ class TestBatch:
 
     def test_non_psd_member_fails_the_batch(self, monkeypatch):
         """One covariance with a clearly negative eigenvalue rejects the batch."""
-        samples = self._batch([awgn_channel(10.0)], [3], n_samples=64)[0]
+        samples = self._batch([10.0], [3], n_samples=64)[0]
         eigh = np.linalg.eigh
 
         def skewed(r):

@@ -30,6 +30,13 @@ def test_removed_names_stay_out_of_the_api():
     gone += [(aoa, "BlePulseConfig"), (simulation, "Venue")]
     # Removed with its last callers, the tests, which now read the entries.
     gone.append((ledger.InfectedUsersPool, "contains"))
+    # Removed when the block process began writing its own chain.jsonl
+    # lines, so no line comes back over a pipe.
+    gone += [(simulation, "_LINE"), (simulation, "_PIPE_BYTES")]
+    # Removed when synthesis took the SNRs alone: every burst took the one
+    # line-of-sight path, and only the tests built a multipath channel.
+    gone += [(aoa, "ChannelRealization"), (aoa, "CARRIER_HZ"), (aoa, "awgn_channel")]
+    assert not hasattr(ledger.ChainTail(None), "write")
     for owner, name in gone:
         assert not hasattr(owner, name), name
     fields = {f.name for f in dataclasses.fields(simulation.WorldState)}

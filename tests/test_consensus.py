@@ -504,7 +504,8 @@ def _run_validated_epoch(monkeypatch, tmp_path):
         simulation, "_build_blocks", _affinity_recorded(tmp_path, simulation._build_blocks)
     )
     config = simulation.SimConfig(n_agents=20, ticks=3, seed=1, tx_per_block_mean=20, n_blocks=6)
-    simulation.run_epoch(simulation.build_world(config), simulation.ChainTail(lambda line: None))
+    with open(tmp_path / "chain.jsonl", "w") as fh:
+        simulation.run_epoch(simulation.build_world(config), simulation.ChainTail(fh))
 
 
 def _run_loc_eval(monkeypatch, tmp_path):

@@ -310,29 +310,36 @@ class TestCtExperiment:
         assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
     def test_crash_during_chain_write_leaves_no_chain(self, tmp_path, monkeypatch):
-        self.crash_during_chain_write(tmp_path, monkeypatch)
-
-    @classmethod
-    def crash_during_chain_write(cls, tmp_path, monkeypatch):
-        import proxichain.experiments as exp
-
-        written = []
-
-        def failing_tail(write):
-            def fail_after_three(line):
-                if len(written) == 3:
-                    raise OSError("disk full")
-                written.append(line)
-                write(line)
-
-            return ChainTail(fail_after_three)
-
-        monkeypatch.setattr(exp, "ChainTail", failing_tail)
+        monkeypatch.setattr(identity, "_CORES", 1)
+        written = self.failing_chain_file(monkeypatch)
         with pytest.raises(OSError):
             run_ct_experiment(_tiny_spec(str(tmp_path)))
         # Genesis and two mined blocks went out before the failing write.
         assert [json.loads(line)["index"] for line in written] == [0, 1, 2]
-        cls._assert_crashed_mid_run(tmp_path)
+        self._assert_crashed_mid_run(tmp_path)
+
+    @staticmethod
+    def failing_chain_file(monkeypatch) -> list[str]:
+        """Make ct-run's chain file raise ``OSError("disk full")`` at its
+        fourth line. Returns the lines written before it, as the process
+        that writes them sees them."""
+        import proxichain.experiments as exp
+
+        written = []
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.flush = fh.flush
+                self._write = fh.write
+
+            def write(self, line):
+                if len(written) == 3:
+                    raise OSError("disk full")
+                written.append(line)
+                self._write(line)
+
+        monkeypatch.setattr(exp, "ChainTail", lambda fh: ChainTail(FailingFile(fh)))
+        return written
 
     def test_crash_during_contacts_write_leaves_neither_stream(self, tmp_path, monkeypatch):
         import proxichain.experiments as exp
@@ -545,8 +552,13 @@ class TestCtValidator:
         _assert_reaped(forked)
 
     def test_crash_during_chain_write_reaps_the_validator(self, tmp_path, forked, monkeypatch):
+        """The block process writes the chain file, so its failed write
+        ends the run with an error that names it."""
         monkeypatch.setattr(identity, "_CORES", 2)
-        TestCtExperiment.crash_during_chain_write(tmp_path, monkeypatch)
+        TestCtExperiment.failing_chain_file(monkeypatch)
+        with pytest.raises(RuntimeError, match="^the block process failed: OSError: disk full$"):
+            run_ct_experiment(_tiny_spec(str(tmp_path)))
+        TestCtExperiment._assert_crashed_mid_run(tmp_path)
         assert len(forked) == 1
         _assert_reaped(forked)
 
@@ -584,9 +596,9 @@ class TestCtValidator:
         _assert_reaped(forked)
 
     def test_blocks_near_1_mib_come_back_whole(self, tmp_path, forked, monkeypatch, within_60_s):
-        """Four blocks near 1 MiB in one tick: their jobs fill the feed while
-        their ~2 MiB lines fill the report, and neither process waits for
-        the other for good. The artifacts equal one CPU's."""
+        """Four blocks near 1 MiB in one tick: each job fills the feed, and
+        the block process writes each ~2 MiB line to the chain file itself.
+        The artifacts equal one CPU's."""
         sim = replace(TINY_SIM, tx_per_block_mean=1, n_blocks=40)
         sender = generate_identity(Role.LIGHT, seed=98)
         heavy = [make_transaction(sender, TxKind.ST, bytes([k]) * 1_000_000, 5) for k in range(4)]

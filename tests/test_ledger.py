@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import struct
 import threading
@@ -675,8 +676,8 @@ class TestChainTail:
     def grown(self):
         """Tail, whole chain, the tail's lines, and every block on which the
         two disagreed about the window prefix, mining or validation."""
-        lines = []
-        tail, full = ChainTail(lines.append), Chain()
+        lines = io.StringIO()
+        tail, full = ChainTail(lines), Chain()
         disagreed = []
         for k in range(2 * WINDOW_MAX + 20):
             window = whash_window_for(len(tail) - 1, (37 * k) % (WINDOW_MAX + 1))
@@ -707,7 +708,7 @@ class TestChainTail:
                 disagreed.append(k)
             append_block(tail, block)
             append_block(full, block)
-        return tail, full, lines, disagreed
+        return tail, full, lines.getvalue(), disagreed
 
     def test_checks_agree_with_the_whole_chain(self, grown):
         tail, full, _, disagreed = grown
@@ -745,7 +746,7 @@ class TestChainTail:
     def test_lines_are_the_saved_chain(self, grown, tmp_path):
         _, full, lines, _ = grown
         save_chain(full, str(tmp_path / "chain.jsonl"))
-        assert "".join(lines) == (tmp_path / "chain.jsonl").read_text()
+        assert lines == (tmp_path / "chain.jsonl").read_text()
 
 
 def _peer_array(pairs):

@@ -638,10 +638,12 @@ class TestEpoch:
         """:meth:`_tail_run`, recording in a file, from whichever process
         does it, the index of each block whose window is hashed, each public
         key parsed and each block read back from a line; returns the records
-        by kind as ``(pid, value)`` pairs, with the run's tail and lines."""
-        log = tmp_path / "counted.jsonl"
-        lines = []
-        tail = ChainTail(lines.append)
+        by kind as ``(pid, value)`` pairs, with the run's tail and the lines
+        it wrote to its file."""
+        log, path = tmp_path / "counted.jsonl", tmp_path / "chain.jsonl"
+        # Made before the patches: the genesis block hashes its own window.
+        chain_fh = open(path, "w")
+        tail = ChainTail(chain_fh)
 
         def recorded(kind, func, value):
             def wrapper(*args):
@@ -657,7 +659,9 @@ class TestEpoch:
             "key", identity._public_key, lambda key: key.hex()))
         monkeypatch.setattr(ledger, "block_from_dict", recorded(
             "rebuilt", ledger.block_from_dict, lambda d: d.get("index")))
-        self._tail_run(tail)
+        with chain_fh:
+            self._tail_run(tail)
+        lines = path.read_text().splitlines(keepends=True)
         counted = {"window": [], "key": [], "rebuilt": []}
         for kind, pid, value in map(json.loads, log.read_text().splitlines()):
             counted[kind].append((pid, value))
@@ -686,16 +690,17 @@ class TestEpoch:
         assert counted["window"] == [(forked[0], k) for k in range(1, len(tail))]
         assert counted["key"] == counted["rebuilt"] == []
 
-    def test_tail_writes_the_same_lines_on_any_cpu_count(self, monkeypatch, forked):
-        """``ChainTail(lines.append)`` collects every line of the run on two
-        CPUs as on one, in block order, and its height is the chain's."""
+    def test_tail_writes_the_same_lines_on_any_cpu_count(self, monkeypatch, forked, tmp_path):
+        """A tail writes every line of the run to its file on two CPUs as on
+        one, in block order, and its height is the chain's."""
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(identity, "_CORES", cores)
-            lines = []
-            tail = ChainTail(lines.append)
-            self._tail_run(tail)
-            runs.append((len(tail), lines))
+            path = tmp_path / f"{cores}.jsonl"
+            with open(path, "w") as fh:
+                tail = ChainTail(fh)
+                self._tail_run(tail)
+            runs.append((len(tail), path.read_text().splitlines(keepends=True)))
         assert runs[0] == runs[1]
         height, lines = runs[0]
         assert [json.loads(line)["index"] for line in lines] == list(range(height))
