@@ -10,11 +10,13 @@ azimuths of the half-plane with elevation fixed at zero. Synthesis and MUSIC
 each take a batch in one call: ``synthesize_snapshots`` records, in each of
 T trials, B arrays at each of C signal-to-noise ratios, each SNR of each
 trial drawing from its own generator, and ``music_spectra`` scans any stack
-of array outputs. A burst reaches an array on one line-of-sight path, plus
-white noise at the requested SNR. The one-snapshot functions are batches of
-one on plain arrays. Every call reads the element spacing from
-``SPACING_OVER_LAMBDA`` when it runs, so that constant is the only one to
-change.
+of array outputs. ``synthesize_snapshots`` writes into a block the caller
+passes as ``out``, if any, so a caller that synthesizes group after group
+holds one block for all of them. A burst reaches an array on one
+line-of-sight path, plus white noise at the requested SNR. The one-snapshot
+functions are batches of one on plain arrays. Every call reads the element
+spacing from ``SPACING_OVER_LAMBDA`` when it runs, so that constant is the
+only one to change.
 
 The transmitter sends one GFSK advertising burst, fixed by module constants:
 ``SYMBOL_ENERGY`` and ``SYMBOL_PERIOD`` set its amplitude,
@@ -171,6 +173,7 @@ def synthesize_snapshots(
     n_elements: int,
     n_samples: int,
     rngs: Sequence[Sequence[np.random.Generator]],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Simulate what B arrays record for one advertising burst each, at
     each of C signal-to-noise ratios, in each of T trials.
@@ -188,6 +191,13 @@ def synthesize_snapshots(
     that stream exactly as B one-array calls would and returns the same
     samples. The bursts of every trial and SNR are modulated together, and
     each array's steering vector is computed once for all SNRs.
+
+    ``out``, if given, is the block the call writes: a C-contiguous
+    complex128 array of exactly the result's shape, checked before any
+    generator is drawn. It receives the unit noise and then the samples,
+    and the call returns ``out`` itself, so a caller that hands the same
+    block to the next call finds this result overwritten. Without it the
+    call allocates a new block.
     """
     _check_snrs(snrs_db)
     if len(snrs_db) < 1 or any(len(trial) != len(snrs_db) for trial in rngs):
@@ -210,12 +220,26 @@ def synthesize_snapshots(
         raise ValueError("need at least as many samples as elements")
 
     shape = (len(rngs), len(snrs_db), n_arrays)
+    if out is None:
+        out = np.empty((*shape, n_elements, n_samples), dtype=complex)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == (*shape, n_elements, n_samples)
+        and out.dtype == np.complex128
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape "
+            f"{(*shape, n_elements, n_samples)}"
+        )
+
     # Each array's unit noise is drawn into the block its samples will take:
     # real and imaginary noise planes fill as many bytes as the complex
-    # samples, so a call holds one array of the output's size, not two. With
-    # two (786 KB each for four loc_eval trials), the C allocator handed the
-    # memory back after every call and page-faulted it in again.
-    out = np.empty((*shape, n_elements, n_samples), dtype=complex)
+    # samples, so a call holds one array of the output's size, not two. A
+    # caller that synthesizes group after group passes them all one ``out``:
+    # a block freed after every group (786 KB for four loc_eval trials) sits
+    # on top of the C allocator's heap in many heap layouts, so it is handed
+    # back to the system and page-faulted in again for the next group.
     noise = out.view(np.float64).reshape(*shape, 2, n_elements, n_samples)
     blocks = iter(noise.reshape(-1, 2, n_elements, n_samples))
     symbols = []

@@ -10,6 +10,7 @@ configuration problem, usage errors included; ``--help`` exits 0.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -65,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loc = sub.add_parser("loc-eval", help="bearing estimation accuracy versus SNR")
     loc.add_argument("--snr", default="10,15,20",
-                     help="comma-separated dB values; 'inf' means noiseless")
+                     help="comma-separated dB values; 'inf' or 'none' (any case) "
+                          "means noiseless")
     loc.add_argument("--trials", type=int, default=100)
     loc.add_argument("--seed", type=int, default=0)
     loc.add_argument("--out", default="out")
@@ -129,13 +131,22 @@ def _cmd_ct_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _snr(token: str) -> Optional[float]:
+    """One ``--snr`` value: ``inf`` or ``none``, in any case, is noiseless;
+    anything else must parse to a finite dB value."""
+    if token.lower() in ("inf", "none"):
+        return None
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"an --snr value must be a finite dB value, or inf or none for noiseless; got {value!r}"
+        )
+    return value
+
+
 def _cmd_loc_eval(args: argparse.Namespace) -> int:
     try:
-        snrs = [
-            None if v.strip() in ("inf", "none") else float(v)
-            for v in str(args.snr).split(",")
-            if v.strip()
-        ]
+        snrs = [_snr(v.strip()) for v in str(args.snr).split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --snr list: {exc}") from exc
     if not snrs:

@@ -288,6 +288,54 @@ class TestBatch:
             for ours, theirs in zip(rngs[t], own):
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    def test_out_block_gets_the_bytes_of_a_new_one(self, trials):
+        """Synthesis into a caller's block, whole or a leading slice of a
+        larger one (as a share's short last group gets), returns that block
+        with the bytes of a call that allocates its own, leaves every
+        generator where that call leaves it and writes nothing past it."""
+        rng = np.random.default_rng(40 + trials)
+        azimuths = rng.uniform(0.0, 180.0, size=(trials, 4)).tolist()
+        elevations = rng.uniform(-10.0, 10.0, size=(trials, 4)).tolist()
+        seeds = rng.integers(0, 2**32, size=(trials, 3)).tolist()
+
+        def generators():
+            return [[np.random.default_rng(s) for s in trial] for trial in seeds]
+
+        drawn = generators()
+        fresh = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, 256, drawn)
+        larger = np.full((5, *fresh.shape[1:]), np.nan, dtype=complex)
+        for block in (np.full_like(fresh, np.nan), larger[:trials]):
+            own = generators()
+            result = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, 256, own, out=block)
+            assert result is block
+            assert block.tobytes() == fresh.tobytes()
+            for ours, theirs in zip(sum(own, []), sum(drawn, [])):
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.isnan(larger[trials:]).all()
+
+    def test_out_block_is_checked_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        shape = (1, 2, 2, 4, 64)
+        for bad in (
+            np.empty((1, 2, 2, 4, 65), dtype=complex),
+            np.empty((2, 2, 2, 4, 64), dtype=complex),
+            np.empty(shape, dtype=np.complex64),
+            np.empty(shape, dtype=np.float64),
+            np.empty((1, 2, 2, 4, 128), dtype=complex)[..., ::2],
+            np.empty(shape[::-1], dtype=complex).T,
+        ):
+            with pytest.raises(ValueError, match="out"):
+                synthesize_snapshots(
+                    [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], 4, 64, [[rng, rng]], out=bad
+                )
+        assert rng.bit_generator.state == state
+        block = np.empty(shape, dtype=complex)
+        assert synthesize_snapshots(
+            [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], 4, 64, [[rng, rng]], out=block
+        ) is block
+
     def test_noise_mixing_matches_the_complex_formula(self):
         """Scaling the real noise and adding it to the real and imaginary
         parts gives the bytes of clean + (z0 + 1j z1) * sigma / sqrt(2)."""

@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -845,6 +848,71 @@ class TestSplitLocalizationEval:
             written.append((out / "loc_eval.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_every_group_of_a_share_writes_into_one_block(self, sequential_rows, monkeypatch):
+        """The groups of one share, the short last one included, are
+        synthesized into leading slices of one block, allocated once."""
+        monkeypatch.setattr(identity, "_CORES", 1)
+        synthesize, blocks = aoa.synthesize_snapshots, []
+
+        def spy(*args, out, **kwargs):
+            blocks.append(out)
+            return synthesize(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(aoa, "synthesize_snapshots", spy)
+        assert _split_eval() == sequential_rows
+        assert [len(block) for block in blocks] == [4] * 7 + [3]
+        base = blocks[0].base
+        assert base is not None and len(base) == experiments._LOC_GROUP
+        for block in blocks:
+            assert block.base is base and block.ctypes.data == base.ctypes.data
+
+
+# Shifts the C heap before and after the import, runs two warm-up evals and
+# prints the minor faults of the next two, in this process and in the
+# helpers it reaped.
+_LAYOUT_PROBE = """
+import resource
+held = [bytearray(100_000)]
+from proxichain.experiments import run_localization_eval
+held += [bytes(1000) for _ in range(3000)]
+
+
+def faults():
+    return [resource.getrusage(who).ru_minflt
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+
+
+for _ in range(2):
+    run_localization_eval([None, 20.0, 10.0], 150, seed=1)
+for _ in range(2):
+    before = faults()
+    run_localization_eval([None, 20.0, 10.0], 150, seed=1)
+    print(*(after - first for after, first in zip(faults(), before)))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts the minor faults of glibc's heap on Linux"
+)
+def test_eval_page_faults_do_not_depend_on_the_heap_layout():
+    """With the heap shifted so that a block freed after each group would
+    be trimmed off the heap top, an eval call still takes only the faults
+    of its fork and its one block (~1.3k here and ~1.6k in the helper on
+    two CPUs), not ~8.8k and ~9.1k."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(experiments.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _LAYOUT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    calls = [tuple(map(int, line.split())) for line in probe.stdout.splitlines()]
+    assert len(calls) == 2
+    for caller, helpers in calls:
+        assert caller < 3000 and helpers < 3000, calls
+
 
 def test_window_attack_cost_grows_with_window_count():
     result = attack_window_experiment(chain_length=10, reps=12, seed=0)
@@ -912,6 +980,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_loc_eval_noiseless_token_ignores_case(self, tmp_path):
+        written = []
+        for snr in ("inf,20", "Inf,20", "NONE,20"):
+            out = tmp_path / snr.replace(",", "-")
+            argv = ["loc-eval", "--snr", snr, "--trials", "30", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            written.append((out / "loc_eval.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
     def test_loc_eval_bad_snr_list(self):
         assert cli.main(["loc-eval", "--snr", "abc"]) == cli.EXIT_CONFIG
 
@@ -923,6 +1000,7 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and f"got {named}" in err
+        assert "or inf or none for noiseless" in err
 
     def test_loc_eval_too_few_trials(self, tmp_path):
         argv = ["loc-eval", "--snr", "inf", "--trials", "5", "--out", str(tmp_path)]
