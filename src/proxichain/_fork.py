@@ -4,19 +4,24 @@ A caller that splits its work (``consensus.mine``'s nonce search,
 ``experiments.run_localization_eval``'s trials) runs share 0 itself and
 reads every other share's records from a helper's pipe. A caller that
 hands work off (``simulation.run_epoch``'s block process) gets one helper
-and feeds it through a second pipe; that helper writes its output to a
-file it inherits (``chain.jsonl``) and reports only its verdict. A helper
-may itself split its work: the block process splits a long nonce search.
-When to fork, what a helper may touch and how it ends all live in
+and feeds it records through a second pipe; that helper writes its output
+to a file it inherits (``chain.jsonl``) and reports only its verdict. A
+helper may itself split its work: the block process splits a long nonce
+search. When to fork, what a helper may touch and how it ends all live in
 :func:`helpers`.
+
+Every pipe carries records, pickles that :func:`send` writes and
+:func:`records` reads: both ends run one program image, and a record
+crosses only between a process and its own fork, never from outside input.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from . import identity
 
@@ -58,11 +63,27 @@ def _leave_caller_cpu() -> None:
         pass  # no /proc or no affinity calls here: the scheduler decides
 
 
-def write_all(fd: int, data: bytes) -> None:
-    """Write every byte of ``data`` to ``fd``; ``os.write`` may take part."""
-    view = memoryview(data).cast("B")
+def send(fd: int, record: Any) -> None:
+    """Write ``record`` to the pipe ``fd`` as one pickle, every byte of it
+    (``os.write`` may take part)."""
+    view = memoryview(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     while view:
         view = view[os.write(fd, view):]
+
+
+def records(fd: int) -> Iterator[Any]:
+    """Yield the records :func:`send` wrote to the pipe ``fd``, in order,
+    until the writer closes its end or cuts a record short (a writer that
+    died mid-record); a cut record is not yielded. ``fd`` stays open.
+
+    An iterator buffers what it reads past the record it yields, so each
+    pipe is read through one iterator only."""
+    with open(fd, "rb", closefd=False) as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                return
 
 
 @contextmanager
@@ -78,18 +99,19 @@ def helpers(body: Callable[..., None], inbound: bool = False) -> Iterator[list]:
 
     With ``inbound`` the caller hands work off to one helper (``procs`` is
     at most 2), which also gets a pipe from the caller: it runs
-    ``body(p, procs, report, feed)`` and reads ``feed``, and the block
-    yields ``[(read end of report, write end of feed)]``. Every end the
-    block yields stays the block's to close.
+    ``body(p, procs, report, feed)`` and reads records from ``feed``, and
+    the block yields ``[(read end of report, write end of feed)]``. Every
+    end the block yields stays the block's to close.
 
     Every helper first leaves the CPU the caller last ran on, as far as
     its affinity allows (:func:`_leave_caller_cpu`), so that the caller
     keeps a CPU to itself. A helper writes its records to the pipe
-    ``report`` and exits when ``body`` returns, without flushing any
-    Python file it inherited: a buffer it copied at the fork is written by
-    the caller, and one it filled, only if ``body`` flushes it. If ``body``
-    raises, the helper exits without a further record; so does the first
-    write after the caller has died, which closes the read end. A helper
+    ``report`` (:func:`send`; the caller reads them with :func:`records`)
+    and exits when ``body`` returns, without flushing any Python file it
+    inherited: a buffer it copied at the fork is written by the caller, and
+    one it filled, only if ``body`` flushes it. If ``body`` raises, the
+    helper exits without a further record; so does the first write after
+    the caller has died, which closes the read end. A helper
     never runs the caller's cleanup code, and holds no pipe end of the
     caller's other helpers; a helper it forks in turn holds none of its
     ends either. On leaving the block every helper is killed and reaped and

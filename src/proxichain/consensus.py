@@ -9,7 +9,6 @@ altered record.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -135,8 +134,8 @@ def _split_search(copy: Callable, target: bytes, start: int, limit: int) -> int:
     The nonces go out in rounds of one ``_ROUND``-nonce slice per process:
     the calling process scans slice 0 of each round, and forked helper
     ``p`` (see :func:`proxichain._fork.helpers`) scans slice ``p``,
-    inheriting the prefix hash state. A helper writes one 8-byte record per
-    slice (its lowest hit, or -1) and stops after a hit or past ``limit``.
+    inheriting the prefix hash state. A helper sends one record per slice
+    (its lowest hit, or -1) and stops after a hit or past ``limit``.
     The first round with a hit gives its lowest hit, so the result is the
     nonce a scan from ``start`` would find. With one process the same rounds
     run with no helpers. Every helper is killed and reaped before this
@@ -147,21 +146,21 @@ def _split_search(copy: Callable, target: bytes, start: int, limit: int) -> int:
     def helper(p: int, procs: int, report: int) -> None:
         for lo in range(start + p * span, limit, procs * span):
             nonce = _scan(copy, target, lo, min(lo + span, limit))
-            os.write(report, nonce.to_bytes(8, "little", signed=True))
+            _fork.send(report, nonce)
             if nonce >= 0:
                 break
 
     with _fork.helpers(helper) as reads:
         stride = (len(reads) + 1) * span
+        reports = [_fork.records(fd) for fd in reads]
         for lo in range(start, limit, stride):
             nonce = _scan(copy, target, lo, min(lo + span, limit))
             if nonce >= 0:
                 return nonce
-            for first, fd in zip(range(lo + span, limit, span), reads):
-                record = os.read(fd, 8)
-                if len(record) != 8:
+            for first, report in zip(range(lo + span, limit, span), reports):
+                nonce = next(report, None)
+                if nonce is None:
                     raise RuntimeError(f"a mining helper exited without reporting nonces {first}+")
-                nonce = int.from_bytes(record, "little", signed=True)
                 if nonce >= 0:
                     if not first <= nonce < min(first + span, limit):
                         raise RuntimeError(f"a mining helper reported nonce {nonce} "

@@ -468,8 +468,8 @@ def run_localization_eval(
     :func:`proxichain._fork.helpers`) the others. A trial is seeded by
     ``(seed, trial)`` alone and the records are merged in trial order, so
     the rows do not depend on the number of processes. A helper that dies
-    or reports a short record has its share redone here, so an error is the
-    one a sequential run raises, at the same trial.
+    or cuts its share's record short has its share redone here, so an error
+    is the one a sequential run raises, at the same trial.
     """
     if trials < 30:
         raise ValueError("need at least 30 trials per SNR point")
@@ -481,21 +481,16 @@ def run_localization_eval(
         return trials * p // procs, trials * (p + 1) // procs
 
     def helper(p: int, procs: int, report: int) -> None:
-        _fork.write_all(report, _loc_trials(seed, *bounds(p, procs), snr_list))
+        _fork.send(report, _loc_trials(seed, *bounds(p, procs), snr_list))
 
     with _fork.helpers(helper) as reads:
         procs = len(reads) + 1
         shares = [_loc_trials(seed, *bounds(0, procs), snr_list)]
         for p, fd in enumerate(reads, 1):
-            start, stop = bounds(p, procs)
-            shape = (stop - start, len(snr_list), _LOC_FIELDS)
-            size = 8 * shape[0] * shape[1] * shape[2]
-            with open(fd, "rb", closefd=False) as fh:
-                block = fh.read(size)
-            if len(block) == size:
-                shares.append(np.frombuffer(block).reshape(shape))
-            else:  # the helper died or its share raised
-                shares.append(_loc_trials(seed, start, stop, snr_list))
+            share = next(_fork.records(fd), None)
+            if share is None:  # the helper died or its share raised
+                share = _loc_trials(seed, *bounds(p, procs), snr_list)
+            shares.append(share)
     records = np.concatenate(shares)
 
     rows: list[LocEvalRow] = []

@@ -464,9 +464,8 @@ class ChainTail(Sequence[HeldBlock]):
     on the tip read nothing older. Each block is kept as a
     :class:`HeldBlock`. ``len`` is the height of the whole chain; reading an
     evicted block raises ``IndexError``. Each block, genesis first, is
-    written to ``file`` as its ``chain.jsonl`` line when it is appended, so
-    the file equals :func:`save_chain`'s; a tail whose ``file`` is None
-    makes no lines.
+    written to ``file``, an open text file, as its ``chain.jsonl`` line
+    when it is appended, so the file equals :func:`save_chain`'s.
 
     A tail lasts one run, and it carries two stores for that run: the last
     window state :func:`whash_state` computed on it (dropped on append),
@@ -479,7 +478,7 @@ class ChainTail(Sequence[HeldBlock]):
     (:meth:`append_elsewhere`), and writes nothing.
     """
 
-    def __init__(self, file: Optional[TextIO]):
+    def __init__(self, file: TextIO):
         self.file = file
         self._blocks: list[HeldBlock] = []
         self._height = 0
@@ -508,8 +507,7 @@ class ChainTail(Sequence[HeldBlock]):
 
     def append(self, block: Block) -> None:
         """Hold ``block`` as the new tip, after writing its line."""
-        if self.file is not None:
-            self.file.write(block_to_json_line(block) + "\n")
+        self.file.write(block_to_json_line(block) + "\n")
         self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]

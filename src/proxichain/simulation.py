@@ -13,10 +13,7 @@ pairs; background submission/query traffic fills the rest of each block.
 
 from __future__ import annotations
 
-import json
-import pickle
 import select
-import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -601,52 +598,41 @@ def _add_block(
     append_block(chain, block, registry, credit, alpha_d)
 
 
-# One frame on the block process's feed: the byte length of a pickled job
-# and the miner's credit at append time, then the job. The two processes run
-# one program image, so pickle needs no decoder kept in step. A frame of
-# length 0 ends the run.
-_FRAME = struct.Struct("<Qd")
-
-
 def _build_blocks(
     chain: ChainTail, registry: AuthorizedRegistry, alpha_d: float, report: int, feed: int
 ) -> None:
-    """The block process: add each job fed to it to its own copy of
-    ``chain`` with :func:`_add_block`, as one CPU adds them in process,
-    until a block is refused or the run ends.
+    """The block process: add each ``(job, credit)`` record fed to it to
+    its own copy of ``chain`` with :func:`_add_block`, as one CPU adds them
+    in process, until a block is refused or the run ends.
 
     The copy writes each appended block's line to its copy of the chain
-    file, which is flushed before the verdict goes to ``report``: a JSON
-    array, ``[reason, detail]`` for the first refused block, ``[]`` once
-    the end frame follows only accepted blocks, or ``["type: message"]``
-    for any other exception, a failed chain write included. A caller gone
-    before its end frame gets nothing."""
+    file, which is flushed before the verdict goes to ``report``: one
+    record, ``[reason, detail]`` for the first refused block, ``[]`` once
+    the ``None`` record ends a feed of accepted blocks, or
+    ``["type: message"]`` for any other exception, a failed chain write
+    included. A caller gone before its ``None`` record gets nothing."""
     verdict: list[str] = []
     try:
-        with open(feed, "rb") as fh:
-            while True:
-                header = fh.read(_FRAME.size)
-                if len(header) < _FRAME.size:
-                    return
-                size, credit = _FRAME.unpack(header)
-                if not size:
-                    break
-                try:
-                    _add_block(chain, registry, alpha_d, pickle.loads(fh.read(size)), credit)
-                except BlockRejectedError as exc:
-                    verdict = [exc.reason, exc.detail]
-                    break
-        if chain.file is not None:
-            chain.file.flush()
+        for record in _fork.records(feed):
+            if record is None:
+                break
+            try:
+                _add_block(chain, registry, alpha_d, *record)
+            except BlockRejectedError as exc:
+                verdict = [exc.reason, exc.detail]
+                break
+        else:
+            return  # the caller died before its None record
+        chain.file.flush()
     except Exception as exc:
         verdict = [f"{type(exc).__name__}: {exc}"]
-    _fork.write_all(report, json.dumps(verdict).encode())
+    _fork.send(report, verdict)
 
 
 class _BlockProcess:
     """The caller's side of the block process (:func:`_build_blocks`): the
     read end of its report, which carries only the verdict, and the write
-    end of its feed."""
+    end of its feed, one ``(job, credit)`` record a block, then ``None``."""
 
     def __init__(self, chain: ChainTail, report: int, feed: int):
         self._chain = chain
@@ -658,8 +644,7 @@ class _BlockProcess:
     def send(self, job: tuple, credit: float) -> None:
         """Feed one block's job and its miner's credit, and count the block
         on the caller's tail."""
-        data = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
-        self._write(_FRAME.pack(len(data), credit) + data)
+        self._write((job, credit))
         self._chain.append_elsewhere()
 
     def poll(self) -> None:
@@ -669,12 +654,12 @@ class _BlockProcess:
 
     def finish(self) -> None:
         """End the feed and wait for the verdict."""
-        self._write(_FRAME.pack(0, 0.0))
+        self._write(None)
         self._verdict()
 
-    def _write(self, data: bytes) -> None:
+    def _write(self, record: Optional[tuple]) -> None:
         try:
-            _fork.write_all(self._feed, data)
+            _fork.send(self._feed, record)
         except BrokenPipeError:
             # The block process has refused a block, failed or died, so its
             # verdict, or the lack of one, raises.
@@ -682,15 +667,15 @@ class _BlockProcess:
             raise
 
     def _verdict(self) -> None:
-        """Read the report to end-of-file and raise what it says:
+        """Read the report to its end and raise what its record says:
         :class:`BlockRejectedError` for a refused block, ``RuntimeError``
         naming the exception that ended the block process, or
-        ``RuntimeError`` if it exited without a verdict."""
-        with open(self._report, "rb", closefd=False) as fh:
-            data = fh.read()
-        if not data:
+        ``RuntimeError`` if it exited without a verdict. Reading to the end
+        waits for the block process to exit, so its file writes are done."""
+        reports = list(_fork.records(self._report))
+        if not reports:
             raise RuntimeError("the block process exited without a verdict")
-        verdict = json.loads(data)
+        verdict = reports[0]
         if len(verdict) == 2:
             raise BlockRejectedError(*verdict)
         if verdict:
@@ -720,8 +705,7 @@ def _block_process(
     if not isinstance(chain, ChainTail):
         yield None
         return
-    if chain.file is not None:
-        chain.file.flush()
+    chain.file.flush()
     registry, alpha_d = world.registry, world.config.policy.alpha_d
 
     def seed_keys() -> None:

@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+from proxichain import _fork
+
 
 def pytest_configure(config):
     config._criteria_lines = []
@@ -86,6 +88,48 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+_SEND = _fork.send  # the whole send, whatever a test patches in
+
+
+def _sent_bytes(record) -> bytes:
+    """The bytes ``_fork.send`` writes for ``record`` (at most a pipe's
+    64 KiB)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        _SEND(write_fd, record)
+        return os.read(read_fd, 1 << 16)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+@pytest.fixture
+def sent_bytes():
+    """:func:`_sent_bytes`: the bytes ``_fork.send`` writes for a record."""
+    return _sent_bytes
+
+
+_CUTS = {"first-byte": lambda n: 1, "half": lambda n: n // 2, "all-but-the-last-byte": lambda n: n - 1}
+
+
+@pytest.fixture(params=list(_CUTS))
+def cut_send(request, monkeypatch):
+    """Make ``_fork.send`` in every forked process write only the start of
+    its record (its first byte, half of it, or all but its last byte) and
+    exit there, as a helper that dies mid-record does. ``send`` in this
+    process is left whole."""
+    caller, keep = os.getpid(), _CUTS[request.param]
+
+    def cutting(fd, record):
+        if os.getpid() == caller:
+            return _SEND(fd, record)
+        data = _sent_bytes(record)
+        os.write(fd, data[: keep(len(data))])
+        os._exit(0)
+
+    monkeypatch.setattr(_fork, "send", cutting)
 
 
 @pytest.fixture(scope="session")

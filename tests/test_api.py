@@ -1,9 +1,12 @@
 """The package's public names: every entry of ``proxichain.__all__`` resolves."""
 
 import dataclasses
+import io
+import re
+from pathlib import Path
 
 import proxichain
-from proxichain import aoa, ledger, simulation
+from proxichain import _fork, aoa, ledger, simulation
 
 
 def test_star_import_resolves_every_public_name():
@@ -36,7 +39,9 @@ def test_removed_names_stay_out_of_the_api():
     # Removed when synthesis took the SNRs alone: every burst took the one
     # line-of-sight path, and only the tests built a multipath channel.
     gone += [(aoa, "ChannelRealization"), (aoa, "CARRIER_HZ"), (aoa, "awgn_channel")]
-    assert not hasattr(ledger.ChainTail(None), "write")
+    # Removed when every helper pipe began carrying _fork.send's records.
+    gone += [(_fork, "write_all"), (simulation, "_FRAME")]
+    assert not hasattr(ledger.ChainTail(io.StringIO()), "write")
     for owner, name in gone:
         assert not hasattr(owner, name), name
     fields = {f.name for f in dataclasses.fields(simulation.WorldState)}
@@ -44,3 +49,13 @@ def test_removed_names_stay_out_of_the_api():
     assert isinstance(ledger.Chain(), list)
     assert ledger.Chain() == [ledger.make_genesis()]
     assert ledger.Chain([]) == []
+
+
+def test_only_fork_reads_and_writes_pipes():
+    """Every helper pipe carries ``_fork.send``'s records, read back by
+    ``_fork.records``: no other module calls ``os.read`` or ``os.write``,
+    so the wire format lives in ``_fork`` alone."""
+    package = Path(proxichain.__file__).parent
+    raw = re.compile(r"\bos\.(read|write)\(")
+    found = [path.name for path in sorted(package.glob("*.py")) if raw.search(path.read_text())]
+    assert found == ["_fork.py"]

@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
-import json
 import os
+import pickle
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -431,6 +431,18 @@ class TestSearchHelpers:
             mine(chain, cand, DL_TWO)
         _assert_reaped(forked)
 
+    def test_helper_that_cuts_its_record_short(self, far_case, forked, cut_send,
+                                               monkeypatch):
+        chain, cand, nonce = far_case
+        # As above: only the helper could report the winner, and it dies
+        # part-way through the record of its first slice.
+        monkeypatch.setattr(identity, "_CORES", 2)
+        monkeypatch.setattr(consensus, "_SOLO_TRIALS", nonce - ROUND)
+        with _deadline(10.0), pytest.raises(RuntimeError, match="without reporting nonces"):
+            mine(chain, cand, DL_TWO)
+        assert forked
+        _assert_reaped(forked)
+
     def test_unchecked_helper_nonce_is_refused(self, far_case, forked, monkeypatch):
         chain, cand, nonce = far_case
         # No nonce of the first round satisfies DL_TWO, so the helper's
@@ -455,13 +467,12 @@ def test_forked_helper_that_raises_exits_without_a_record(forked, monkeypatch):
     monkeypatch.setattr(identity, "_CORES", 2)
 
     def body(p, procs, report):
-        os.write(report, bytes([p, procs]))
+        _fork.send(report, (p, procs))
         raise ValueError("the helper's work failed")
 
     with _fork.helpers(body) as reads:
         assert len(reads) == 1
-        with os.fdopen(reads[0], "rb", closefd=False) as fh:
-            assert fh.read() == bytes([1, 2])
+        assert list(_fork.records(reads[0])) == [(1, 2)]
     assert len(forked) == 1
     _assert_reaped(forked)
 
@@ -472,16 +483,54 @@ def test_forked_helper_with_an_inbound_pipe(forked, monkeypatch):
     monkeypatch.setattr(identity, "_CORES", 3)
 
     def body(p, procs, report, feed):
-        with os.fdopen(feed, "rb") as fh:
-            _fork.write_all(report, bytes([p, procs]) + fh.read(3)[::-1])
+        _fork.send(report, (p, procs, next(_fork.records(feed))[::-1]))
 
     with _fork.helpers(body, inbound=True) as ends:
         assert len(ends) == 1
         (status, feed), = ends
-        _fork.write_all(feed, b"abc")
-        with os.fdopen(status, "rb", closefd=False) as fh:
-            assert fh.read() == bytes([1, 2]) + b"cba"
+        _fork.send(feed, b"abc")
+        assert list(_fork.records(status)) == [(1, 2, b"cba")]
     assert len(forked) == 1
+    _assert_reaped(forked)
+
+
+def _job_record() -> tuple:
+    """A ``(job, credit)`` record as ct-run feeds its block process."""
+    tx = make_transaction(MINER, TxKind.ST, b"payload", 7)
+    return ((tx,), MINER.node_id, 12, 7, "DL_e"), 0.25
+
+
+RECORDS = {
+    "nonce": lambda: -1,
+    "verdict": lambda: ["signature", "transaction 0 of block 3"],
+    "share": lambda: np.arange(12.0).reshape(2, 1, 6),
+    "job": _job_record,
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_end_at_every_cut_record(kind, sent_bytes, forked, monkeypatch):
+    """A helper that writes part of a record and exits ends its records
+    without raising, at every cut point: the whole records before the cut
+    one come through, and the cut one does not."""
+    monkeypatch.setattr(identity, "_CORES", 2)
+    record = RECORDS[kind]()
+    data = sent_bytes(record)
+    for cut in range(len(data) + 1):
+
+        def body(p, procs, report):
+            _fork.send(report, "before")
+            os.write(report, data[:cut])  # one write: the pipe holds it all
+
+        with _fork.helpers(body) as reads:
+            received = list(_fork.records(reads[0]))
+        assert received[0] == "before"
+        if cut < len(data):
+            assert len(received) == 1, cut
+        else:
+            assert len(received) == 2
+            assert pickle.dumps(received[1]) == pickle.dumps(record)
+    assert len(forked) == len(data) + 1
     _assert_reaped(forked)
 
 
@@ -563,19 +612,15 @@ def _nested_helpers() -> tuple[set[int], set[int], list[str]]:
                     held.append(name)
                 except OSError:
                     pass
-            cpus = sorted(os.sched_getaffinity(0))
-            _fork.write_all(inner_report, json.dumps([cpus, held]).encode())
+            _fork.send(inner_report, (os.sched_getaffinity(0), held))
 
         with _fork.helpers(inner) as reads:
-            with os.fdopen(reads[0], "rb", closefd=False) as fh:
-                inner_cpus, held = json.loads(fh.read())
-        outer_cpus = sorted(os.sched_getaffinity(0))
-        _fork.write_all(report, json.dumps([outer_cpus, inner_cpus, held]).encode())
+            inner_cpus, held = next(_fork.records(reads[0]))
+        _fork.send(report, (os.sched_getaffinity(0), inner_cpus, held))
 
     with _fork.helpers(outer) as reads:
-        with os.fdopen(reads[0], "rb", closefd=False) as fh:
-            outer_cpus, inner_cpus, held = json.loads(fh.read())
-    return set(outer_cpus), set(inner_cpus), held
+        outer_cpus, inner_cpus, held = next(_fork.records(reads[0]))
+    return outer_cpus, inner_cpus, held
 
 
 @pytest.mark.skipif(

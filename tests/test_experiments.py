@@ -554,6 +554,18 @@ class TestCtValidator:
         TestCtExperiment._assert_crashed_mid_run(tmp_path)
         _assert_reaped(forked)
 
+    def test_cut_verdict_raises_without_a_verdict(self, tmp_path, forked, cut_send,
+                                                   monkeypatch):
+        """A block process that dies part-way through its verdict's record
+        leaves the run without a verdict."""
+        monkeypatch.setattr(identity, "_CORES", 2)
+        world = simulation.build_world(TINY_SIM)
+        with open(tmp_path / "chain.jsonl", "w") as fh:
+            with pytest.raises(RuntimeError, match="block process exited without a verdict"):
+                run_epoch(world, simulation.ChainTail(fh))
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
     def test_crash_during_chain_write_reaps_the_validator(self, tmp_path, forked, monkeypatch):
         """The block process writes the chain file, so its failed write
         ends the run with an error that names it."""
@@ -808,6 +820,13 @@ class TestSplitLocalizationEval:
             return trial_geometry(seed, trial, *args)
 
         monkeypatch.setattr(experiments, "_loc_geometry", helper_dies)
+        assert _split_eval() == sequential_rows
+        assert len(forked) == 2
+        _assert_reaped(forked)
+
+    def test_share_of_a_helper_that_cuts_its_record_is_redone(self, forked, sequential_rows,
+                                                              cut_send, monkeypatch):
+        monkeypatch.setattr(identity, "_CORES", 3)
         assert _split_eval() == sequential_rows
         assert len(forked) == 2
         _assert_reaped(forked)

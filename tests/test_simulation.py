@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import struct
@@ -712,7 +713,7 @@ class TestEpoch:
         CPU this process adds the blocks, and seeds the store."""
         monkeypatch.setattr(identity, "_CORES", 1)
         world = build_world(SimConfig(n_agents=12, ticks=2, seed=3, **SMALL))
-        tail = ChainTail(None)
+        tail = ChainTail(io.StringIO())
         run_epoch(world, tail)
         identities = (*world.identities, world.manager, *world.authorized)
         assert {ident.public_key for ident in identities} <= tail.parsed_keys.keys()
