@@ -31,8 +31,8 @@ for snr in (None, 20.0, 10.0, 0.0):
     for b in picked:
         delta = target - b
         azimuth = float(np.degrees(np.arctan2(abs(delta[1]), delta[0])))
-        snap = aoa.synthesize_snapshot(snr, azimuth, 0.0, 4, 256, rng)
-        spectrum = aoa.music_spectrum(snap, n_sources=1)
+        snap = aoa.synthesize_snapshot(snr, azimuth, 0.0, rng)
+        spectrum = aoa.music_spectrum(snap)
         spectra.append(aoa.normalize_spectrum(spectrum))
         estimate = aoa.spectrum_peak(spectrum)
         # A linear array cannot tell a source from its mirror image across

@@ -1,7 +1,8 @@
 """BLE array-signal synthesis, MUSIC bearing estimation and triangulation.
 
-The receive model is a uniform linear array of ``n_elements`` antennas at
-half-wavelength spacing (``SPACING_OVER_LAMBDA``). A narrowband source at
+The receive model is a uniform linear array of ``ARRAY_ELEMENTS`` antennas
+at half-wavelength spacing (``SPACING_OVER_LAMBDA``), each recording
+``SNAPSHOT_SAMPLES`` samples of a burst. A narrowband source at
 azimuth theta (degrees, 0 to 180, measured from the array axis) and
 elevation phi reaches element ``m`` with phase
 ``exp(-2j pi (d / lambda) m cos(theta) cos(phi))``. Snapshots stack M
@@ -16,7 +17,7 @@ holds one block for all of them. A burst reaches an array on one
 line-of-sight path, plus white noise at the requested SNR. The one-snapshot
 functions are batches of one on plain arrays. Every call reads the element
 spacing from ``SPACING_OVER_LAMBDA`` when it runs, so that constant is the
-only one to change.
+only one to change; the array's shape is fixed.
 
 The transmitter sends one GFSK advertising burst, fixed by module constants:
 ``SYMBOL_ENERGY`` and ``SYMBOL_PERIOD`` set its amplitude,
@@ -50,6 +51,10 @@ ANGLE_IMAGE_PAYLOAD = ANGLE_IMAGE_BEACONS * 181  # 724 spectrum samples
 # Element spacing in wavelengths: synthesis, steering vectors and the MUSIC
 # scan all read it from here at call time.
 SPACING_OVER_LAMBDA = 0.5
+# Every receiver is one array of this shape. A burst comes from one
+# transmitter, so MUSIC splits off a one-dimensional signal subspace.
+ARRAY_ELEMENTS = 4
+SNAPSHOT_SAMPLES = 256
 # The GFSK advertising burst.
 SYMBOL_ENERGY = 1.0
 SYMBOL_PERIOD = 1e-6
@@ -101,7 +106,7 @@ def _draw_symbols(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.cache
-def _frequency_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frequency_tables() -> tuple[np.ndarray, np.ndarray]:
     """Every sample ``_modulate`` can need of a pulse-shaped burst, read off
     ``np.convolve`` itself, so a lookup gives its bytes. Built at the first
     burst, not at import: building them raises a process's peak RSS by
@@ -112,10 +117,9 @@ def _frequency_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``interior[pattern, r]``, ``pattern`` being symbols ``q - 2 .. q + 2``
     read as bits (+1 is 1), most significant first. The first two symbols'
     samples, where ``np.convolve`` truncates the window, depend only on the
-    first four symbols: ``head[pattern]``. A burst of fewer than
-    ``SAMPLES_PER_SYMBOL`` samples holds four symbols, fewer samples than
-    the pulse has taps, and there ``np.convolve`` swaps its operands:
-    ``short[pattern]``.
+    first four symbols: ``head[pattern]``. The two serve bursts of at least
+    one symbol; a shorter one holds fewer samples than the pulse has taps,
+    where ``np.convolve`` swaps its operands.
     """
     sps = SAMPLES_PER_SYMBOL
 
@@ -125,14 +129,15 @@ def _frequency_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.stack([np.convolve(row, _PULSE, mode="same") for row in held])
 
     five = filtered(5)
-    tables = (five[:, 2 * sps : 3 * sps], five[::2, : 2 * sps], filtered(4)[:, :sps])
+    tables = (five[:, 2 * sps : 3 * sps], five[::2, : 2 * sps])
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def _modulate(symbols: np.ndarray, n_samples: int) -> np.ndarray:
-    """GFSK baseband for each row of +/-1 symbols: (R, n_symbols) -> (R, n_samples).
+    """GFSK baseband for each row of +/-1 symbols: (R, n_symbols) -> (R, n_samples),
+    for ``n_samples >= SAMPLES_PER_SYMBOL``.
 
     The symbols are pulse-shaped by a Gaussian filter whose normalized
     cumulative response advances the phase by pi times the modulation index
@@ -142,36 +147,31 @@ def _modulate(symbols: np.ndarray, n_samples: int) -> np.ndarray:
     and exponentiated only that far.
     """
     sps = SAMPLES_PER_SYMBOL
-    interior_table, head_table, short_table = _frequency_tables()
+    interior_table, head_table = _frequency_tables()
     bits = (symbols > 0).astype(np.intp)
     head = bits[:, 0] << 3 | bits[:, 1] << 2 | bits[:, 2] << 1 | bits[:, 3]
-    if n_samples < sps:
-        freq = short_table[head, :n_samples]
-    else:
-        # Symbols 2 .. n_held - 1 hold the samples past the head.
-        n_held = max(-(-n_samples // sps), 2)
-        windows = sum(bits[:, k : n_held - 2 + k] << (4 - k) for k in range(5))
-        interior = interior_table[windows].reshape(len(bits), -1)
-        freq = np.concatenate([head_table[head], interior], axis=1)[:, :n_samples]
+    # Symbols 2 .. n_held - 1 hold the samples past the head.
+    n_held = max(-(-n_samples // sps), 2)
+    windows = sum(bits[:, k : n_held - 2 + k] << (4 - k) for k in range(5))
+    interior = interior_table[windows].reshape(len(bits), -1)
+    freq = np.concatenate([head_table[head], interior], axis=1)[:, :n_samples]
     phase = INITIAL_PHASE + np.pi * MODULATION_INDEX * np.cumsum(freq, axis=1) / sps
     amplitude = math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD)
     return amplitude * np.exp(1j * phase)
 
 
-def steering_vector(azimuth_deg: float, elevation_deg: float, n_elements: int) -> np.ndarray:
+def steering_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     """Per-element phase response of the linear array to a plane wave."""
     theta = math.radians(azimuth_deg)
     phi = math.radians(elevation_deg)
     phase_step = -2.0j * math.pi * SPACING_OVER_LAMBDA * math.cos(theta) * math.cos(phi)
-    return np.exp(phase_step * np.arange(n_elements))
+    return np.exp(phase_step * np.arange(ARRAY_ELEMENTS))
 
 
 def synthesize_snapshots(
     snrs_db: Sequence[Optional[float]],
     azimuths_deg: Sequence[Sequence[float]],
     elevations_deg: Sequence[Sequence[float]],
-    n_elements: int,
-    n_samples: int,
     rngs: Sequence[Sequence[np.random.Generator]],
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -180,7 +180,8 @@ def synthesize_snapshots(
 
     Trial ``t`` places its B arrays at ``azimuths_deg[t]`` and
     ``elevations_deg[t]`` and draws from its C generators ``rngs[t]``.
-    Returns complex samples of shape ``(T, C, B, n_elements, n_samples)``:
+    Returns complex samples of shape
+    ``(T, C, B, ARRAY_ELEMENTS, SNAPSHOT_SAMPLES)``:
     one array per (azimuth, elevation) pair, all of them once per SNR.
     ``snrs_db[c]`` is in dB, or None for no noise; each array's noise level
     is set from it against the array's actual signal power, so the
@@ -214,12 +215,9 @@ def synthesize_snapshots(
         raise ValueError("azimuth must sit in [0, 180] degrees")
     if not all(-90.0 <= el <= 90.0 for trial in elevations_deg for el in trial):
         raise ValueError("elevation must be finite and sit in [-90, 90] degrees")
-    if n_elements < 2:
-        raise ValueError("need at least two array elements")
-    if n_samples < n_elements:
-        raise ValueError("need at least as many samples as elements")
 
     shape = (len(rngs), len(snrs_db), n_arrays)
+    n_elements, n_samples = ARRAY_ELEMENTS, SNAPSHOT_SAMPLES
     if out is None:
         out = np.empty((*shape, n_elements, n_samples), dtype=complex)
     elif not (
@@ -257,7 +255,7 @@ def synthesize_snapshots(
     relative = np.array([0.0 if snr is None else 10.0 ** (-snr / 10.0) for snr in snrs_db])
     steering = np.array(
         [
-            [steering_vector(az, el, n_elements) for az, el in zip(trial_az, trial_el)]
+            [steering_vector(az, el) for az, el in zip(trial_az, trial_el)]
             for trial_az, trial_el in zip(azimuths_deg, elevations_deg)
         ]
     )
@@ -279,15 +277,11 @@ def synthesize_snapshot(
     snr_db: Optional[float],
     azimuth_deg: float,
     elevation_deg: float,
-    n_elements: int,
-    n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One array's recording of one advertising burst, shape
-    ``(n_elements, n_samples)`` (see ``synthesize_snapshots``)."""
-    return synthesize_snapshots(
-        [snr_db], [[azimuth_deg]], [[elevation_deg]], n_elements, n_samples, [[rng]]
-    )[0, 0, 0]
+    ``(ARRAY_ELEMENTS, SNAPSHOT_SAMPLES)`` (see ``synthesize_snapshots``)."""
+    return synthesize_snapshots([snr_db], [[azimuth_deg]], [[elevation_deg]], [[rng]])[0, 0, 0]
 
 
 def _covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,42 +306,40 @@ def snapshot_covariance(samples: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _steering_matrix(n_elements: int, spacing: float) -> np.ndarray:
+def _steering_matrix(spacing: float) -> np.ndarray:
     """All 181 grid steering vectors at elevation zero for elements ``spacing``
     wavelengths apart: column theta scans the grid."""
     phase_step = -2j * np.pi * spacing * np.cos(np.radians(AZIMUTH_GRID))
-    a = np.exp(np.outer(np.arange(n_elements), phase_step))
+    a = np.exp(np.outer(np.arange(ARRAY_ELEMENTS), phase_step))
     a.setflags(write=False)
     return a
 
 
-def music_spectra(samples: np.ndarray, n_sources: int) -> np.ndarray:
+def music_spectra(samples: np.ndarray) -> np.ndarray:
     """Pseudo-spectra over integer azimuths 0..180 at elevation zero.
 
-    ``samples`` stacks B array outputs, shape ``(B, n_elements, M)``; the
-    result has shape ``(B, 181)``. Peaks appear where the steering vector
-    falls out of the noise subspace spanned by the smallest covariance
-    eigenvectors.
+    ``samples`` stacks B array outputs, shape ``(B, ARRAY_ELEMENTS, M)``;
+    the result has shape ``(B, 181)``. Peaks appear where the steering
+    vector falls out of the noise subspace: every covariance eigenvector
+    but the one source's, the largest.
     """
-    if samples.ndim != 3 or samples.shape[0] < 1:
-        raise ValueError("samples must stack one or more arrays: (B, n_elements, M)")
-    n_e, n_samples = samples.shape[1:]
-    if not 1 <= n_sources < n_e:
-        raise ValueError("n_sources must sit in [1, n_elements)")
-    if n_samples < n_e:
-        raise NumericalRankError(f"{n_samples} samples cannot resolve {n_e} elements")
+    if samples.ndim != 3 or samples.shape[0] < 1 or samples.shape[1] != ARRAY_ELEMENTS:
+        raise ValueError(f"samples must stack one or more arrays: (B, {ARRAY_ELEMENTS}, M)")
+    n_samples = samples.shape[2]
+    if n_samples < ARRAY_ELEMENTS:
+        raise NumericalRankError(f"{n_samples} samples cannot resolve {ARRAY_ELEMENTS} elements")
     _, eigvecs = _covariances(samples)
-    noise_space = eigvecs[:, :, : n_e - n_sources]
+    noise_space = eigvecs[:, :, : ARRAY_ELEMENTS - 1]
     projector = noise_space @ noise_space.conj().swapaxes(-1, -2)
 
-    a = _steering_matrix(n_e, SPACING_OVER_LAMBDA)
+    a = _steering_matrix(SPACING_OVER_LAMBDA)
     denom = np.real(np.einsum("it,bit->bt", a.conj(), projector @ a))
     return 1.0 / np.maximum(denom, np.finfo(float).tiny)
 
 
-def music_spectrum(samples: np.ndarray, n_sources: int) -> np.ndarray:
+def music_spectrum(samples: np.ndarray) -> np.ndarray:
     """One array output's MUSIC pseudo-spectrum (see ``music_spectra``)."""
-    return music_spectra(samples[None], n_sources)[0]
+    return music_spectra(samples[None])[0]
 
 
 def spectrum_peak(spectrum: np.ndarray) -> int:

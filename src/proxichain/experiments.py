@@ -70,7 +70,6 @@ class ExperimentSpec:
 
 def spec_to_json(spec: ExperimentSpec) -> str:
     body = asdict(spec)
-    body["sim"]["policy"] = asdict(spec.sim.policy)
     return json.dumps(body, sort_keys=True, indent=2)
 
 
@@ -338,10 +337,6 @@ _LOC_FIELDS = 6
 # and keep a group's arrays under 1 MB; MUSIC stays per trial, whose
 # batches over trials cost more memory than they saved time.
 _LOC_GROUP = 4
-# Each receiver is a four-element array recording 256 samples: the shape of
-# the block a share synthesizes into and of every synthesis call.
-_LOC_ELEMENTS = 4
-_LOC_SAMPLES = 256
 
 
 class _LocGeometry(NamedTuple):
@@ -369,10 +364,10 @@ def _loc_geometry(seed: int, trial: int, beacons: np.ndarray) -> _LocGeometry:
 
 def _loc_fixes(geometry: _LocGeometry, samples: np.ndarray) -> np.ndarray:
     """The ``(C, _LOC_FIELDS)`` records of one trial's snapshots, shape
-    ``(C, 4, n_elements, n_samples)``: one MUSIC call over them all, then
-    one triangulation per SNR row."""
+    ``(C, 4, aoa.ARRAY_ELEMENTS, aoa.SNAPSHOT_SAMPLES)``: one MUSIC call
+    over them all, then one triangulation per SNR row."""
     n_channels = len(samples)
-    spectra = aoa.music_spectra(samples.reshape(-1, *samples.shape[2:]), n_sources=1)
+    spectra = aoa.music_spectra(samples.reshape(-1, *samples.shape[2:]))
     peaks = np.argmax(spectra, axis=1).reshape(n_channels, 4)
     records = np.zeros((n_channels, _LOC_FIELDS))
     records[:, :4] = np.abs(peaks - geometry.azimuths)
@@ -397,8 +392,8 @@ def _loc_group(
 ) -> np.ndarray:
     """The ``(len(group), len(snrs), _LOC_FIELDS)`` records of the
     trials in ``group``, synthesized in one call into ``block``, of shape
-    ``(len(group), len(snrs), 4, _LOC_ELEMENTS, _LOC_SAMPLES)``: SNR row
-    ``k`` of trial ``t`` draws from its own generator, seeded by
+    ``(len(group), len(snrs), 4, aoa.ARRAY_ELEMENTS, aoa.SNAPSHOT_SAMPLES)``:
+    SNR row ``k`` of trial ``t`` draws from its own generator, seeded by
     ``(seed, t, k + 1)``. MUSIC and triangulation run per trial."""
     geometries = [_loc_geometry(seed, trial, beacons) for trial in group]
     noise_rngs = [
@@ -412,8 +407,6 @@ def _loc_group(
         snrs,
         [g.azimuths for g in geometries],
         [g.elevations for g in geometries],
-        _LOC_ELEMENTS,
-        _LOC_SAMPLES,
         noise_rngs,
         out=block,
     )
@@ -432,7 +425,9 @@ def _loc_trials(
     the next group (~8.8k minor faults per 150-trial call)."""
     beacons = beacon_grid()
     records = np.empty((stop - start, len(snrs), _LOC_FIELDS))
-    block = np.empty((_LOC_GROUP, len(snrs), 4, _LOC_ELEMENTS, _LOC_SAMPLES), dtype=complex)
+    block = np.empty(
+        (_LOC_GROUP, len(snrs), 4, aoa.ARRAY_ELEMENTS, aoa.SNAPSHOT_SAMPLES), dtype=complex
+    )
     for first in range(start, stop, _LOC_GROUP):
         last = min(first + _LOC_GROUP, stop)
         records[first - start : last - start] = _loc_group(

@@ -62,11 +62,8 @@ _AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else Non
 # every CPU counts.
 _CORES = len(_AFFINITY) if _AFFINITY is not None else os.cpu_count() or 1
 # Fewest triples a chunk of a split verify batch may get, so that a small
-# batch (a ct-run block holds ~10) does not pay for a thread pool. The checks
-# themselves do not overlap: cryptography 48 holds the interpreter lock while
-# OpenSSL verifies, and on a 2-vCPU Xeon two threads checking 500 signatures
-# each under one parsed key took 113 ms, as long as one thread checking all
-# 1000.
+# batch, such as a ct-run block's ~10 signatures, is checked in the calling
+# thread and pays for no thread pool.
 _MIN_VERIFY_CHUNK = 25
 
 

@@ -548,7 +548,7 @@ def _emit_trace(
     world.iup.add(world.identities[i].node_id, now)
     dists = world.last_contact_dist[rows[peers], cols[peers]]
     trace_sink(text.line(now, i, peers, dists, ticks))
-    if peers.size and world.manager is not None:
+    if peers.size:
         # The manager alarms every listed contact; they become notified.
         world.pending.append(make_transaction(world.manager, TxKind.AT, payload, now))
         world.notified[peers] = True

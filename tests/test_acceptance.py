@@ -372,15 +372,14 @@ def test_criterion_7_bearing_estimator(criteria_log):
     for trial in range(100):
         truth = float(rng.uniform(2.0, 178.0))
         snap = synthesize_snapshot(
-            None, truth, 0.0, 4, 256,
-            np.random.default_rng(np.random.SeedSequence((777, trial))),
+            None, truth, 0.0, np.random.default_rng(np.random.SeedSequence((777, trial)))
         )
         r = snapshot_covariance(snap)
         if not np.array_equal(r, r.conj().T):
             hermitian_psd = False
         if np.linalg.eigvalsh(r)[0] < -1e-9 * float(np.abs(np.linalg.eigvalsh(r)).max()):
             hermitian_psd = False
-        peak = spectrum_peak(music_spectrum(snap, n_sources=1))
+        peak = spectrum_peak(music_spectrum(snap))
         worst = max(worst, abs(peak - truth))
 
     ok = err20 <= err10 and worst <= 1.0 and hermitian_psd

@@ -7,11 +7,13 @@ from proxichain import aoa
 from proxichain.aoa import (
     ANGLE_IMAGE_PAYLOAD,
     ANGLE_IMAGE_SIDE,
+    ARRAY_ELEMENTS,
     AZIMUTH_GRID,
     DegenerateGeometryError,
     MODULATION_INDEX,
     NumericalRankError,
     SAMPLES_PER_SYMBOL,
+    SNAPSHOT_SAMPLES,
     SYMBOL_ENERGY,
     SYMBOL_PERIOD,
     _draw_symbols,
@@ -30,16 +32,16 @@ from proxichain.aoa import (
 )
 
 
-def _snapshot(azimuth, snr_db=None, seed=0, n_elements=4, n_samples=256, elevation=0.0):
+def _snapshot(azimuth, snr_db=None, seed=0, elevation=0.0):
     rng = np.random.default_rng(seed)
-    return synthesize_snapshot(snr_db, azimuth, elevation, n_elements, n_samples, rng)
+    return synthesize_snapshot(snr_db, azimuth, elevation, rng)
 
 
-def _baseband(n_samples, seed):
+def _baseband(seed):
     """The GFSK source of one burst: element 0 of a noiseless array, whose
     steering phase is exactly 1."""
     rng = np.random.default_rng(seed)
-    return synthesize_snapshots([None], [[90.0]], [[0.0]], 2, n_samples, [[rng]])[0, 0, 0, 0]
+    return synthesize_snapshots([None], [[90.0]], [[0.0]], [[rng]])[0, 0, 0, 0]
 
 
 def _convolved_baseband(symbols, n_samples):
@@ -56,6 +58,12 @@ class TestWaveform:
     def test_constants_sit_in_the_ble_bands(self):
         assert 0.45 <= MODULATION_INDEX <= 0.55
 
+    def test_snapshot_holds_a_symbol_and_resolves_the_array(self):
+        """Synthesis checks neither per call: a snapshot spans at least one
+        symbol, which the frequency tables need, and as many samples as the
+        array has elements, which MUSIC needs for a full-rank covariance."""
+        assert SNAPSHOT_SAMPLES >= max(ARRAY_ELEMENTS, SAMPLES_PER_SYMBOL)
+
 
 class TestChannel:
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
@@ -63,9 +71,9 @@ class TestChannel:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="finite"):
-            synthesize_snapshot(snr_db, 90.0, 0.0, 4, 64, rng)
+            synthesize_snapshot(snr_db, 90.0, 0.0, rng)
         with pytest.raises(ValueError, match="finite"):
-            synthesize_snapshots([20.0, snr_db], [[90.0]], [[0.0]], 4, 64, [[rng, rng]])
+            synthesize_snapshots([20.0, snr_db], [[90.0]], [[0.0]], [[rng, rng]])
         assert rng.bit_generator.state == state
 
     def test_awgn_is_single_clean_path(self):
@@ -76,7 +84,7 @@ class TestChannel:
         snap = _snapshot(azimuth, snr_db=None, seed=6, elevation=elevation)
         rng = np.random.default_rng(6)
         burst = _modulate(_draw_symbols(256, rng)[None], 256)
-        clean = steering_vector(azimuth, elevation, 4)[:, None] * burst
+        clean = steering_vector(azimuth, elevation)[:, None] * burst
         assert snap.tobytes() == clean.tobytes()
         noisy = _snapshot(azimuth, snr_db=15.0, seed=6, elevation=elevation)
         assert not np.array_equal(noisy, snap)
@@ -84,24 +92,24 @@ class TestChannel:
 
 class TestBaseband:
     def test_length_and_constant_envelope(self):
-        samples = _baseband(512, seed=1)
-        assert samples.shape == (512,)
+        samples = _baseband(seed=1)
+        assert samples.shape == (SNAPSHOT_SAMPLES,)
         expected = math.sqrt(2.0 * SYMBOL_ENERGY / SYMBOL_PERIOD)
         assert np.allclose(np.abs(samples), expected)
 
     def test_seed_determinism(self):
-        a = _baseband(256, seed=5)
-        b = _baseband(256, seed=5)
+        a = _baseband(seed=5)
+        b = _baseband(seed=5)
         assert np.array_equal(a, b)
 
     def test_frequency_tables_give_convolve_bytes(self):
-        """Random batches of 1-19 bursts of 2-599 samples, most of them not
-        a whole number of symbols, and every length up to three symbols,
-        which includes those below one symbol, where np.convolve swaps its
-        operands."""
+        """Random batches of 1-19 bursts of 8-599 samples, most of them not
+        a whole number of symbols, and every length from one symbol up to
+        three."""
         rng = np.random.default_rng(30)
-        shapes = [(int(rng.integers(1, 20)), int(rng.integers(2, 600))) for _ in range(400)]
-        shapes += [(16, n) for n in range(2, 3 * SAMPLES_PER_SYMBOL)]
+        sps = SAMPLES_PER_SYMBOL
+        shapes = [(int(rng.integers(1, 20)), int(rng.integers(sps, 600))) for _ in range(400)]
+        shapes += [(16, n) for n in range(sps, 3 * sps)]
         for rows, n_samples in shapes:
             size = (rows, n_samples // SAMPLES_PER_SYMBOL + 4)
             symbols = np.where(rng.integers(0, 2, size=size) > 0, 1.0, -1.0)
@@ -111,20 +119,20 @@ class TestBaseband:
 
 class TestSteering:
     def test_broadside_is_all_ones(self):
-        v = steering_vector(90.0, 0.0, 6)
-        assert np.allclose(v, np.ones(6))
+        v = steering_vector(90.0, 0.0)
+        assert np.allclose(v, np.ones(ARRAY_ELEMENTS))
 
     def test_endfire_alternates_sign(self):
-        v = steering_vector(0.0, 0.0, 4)
+        v = steering_vector(0.0, 0.0)
         assert np.allclose(v, [1, -1, 1, -1])
 
     def test_unit_modulus(self):
-        v = steering_vector(37.3, 12.0, 8)
+        v = steering_vector(37.3, 12.0)
         assert np.allclose(np.abs(v), 1.0)
 
     def test_elevation_compresses_phase(self):
-        flat = np.angle(steering_vector(60.0, 0.0, 4)[1])
-        tilted = np.angle(steering_vector(60.0, 45.0, 4)[1])
+        flat = np.angle(steering_vector(60.0, 0.0)[1])
+        tilted = np.angle(steering_vector(60.0, 45.0)[1])
         assert abs(tilted) < abs(flat)
 
 
@@ -137,18 +145,19 @@ class TestSnapshot:
     def test_input_guards(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthesize_snapshot(None, 190.0, 0.0, 4, 64, rng)
-        with pytest.raises(ValueError):
-            synthesize_snapshot(None, 90.0, 0.0, 1, 64, rng)
-        with pytest.raises(ValueError):
-            synthesize_snapshot(None, 90.0, 0.0, 4, 2, rng)
+            synthesize_snapshot(None, 190.0, 0.0, rng)
 
     def test_empirical_snr_matches_request(self):
-        """Subtracting a same-seed noiseless run isolates the injected noise."""
+        """Subtracting a same-seed noiseless run isolates the injected noise,
+        here of 80 arrays (81,920 samples) in one call."""
+
+        def arrays(snr_db):
+            rng = np.random.default_rng(21)
+            return synthesize_snapshots([snr_db], [[75.0] * 80], [[0.0] * 80], [[rng]])
+
+        clean = arrays(None)
         for target_db in (0.0, 10.0, 20.0):
-            noisy = _snapshot(75.0, snr_db=target_db, seed=21, n_samples=20_000)
-            clean = _snapshot(75.0, snr_db=None, seed=21, n_samples=20_000)
-            noise = noisy - clean
+            noise = arrays(target_db) - clean
             p_sig = np.mean(np.abs(clean) ** 2)
             p_noise = np.mean(np.abs(noise) ** 2)
             measured = 10.0 * math.log10(p_sig / p_noise)
@@ -167,13 +176,13 @@ class TestMusic:
     def test_noiseless_peak_is_exact_on_grid(self):
         for azimuth in (15, 47, 90, 122, 165):
             snap = _snapshot(float(azimuth), seed=azimuth)
-            peak = spectrum_peak(music_spectrum(snap, n_sources=1))
+            peak = spectrum_peak(music_spectrum(snap))
             assert peak == azimuth
 
     def test_noiseless_off_grid_truth_rounds_to_neighbor(self):
         for azimuth in (33.4, 73.6, 128.5):
             snap = _snapshot(azimuth, seed=11)
-            peak = spectrum_peak(music_spectrum(snap, n_sources=1))
+            peak = spectrum_peak(music_spectrum(snap))
             assert abs(peak - azimuth) <= 1.0
 
     def test_twenty_db_accuracy(self):
@@ -183,35 +192,16 @@ class TestMusic:
         for i in range(trials):
             azimuth = float(rng.uniform(20.0, 160.0))
             snap = _snapshot(azimuth, snr_db=20.0, seed=1000 + i)
-            peak = spectrum_peak(music_spectrum(snap, n_sources=1))
+            peak = spectrum_peak(music_spectrum(snap))
             if abs(peak - azimuth) <= 2.0:
                 hits += 1
         assert hits >= 95
 
-    def test_two_sources_give_two_peaks(self):
-        a = _snapshot(60.0, seed=31, n_samples=512)
-        b = _snapshot(120.0, seed=32, n_samples=512)
-        rng = np.random.default_rng(33)
-        mixed = a + b + 1e-3 * rng.normal(size=a.shape)
-        spectrum = music_spectrum(mixed, n_sources=2)
-        interior = spectrum[1:-1]
-        local_max = np.where((interior > spectrum[:-2]) & (interior > spectrum[2:]))[0] + 1
-        top_two = sorted(local_max[np.argsort(spectrum[local_max])][-2:])
-        assert abs(top_two[0] - 60) <= 2
-        assert abs(top_two[1] - 120) <= 2
-
-    def test_source_count_guards(self):
-        snap = _snapshot(80.0, seed=6)
-        with pytest.raises(ValueError):
-            music_spectrum(snap, n_sources=0)
-        with pytest.raises(ValueError):
-            music_spectrum(snap, n_sources=4)
-
     def test_global_phase_invariance(self):
         snap = _snapshot(95.0, snr_db=12.0, seed=17)
         rotated = snap * np.exp(1j * 0.7)
-        base = music_spectrum(snap, n_sources=1)
-        spun = music_spectrum(rotated, n_sources=1)
+        base = music_spectrum(snap)
+        spun = music_spectrum(rotated)
         assert np.allclose(base, spun, rtol=1e-9, atol=0)
 
     def test_one_spacing_drives_synthesis_and_scan(self, monkeypatch):
@@ -219,15 +209,15 @@ class TestMusic:
         0.4-wavelength array scanned at 0.4 peaks at the true bearing, and the
         same samples scanned at half a wavelength peak at 66 deg for a true
         60 deg."""
-        source = _baseband(256, seed=4)
+        source = _baseband(seed=4)
         monkeypatch.setattr(aoa, "SPACING_OVER_LAMBDA", 0.4)
-        samples = np.outer(steering_vector(60.0, 0.0, 4), source)
-        assert spectrum_peak(music_spectrum(samples, n_sources=1)) == 60
+        samples = np.outer(steering_vector(60.0, 0.0), source)
+        assert spectrum_peak(music_spectrum(samples)) == 60
         monkeypatch.setattr(aoa, "SPACING_OVER_LAMBDA", 0.5)
-        assert spectrum_peak(music_spectrum(samples, n_sources=1)) == 66
+        assert spectrum_peak(music_spectrum(samples)) == 66
 
     def test_spectrum_covers_whole_grid(self):
-        spectrum = music_spectrum(_snapshot(44.0, seed=2), n_sources=1)
+        spectrum = music_spectrum(_snapshot(44.0, seed=2))
         assert spectrum.shape == AZIMUTH_GRID.shape
 
 
@@ -239,11 +229,10 @@ class TestBatch:
     ELEVATIONS = [0.0, 1.5, 3.0, 4.9]
     SNRS = [None, 20.0, 10.0]
 
-    def _batch(self, snrs, seeds, n_samples=256):
-        """One trial's samples, shape (C, B, n_elements, n_samples)."""
+    def _batch(self, snrs, seeds):
+        """One trial's samples, shape (C, B, ARRAY_ELEMENTS, SNAPSHOT_SAMPLES)."""
         return synthesize_snapshots(
-            snrs, [self.AZIMUTHS], [self.ELEVATIONS], 4, n_samples,
-            [[np.random.default_rng(s) for s in seeds]],
+            snrs, [self.AZIMUTHS], [self.ELEVATIONS], [[np.random.default_rng(s) for s in seeds]]
         )[0]
 
     @pytest.mark.parametrize("snr", SNRS[:2], ids=["noiseless", "20dB"])
@@ -251,7 +240,7 @@ class TestBatch:
         batch = self._batch([snr], [9])
         rng = np.random.default_rng(9)
         singles = [
-            synthesize_snapshot(snr, az, el, 4, 256, rng)
+            synthesize_snapshot(snr, az, el, rng)
             for az, el in zip(self.AZIMUTHS, self.ELEVATIONS)
         ]
         assert batch.shape == (1, 4, 4, 256)
@@ -259,16 +248,15 @@ class TestBatch:
 
     def test_channels_match_one_channel_calls_bit_for_bit(self):
         rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
-        batch = synthesize_snapshots(self.SNRS, [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [rngs])
+        batch = synthesize_snapshots(self.SNRS, [self.AZIMUTHS], [self.ELEVATIONS], [rngs])
         assert batch.shape == (1, 3, 4, 4, 256)
         for c, (snr, seed) in enumerate(zip(self.SNRS, (4, 5, 6))):
             rng = np.random.default_rng(seed)
-            single = synthesize_snapshots([snr], [self.AZIMUTHS], [self.ELEVATIONS], 4, 256, [[rng]])
+            single = synthesize_snapshots([snr], [self.AZIMUTHS], [self.ELEVATIONS], [[rng]])
             assert batch[0, c].tobytes() == single[0, 0].tobytes()
             assert rngs[c].bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("n_samples", [256, 61])
-    def test_trials_match_one_trial_calls_bit_for_bit(self, n_samples):
+    def test_trials_match_one_trial_calls_bit_for_bit(self):
         """T trials in one call, each with its own geometry and generators,
         give the bytes of T one-trial calls and leave every generator in
         the state those calls leave it."""
@@ -277,13 +265,11 @@ class TestBatch:
         elevations = rng.uniform(-10.0, 10.0, size=(5, 4)).tolist()
         seeds = rng.integers(0, 2**32, size=(5, 3)).tolist()
         rngs = [[np.random.default_rng(s) for s in trial] for trial in seeds]
-        batch = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, n_samples, rngs)
-        assert batch.shape == (5, 3, 4, 4, n_samples)
+        batch = synthesize_snapshots(self.SNRS, azimuths, elevations, rngs)
+        assert batch.shape == (5, 3, 4, 4, 256)
         for t, trial_seeds in enumerate(seeds):
             own = [np.random.default_rng(s) for s in trial_seeds]
-            single = synthesize_snapshots(
-                self.SNRS, [azimuths[t]], [elevations[t]], 4, n_samples, [own]
-            )
+            single = synthesize_snapshots(self.SNRS, [azimuths[t]], [elevations[t]], [own])
             assert batch[t].tobytes() == single[0].tobytes()
             for ours, theirs in zip(rngs[t], own):
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -303,11 +289,11 @@ class TestBatch:
             return [[np.random.default_rng(s) for s in trial] for trial in seeds]
 
         drawn = generators()
-        fresh = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, 256, drawn)
+        fresh = synthesize_snapshots(self.SNRS, azimuths, elevations, drawn)
         larger = np.full((5, *fresh.shape[1:]), np.nan, dtype=complex)
         for block in (np.full_like(fresh, np.nan), larger[:trials]):
             own = generators()
-            result = synthesize_snapshots(self.SNRS, azimuths, elevations, 4, 256, own, out=block)
+            result = synthesize_snapshots(self.SNRS, azimuths, elevations, own, out=block)
             assert result is block
             assert block.tobytes() == fresh.tobytes()
             for ours, theirs in zip(sum(own, []), sum(drawn, [])):
@@ -317,23 +303,24 @@ class TestBatch:
     def test_out_block_is_checked_before_any_draw(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        shape = (1, 2, 2, 4, 64)
+        shape = (1, 2, 2, 4, 256)
         for bad in (
-            np.empty((1, 2, 2, 4, 65), dtype=complex),
-            np.empty((2, 2, 2, 4, 64), dtype=complex),
+            np.empty((1, 2, 2, 4, 257), dtype=complex),
+            np.empty((1, 2, 2, 3, 256), dtype=complex),
+            np.empty((2, 2, 2, 4, 256), dtype=complex),
             np.empty(shape, dtype=np.complex64),
             np.empty(shape, dtype=np.float64),
-            np.empty((1, 2, 2, 4, 128), dtype=complex)[..., ::2],
+            np.empty((1, 2, 2, 4, 512), dtype=complex)[..., ::2],
             np.empty(shape[::-1], dtype=complex).T,
         ):
             with pytest.raises(ValueError, match="out"):
                 synthesize_snapshots(
-                    [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], 4, 64, [[rng, rng]], out=bad
+                    [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], [[rng, rng]], out=bad
                 )
         assert rng.bit_generator.state == state
         block = np.empty(shape, dtype=complex)
         assert synthesize_snapshots(
-            [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], 4, 64, [[rng, rng]], out=block
+            [None, 10.0], [[30.0, 60.0]], [[0.0, 0.0]], [[rng, rng]], out=block
         ) is block
 
     def test_noise_mixing_matches_the_complex_formula(self):
@@ -345,15 +332,15 @@ class TestBatch:
         for samples, az, el in zip(batch, self.AZIMUTHS, self.ELEVATIONS):
             source = _modulate(_draw_symbols(256, rng)[None], 256)
             z = rng.normal(size=(2, 4, 256))
-            clean = steering_vector(az, el, 4)[:, None] * source
+            clean = steering_vector(az, el)[:, None] * source
             sigma = np.sqrt(np.mean(np.abs(clean) ** 2) * 10.0 ** (-snr / 10.0))
             expected = clean + (z[0] + 1j * z[1]) * (sigma / math.sqrt(2.0))
             assert samples.tobytes() == expected.tobytes()
 
     def test_twelve_array_spectra_match_three_four_array_calls(self):
         samples = self._batch(self.SNRS, [1, 2, 3])
-        spectra = music_spectra(samples.reshape(12, 4, 256), n_sources=1)
-        parts = [music_spectra(samples[c], n_sources=1) for c in range(3)]
+        spectra = music_spectra(samples.reshape(12, 4, 256))
+        parts = [music_spectra(samples[c]) for c in range(3)]
         assert np.array_equal(spectra, np.concatenate(parts))
 
     @pytest.mark.parametrize("n_samples", [1, 8, 256, 264, 800])
@@ -368,10 +355,10 @@ class TestBatch:
 
     def test_spectra_match_single_spectra(self):
         samples = self._batch([15.0], [10])[0]
-        spectra = music_spectra(samples, n_sources=1)
+        spectra = music_spectra(samples)
         assert spectra.shape == (4, AZIMUTH_GRID.size)
         for row, x in zip(spectra, samples):
-            assert np.allclose(row, music_spectrum(x, n_sources=1), rtol=1e-9, atol=0)
+            assert np.allclose(row, music_spectrum(x), rtol=1e-9, atol=0)
 
     def test_synthesis_guards_cover_every_member(self):
         rng = np.random.default_rng(0)
@@ -379,7 +366,7 @@ class TestBatch:
         noiseless = [None]
 
         def call(azimuths, elevations, snrs=noiseless, rngs=(rng,)):
-            synthesize_snapshots(snrs, [azimuths], [elevations], 4, 64, [list(rngs)])
+            synthesize_snapshots(snrs, [azimuths], [elevations], [list(rngs)])
 
         with pytest.raises(ValueError):
             call([30.0, 190.0], [0.0, 0.0])
@@ -397,42 +384,40 @@ class TestBatch:
         # Across trials: one set of angles and generators per trial, as
         # many arrays and generators in each, and every angle in range.
         with pytest.raises(ValueError, match="trial"):
-            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0]], 4, 64, [[rng], [rng]])
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0]], [[rng], [rng]])
         with pytest.raises(ValueError, match="trial"):
-            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], 4, 64, [[rng]])
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], [[rng]])
         with pytest.raises(ValueError, match="trial"):
-            synthesize_snapshots(noiseless, [], [], 4, 64, [])
+            synthesize_snapshots(noiseless, [], [], [])
         with pytest.raises(ValueError, match="every trial"):
             synthesize_snapshots(
-                noiseless, [[30.0], [60.0, 90.0]], [[0.0], [0.0, 0.0]], 4, 64, [[rng], [rng]]
+                noiseless, [[30.0], [60.0, 90.0]], [[0.0], [0.0, 0.0]], [[rng], [rng]]
             )
         with pytest.raises(ValueError, match="generator"):
-            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], 4, 64, [[rng], []])
+            synthesize_snapshots(noiseless, [[30.0], [60.0]], [[0.0], [0.0]], [[rng], []])
         with pytest.raises(ValueError, match="azimuth"):
             synthesize_snapshots(
-                noiseless, [[30.0], [181.0]], [[0.0], [0.0]], 4, 64, [[rng], [rng]]
+                noiseless, [[30.0], [181.0]], [[0.0], [0.0]], [[rng], [rng]]
             )
         with pytest.raises(ValueError, match="elevation"):
             synthesize_snapshots(
-                noiseless, [[30.0], [60.0]], [[0.0], [float("nan")]], 4, 64, [[rng], [rng]]
+                noiseless, [[30.0], [60.0]], [[0.0], [float("nan")]], [[rng], [rng]]
             )
         # Every guard fires before the first draw.
         assert rng.bit_generator.state == state
         call([30.0, 60.0], [-90.0, 90.0])
 
     def test_spectra_guards(self):
-        samples = self._batch([10.0], [3], n_samples=64)[0]
+        samples = self._batch([10.0], [3])[0]
         with pytest.raises(NumericalRankError):
-            music_spectra(samples[:, :, :3], n_sources=1)
-        for bad in (0, 4):
+            music_spectra(samples[:, :, :3])
+        for bad in (samples[0], samples[:, :3], samples[:0]):
             with pytest.raises(ValueError):
-                music_spectra(samples, n_sources=bad)
-        with pytest.raises(ValueError):
-            music_spectra(samples[0], n_sources=1)
+                music_spectra(bad)
 
     def test_non_psd_member_fails_the_batch(self, monkeypatch):
         """One covariance with a clearly negative eigenvalue rejects the batch."""
-        samples = self._batch([10.0], [3], n_samples=64)[0]
+        samples = self._batch([10.0], [3])[0]
         eigh = np.linalg.eigh
 
         def skewed(r):
@@ -443,14 +428,14 @@ class TestBatch:
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(NumericalRankError, match="covariance 2"):
-            music_spectra(samples, n_sources=1)
+            music_spectra(samples)
 
 
 class TestAngleImage:
     def _spectra(self, seed=0):
         rng = np.random.default_rng(seed)
         return [
-            normalize_spectrum(music_spectrum(_snapshot(float(az), snr_db=15.0, seed=seed + k), 1))
+            normalize_spectrum(music_spectrum(_snapshot(float(az), snr_db=15.0, seed=seed + k)))
             for k, az in enumerate(rng.uniform(10, 170, size=4))
         ]
 

@@ -1,12 +1,13 @@
 """The package's public names: every entry of ``proxichain.__all__`` resolves."""
 
 import dataclasses
+import inspect
 import io
 import re
 from pathlib import Path
 
 import proxichain
-from proxichain import _fork, aoa, ledger, simulation
+from proxichain import _fork, aoa, experiments, ledger, simulation
 
 
 def test_star_import_resolves_every_public_name():
@@ -41,6 +42,8 @@ def test_removed_names_stay_out_of_the_api():
     gone += [(aoa, "ChannelRealization"), (aoa, "CARRIER_HZ"), (aoa, "awgn_channel")]
     # Removed when every helper pipe began carrying _fork.send's records.
     gone += [(_fork, "write_all"), (simulation, "_FRAME")]
+    # Removed when the receiver array's shape became aoa constants.
+    gone += [(experiments, "_LOC_ELEMENTS"), (experiments, "_LOC_SAMPLES")]
     assert not hasattr(ledger.ChainTail(io.StringIO()), "write")
     for owner, name in gone:
         assert not hasattr(owner, name), name
@@ -49,6 +52,21 @@ def test_removed_names_stay_out_of_the_api():
     assert isinstance(ledger.Chain(), list)
     assert ledger.Chain() == [ledger.make_genesis()]
     assert ledger.Chain([]) == []
+
+
+def test_no_aoa_call_takes_the_array_shape():
+    """The array's shape is ``aoa.ARRAY_ELEMENTS`` by ``aoa.SNAPSHOT_SAMPLES``
+    and a burst has one source: no public call takes either."""
+    calls = [
+        aoa.synthesize_snapshots,
+        aoa.synthesize_snapshot,
+        aoa.steering_vector,
+        aoa.music_spectra,
+        aoa.music_spectrum,
+    ]
+    for call in calls:
+        params = inspect.signature(call).parameters
+        assert params.keys().isdisjoint({"n_elements", "n_samples", "n_sources"}), call
 
 
 def test_only_fork_reads_and_writes_pipes():

@@ -257,13 +257,18 @@ class TestCtExperiment:
     def test_run_holds_the_window_not_the_run(self, tmp_path, monkeypatch):
         """On one CPU the run's tail keeps one record per window block and
         no Block (with its transactions) at all. On two the block process
-        keeps those records, and this process keeps neither."""
+        keeps those records, and this process keeps neither. Only objects
+        made after the run starts count: those that earlier tests left alive
+        are held here, so no new object can take one's id."""
         import proxichain.experiments as exp
 
         live, build = [], simulation._build_blocks
+        gc.collect()
+        earlier = [o for o in gc.get_objects() if isinstance(o, (HeldBlock, Block))]
+        earlier_ids = {id(o) for o in earlier}
 
         def objects_live():
-            objects = gc.get_objects()
+            objects = [o for o in gc.get_objects() if id(o) not in earlier_ids]
             return [
                 sum(isinstance(o, HeldBlock) for o in objects),
                 sum(isinstance(o, Block) for o in objects),
