@@ -25,7 +25,7 @@ rng = np.random.default_rng(6)
 
 print("score by distance:")
 for d in (0.5, 1.0, 1.9, 2.0, 4.0, 8.0):
-    print(f"  {d:4.1f} m -> {proximity_credit(d, policy):+8.2f}")
+    print(f"  {d:4.1f} m -> {proximity_credit(d):+8.2f}")
 
 # ---------------------------------------------------------------------------
 # A cautious agent keeps everyone beyond 2 m; a careless one does not. Each
@@ -38,11 +38,11 @@ store = CreditStore(policy, [cautious, careless])
 
 for _ in range(20):
     distances = np.stack([rng.uniform(2.5, 9.0, size=3), rng.uniform(0.3, 4.0, size=3)])
-    store.prox += contact_scores(np.maximum(distances, MIN_SEPARATION_M), policy).sum(axis=1)
+    store.prox += contact_scores(np.maximum(distances, MIN_SEPARATION_M)).sum(axis=1)
 
 
 def entitlement(credit):
-    return difficulty_for(credit, policy.alpha_d, is_authorized=False).name
+    return difficulty_for(credit, is_authorized=False).name
 
 
 for name, node in (("cautious", cautious), ("careless", careless)):
@@ -66,4 +66,4 @@ for now in (21, 22, 23, 25, 30, 60):
     print(f"  tick {now:>2} (age {age:>2}): total {total:+8.1f} -> mines at {entitlement(total)}")
 
 print("\nauthorized nodes bypass the gate regardless of balance:")
-print("  credit -1e6 ->", difficulty_for(-1e6, policy.alpha_d, is_authorized=True).name)
+print("  credit -1e6 ->", difficulty_for(-1e6, is_authorized=True).name)

@@ -61,6 +61,10 @@ DL_HARD = DifficultyLevel("DL_h", prefix_nibbles=4)
 
 LEVELS_BY_NAME = {DL_EASY.name: DL_EASY, DL_HARD.name: DL_HARD}
 
+# The credit threshold alpha_d: a miner at or above it mines at DL_e.
+# ``difficulty_for`` reads it when it runs.
+ALPHA_D = 0.0
+
 
 class BlockRejectedError(Exception):
     """Validation refused a block; ``reason`` names the failed clause."""
@@ -88,9 +92,9 @@ def digest_satisfies(digest: bytes, level: DifficultyLevel) -> bool:
     return len(digest) == 32 and digest < level.target
 
 
-def difficulty_for(credit: float, alpha_d: float, is_authorized: bool) -> DifficultyLevel:
-    """Easy level for authorized nodes and those at or above the threshold."""
-    if is_authorized or credit >= alpha_d:
+def difficulty_for(credit: float, is_authorized: bool) -> DifficultyLevel:
+    """Easy level for authorized nodes and those at or above ``ALPHA_D``."""
+    if is_authorized or credit >= ALPHA_D:
         return DL_EASY
     return DL_HARD
 
@@ -322,7 +326,6 @@ def append_block(
     block: Block,
     registry: Optional[AuthorizedRegistry] = None,
     credit: Optional[float] = None,
-    alpha_d: float = 0.0,
 ) -> None:
     """Validate a mined block against the tip and append it.
 
@@ -333,7 +336,7 @@ def append_block(
     """
     if credit is not None:
         is_auth = registry.contains(block.miner) if registry is not None else False
-        expected = difficulty_for(credit, alpha_d, is_auth)
+        expected = difficulty_for(credit, is_auth)
     else:
         expected = DL_EASY
     result = validate_block(chain, block, expected)

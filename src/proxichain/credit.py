@@ -2,8 +2,8 @@
 
 A node's total credit is the sum of two parts. The proximity part rewards
 keeping distance: every observed contact closer than the immediate threshold
-subtracts ``lambda_minus / distance``, every contact at or beyond it adds
-``distance / lambda_plus``. The penalty part is always non-positive and
+subtracts ``LAMBDA_MINUS / distance``, every contact at or beyond it adds
+``distance / LAMBDA_PLUS``. The penalty part is always non-positive and
 decays hyperbolically with event age, so one misbehavior event dominates
 recent history but fades instead of banning a node forever.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -51,31 +51,33 @@ def _check_field(
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
 
 
+# The scoring rule's coefficients, the paper's lambda-, lambda+, omega_fc,
+# omega_sc and delta_t: LAMBDA_MINUS and LAMBDA_PLUS weigh a contact inside
+# and beyond IMMEDIATE_THRESHOLD (m), OMEGA_FC and OMEGA_SC a false claim and
+# a contact violation, and DELTA_T scales every penalty. Every function reads
+# these when it runs.
+LAMBDA_MINUS = 12.0
+LAMBDA_PLUS = 2.0
+OMEGA_FC = 50.0
+OMEGA_SC = 10.0
+DELTA_T = 1.0
+IMMEDIATE_THRESHOLD = 2.0
+
+
 @dataclass(frozen=True)
 class CreditPolicy:
-    """Coefficients of the scoring rules; all tunable per deployment."""
+    """The one tunable penalty weight: ``omega_na``, of a network attack."""
 
-    lambda_minus: float = 12.0
-    lambda_plus: float = 2.0
-    omega_fc: float = 50.0
-    omega_sc: float = 10.0
     omega_na: float = 200.0
-    delta_t: float = 1.0
-    alpha_d: float = 0.0
-    immediate_threshold: float = 2.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            low = -math.inf if f.name == "alpha_d" else 0.0
-            _check_field(f.name, getattr(self, f.name), low)
-        if self.lambda_plus == 0:
-            raise ValueError("lambda_plus must be positive")
+        _check_field("omega_na", self.omega_na, 0.0)
 
     def omega(self, kind: EventKind) -> float:
         if kind is EventKind.FALSE_CLAIM:
-            return self.omega_fc
+            return OMEGA_FC
         if kind is EventKind.CONTACT_VIOLATION:
-            return self.omega_sc
+            return OMEGA_SC
         return self.omega_na
 
 
@@ -85,7 +87,7 @@ class CreditEvent:
     tick: int
 
 
-def proximity_credit(distance_m: float, policy: CreditPolicy) -> float:
+def proximity_credit(distance_m: float) -> float:
     """Score of a single contact at the given distance.
 
     Negative and growing like 1/L inside the immediate threshold, positive
@@ -95,19 +97,17 @@ def proximity_credit(distance_m: float, policy: CreditPolicy) -> float:
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
-    return float(contact_scores(distance_m, policy))
+    return float(contact_scores(distance_m))
 
 
-def contact_scores(distances: np.ndarray, policy: CreditPolicy) -> np.ndarray:
+def contact_scores(distances: np.ndarray) -> np.ndarray:
     """Scores of many contacts at once, by the rule of ``proximity_credit``.
 
     Unlike that function it does not check its input: every distance must
     already be positive (clamped to ``MIN_SEPARATION_M``).
     """
     d = np.asarray(distances, dtype=float)
-    return np.where(
-        d < policy.immediate_threshold, -policy.lambda_minus / d, d / policy.lambda_plus
-    )
+    return np.where(d < IMMEDIATE_THRESHOLD, -LAMBDA_MINUS / d, d / LAMBDA_PLUS)
 
 
 def negative_credit(
@@ -121,6 +121,6 @@ def negative_credit(
             raise TemporalOrderError(
                 f"event at tick {event.tick} is not older than now={now}"
             )
-        total -= policy.omega(event.kind) * policy.delta_t / age
+        total -= policy.omega(event.kind) * DELTA_T / age
     return total
 

@@ -85,9 +85,6 @@ def spec_from_json(text: str) -> ExperimentSpec:
     try:
         sim_body = dict(body.get("sim", {}))
         policy = CreditPolicy(**sim_body.pop("policy", {}))
-        for key in ("track_agents",):
-            if sim_body.get(key) is not None:
-                sim_body[key] = tuple(sim_body[key])
         sim = SimConfig(policy=policy, **sim_body)
         return ExperimentSpec(
             name=body.get("name", "default"),

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _fork
+from . import _fork, credit
 from .consensus import (
     LEVELS_BY_NAME,
     BlockRejectedError,
@@ -84,6 +84,20 @@ class EmptyMetricsError(Exception):
 VENUE_SIDE = 10.0
 ZONE_SIZE = 0.5
 
+# The world's fixed parameters, which every function reads when it runs: the
+# standard deviation of each step per axis (m), the distance within which a
+# pair is observed and scored (m), the ticks the contact log and the infected
+# users pool keep an entry, the authorized nodes, and the agents infected at
+# tick 0 (the first ones).
+STEP_STD = 0.5
+OBSERVE_RADIUS = 10.0
+RETENTION_TICKS = 14_000
+N_AUTHORIZED = 4
+INITIAL_INFECTED = 1
+
+# Agent i of the run with seed s derives its key from s * _KEY_SEED_STRIDE + i.
+_KEY_SEED_STRIDE = 1_000_003
+
 
 def zone_of(position: np.ndarray) -> int:
     """Row-major index of the zone holding ``position``; the far walls count
@@ -110,19 +124,13 @@ def beacon_grid() -> np.ndarray:
 class SimConfig:
     n_agents: int = 1000
     ticks: int = 1000
-    step_std: float = 0.5
     infection_radius: float = 2.0
     seed: int = 0
     policy: CreditPolicy = field(default_factory=CreditPolicy)
     tx_per_block_mean: int = 200
     n_blocks: int = 120
     p_inf: float = 0.02
-    observe_radius: float = 10.0
-    retention_ticks: int = 14_000
-    n_authorized: int = 4
-    initial_infected: int = 1
     distance_noise_std: float = 0.0
-    track_agents: Optional[tuple[int, ...]] = None
     attacker_id: Optional[int] = None
     attack_tick: Optional[int] = None
     false_claimer_id: Optional[int] = None
@@ -132,13 +140,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_field("n_agents", self.n_agents, 2, integer=True)
         last_agent = self.n_agents - 1
-        for name, low in (
-            ("ticks", 0), ("seed", 0), ("tx_per_block_mean", 1), ("n_blocks", 0),
-            ("retention_ticks", 0), ("n_authorized", 0),
-        ):
+        for name, low in (("ticks", 0), ("tx_per_block_mean", 1), ("n_blocks", 0)):
             _check_field(name, getattr(self, name), low, integer=True)
-        _check_field("initial_infected", self.initial_infected, 0, self.n_agents, integer=True)
-        for name in ("step_std", "infection_radius", "observe_radius", "distance_noise_std"):
+        # Every key seed must fit the signed 64 bits it is packed into.
+        max_seed = (2**63 - 1 - last_agent) // _KEY_SEED_STRIDE
+        _check_field("seed", self.seed, 0, max_seed, integer=True)
+        for name in ("infection_radius", "distance_noise_std"):
             _check_field(name, getattr(self, name), 0.0)
         if self.infection_radius == 0:
             raise ValueError("infection_radius must be positive")
@@ -156,11 +163,6 @@ class SimConfig:
         ):
             if (getattr(self, agent) is None) != (getattr(self, tick) is None):
                 raise ValueError(f"{agent} and {tick} must be set together or not at all")
-        if self.track_agents is not None:
-            if not isinstance(self.track_agents, (tuple, list)):
-                raise TypeError(f"track_agents must be a list, got {self.track_agents!r}")
-            for agent in self.track_agents:
-                _check_field("track_agents entry", agent, 0, last_agent, integer=True)
 
 
 class CreditStore:
@@ -250,7 +252,7 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     infections = {}
     for r in {2.0, 5.0, config.infection_radius}:
         mask = np.zeros(n, dtype=bool)
-        mask[: config.initial_infected] = True
+        mask[:INITIAL_INFECTED] = True
         infections[r] = mask
 
     identities = authorized = manager = None
@@ -259,12 +261,12 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         # Only run_epoch logs contacts, and it refuses a world without keys.
         contact_tick = np.full((n // 2, n), -1, dtype=np.int32)
         contact_dist = np.zeros((n // 2, n), dtype=np.float32)
-        base = config.seed * 1_000_003
+        base = config.seed * _KEY_SEED_STRIDE
         identities = [generate_identity(Role.LIGHT, seed=base + i) for i in range(n)]
         manager = generate_identity(Role.MANAGER, seed=base - 1)
         authorized = [
             generate_identity(Role.AUTHORIZED, seed=base - 2 - k)
-            for k in range(config.n_authorized)
+            for k in range(N_AUTHORIZED)
         ]
 
     return WorldState(
@@ -274,7 +276,7 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
         notified=np.zeros(n, dtype=bool),
         streams=streams,
         credit=CreditStore(config.policy, [i.node_id for i in identities or ()]),
-        iup=InfectedUsersPool(retention_ticks=config.retention_ticks),
+        iup=InfectedUsersPool(retention_ticks=RETENTION_TICKS),
         last_contact_tick=contact_tick,
         last_contact_dist=contact_dist,
         identities=identities,
@@ -300,10 +302,8 @@ def step_mobility(world: WorldState) -> WorldState:
     """Advance every agent by a reflected Gaussian step. The violator, if
     any, then closes 0.8 of its gap to the agent nearest it after the last
     step, before the fold."""
-    step = world.streams["mobility"].normal(
-        0.0, world.config.step_std, size=world.positions.shape
-    )
-    if world.config.step_std > 0:
+    step = world.streams["mobility"].normal(0.0, STEP_STD, size=world.positions.shape)
+    if STEP_STD > 0:
         world.positions += step
     vid = world.config.violator_id
     if vid is not None and world._violator_target is not None:
@@ -373,8 +373,6 @@ class RunMetrics:
 
 
 def _tracked_ids(config: SimConfig) -> tuple[int, ...]:
-    if config.track_agents is not None:
-        return tuple(config.track_agents)
     ids = list(range(min(TRACKED_DEFAULT, config.n_agents)))
     for extra in (config.attacker_id, config.false_claimer_id, config.violator_id):
         if extra is not None and extra not in ids:
@@ -424,7 +422,7 @@ def _score_contacts(world: WorldState, t: int) -> int:
     measured distance. Contacts go to cell [o - 1, i] of the contact log,
     with their true distance.
     """
-    config, policy = world.config, world.config.policy
+    config = world.config
     n, half = world.n, world.n // 2
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
@@ -432,7 +430,7 @@ def _score_contacts(world: WorldState, t: int) -> int:
     for o0 in range(1, half + 1, _OFFSET_BLOCK):
         o1 = min(o0 + _OFFSET_BLOCK, half + 1)
         d = _offset_distances(px, py, o0, o1)
-        observed = d <= config.observe_radius
+        observed = d <= OBSERVE_RADIUS
         if 2 * (o1 - 1) == n:
             observed[-1, half:] = False
         d_meas = d
@@ -441,7 +439,7 @@ def _score_contacts(world: WorldState, t: int) -> int:
             d_meas[observed] += world.streams["noise"].normal(
                 0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
             )
-        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
+        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M))
         scores[~observed] = 0.0
         pairs += int(np.count_nonzero(observed))
         for o, row in zip(range(o0, o1), scores):
@@ -450,7 +448,7 @@ def _score_contacts(world: WorldState, t: int) -> int:
             prox[:o] += row[n - o :]
 
         # Only the immediate cells are written, by their flat index.
-        immediate = np.flatnonzero(observed & (d < policy.immediate_threshold))
+        immediate = np.flatnonzero(observed & (d < credit.IMMEDIATE_THRESHOLD))
         cells = immediate + (o0 - 1) * n
         world.last_contact_tick.put(cells, t)
         world.last_contact_dist.put(cells, d.take(immediate))
@@ -540,7 +538,7 @@ def _emit_trace(
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
     row_ticks[i] = -1  # agent i never lists itself
-    horizon = max(now - world.config.retention_ticks, 0)
+    horizon = max(now - RETENTION_TICKS, 0)
     peers = np.nonzero(row_ticks >= horizon)[0]
     ticks = row_ticks[peers]
     payload = encode_contact_pairs(node_bytes[peers], ticks)
@@ -579,7 +577,6 @@ def _take_sized_batch(pending: list[Transaction], batch_size: int) -> tuple[Tran
 def _add_block(
     chain: Chain | ChainTail,
     registry: Optional[AuthorizedRegistry],
-    alpha_d: float,
     job: tuple,
     credit: float,
 ) -> None:
@@ -595,11 +592,11 @@ def _add_block(
     batch, miner, window, timestamp, level = job
     candidate = next_block(chain, window, batch, miner, timestamp)
     block = mine(chain, candidate, LEVELS_BY_NAME[level]).block
-    append_block(chain, block, registry, credit, alpha_d)
+    append_block(chain, block, registry, credit)
 
 
 def _build_blocks(
-    chain: ChainTail, registry: AuthorizedRegistry, alpha_d: float, report: int, feed: int
+    chain: ChainTail, registry: AuthorizedRegistry, report: int, feed: int
 ) -> None:
     """The block process: add each ``(job, credit)`` record fed to it to
     its own copy of ``chain`` with :func:`_add_block`, as one CPU adds them
@@ -617,7 +614,7 @@ def _build_blocks(
             if record is None:
                 break
             try:
-                _add_block(chain, registry, alpha_d, *record)
+                _add_block(chain, registry, *record)
             except BlockRejectedError as exc:
                 verdict = [exc.reason, exc.detail]
                 break
@@ -706,7 +703,6 @@ def _block_process(
         yield None
         return
     chain.file.flush()
-    registry, alpha_d = world.registry, world.config.policy.alpha_d
 
     def seed_keys() -> None:
         chain.parsed_keys.update(
@@ -716,7 +712,7 @@ def _block_process(
 
     def body(p: int, procs: int, report: int, feed: int) -> None:
         seed_keys()
-        _build_blocks(chain, registry, alpha_d, report, feed)
+        _build_blocks(chain, world.registry, report, feed)
 
     with _fork.helpers(body, inbound=True) as ends:
         if not ends:
@@ -740,7 +736,7 @@ def _mine_pending(
     :func:`_add_block` on ``chain`` in process."""
     config = world.config
     if add is None:
-        add = partial(_add_block, chain, world.registry, config.policy.alpha_d)
+        add = partial(_add_block, chain, world.registry)
     batch_size = config.tx_per_block_mean
     credit_now = now + 1
     mined = 0
@@ -749,7 +745,7 @@ def _mine_pending(
         del world.pending[: len(batch)]
         miner = miner_pool[int(world.streams["misc"].integers(len(miner_pool)))]
         credit = world.credit.total(miner.node_id, credit_now)
-        level = difficulty_for(credit, config.policy.alpha_d, miner.is_authorized)
+        level = difficulty_for(credit, miner.is_authorized)
         draw = int(world.streams["whash"].integers(0, 101))
         window = whash_window_for(len(chain) - 1, draw)
         add((batch, miner.node_id, window, now, level.name), credit)

@@ -21,6 +21,7 @@ from proxichain.aoa import (
     unpad_angle_image,
 )
 from proxichain.consensus import (
+    ALPHA_D,
     DL_EASY,
     DL_HARD,
     append_block,
@@ -204,7 +205,7 @@ def test_criterion_3_attack_cost(criteria_log):
 def _add_contacts(store: CreditStore, node: bytes, distances) -> None:
     """Credit one node with contacts at these measured distances, as the
     simulator's per-tick kernel does: clamp, score, add one contact at a time."""
-    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M), store.policy)
+    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M))
     for score in scores:
         store.prox[store.index_of[node]] += score
 
@@ -212,8 +213,8 @@ def _add_contacts(store: CreditStore, node: bytes, distances) -> None:
 def test_criterion_4_credit_arithmetic(criteria_log):
     policy = CreditPolicy()
     golden = (
-        abs(proximity_credit(1.0, policy) + 12.0) < 1e-12
-        and abs(proximity_credit(4.0, policy) - 2.0) < 1e-12
+        abs(proximity_credit(1.0) + 12.0) < 1e-12
+        and abs(proximity_credit(4.0) - 2.0) < 1e-12
         and abs(
             negative_credit([CreditEvent(EventKind.CONTACT_VIOLATION, tick=8)], 10, policy)
             + 5.0
@@ -234,7 +235,7 @@ def test_criterion_4_credit_arithmetic(criteria_log):
 
     rng = np.random.default_rng(404)
     distances = np.sort(rng.uniform(0.05, 12.0, size=10_000))
-    scores = np.array([proximity_credit(float(d), policy) for d in distances])
+    scores = np.array([proximity_credit(float(d)) for d in distances])
     monotone = bool(np.all(np.diff(scores) > 0))
 
     contacts = rng.uniform(0.05, 12.0, size=10_000)
@@ -285,7 +286,7 @@ def test_criterion_5_difficulty_gating(criteria_log):
     totals = {
         t: tot for t, node, _, _, tot in metrics.credit_rows if node == attacker_node.hex()
     }
-    alpha = policy.alpha_d
+    alpha = ALPHA_D
     dropped_in_time = totals[11] >= alpha and totals[12] < alpha
 
     now = config.ticks
@@ -306,7 +307,7 @@ def test_criterion_5_difficulty_gating(criteria_log):
         if not digest_satisfies(easy_block.block_hash, DL_HARD):
             break
         timestamp += 1
-    expected = difficulty_for(attacker_total, alpha, is_authorized=False)
+    expected = difficulty_for(attacker_total, is_authorized=False)
     verdict = validate_block(chain, easy_block, expected)
     attacker_rejected = expected is DL_HARD and not verdict.accepted
 
@@ -316,7 +317,7 @@ def test_criterion_5_difficulty_gating(criteria_log):
         if i != 3
     ]
     honest_keep_easy = all(
-        difficulty_for(t, alpha, is_authorized=False) is DL_EASY for t in honest_totals
+        difficulty_for(t, is_authorized=False) is DL_EASY for t in honest_totals
     )
     honest_block = mine(
         chain,

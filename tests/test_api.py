@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import proxichain
-from proxichain import _fork, aoa, experiments, ledger, simulation
+from proxichain import _fork, aoa, consensus, credit, experiments, ledger, simulation
 
 
 def test_star_import_resolves_every_public_name():
@@ -67,6 +67,29 @@ def test_no_aoa_call_takes_the_array_shape():
     for call in calls:
         params = inspect.signature(call).parameters
         assert params.keys().isdisjoint({"n_elements", "n_samples", "n_sources"}), call
+
+
+def test_fixed_coefficients_are_constants_not_config():
+    """No caller varies the world's fixed parameters, the scoring rule's
+    coefficients or the difficulty threshold, so they are module constants
+    (``simulation.STEP_STD``, ``credit.LAMBDA_MINUS``, ``consensus.ALPHA_D``
+    and the like): no config field holds them and no call takes them."""
+    sim_fields = {f.name for f in dataclasses.fields(simulation.SimConfig)}
+    removed = {
+        "step_std", "observe_radius", "retention_ticks", "n_authorized",
+        "initial_infected", "track_agents",
+    }
+    assert sim_fields.isdisjoint(removed)
+    assert tuple(f.name for f in dataclasses.fields(credit.CreditPolicy)) == ("omega_na",)
+    calls = [
+        consensus.difficulty_for,
+        consensus.append_block,
+        credit.proximity_credit,
+        credit.contact_scores,
+    ]
+    for call in calls:
+        params = inspect.signature(call).parameters
+        assert params.keys().isdisjoint({"alpha_d", "policy"}), call
 
 
 def test_only_fork_reads_and_writes_pipes():

@@ -128,17 +128,18 @@ class TestTarget:
 
 class TestEntitlement:
     def test_credit_at_threshold_gets_easy(self):
-        assert difficulty_for(0.0, 0.0, is_authorized=False) is DL_EASY
+        assert difficulty_for(0.0, is_authorized=False) is DL_EASY
 
     def test_credit_below_threshold_gets_hard(self):
-        assert difficulty_for(-1e-9, 0.0, is_authorized=False) is DL_HARD
+        assert difficulty_for(-1e-9, is_authorized=False) is DL_HARD
 
     def test_authorized_overrides_any_credit(self):
-        assert difficulty_for(-1e6, 0.0, is_authorized=True) is DL_EASY
+        assert difficulty_for(-1e6, is_authorized=True) is DL_EASY
 
-    def test_threshold_is_relative(self):
-        assert difficulty_for(5.0, 10.0, is_authorized=False) is DL_HARD
-        assert difficulty_for(15.0, 10.0, is_authorized=False) is DL_EASY
+    def test_threshold_is_relative(self, monkeypatch):
+        monkeypatch.setattr(consensus, "ALPHA_D", 10.0)
+        assert difficulty_for(5.0, is_authorized=False) is DL_HARD
+        assert difficulty_for(15.0, is_authorized=False) is DL_EASY
 
 
 class TestMine:
@@ -715,7 +716,7 @@ class TestRejectionReasons:
             registry = publish_registry(manager, [MINER.public_key])
         rejected = None
         try:
-            append_block(chain, block, registry, credit, alpha_d=0.0)
+            append_block(chain, block, registry, credit)
         except BlockRejectedError as exc:
             rejected = exc.reason
         assert rejected == reason

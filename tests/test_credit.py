@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxichain.credit import (
+    IMMEDIATE_THRESHOLD,
     MIN_SEPARATION_M,
     CreditEvent,
     CreditPolicy,
@@ -17,30 +18,30 @@ POLICY = CreditPolicy()
 
 class TestProximityGoldens:
     def test_one_meter(self):
-        assert proximity_credit(1.0, POLICY) == pytest.approx(-12.0, abs=1e-12)
+        assert proximity_credit(1.0) == pytest.approx(-12.0, abs=1e-12)
 
     def test_four_meters(self):
-        assert proximity_credit(4.0, POLICY) == pytest.approx(2.0, abs=1e-12)
+        assert proximity_credit(4.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_threshold_boundary_is_positive_branch(self):
-        assert proximity_credit(2.0, POLICY) == pytest.approx(1.0, abs=1e-12)
+        assert proximity_credit(2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_just_inside_threshold(self):
-        assert proximity_credit(1.9, POLICY) == pytest.approx(-12.0 / 1.9, abs=1e-12)
+        assert proximity_credit(1.9) == pytest.approx(-12.0 / 1.9, abs=1e-12)
 
     def test_clamp_floor_score(self):
-        assert proximity_credit(MIN_SEPARATION_M, POLICY) == pytest.approx(-240.0, abs=1e-12)
+        assert proximity_credit(MIN_SEPARATION_M) == pytest.approx(-240.0, abs=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            proximity_credit(0.0, POLICY)
+            proximity_credit(0.0)
         with pytest.raises(ValueError):
-            proximity_credit(-1.0, POLICY)
+            proximity_credit(-1.0)
 
     def test_vector_scores_follow_the_same_rule(self):
         distances = np.array([MIN_SEPARATION_M, 1.0, 1.9, 2.0, 4.0, 9.5])
         expected = [-12.0 / MIN_SEPARATION_M, -12.0, -12.0 / 1.9, 1.0, 2.0, 4.75]
-        assert contact_scores(distances, POLICY) == pytest.approx(expected, abs=1e-12)
+        assert contact_scores(distances) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPenaltyGoldens:
@@ -76,7 +77,7 @@ class TestProximityProperties:
     def test_strictly_monotone_in_distance(self):
         rng = np.random.default_rng(7)
         distances = np.sort(rng.uniform(MIN_SEPARATION_M, 12.0, size=10_000))
-        scores = [proximity_credit(float(d), POLICY) for d in distances]
+        scores = [proximity_credit(float(d)) for d in distances]
         diffs = np.diff(scores)
         assert np.all(diffs > 0)
 
@@ -84,8 +85,8 @@ class TestProximityProperties:
         rng = np.random.default_rng(8)
         distances = rng.uniform(MIN_SEPARATION_M, 12.0, size=10_000)
         for d in distances:
-            score = proximity_credit(float(d), POLICY)
-            if d < POLICY.immediate_threshold:
+            score = proximity_credit(float(d))
+            if d < IMMEDIATE_THRESHOLD:
                 assert score < 0
             else:
                 assert score > 0

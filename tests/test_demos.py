@@ -1,5 +1,6 @@
 """Every script in ``demos/`` runs to completion in a fresh interpreter, and
-the deterministic one that localizes prints what it always has."""
+the deterministic ones that score credit and localize print what they
+always have."""
 
 import hashlib
 import os
@@ -35,6 +36,17 @@ def _run(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
 def test_demo_exits_zero(demo, tmp_path):
     result = _run(demo, tmp_path)
     assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
+
+
+def test_credit_dynamics_output_is_pinned(tmp_path):
+    """Demo 03 scores contacts, decays a penalty and gates difficulty from
+    a fixed seed; its printed scores, totals, weight and levels are
+    deterministic."""
+    result = _run(ROOT / "demos" / "03_credit_dynamics.py", tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "347085e6738a2fcd332bc6bf681339cfb4962e201cf2a4de02611b913169ea9d"
+    )
 
 
 def test_music_localization_output_is_pinned(tmp_path):

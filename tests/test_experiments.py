@@ -20,7 +20,6 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from proxichain import aoa, cli, consensus, experiments, identity, simulation
 from proxichain.consensus import DL_EASY, BlockRejectedError, mine, verify_chain
-from proxichain.credit import CreditPolicy
 from proxichain.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -371,18 +370,20 @@ class TestCtExperiment:
         self._assert_crashed_mid_run(tmp_path)
 
 
-# The tiny run with both kinds of scripted misbehaviour, and a run of 40
-# agents with a high alpha_d: its first four light-miner blocks come from
-# miners below it, whose DL_h searches fork helpers while the validator
-# lives, and its last seven from miners above it, which mine DL_e. So the
-# validator's entitlement verdicts depend on the credit sent with a block.
+# Each run with the consensus.ALPHA_D it is made at: the tiny run with both
+# kinds of scripted misbehaviour, and a run of 40 agents with a high alpha_d:
+# its first four light-miner blocks come from miners below it, whose DL_h
+# searches fork helpers while the validator lives, and its last seven from
+# miners above it, which mine DL_e. So the validator's entitlement verdicts
+# depend on the credit sent with a block.
 AGREEMENT_SIMS = {
-    "tiny-misbehaving": replace(
-        TINY_SIM, attacker_id=3, attack_tick=5, false_claimer_id=4, false_claim_tick=6
+    "tiny-misbehaving": (
+        replace(TINY_SIM, attacker_id=3, attack_tick=5, false_claimer_id=4, false_claim_tick=6),
+        consensus.ALPHA_D,
     ),
-    "high-alpha-d": SimConfig(
-        n_agents=40, ticks=10, p_inf=0.15, seed=2, tx_per_block_mean=4, n_blocks=15,
-        policy=CreditPolicy(alpha_d=500.0),
+    "high-alpha-d": (
+        SimConfig(n_agents=40, ticks=10, p_inf=0.15, seed=2, tx_per_block_mean=4, n_blocks=15),
+        500.0,
     ),
 }
 CT_ARTIFACTS = ("metrics_csv", "credits_csv", "contacts_jsonl", "chain_jsonl", "iup_json",
@@ -458,9 +459,12 @@ class TestCtValidator:
     in a forked block process; on one, in process. The outcome must not
     differ."""
 
-    @pytest.mark.parametrize("sim", list(AGREEMENT_SIMS.values()), ids=list(AGREEMENT_SIMS))
-    def test_artifacts_do_not_depend_on_the_core_count(self, sim, tmp_path, forked,
+    @pytest.mark.parametrize(
+        "sim, alpha_d", list(AGREEMENT_SIMS.values()), ids=list(AGREEMENT_SIMS)
+    )
+    def test_artifacts_do_not_depend_on_the_core_count(self, sim, alpha_d, tmp_path, forked,
                                                         monkeypatch):
+        monkeypatch.setattr(consensus, "ALPHA_D", alpha_d)
         spec = ExperimentSpec(name="agree", sim=sim, output_dir=str(tmp_path))
         written = {}
         for cores in (1, 2, 3):
@@ -486,9 +490,9 @@ class TestCtValidator:
         build, scan = simulation._build_blocks, consensus._scan
         block_process, report = [], tmp_path / "held.txt"
 
-        def recorded_build(chain, registry, alpha_d, status, feed):
+        def recorded_build(chain, registry, status, feed):
             block_process.extend((os.getpid(), status, feed))
-            build(chain, registry, alpha_d, status, feed)
+            build(chain, registry, status, feed)
 
         def checking_scan(copy, target, start, stop):
             if block_process and os.getpid() != block_process[0]:
@@ -505,7 +509,8 @@ class TestCtValidator:
 
         monkeypatch.setattr(simulation, "_build_blocks", recorded_build)
         monkeypatch.setattr(consensus, "_scan", checking_scan)
-        sim = AGREEMENT_SIMS["high-alpha-d"]
+        sim, alpha_d = AGREEMENT_SIMS["high-alpha-d"]
+        monkeypatch.setattr(consensus, "ALPHA_D", alpha_d)
         run_ct_experiment(ExperimentSpec(sim=sim, output_dir=str(tmp_path / "out")))
         lines = report.read_text().splitlines()
         assert lines and set(lines) == {"True []"}
@@ -588,7 +593,7 @@ class TestCtValidator:
         process refuses, waits until the block process has exited; the
         refusal, not the broken pipe, ends the run, within the tick that
         sent it."""
-        sim = AGREEMENT_SIMS["tiny-misbehaving"]
+        sim, _ = AGREEMENT_SIMS["tiny-misbehaving"]
         spec = ExperimentSpec(name="big", sim=sim, output_dir=str(tmp_path / "dry"))
         ticks = _block_ticks(spec, monkeypatch)
         # The first block after the registry's whose successor shares its tick.
@@ -1038,8 +1043,9 @@ class TestCli:
             ("mine-bench", {}, ["--seed", "-1"]),
             ("ct-run", {"sim": {"n_agents": 20.5}}, []),
             ("ct-run", {"sim": {"p_inf": "x"}}, []),
-            ("ct-run", {"sim": {"policy": {"lambda_plus": "x"}}}, []),
-            ("ct-run", {"sim": {"track_agents": [500]}}, []),
+            ("ct-run", {"sim": {"step_std": 0.5}}, []),
+            ("ct-run", {"sim": {"policy": {"alpha_d": 0.0}}}, []),
+            ("ct-run", {"sim": {"policy": {"omega_na": "x"}}}, []),
             ("ct-run", {"sim": {"attacker_id": 500, "attack_tick": 1}}, []),
             ("ct-run", {}, ["--blocks", "-3"]),
             ("ct-run", {}, ["--radius", "nan"]),
@@ -1060,24 +1066,32 @@ class TestCli:
             ("loc-eval", {}, ["--trials", "x"]),
             ("ct-run", {}, ["--whash", "0"]),
             ("mine-bench", {}, ["--radius", "2"]),
+            ("ct-run", {}, ["--seed", "10000000000000"]),
+            ("mine-bench", {}, ["--seed", "9223372036854775808"]),
         ],
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
-            "fractional-n_agents", "string-p_inf", "string-lambda_plus",
-            "track_agents-out-of-range", "attacker_id-out-of-range", "negative-blocks",
+            "fractional-n_agents", "string-p_inf", "removed-step_std",
+            "removed-policy-alpha_d", "string-omega_na", "attacker_id-out-of-range",
+            "negative-blocks",
             "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
             "negative-max-trials", "spec-not-utf8", "spec-nested-too-deep",
             "attack-without-tick", "false-claim-without-claimer",
             "ct-run-out-is-a-file", "ct-run-out-under-a-file",
             "mine-bench-out-is-a-file", "mine-bench-out-under-a-file",
             "unknown-flag", "non-integer-seed", "non-integer-trials",
-            "ct-run-whash", "mine-bench-radius",
+            "ct-run-whash", "mine-bench-radius", "ct-run-seed-past-key-range",
+            "mine-bench-seed-past-key-range",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, command, body, flags):
+        # The stderr line names one of the sim and policy fields the case sets.
+        named = []
         if isinstance(body, dict):
+            case_sim = body.get("sim", {})
+            named = [k for k in case_sim if k != "policy"] + list(case_sim.get("policy", {}))
             sim = {"n_agents": 20, "ticks": 2, "tx_per_block_mean": 5, "n_blocks": 1}
-            body = {"whash_values": [0], **body, "sim": {**sim, **body.get("sim", {})}}
+            body = {"whash_values": [0], **body, "sim": {**sim, **case_sim}}
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
         flags = [flag.format(tmp=tmp_path) for flag in flags]
@@ -1086,6 +1100,11 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert not named or any(name in err for name in named), named
+        if "--seed" in flags:
+            assert "seed" in err
+        # Refused before any output file, the .partial marker included, is made.
+        assert os.listdir(tmp_path) == ["spec.json"]
 
     def test_missing_subcommand_exits_3_with_usage(self, capsys):
         assert cli.main([]) == cli.EXIT_CONFIG

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from proxichain import identity, ledger, simulation
+from proxichain import credit, identity, ledger, simulation
 from proxichain.consensus import verify_chain
 from proxichain.credit import MIN_SEPARATION_M, CreditPolicy, EventKind, contact_scores
 from proxichain.identity import Role, generate_identity
@@ -94,12 +94,13 @@ class TestMobility:
         one fold over the flattened coordinates equals folding the x and y
         columns apart, bit for bit, zeros' signs included."""
         monkeypatch.setattr(simulation, "VENUE_SIDE", 7.5)
-        config = SimConfig(n_agents=300, ticks=5, step_std=40.0, seed=3, **SMALL)
+        monkeypatch.setattr(simulation, "STEP_STD", 40.0)
+        config = SimConfig(n_agents=300, ticks=5, seed=3, **SMALL)
         world = build_world(config, with_identities=False)
         mobility = copy.deepcopy(world.streams["mobility"])
         expected = world.positions.copy()
         for _ in range(5):
-            moved = expected + mobility.normal(0.0, config.step_std, size=expected.shape)
+            moved = expected + mobility.normal(0.0, 40.0, size=expected.shape)
             expected = np.stack(
                 [self._column_fold(moved[:, 0], 7.5), self._column_fold(moved[:, 1], 7.5)], axis=1
             )
@@ -112,15 +113,17 @@ class TestMobility:
         expected = self._column_fold(edges, 7.5)
         assert folded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
-    def test_zero_step_std_keeps_positions(self):
-        config = SimConfig(n_agents=10, ticks=5, step_std=0.0, **SMALL)
+    def test_zero_step_std_keeps_positions(self, monkeypatch):
+        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
+        config = SimConfig(n_agents=10, ticks=5, **SMALL)
         world = build_world(config, with_identities=False)
         before = world.positions.copy()
         step_mobility(world)
         assert np.array_equal(world.positions, before)
 
-    def test_agents_stay_inside_venue(self):
-        config = SimConfig(n_agents=50, ticks=5, step_std=3.0, **SMALL)
+    def test_agents_stay_inside_venue(self, monkeypatch):
+        monkeypatch.setattr(simulation, "STEP_STD", 3.0)
+        config = SimConfig(n_agents=50, ticks=5, **SMALL)
         world = build_world(config, with_identities=False)
         for _ in range(30):
             step_mobility(world)
@@ -161,11 +164,10 @@ class TestBoundaries:
     """Exact-distance ties: exposure and observation are inclusive (<=),
     an immediate contact is strict (<)."""
 
-    def test_exposure_is_inclusive_at_both_radii(self):
+    def test_exposure_is_inclusive_at_both_radii(self, monkeypatch):
         just_over = np.nextafter(2.0, 3.0)
-        world = build_world(
-            SimConfig(n_agents=5, ticks=1, step_std=0.0, p_inf=1.0, **SMALL), False
-        )
+        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
+        world = build_world(SimConfig(n_agents=5, ticks=1, p_inf=1.0, **SMALL), False)
         # Agent 0 is the seed case; 1 is 2 m away, 2 is 5 m away, 3 is one
         # ulp past 2 m, and 4 is far from everyone.
         world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [0.0, just_over], [9.0, 9.0]]
@@ -173,42 +175,42 @@ class TestBoundaries:
         assert world.infections[2.0].tolist() == [True, True, False, False, False]
         assert world.infections[5.0].tolist() == [True, True, True, True, False]
 
-    def test_two_meters_is_observed_but_not_immediate(self):
-        config = SimConfig(
-            n_agents=4, ticks=1, step_std=0.0, p_inf=0.0, tx_per_block_mean=2, n_blocks=1
-        )
+    def test_two_meters_is_observed_but_not_immediate(self, monkeypatch):
+        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
+        config = SimConfig(n_agents=4, ticks=1, p_inf=0.0, tx_per_block_mean=2, n_blocks=1)
         world = build_world(config)
         # 0-1 are exactly 2 m apart; 0-2 and 2-3 exactly 10 m; all else farther.
         world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
         world, _, metrics = run_epoch(world, Chain())
         assert (world.last_contact_tick == -1).all()
         assert metrics.observed_pairs == 3
-        assert world.credit.prox[1] == 2.0 / config.policy.lambda_plus
-        assert world.credit.prox[0] == (2.0 + 10.0) / config.policy.lambda_plus
+        assert world.credit.prox[1] == 2.0 / credit.LAMBDA_PLUS
+        assert world.credit.prox[0] == (2.0 + 10.0) / credit.LAMBDA_PLUS
 
-    def _clamp_world(self, noise_std: float = 0.0):
+    def _clamp_world(self, monkeypatch, noise_std: float = 0.0):
+        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
+        monkeypatch.setattr(simulation, "N_AUTHORIZED", 0)
         config = SimConfig(
-            n_agents=2, ticks=1, step_std=0.0, p_inf=0.0, n_authorized=0,
-            distance_noise_std=noise_std, **SMALL,
+            n_agents=2, ticks=1, p_inf=0.0, distance_noise_std=noise_std, **SMALL,
         )
         return build_world(config)
 
-    def test_coincident_agents_score_the_clamp_floor(self):
-        world = self._clamp_world()
+    def test_coincident_agents_score_the_clamp_floor(self, monkeypatch):
+        world = self._clamp_world(monkeypatch)
         world.positions[:] = [[3.0, 3.0], [3.0, 3.0]]
         simulation._score_contacts(world, 0)
-        floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
+        floor = -credit.LAMBDA_MINUS / MIN_SEPARATION_M
         assert floor == pytest.approx(-240.0)
         assert world.credit.prox.tolist() == [floor, floor]
 
     def test_negative_measured_distance_scores_the_clamp_floor(self, monkeypatch):
-        world = self._clamp_world(noise_std=0.3)
+        world = self._clamp_world(monkeypatch, noise_std=0.3)
         world.positions[:] = [[3.0, 3.0], [4.0, 3.0]]
         # The estimator reads the 1 m pair as 1 - 3 = -2 m.
         draw = SimpleNamespace(normal=lambda loc, scale, size: np.full(size, -3.0))
         monkeypatch.setitem(world.streams, "noise", draw)
         simulation._score_contacts(world, 0)
-        floor = -world.config.policy.lambda_minus / MIN_SEPARATION_M
+        floor = -credit.LAMBDA_MINUS / MIN_SEPARATION_M
         assert world.credit.prox.tolist() == [floor, floor]
 
 
@@ -228,8 +230,9 @@ class TestSpread:
             assert c2 >= prev2 and c5 >= prev5
             prev2, prev5 = c2, c5
 
-    def test_no_seed_case_never_spreads(self):
-        config = SimConfig(n_agents=30, ticks=20, p_inf=1.0, initial_infected=0, **SMALL)
+    def test_no_seed_case_never_spreads(self, monkeypatch):
+        monkeypatch.setattr(simulation, "INITIAL_INFECTED", 0)
+        config = SimConfig(n_agents=30, ticks=20, p_inf=1.0, **SMALL)
         assert all(c2 == 0 and c5 == 0 for _, c2, c5 in run_outbreak(config))
 
     @pytest.mark.parametrize("radius", [2.0, 3.0])
@@ -307,7 +310,7 @@ def _pair_list_kernel(world, t, pairs):
     noise draw per pair in list order, scores summed with ``np.add.at`` group
     by group, contacts written both ways into an n×n log, and the observed
     pairs counted."""
-    config, policy = world.config, world.config.policy
+    config = world.config
     prox = world.credit.prox
     ii, jj, groups = pairs(world.n)
     x, y = world.positions[:, 0], world.positions[:, 1]
@@ -317,18 +320,18 @@ def _pair_list_kernel(world, t, pairs):
     dy *= dy
     d += dy
     np.sqrt(d, out=d)
-    observed = d <= config.observe_radius
+    observed = d <= simulation.OBSERVE_RADIUS
     d_meas = d.copy()
     if config.distance_noise_std > 0:
         d_meas[observed] += world.streams["noise"].normal(
             0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
         )
-    scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M), policy)
+    scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M))
     for group in groups:
         seen = observed[group]
         for ends in (ii[group][seen], jj[group][seen]):
             np.add.at(prox, ends, scores[group][seen])
-    imm = observed & (d < policy.immediate_threshold)
+    imm = observed & (d < credit.IMMEDIATE_THRESHOLD)
     for a, b in ((ii[imm], jj[imm]), (jj[imm], ii[imm])):
         world.last_contact_tick[a, b] = t
         world.last_contact_dist[a, b] = d[imm]
@@ -443,7 +446,7 @@ class TestCreditKernel:
             pairs = score(w, t)
             px, py = simulation._partner_coordinates(w)
             d = simulation._offset_distances(px, py, 1, n // 2 + 1)
-            immediate = (d <= config.observe_radius) & (d < config.policy.immediate_threshold)
+            immediate = (d <= simulation.OBSERVE_RADIUS) & (d < credit.IMMEDIATE_THRESHOLD)
             if n % 2 == 0:
                 immediate[-1, n // 2 :] = False
             np.copyto(ref_tick, t, where=immediate)
@@ -456,12 +459,11 @@ class TestCreditKernel:
         assert world.last_contact_tick.tobytes() == ref_tick.tobytes()
         assert world.last_contact_dist.tobytes() == ref_dist.tobytes()
 
-    def test_both_ends_of_a_pair_share_its_noise(self):
+    def test_both_ends_of_a_pair_share_its_noise(self, monkeypatch):
         # Only the offset-2 pairs (0, 2) and (1, 3) are within 10 m, and for
         # n = 4 offset 2 is its own mirror.
-        config = SimConfig(
-            n_agents=4, ticks=6, step_std=0.0, p_inf=0.0, distance_noise_std=0.3, **SMALL
-        )
+        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
+        config = SimConfig(n_agents=4, ticks=6, p_inf=0.0, distance_noise_std=0.3, **SMALL)
         world = build_world(config)
         world.positions[:] = [[0.0, 0.0], [10.0, 10.0], [1.0, 0.0], [9.0, 10.0]]
         world, _, metrics = run_epoch(world, Chain())
@@ -480,13 +482,13 @@ class TestCreditKernel:
         score = simulation.contact_scores
         monkeypatch.setattr(
             simulation, "contact_scores",
-            lambda d, policy: scored.append(d.copy()) or score(d, policy),
+            lambda d: scored.append(d.copy()) or score(d),
         )
         simulation._score_contacts(world, 0)
         measured = np.concatenate(scored)
         px, py = simulation._partner_coordinates(world)
         true = simulation._offset_distances(px, py, 1, world.n // 2 + 1)
-        unobserved = true > config.observe_radius
+        unobserved = true > simulation.OBSERVE_RADIUS
         assert np.array_equal(measured[unobserved], true[unobserved])
         # Pairs beyond 2 m stay far above the clamp after noise.
         noise = (measured - true)[(true > 2.0) & ~unobserved]
@@ -516,14 +518,23 @@ class TestWorldBuild:
                 with pytest.raises(ValueError, match=" and ".join(pair)):
                     SimConfig(n_agents=10, **{half: 3})
 
+    def test_largest_seed_fits_the_key_seeds(self):
+        # Agent i's key seed is seed * 1_000_003 + i, packed into 8 signed bytes.
+        largest = (2**63 - 1 - 1) // 1_000_003
+        world = build_world(SimConfig(n_agents=2, ticks=1, seed=largest, **SMALL))
+        assert len({ident.node_id for ident in world.identities}) == 2
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(n_agents=2, seed=largest + 1)
+
     def test_infection_processes_cover_configured_radius(self):
         world = build_world(SimConfig(n_agents=5, ticks=1, infection_radius=3.0, **SMALL), False)
         assert set(world.infections) == {2.0, 3.0, 5.0}
         default = build_world(SimConfig(n_agents=5, ticks=1, **SMALL), False)
         assert set(default.infections) == {2.0, 5.0}
 
-    def test_identity_material(self):
-        config = SimConfig(n_agents=6, ticks=1, n_authorized=2, **SMALL)
+    def test_identity_material(self, monkeypatch):
+        monkeypatch.setattr(simulation, "N_AUTHORIZED", 2)
+        config = SimConfig(n_agents=6, ticks=1, **SMALL)
         world = build_world(config)
         assert len(world.identities) == 6
         assert len(world.authorized) == 2
@@ -556,7 +567,7 @@ class TestEpoch:
         assert len(lines) == len(tt)
         for line in lines:
             for entry in json.loads(line)["contacts"]:
-                assert entry["distance"] < config.policy.immediate_threshold
+                assert entry["distance"] < credit.IMMEDIATE_THRESHOLD
 
     def test_alarms_notify_contacts(self):
         config = SimConfig(
@@ -610,16 +621,18 @@ class TestEpoch:
         _, neg, _ = world.credit.breakdown(world.identities[2].node_id, now=13)
         assert neg < 0
 
-    def test_quiet_world_emits_only_plain_traffic(self):
-        config = SimConfig(n_agents=10, ticks=8, initial_infected=0, seed=1, **SMALL)
+    def test_quiet_world_emits_only_plain_traffic(self, monkeypatch):
+        monkeypatch.setattr(simulation, "INITIAL_INFECTED", 0)
+        config = SimConfig(n_agents=10, ticks=8, seed=1, **SMALL)
         _, chain, _ = _run(config)
         kinds = {tx.kind for b in chain for tx in b.transactions}
         assert TxKind.TT not in kinds
         assert TxKind.AT not in kinds
         assert kinds <= {TxKind.ST, TxKind.QT, TxKind.REGISTRY}
 
-    def test_chain_carries_registry_announcement(self):
-        config = SimConfig(n_agents=10, ticks=6, initial_infected=0, seed=1, **SMALL)
+    def test_chain_carries_registry_announcement(self, monkeypatch):
+        monkeypatch.setattr(simulation, "INITIAL_INFECTED", 0)
+        config = SimConfig(n_agents=10, ticks=6, seed=1, **SMALL)
         _, chain, _ = _run(config)
         registry_tx = [
             tx for b in chain for tx in b.transactions if tx.kind is TxKind.REGISTRY
@@ -776,10 +789,8 @@ class TestDistanceText:
 
     def test_long_threshold_grows_the_table_and_writes_the_same_lines(self, monkeypatch):
         # Distances up to 6.5 m pass the 20,001 strings a 2 m run needs.
-        config = SimConfig(
-            n_agents=40, ticks=8, seed=4, p_inf=0.2,
-            policy=CreditPolicy(immediate_threshold=6.5), **SMALL,
-        )
+        monkeypatch.setattr(credit, "IMMEDIATE_THRESHOLD", 6.5)
+        config = SimConfig(n_agents=40, ticks=8, seed=4, p_inf=0.2, **SMALL)
         monkeypatch.setattr(simulation, "_DISTANCE_TEXT", [])
         lines, ref_lines = [], []
         _run(config, lines)
@@ -806,7 +817,7 @@ class TestDistanceText:
 def _credit_contacts(store: CreditStore, node: bytes, distances) -> None:
     """Credit one node with contacts at these measured distances, as
     ``_score_contacts`` does: clamp, score, add one contact at a time."""
-    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M), store.policy)
+    scores = contact_scores(np.maximum(distances, MIN_SEPARATION_M))
     for score in scores:
         store.prox[store.index_of[node]] += score
 
