@@ -20,6 +20,7 @@ from .consensus import BlockRejectedError, verify_chain
 from .experiments import (
     ConfigError,
     ExperimentSpec,
+    _check_loc_eval,
     load_spec,
     make_output_dir,
     run_ct_experiment,
@@ -151,11 +152,12 @@ def _cmd_loc_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --snr list: {exc}") from exc
     if not snrs:
         raise ConfigError("--snr needs at least one value")
-    make_output_dir(args.out)
     try:
-        rows = run_localization_eval(snrs, trials=args.trials, seed=args.seed)
+        _check_loc_eval(snrs, args.trials, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    make_output_dir(args.out)
+    rows = run_localization_eval(snrs, trials=args.trials, seed=args.seed)
     path = write_loc_eval_csv(rows, args.out)
     for r in rows:
         snr = "inf" if r.snr_db is None else f"{r.snr_db:g}"

@@ -91,9 +91,10 @@ def proximity_credit(distance_m: float) -> float:
     """Score of a single contact at the given distance.
 
     Negative and growing like 1/L inside the immediate threshold, positive
-    and linear beyond it. Measured distances are clamped to
-    ``MIN_SEPARATION_M`` before scoring (see ``simulation._score_contacts``);
-    the raw function diverges as L approaches zero by design.
+    and linear beyond it. The simulation clamps each pair's distance to
+    ``MIN_SEPARATION_M`` before scoring (see ``simulation._score_contacts``),
+    so coincident agents score a finite floor; the raw function diverges as
+    L approaches zero by design.
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")

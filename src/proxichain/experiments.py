@@ -433,6 +433,20 @@ def _loc_trials(
     return records
 
 
+def _check_loc_eval(
+    snr_list: Sequence[Optional[float]], trials: int, seed: int
+) -> None:
+    """Raise ``ValueError`` naming the argument that
+    :func:`run_localization_eval` would refuse, before any work."""
+    if trials < 30:
+        raise ValueError(f"need at least 30 trials per SNR point, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not snr_list:
+        raise ValueError("need at least one SNR point")
+    aoa._check_snrs(snr_list)
+
+
 def run_localization_eval(
     snr_list: Sequence[Optional[float]],
     trials: int,
@@ -463,11 +477,7 @@ def run_localization_eval(
     or cuts its share's record short has its share redone here, so an error
     is the one a sequential run raises, at the same trial.
     """
-    if trials < 30:
-        raise ValueError("need at least 30 trials per SNR point")
-    if not snr_list:
-        raise ValueError("need at least one SNR point")
-    aoa._check_snrs(snr_list)  # before any work
+    _check_loc_eval(snr_list, trials, seed)
 
     def bounds(p: int, procs: int) -> tuple[int, int]:
         return trials * p // procs, trials * (p + 1) // procs

@@ -130,12 +130,10 @@ class SimConfig:
     tx_per_block_mean: int = 200
     n_blocks: int = 120
     p_inf: float = 0.02
-    distance_noise_std: float = 0.0
     attacker_id: Optional[int] = None
     attack_tick: Optional[int] = None
     false_claimer_id: Optional[int] = None
     false_claim_tick: Optional[int] = None
-    violator_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_field("n_agents", self.n_agents, 2, integer=True)
@@ -145,14 +143,13 @@ class SimConfig:
         # Every key seed must fit the signed 64 bits it is packed into.
         max_seed = (2**63 - 1 - last_agent) // _KEY_SEED_STRIDE
         _check_field("seed", self.seed, 0, max_seed, integer=True)
-        for name in ("infection_radius", "distance_noise_std"):
-            _check_field(name, getattr(self, name), 0.0)
+        _check_field("infection_radius", self.infection_radius, 0.0)
         if self.infection_radius == 0:
             raise ValueError("infection_radius must be positive")
         _check_field("p_inf", self.p_inf, 0.0, 1.0)
         if not isinstance(self.policy, CreditPolicy):
             raise TypeError(f"policy must be a CreditPolicy, got {self.policy!r}")
-        for name in ("attacker_id", "false_claimer_id", "violator_id"):
+        for name in ("attacker_id", "false_claimer_id"):
             if getattr(self, name) is not None:
                 _check_field(name, getattr(self, name), 0, last_agent, integer=True)
         for name in ("attack_tick", "false_claim_tick"):
@@ -222,7 +219,6 @@ class WorldState:
     manager: Optional[NodeIdentity] = None
     registry: Optional[AuthorizedRegistry] = None
     pending: list[Transaction] = field(default_factory=list)
-    _violator_target: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -236,9 +232,11 @@ TRACKED_DEFAULT = 8
 
 
 def _derive_streams(seed: int) -> dict[str, np.random.Generator]:
-    names = ("mobility", "infection", "traffic", "whash", "noise", "misc")
+    # Child 4 is spawned but read by nothing, so that ``misc`` stays child 5
+    # and every position and miner draw keeps its bytes.
+    names = ("mobility", "infection", "traffic", "whash", None, "misc")
     children = np.random.SeedSequence(seed).spawn(len(names))
-    return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
+    return {name: np.random.default_rng(ss) for name, ss in zip(names, children) if name}
 
 
 def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
@@ -299,25 +297,13 @@ def _reflect(values: np.ndarray, upper: float) -> np.ndarray:
 
 
 def step_mobility(world: WorldState) -> WorldState:
-    """Advance every agent by a reflected Gaussian step. The violator, if
-    any, then closes 0.8 of its gap to the agent nearest it after the last
-    step, before the fold."""
+    """Advance every agent by a Gaussian step, folded back into the venue."""
     step = world.streams["mobility"].normal(0.0, STEP_STD, size=world.positions.shape)
     if STEP_STD > 0:
         world.positions += step
-    vid = world.config.violator_id
-    if vid is not None and world._violator_target is not None:
-        world.positions[vid] += 0.8 * (world._violator_target - world.positions[vid])
     # One fold over the flattened (x0, y0, x1, y1, ...) coordinates, so its
     # loops run over 2n contiguous values, not n values at stride 2.
     world.positions[:] = _reflect(world.positions.ravel(), VENUE_SIDE).reshape(-1, 2)
-    if vid is not None:
-        # Next step's target: the agent now nearest the violator.
-        x, y = world.positions[:, 0], world.positions[:, 1]
-        dx, dy = x[vid] - x, y[vid] - y
-        row = np.sqrt(dx * dx + dy * dy)
-        row[vid] = np.inf
-        world._violator_target = world.positions[int(np.argmin(row))].copy()
     return world
 
 
@@ -374,7 +360,7 @@ class RunMetrics:
 
 def _tracked_ids(config: SimConfig) -> tuple[int, ...]:
     ids = list(range(min(TRACKED_DEFAULT, config.n_agents)))
-    for extra in (config.attacker_id, config.false_claimer_id, config.violator_id):
+    for extra in (config.attacker_id, config.false_claimer_id):
         if extra is not None and extra not in ids:
             ids.append(extra)
     return tuple(ids)
@@ -417,12 +403,10 @@ def _score_contacts(world: WorldState, t: int) -> int:
     for even n, offset n / 2 is its own mirror and keeps only cells
     i < n / 2. The offsets are walked a block at a time, and each offset row
     is added to its first ends (agent i) and then to its second ends (agent
-    i + o), unobserved pairs as +0.0. Distance noise is drawn per block over
-    the observed cells in C order, so both ends of a pair score the same
-    measured distance. Contacts go to cell [o - 1, i] of the contact log,
-    with their true distance.
+    i + o), unobserved pairs as +0.0. Each distance is clamped to
+    ``MIN_SEPARATION_M`` before it is scored, so coincident agents score a
+    finite floor. Contacts go to cell [o - 1, i] of the contact log.
     """
-    config = world.config
     n, half = world.n, world.n // 2
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
@@ -433,13 +417,7 @@ def _score_contacts(world: WorldState, t: int) -> int:
         observed = d <= OBSERVE_RADIUS
         if 2 * (o1 - 1) == n:
             observed[-1, half:] = False
-        d_meas = d
-        if config.distance_noise_std > 0:
-            d_meas = d.copy()
-            d_meas[observed] += world.streams["noise"].normal(
-                0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
-            )
-        scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M))
+        scores = contact_scores(np.maximum(d, MIN_SEPARATION_M))
         scores[~observed] = 0.0
         pairs += int(np.count_nonzero(observed))
         for o, row in zip(range(o0, o1), scores):

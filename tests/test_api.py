@@ -77,9 +77,11 @@ def test_fixed_coefficients_are_constants_not_config():
     sim_fields = {f.name for f in dataclasses.fields(simulation.SimConfig)}
     removed = {
         "step_std", "observe_radius", "retention_ticks", "n_authorized",
-        "initial_infected", "track_agents",
+        "initial_infected", "track_agents", "distance_noise_std", "violator_id",
     }
     assert sim_fields.isdisjoint(removed)
+    assert len(sim_fields) == 12
+    assert not hasattr(simulation.WorldState, "_violator_target")
     assert tuple(f.name for f in dataclasses.fields(credit.CreditPolicy)) == ("omega_na",)
     calls = [
         consensus.difficulty_for,

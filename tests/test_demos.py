@@ -1,6 +1,6 @@
 """Every script in ``demos/`` runs to completion in a fresh interpreter, and
-the deterministic ones that score credit and localize print what they
-always have."""
+the deterministic ones that score credit, localize and run an outbreak
+print what they always have."""
 
 import hashlib
 import os
@@ -56,4 +56,15 @@ def test_music_localization_output_is_pinned(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
     assert hashlib.sha256(result.stdout).hexdigest() == (
         "204d9134a4462bf85e5c3b1c49f74f25eb27f773ec310005e099f6b2967f194d"
+    )
+
+
+def test_outbreak_simulation_output_is_pinned(tmp_path):
+    """Demo 05 runs ``run_epoch`` through mobility, the credit kernel and
+    the attacker's penalty from a fixed seed; its printed counts, credits
+    and verdict are deterministic."""
+    result = _run(ROOT / "demos" / "05_outbreak_simulation.py", tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "3f20209c1e9823c01d280d695b03763b5b9303a42d09936c4588e623edd9852f"
     )

@@ -225,12 +225,12 @@ class TestCtExperiment:
                      chain_jsonl="c6785b0d", iup_json="bf8b3b0b"),
             ),
             (
-                dict(seed=3, violator_id=7, distance_noise_std=0.3),
-                dict(metrics_csv="12ddbcf5", credits_csv="cbd72c63", contacts_jsonl="dbce8cf5",
-                     chain_jsonl="d0a94124", iup_json="fc4c522d"),
+                dict(seed=3),
+                dict(metrics_csv="12ddbcf5", credits_csv="9f8d4f67", contacts_jsonl="b03825e9",
+                     chain_jsonl="dbe60a99", iup_json="fc4c522d"),
             ),
         ],
-        ids=["seed0", "seed3-noisy"],
+        ids=["seed0", "seed3"],
     )
     def test_artifacts_are_pinned(self, tmp_path, extra, pinned):
         sim = SimConfig(
@@ -1044,6 +1044,8 @@ class TestCli:
             ("ct-run", {"sim": {"n_agents": 20.5}}, []),
             ("ct-run", {"sim": {"p_inf": "x"}}, []),
             ("ct-run", {"sim": {"step_std": 0.5}}, []),
+            ("ct-run", {"sim": {"distance_noise_std": 0.3}}, []),
+            ("ct-run", {"sim": {"violator_id": 7}}, []),
             ("ct-run", {"sim": {"policy": {"alpha_d": 0.0}}}, []),
             ("ct-run", {"sim": {"policy": {"omega_na": "x"}}}, []),
             ("ct-run", {"sim": {"attacker_id": 500, "attack_tick": 1}}, []),
@@ -1064,6 +1066,8 @@ class TestCli:
             ("ct-run", {}, ["--bogus", "1"]),
             ("ct-run", {}, ["--seed", "abc"]),
             ("loc-eval", {}, ["--trials", "x"]),
+            ("loc-eval", {}, ["--seed", "-1", "--out", "{tmp}/lo"]),
+            ("loc-eval", {}, ["--trials", "10", "--out", "{tmp}/lo"]),
             ("ct-run", {}, ["--whash", "0"]),
             ("mine-bench", {}, ["--radius", "2"]),
             ("ct-run", {}, ["--seed", "10000000000000"]),
@@ -1072,6 +1076,7 @@ class TestCli:
         ids=[
             "spec-not-object", "ct-run-negative-seed", "mine-bench-negative-seed",
             "fractional-n_agents", "string-p_inf", "removed-step_std",
+            "removed-distance_noise_std", "removed-violator_id",
             "removed-policy-alpha_d", "string-omega_na", "attacker_id-out-of-range",
             "negative-blocks",
             "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
@@ -1080,6 +1085,7 @@ class TestCli:
             "ct-run-out-is-a-file", "ct-run-out-under-a-file",
             "mine-bench-out-is-a-file", "mine-bench-out-under-a-file",
             "unknown-flag", "non-integer-seed", "non-integer-trials",
+            "loc-eval-negative-seed", "loc-eval-too-few-trials",
             "ct-run-whash", "mine-bench-radius", "ct-run-seed-past-key-range",
             "mine-bench-seed-past-key-range",
         ],
@@ -1101,9 +1107,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not named or any(name in err for name in named), named
-        if "--seed" in flags:
-            assert "seed" in err
-        # Refused before any output file, the .partial marker included, is made.
+        for flag in ("--seed", "--trials"):
+            if flag in flags:
+                assert flag[2:] in err, flag
+        # Refused before any output file or directory, the .partial marker
+        # included, is made.
         assert os.listdir(tmp_path) == ["spec.json"]
 
     def test_missing_subcommand_exits_3_with_usage(self, capsys):

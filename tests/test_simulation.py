@@ -5,7 +5,6 @@ import os
 import struct
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,30 +186,12 @@ class TestBoundaries:
         assert world.credit.prox[1] == 2.0 / credit.LAMBDA_PLUS
         assert world.credit.prox[0] == (2.0 + 10.0) / credit.LAMBDA_PLUS
 
-    def _clamp_world(self, monkeypatch, noise_std: float = 0.0):
-        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
-        monkeypatch.setattr(simulation, "N_AUTHORIZED", 0)
-        config = SimConfig(
-            n_agents=2, ticks=1, p_inf=0.0, distance_noise_std=noise_std, **SMALL,
-        )
-        return build_world(config)
-
-    def test_coincident_agents_score_the_clamp_floor(self, monkeypatch):
-        world = self._clamp_world(monkeypatch)
+    def test_coincident_agents_score_the_clamp_floor(self):
+        world = build_world(SimConfig(n_agents=2, ticks=1, p_inf=0.0, **SMALL))
         world.positions[:] = [[3.0, 3.0], [3.0, 3.0]]
         simulation._score_contacts(world, 0)
         floor = -credit.LAMBDA_MINUS / MIN_SEPARATION_M
         assert floor == pytest.approx(-240.0)
-        assert world.credit.prox.tolist() == [floor, floor]
-
-    def test_negative_measured_distance_scores_the_clamp_floor(self, monkeypatch):
-        world = self._clamp_world(monkeypatch, noise_std=0.3)
-        world.positions[:] = [[3.0, 3.0], [4.0, 3.0]]
-        # The estimator reads the 1 m pair as 1 - 3 = -2 m.
-        draw = SimpleNamespace(normal=lambda loc, scale, size: np.full(size, -3.0))
-        monkeypatch.setitem(world.streams, "noise", draw)
-        simulation._score_contacts(world, 0)
-        floor = -credit.LAMBDA_MINUS / MIN_SEPARATION_M
         assert world.credit.prox.tolist() == [floor, floor]
 
 
@@ -250,14 +231,11 @@ class TestSpread:
         for r, mask in infections.items():
             assert np.array_equal(world.infections[r], mask)
 
-    @pytest.mark.parametrize("violator", [None, 5])
-    def test_outbreak_rows_are_the_epoch_counts(self, violator):
-        """Both simulators move agents, the violator too, through
-        ``step_mobility`` alone, so their infection curves agree."""
+    def test_outbreak_rows_are_the_epoch_counts(self):
+        """Both simulators move agents through ``step_mobility`` alone, so
+        their infection curves agree."""
         for seed in range(1, 5):
-            config = SimConfig(
-                n_agents=60, ticks=50, p_inf=0.1, seed=seed, violator_id=violator, **SMALL
-            )
+            config = SimConfig(n_agents=60, ticks=50, p_inf=0.1, seed=seed, **SMALL)
             _, _, metrics = _run(config)
             counts = [
                 (row["tick"], row["infected_count_2m"], row["infected_count_5m"])
@@ -306,11 +284,9 @@ def _offset_pairs(n):
 
 
 def _pair_list_kernel(world, t, pairs):
-    """The credit kernel over an explicit pair list: one distance and one
-    noise draw per pair in list order, scores summed with ``np.add.at`` group
-    by group, contacts written both ways into an n×n log, and the observed
-    pairs counted."""
-    config = world.config
+    """The credit kernel over an explicit pair list: one distance per pair in
+    list order, scores summed with ``np.add.at`` group by group, contacts
+    written both ways into an n×n log, and the observed pairs counted."""
     prox = world.credit.prox
     ii, jj, groups = pairs(world.n)
     x, y = world.positions[:, 0], world.positions[:, 1]
@@ -321,12 +297,7 @@ def _pair_list_kernel(world, t, pairs):
     d += dy
     np.sqrt(d, out=d)
     observed = d <= simulation.OBSERVE_RADIUS
-    d_meas = d.copy()
-    if config.distance_noise_std > 0:
-        d_meas[observed] += world.streams["noise"].normal(
-            0.0, config.distance_noise_std, size=int(np.count_nonzero(observed))
-        )
-    scores = contact_scores(np.maximum(d_meas, MIN_SEPARATION_M))
+    scores = contact_scores(np.maximum(d, MIN_SEPARATION_M))
     for group in groups:
         seen = observed[group]
         for ends in (ii[group][seen], jj[group][seen]):
@@ -378,37 +349,23 @@ def _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lin
     assert metrics.rows == ref_metrics.rows
 
 
-def _kernel_config(n, noise=0.0):
+def _kernel_config(n):
     # 33 and 257 leave a last block of offsets shorter than the others, and
-    # 4, 64 have an offset n / 2; the violator drifts toward the crowd, so
-    # agents bunch up under 2 m.
-    return SimConfig(
-        n_agents=n, ticks=4, seed=n, p_inf=0.2, distance_noise_std=noise,
-        violator_id=n - 1, **SMALL,
-    )
+    # 4, 64 have an offset n / 2.
+    return SimConfig(n_agents=n, ticks=4, seed=n, p_inf=0.2, **SMALL)
 
 
-def _epoch_peak_bytes(noise):
-    config = SimConfig(
-        n_agents=2000, ticks=2, seed=1, p_inf=0.0, distance_noise_std=noise, **SMALL
-    )
-    world = build_world(config)
-    tracemalloc.start()
-    try:
-        run_epoch(world, Chain())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+def _exact_id(n):
+    """Id of a case that checks the kernel bit for bit."""
+    return f"{n}-exact"
 
 
 class TestCreditKernel:
-    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["exact", "noisy"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257])
-    def test_matches_pair_list_reference(self, n, noise, monkeypatch):
-        # Listed in the kernel's order, the pair list draws the same noise
-        # and adds every agent's scores in the same order: equal bit for bit.
-        config = _kernel_config(n, noise)
+    @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257], ids=_exact_id)
+    def test_matches_pair_list_reference(self, n, monkeypatch):
+        # Listed in the kernel's order, the pair list adds every agent's
+        # scores in the same order: equal bit for bit.
+        config = _kernel_config(n)
         lines, ref_lines = [], []
         world, _, metrics = _run(config, lines)
         ref_world, ref_metrics = _reference_run(config, monkeypatch, _offset_pairs, ref_lines)
@@ -429,15 +386,15 @@ class TestCreditKernel:
         scale = np.abs(ref_metrics.prox_final).max()
         assert np.abs(metrics.prox_final - ref_metrics.prox_final).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["exact", "noisy"])
-    @pytest.mark.parametrize("n", [3, 4, 130, 257])
-    def test_log_is_the_masked_copy(self, n, noise, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 4, 130, 257], ids=_exact_id)
+    def test_log_is_the_masked_copy(self, n, monkeypatch):
         # Beside each tick's kernel, a reference log is written the old way:
-        # two masked copies over every offset row, true distances, and for
-        # even n only cells i < n / 2 of offset n / 2. At 130 and 257 the
-        # offsets span several blocks, the last one short.
-        config = _kernel_config(n, noise)
-        world = build_world(config)
+        # two masked copies over every offset row, and for even n only cells
+        # i < n / 2 of offset n / 2. At 130 and 257 the offsets span several
+        # blocks, the last one short. The agents start in a 3 m square, so
+        # that even three of them come within 2 m.
+        world = build_world(_kernel_config(n))
+        world.positions *= 0.3
         ref_tick = world.last_contact_tick.copy()
         ref_dist = world.last_contact_dist.copy()
         score = simulation._score_contacts
@@ -459,51 +416,17 @@ class TestCreditKernel:
         assert world.last_contact_tick.tobytes() == ref_tick.tobytes()
         assert world.last_contact_dist.tobytes() == ref_dist.tobytes()
 
-    def test_both_ends_of_a_pair_share_its_noise(self, monkeypatch):
-        # Only the offset-2 pairs (0, 2) and (1, 3) are within 10 m, and for
-        # n = 4 offset 2 is its own mirror.
-        monkeypatch.setattr(simulation, "STEP_STD", 0.0)
-        config = SimConfig(n_agents=4, ticks=6, p_inf=0.0, distance_noise_std=0.3, **SMALL)
-        world = build_world(config)
-        world.positions[:] = [[0.0, 0.0], [10.0, 10.0], [1.0, 0.0], [9.0, 10.0]]
-        world, _, metrics = run_epoch(world, Chain())
-        prox = metrics.prox_final
-        assert prox[0] == prox[2] and prox[1] == prox[3]
-        assert prox[0] != prox[1]
-        assert metrics.observed_pairs == 2 * config.ticks
-
-    def test_noise_is_centred_with_the_configured_spread(self, monkeypatch):
-        sigma = 0.3
-        config = SimConfig(
-            n_agents=401, ticks=1, seed=2, p_inf=0.0, distance_noise_std=sigma, **SMALL
-        )
-        world = build_world(config)
-        scored = []
-        score = simulation.contact_scores
-        monkeypatch.setattr(
-            simulation, "contact_scores",
-            lambda d: scored.append(d.copy()) or score(d),
-        )
-        simulation._score_contacts(world, 0)
-        measured = np.concatenate(scored)
-        px, py = simulation._partner_coordinates(world)
-        true = simulation._offset_distances(px, py, 1, world.n // 2 + 1)
-        unobserved = true > simulation.OBSERVE_RADIUS
-        assert np.array_equal(measured[unobserved], true[unobserved])
-        # Pairs beyond 2 m stay far above the clamp after noise.
-        noise = (measured - true)[(true > 2.0) & ~unobserved]
-        assert noise.size > 30_000
-        assert abs(noise.mean()) < 4 * sigma / np.sqrt(noise.size)
-        assert noise.std() == pytest.approx(sigma, rel=0.02)
-
     def test_epoch_allocates_no_pair_sized_buffers(self):
         # At 2000 agents one float64 per unordered pair is 16 MB; the
         # pair-list kernel held about ten such buffers each tick.
-        assert _epoch_peak_bytes(0.0) < 24 * 2**20
-
-    def test_noisy_epoch_allocates_no_pair_sized_buffers(self):
-        # Drawn in the kernel's blocks, the noise needs no n×n buffer.
-        assert _epoch_peak_bytes(0.3) < 24 * 2**20
+        world = build_world(SimConfig(n_agents=2000, ticks=2, seed=1, p_inf=0.0, **SMALL))
+        tracemalloc.start()
+        try:
+            run_epoch(world, Chain())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestWorldBuild:
@@ -952,13 +875,3 @@ class TestMetrics:
             _run(SimConfig(n_agents=40, ticks=15, p_inf=0.0, seed=3, **SMALL))[2]
         )
         assert dense["avg_interactions"] > sparse["avg_interactions"]
-
-    def test_measurement_noise_costs_credit(self):
-        base = SimConfig(n_agents=40, ticks=60, p_inf=0.0, seed=7, **SMALL)
-        noisy = SimConfig(
-            n_agents=40, ticks=60, p_inf=0.0, seed=7, distance_noise_std=0.5, **SMALL
-        )
-        exact_stats = interaction_stats(_run(base)[2])
-        noisy_stats = interaction_stats(_run(noisy)[2])
-        assert noisy_stats["avg_interactions"] == exact_stats["avg_interactions"]
-        assert noisy_stats["avg_gained_credit"] < exact_stats["avg_gained_credit"]
