@@ -21,6 +21,7 @@ from .experiments import (
     ConfigError,
     ExperimentSpec,
     _check_loc_eval,
+    _check_max_trials,
     load_spec,
     make_output_dir,
     run_ct_experiment,
@@ -103,6 +104,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_mine_bench(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    _check_max_trials(args.max_trials)
     make_output_dir(spec.output_dir)
     rows, summary = run_mining_benchmark(spec, max_trials=args.max_trials)
     write_bench_csv(rows, summary, spec.output_dir)

@@ -137,6 +137,13 @@ def _bench_base_chain(depth: int, miner_id: bytes, rng: np.random.Generator) -> 
     return chain
 
 
+def _check_max_trials(max_trials: Optional[int]) -> None:
+    """Raise :class:`ConfigError` for a trial cap that
+    :func:`run_mining_benchmark` refuses, before any work."""
+    if max_trials is not None and max_trials < 1:
+        raise ConfigError(f"max_trials must be at least 1, got {max_trials}")
+
+
 def run_mining_benchmark(
     spec: ExperimentSpec, max_trials: Optional[int] = None
 ) -> tuple[list[BenchRow], dict]:
@@ -146,8 +153,7 @@ def run_mining_benchmark(
     mean and median of both trial counts and wall-clock seconds. Rows that
     hit ``max_trials`` are marked truncated and excluded from the summary.
     """
-    if max_trials is not None and max_trials < 1:
-        raise ConfigError(f"max_trials must be at least 1, got {max_trials}")
+    _check_max_trials(max_trials)
     rng = np.random.default_rng(spec.sim.seed)
     bench_id = generate_identity(Role.AUTHORIZED, seed=spec.sim.seed).node_id
     base = _bench_base_chain(100, bench_id, rng)

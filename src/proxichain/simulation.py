@@ -95,6 +95,15 @@ RETENTION_TICKS = 14_000
 N_AUTHORIZED = 4
 INITIAL_INFECTED = 1
 
+# The contact log stores a tick as ``uint16`` ticks since the world's
+# ``contact_epoch``, ``_NEVER`` meaning no contact. Before a tick would be
+# stored 2 * _EPOCH_TICKS - 1 past the epoch, the epoch moves on by
+# _EPOCH_TICKS and the cells older than the new epoch are dropped. Those are
+# then at least _EPOCH_TICKS ticks old; with RETENTION_TICKS below that, they
+# are behind the retention horizon already, so no trace would list them.
+_EPOCH_TICKS = 2**15
+_NEVER = 0xFFFF
+
 # Agent i of the run with seed s derives its key from s * _KEY_SEED_STRIDE + i.
 _KEY_SEED_STRIDE = 1_000_003
 
@@ -211,9 +220,13 @@ class WorldState:
     credit: CreditStore
     iup: InfectedUsersPool
     # Immediate-contact log, kept only in worlds built with identities. Cell
-    # [o - 1, i] holds pair (i, (i + o) mod n), as ``_score_contacts`` meets it.
-    last_contact_tick: Optional[np.ndarray] = None   # int32 (n // 2, n), -1 = never
-    last_contact_dist: Optional[np.ndarray] = None   # float32 (n // 2, n)
+    # [o - 1, i] holds pair (i, (i + o) mod n), as ``_score_contacts`` meets it,
+    # in 4 bytes: the pair's last contact tick, as ticks since
+    # ``contact_epoch`` (``_NEVER`` if it has none), and the distance then, as
+    # q = rint(float64(float32(d)) * 1e4) units of 1e-4 m (``_distance_units``).
+    last_contact_tick: Optional[np.ndarray] = None   # uint16 (n // 2, n)
+    last_contact_dist: Optional[np.ndarray] = None   # uint16 (n // 2, n)
+    contact_epoch: int = 0
     identities: Optional[list[NodeIdentity]] = None
     authorized: Optional[list[NodeIdentity]] = None
     manager: Optional[NodeIdentity] = None
@@ -257,8 +270,8 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     contact_tick = contact_dist = None
     if with_identities:
         # Only run_epoch logs contacts, and it refuses a world without keys.
-        contact_tick = np.full((n // 2, n), -1, dtype=np.int32)
-        contact_dist = np.zeros((n // 2, n), dtype=np.float32)
+        contact_tick = np.full((n // 2, n), _NEVER, dtype=np.uint16)
+        contact_dist = np.zeros((n // 2, n), dtype=np.uint16)
         base = config.seed * _KEY_SEED_STRIDE
         identities = [generate_identity(Role.LIGHT, seed=base + i) for i in range(n)]
         manager = generate_identity(Role.MANAGER, seed=base - 1)
@@ -395,6 +408,34 @@ def _offset_distances(px: np.ndarray, py: np.ndarray, o0: int, o1: int) -> np.nd
     return np.sqrt(d, out=d)
 
 
+def _distance_units(d: np.ndarray) -> np.ndarray:
+    """q = rint(float64(float32(d)) * 1e4) of each distance d >= 0 (m), as
+    ``uint16``: the units of 1e-4 m that the contact log stores.
+
+    A ``float32`` has a 24-bit significand and 10^4 needs 14 bits, so
+    ``float64(float32(d)) * 1e4`` is exact and ``np.rint`` rounds it half to
+    even as ``round(d, 4)`` rounds the exact decimal value of the ``float32``
+    d: q / 1e4 is the distance that ``contacts.jsonl`` prints. ``uint16``
+    holds every q below ``credit.IMMEDIATE_THRESHOLD`` while that is below
+    6.5535 m."""
+    q = np.multiply(d.astype(np.float32), 1e4, dtype=np.float64)
+    return np.rint(q, out=q).astype(np.uint16)
+
+
+def _rebase_contact_log(world: WorldState) -> None:
+    """Move the contact log's epoch on by ``_EPOCH_TICKS``: cells logged
+    before the new epoch become ``_NEVER`` and the rest shift down. The log
+    is walked ``_OFFSET_BLOCK`` rows at a time, so no pair-sized mask is
+    made."""
+    log = world.last_contact_tick
+    for start in range(0, len(log), _OFFSET_BLOCK):
+        block = log[start : start + _OFFSET_BLOCK]
+        kept = (block >= _EPOCH_TICKS) & (block != _NEVER)
+        np.subtract(block, _EPOCH_TICKS, out=block, where=kept)
+        block[~kept] = _NEVER
+    world.contact_epoch += _EPOCH_TICKS
+
+
 def _score_contacts(world: WorldState, t: int) -> int:
     """Credit every observed pair, log the immediate contacts of tick t, and
     return the number of observed pairs.
@@ -405,9 +446,13 @@ def _score_contacts(world: WorldState, t: int) -> int:
     is added to its first ends (agent i) and then to its second ends (agent
     i + o), unobserved pairs as +0.0. Each distance is clamped to
     ``MIN_SEPARATION_M`` before it is scored, so coincident agents score a
-    finite floor. Contacts go to cell [o - 1, i] of the contact log.
+    finite floor. Contacts go to cell [o - 1, i] of the contact log, whose
+    epoch is first moved on as far as tick t needs (``_EPOCH_TICKS``).
     """
     n, half = world.n, world.n // 2
+    while t - world.contact_epoch >= 2 * _EPOCH_TICKS - 1:
+        _rebase_contact_log(world)
+    log_tick = t - world.contact_epoch
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
     pairs = 0
@@ -428,8 +473,8 @@ def _score_contacts(world: WorldState, t: int) -> int:
         # Only the immediate cells are written, by their flat index.
         immediate = np.flatnonzero(observed & (d < credit.IMMEDIATE_THRESHOLD))
         cells = immediate + (o0 - 1) * n
-        world.last_contact_tick.put(cells, t)
-        world.last_contact_dist.put(cells, d.take(immediate))
+        world.last_contact_tick.put(cells, log_tick)
+        world.last_contact_dist.put(cells, _distance_units(d.take(immediate)))
     return pairs
 
 
@@ -455,15 +500,12 @@ def _log_cells(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
 _DISTANCE_TEXT: list[str] = []
 
 
-def _distance_texts(dists: np.ndarray) -> list[str]:
-    """``repr(round(float(d), 4))`` of each ``float32`` distance d >= 0, as
-    JSON writes ``round(d, 4)``, read from :data:`_DISTANCE_TEXT`.
-
-    A ``float32`` has a 24-bit significand and 10^4 needs 14 bits, so
-    ``float64(d) * 1e4`` is exact and ``np.rint`` rounds it half to even as
-    ``round(d, 4)`` rounds the exact decimal value of d: both give q, and
-    the double nearest q / 10^4 is ``q / 1e4``."""
-    q = np.rint(dists.astype(np.float64) * 1e4).astype(np.intp).tolist()
+def _distance_texts(q: np.ndarray) -> list[str]:
+    """The text of each distance held as q units of 1e-4 m, as JSON writes
+    ``round(d, 4)`` of the ``float32`` distance d that gave q (see
+    :func:`_distance_units`), read from :data:`_DISTANCE_TEXT`: the double
+    nearest q / 10^4 is ``q / 1e4``."""
+    q = q.tolist()
     table = _DISTANCE_TEXT
     if q and max(q) >= len(table):
         table.extend(repr(round(k / 1e4, 4)) for k in range(len(table), max(q) + 1))
@@ -483,11 +525,11 @@ class _TraceText:
         self, tick: int, i: int, peers: np.ndarray, dists: np.ndarray, ticks: np.ndarray
     ) -> str:
         """The line, newline included, of agent i's report at ``tick``
-        listing agent ``peers[k]`` met ``dists[k]`` m away (``float32``) at
-        ``ticks[k]``: ``json.dumps(record, sort_keys=True, separators=(",",
-        ":"))`` of ``{"tick", "node_id", "contacts": [{"peer", "distance",
-        "tick"}, ...]}`` with ids in hex and each distance rounded to 4
-        places."""
+        listing agent ``peers[k]`` met ``dists[k]`` units of 1e-4 m away (as
+        the contact log holds it) at ``ticks[k]``: ``json.dumps(record,
+        sort_keys=True, separators=(",", ":"))`` of ``{"tick", "node_id",
+        "contacts": [{"peer", "distance", "tick"}, ...]}`` with ids in hex
+        and each distance in m rounded to 4 places."""
         head = '{"contacts":[{"distance":' if len(peers) else '{"contacts":['
         parts = ['},{"distance":'] * (4 * len(peers))
         parts[0::4] = _distance_texts(dists)
@@ -515,10 +557,11 @@ def _emit_trace(
     """
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
-    row_ticks[i] = -1  # agent i never lists itself
-    horizon = max(now - RETENTION_TICKS, 0)
-    peers = np.nonzero(row_ticks >= horizon)[0]
-    ticks = row_ticks[peers]
+    row_ticks[i] = _NEVER  # agent i never lists itself
+    # The retention horizon in ticks since the log's epoch.
+    horizon = max(now - RETENTION_TICKS, 0) - world.contact_epoch
+    peers = np.flatnonzero((row_ticks >= horizon) & (row_ticks != _NEVER))
+    ticks = row_ticks[peers].astype(np.int64) + world.contact_epoch
     payload = encode_contact_pairs(node_bytes[peers], ticks)
     world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
     world.iup.add(world.identities[i].node_id, now)

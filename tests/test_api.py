@@ -3,7 +3,11 @@
 import dataclasses
 import inspect
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import proxichain
@@ -102,3 +106,38 @@ def test_only_fork_reads_and_writes_pipes():
     raw = re.compile(r"\bos\.(read|write)\(")
     found = [path.name for path in sorted(package.glob("*.py")) if raw.search(path.read_text())]
     assert found == ["_fork.py"]
+
+
+_LAZY_CRYPTO_PROBE = """
+import importlib, json, pkgutil, sys
+import proxichain
+from proxichain import experiments, simulation
+for module in pkgutil.iter_modules(proxichain.__path__):
+    importlib.import_module("proxichain." + module.name)
+simulation.run_outbreak(simulation.SimConfig(n_agents=40, ticks=5, seed=1))
+experiments.run_localization_eval([None, 10.0], trials=30, seed=1)
+loaded = sorted(name for name in sys.modules if name.startswith("cryptography"))
+from proxichain.identity import Role, generate_identity, sign, verify
+ident = generate_identity(Role.LIGHT, seed=3)
+signature = sign(ident, b"message")
+checks = [verify(ident.public_key, b"message", signature),
+          verify(ident.public_key, b"other", signature)]
+print(json.dumps({"loaded": loaded, "checks": checks}))
+"""
+
+
+def test_outbreak_and_localization_never_load_cryptography():
+    """Importing every module and running the outbreak simulator and the
+    localization eval loads no ``cryptography`` module: only making or
+    checking a key does, and a round trip still works after them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(proxichain.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _LAZY_CRYPTO_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"loaded": [], "checks": [True, False]}

@@ -1055,6 +1055,7 @@ class TestCli:
             ("ct-run", {"output_dir": 5}, []),
             ("mine-bench", {}, ["--max-trials", "0"]),
             ("mine-bench", {}, ["--max-trials", "-5"]),
+            ("mine-bench", {}, ["--max-trials", "0", "--out", "{tmp}/mb"]),
             ("ct-run", b"\xff\xfe{}", []),
             ("mine-bench", b"[" * 200_000 + b"]" * 200_000, []),
             ("ct-run", {"sim": {"attacker_id": 5}}, []),
@@ -1080,7 +1081,8 @@ class TestCli:
             "removed-policy-alpha_d", "string-omega_na", "attacker_id-out-of-range",
             "negative-blocks",
             "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
-            "negative-max-trials", "spec-not-utf8", "spec-nested-too-deep",
+            "negative-max-trials", "zero-max-trials-new-out", "spec-not-utf8",
+            "spec-nested-too-deep",
             "attack-without-tick", "false-claim-without-claimer",
             "ct-run-out-is-a-file", "ct-run-out-under-a-file",
             "mine-bench-out-is-a-file", "mine-bench-out-under-a-file",

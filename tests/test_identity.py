@@ -11,7 +11,6 @@ from cryptography.hazmat.primitives.asymmetric import ec
 
 from proxichain import identity
 from proxichain.identity import (
-    _CURVE,
     _CURVE_ORDER,
     AuthorizationError,
     AuthorizedRegistry,
@@ -88,9 +87,9 @@ def test_curve_is_p256():
     # A seed maps to a scalar mod (order - 1), so an order constant left at
     # another curve's value would fail on too few seeds for any other test
     # to notice.
-    ec.derive_private_key(_CURVE_ORDER - 1, _CURVE)
+    ec.derive_private_key(_CURVE_ORDER - 1, ec.SECP256R1())
     with pytest.raises(ValueError):
-        ec.derive_private_key(_CURVE_ORDER, _CURVE)
+        ec.derive_private_key(_CURVE_ORDER, ec.SECP256R1())
     assert generate_identity(Role.LIGHT, seed=12).secret_key.curve.name == "secp256r1"
 
 

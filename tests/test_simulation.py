@@ -181,7 +181,7 @@ class TestBoundaries:
         # 0-1 are exactly 2 m apart; 0-2 and 2-3 exactly 10 m; all else farther.
         world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
         world, _, metrics = run_epoch(world, Chain())
-        assert (world.last_contact_tick == -1).all()
+        assert (world.last_contact_tick == 0xFFFF).all()
         assert metrics.observed_pairs == 3
         assert world.credit.prox[1] == 2.0 / credit.LAMBDA_PLUS
         assert world.credit.prox[0] == (2.0 + 10.0) / credit.LAMBDA_PLUS
@@ -283,10 +283,24 @@ def _offset_pairs(n):
     return ii, jj, [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _pair_list_kernel(world, t, pairs):
+def _q_of(dists):
+    """The q of each ``float32`` distance, as the contact log stores it:
+    ``rint(float64(d) * 1e4)``."""
+    return np.rint(dists.astype(np.float64) * 1e4).astype(np.uint16)
+
+
+def _absolute_ticks(world, log_ticks):
+    """The ticks that contact-log tick cells stand for, -1 for never."""
+    return np.where(log_ticks == 0xFFFF, -1, log_ticks.astype(np.int64) + world.contact_epoch)
+
+
+def _pair_list_kernel(world, t, pairs, old_log):
     """The credit kernel over an explicit pair list: one distance per pair in
     list order, scores summed with ``np.add.at`` group by group, contacts
-    written both ways into an n×n log, and the observed pairs counted."""
+    written both ways into an n×n log, and the observed pairs counted.
+
+    Each contact also goes the old way, as an ``int32`` tick and a
+    ``float32`` distance, into ``old_log``'s two n×n arrays."""
     prox = world.credit.prox
     ii, jj, groups = pairs(world.n)
     x, y = world.positions[:, 0], world.positions[:, 1]
@@ -303,50 +317,82 @@ def _pair_list_kernel(world, t, pairs):
         for ends in (ii[group][seen], jj[group][seen]):
             np.add.at(prox, ends, scores[group][seen])
     imm = observed & (d < credit.IMMEDIATE_THRESHOLD)
+    old_tick, old_dist = old_log
     for a, b in ((ii[imm], jj[imm]), (jj[imm], ii[imm])):
-        world.last_contact_tick[a, b] = t
-        world.last_contact_dist[a, b] = d[imm]
+        old_tick[a, b] = t
+        old_dist[a, b] = d[imm]
+        world.last_contact_tick[a, b] = t - world.contact_epoch
+        world.last_contact_dist[a, b] = _q_of(old_dist[a, b])
     return int(np.count_nonzero(observed))
 
 
 def _reference_run(config, monkeypatch, pairs, trace_lines):
-    """``run_epoch`` with the pair-list kernel and an n×n contact log."""
+    """``run_epoch`` with the pair-list kernel and an n×n contact log; returns
+    the world, the metrics and the log written the old way."""
     n = config.n_agents
     world = build_world(config)
-    world.last_contact_tick = np.full((n, n), -1, dtype=np.int32)
-    world.last_contact_dist = np.zeros((n, n), dtype=np.float32)
+    world.last_contact_tick = np.full((n, n), 0xFFFF, dtype=np.uint16)
+    world.last_contact_dist = np.zeros((n, n), dtype=np.uint16)
+    old_log = (np.full((n, n), -1, dtype=np.int32), np.zeros((n, n), dtype=np.float32))
     with monkeypatch.context() as patch:
         patch.setattr(
             simulation, "_score_contacts",
-            lambda w, t: _pair_list_kernel(w, t, pairs),
+            lambda w, t: _pair_list_kernel(w, t, pairs, old_log),
         )
         patch.setattr(simulation, "_log_cells", lambda n, i: (np.full(n, i), np.arange(n)))
         world, _, metrics = run_epoch(world, Chain(), trace_lines.append)
-    return world, metrics
+    return world, metrics, old_log
 
 
 def _dense_log(world):
-    """The half-size contact log expanded to n×n, cell [i, j] for pair (i, j)."""
+    """The half-size contact log expanded to n×n, cell [i, j] for pair (i, j):
+    the absolute ticks (-1 for never) and the distances' q."""
     n = world.n
     _, i, j, own = _half_log_cells(n)
     half_tick = world.last_contact_tick.ravel()
-    half_dist = world.last_contact_dist.ravel()
-    assert (half_tick[~own] == -1).all()  # repeated pairs are never written
-    tick = np.full((n, n), -1, dtype=np.int32)
-    dist = np.zeros((n, n), dtype=np.float32)
+    half_q = world.last_contact_dist.ravel()
+    assert (half_tick[~own] == 0xFFFF).all()  # repeated pairs are never written
+    tick = np.full((n, n), -1, dtype=np.int64)
+    q = np.zeros((n, n), dtype=np.uint16)
     for a, b in ((i[own], j[own]), (j[own], i[own])):
-        tick[a, b] = half_tick[own]
-        dist[a, b] = half_dist[own]
-    return tick, dist
+        tick[a, b] = _absolute_ticks(world, half_tick[own])
+        q[a, b] = half_q[own]
+    return tick, q
 
 
-def _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines):
-    tick, dist = _dense_log(world)
-    assert np.array_equal(tick, ref_world.last_contact_tick)
-    assert np.array_equal(dist, ref_world.last_contact_dist)
+def _assert_same_contacts(world, metrics, lines, old_log, ref_metrics, ref_lines):
+    tick, q = _dense_log(world)
+    old_tick, old_dist = old_log
+    assert np.array_equal(tick, old_tick)
+    assert np.array_equal(q, _q_of(old_dist))
     assert metrics.observed_pairs == ref_metrics.observed_pairs
     assert lines == ref_lines
     assert metrics.rows == ref_metrics.rows
+
+
+def _log_the_old_way(monkeypatch, n):
+    """Patch ``_score_contacts`` so that beside each tick's kernel a
+    reference ``(n // 2, n)`` log is written the old way, as an ``int32``
+    tick (-1 for never) and a ``float32`` distance: two masked copies over
+    every offset row, and for even n only cells i < n / 2 of offset n / 2.
+    Returns the two arrays."""
+    ref_tick = np.full((n // 2, n), -1, dtype=np.int32)
+    ref_dist = np.zeros((n // 2, n), dtype=np.float32)
+    score = simulation._score_contacts
+
+    def scored_and_logged(w, t):
+        pairs = score(w, t)
+        px, py = simulation._partner_coordinates(w)
+        d = simulation._offset_distances(px, py, 1, n // 2 + 1)
+        immediate = (d <= simulation.OBSERVE_RADIUS) & (d < credit.IMMEDIATE_THRESHOLD)
+        if n % 2 == 0:
+            immediate[-1, n // 2 :] = False
+        np.copyto(ref_tick, t, where=immediate)
+        np.copyto(ref_dist, d, where=immediate)
+        return pairs
+
+    monkeypatch.setattr(simulation, "_score_contacts", scored_and_logged)
+    return ref_tick, ref_dist
 
 
 def _kernel_config(n):
@@ -368,11 +414,11 @@ class TestCreditKernel:
         config = _kernel_config(n)
         lines, ref_lines = [], []
         world, _, metrics = _run(config, lines)
-        ref_world, ref_metrics = _reference_run(config, monkeypatch, _offset_pairs, ref_lines)
-        _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines)
+        _, ref_metrics, old_log = _reference_run(config, monkeypatch, _offset_pairs, ref_lines)
+        _assert_same_contacts(world, metrics, lines, old_log, ref_metrics, ref_lines)
         assert np.array_equal(metrics.prox_final, ref_metrics.prox_final)
         if n >= 33:
-            assert (world.last_contact_tick >= 0).any()
+            assert (world.last_contact_tick != 0xFFFF).any()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257])
     def test_matches_upper_triangle_reference(self, n, monkeypatch):
@@ -381,44 +427,80 @@ class TestCreditKernel:
         config = _kernel_config(n)
         lines, ref_lines = [], []
         world, _, metrics = _run(config, lines)
-        ref_world, ref_metrics = _reference_run(config, monkeypatch, _triangle_pairs, ref_lines)
-        _assert_same_contacts(world, metrics, lines, ref_world, ref_metrics, ref_lines)
+        _, ref_metrics, old_log = _reference_run(config, monkeypatch, _triangle_pairs, ref_lines)
+        _assert_same_contacts(world, metrics, lines, old_log, ref_metrics, ref_lines)
         scale = np.abs(ref_metrics.prox_final).max()
         assert np.abs(metrics.prox_final - ref_metrics.prox_final).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 130, 257], ids=_exact_id)
     def test_log_is_the_masked_copy(self, n, monkeypatch):
-        # Beside each tick's kernel, a reference log is written the old way:
-        # two masked copies over every offset row, and for even n only cells
-        # i < n / 2 of offset n / 2. At 130 and 257 the offsets span several
-        # blocks, the last one short. The agents start in a 3 m square, so
-        # that even three of them come within 2 m.
+        # At 130 and 257 the offsets span several blocks, the last one short.
+        # The agents start in a 3 m square, so that even three of them come
+        # within 2 m.
         world = build_world(_kernel_config(n))
         world.positions *= 0.3
-        ref_tick = world.last_contact_tick.copy()
-        ref_dist = world.last_contact_dist.copy()
-        score = simulation._score_contacts
-
-        def scored_and_logged(w, t):
-            pairs = score(w, t)
-            px, py = simulation._partner_coordinates(w)
-            d = simulation._offset_distances(px, py, 1, n // 2 + 1)
-            immediate = (d <= simulation.OBSERVE_RADIUS) & (d < credit.IMMEDIATE_THRESHOLD)
-            if n % 2 == 0:
-                immediate[-1, n // 2 :] = False
-            np.copyto(ref_tick, t, where=immediate)
-            np.copyto(ref_dist, d, where=immediate)
-            return pairs
-
-        monkeypatch.setattr(simulation, "_score_contacts", scored_and_logged)
+        ref_tick, ref_dist = _log_the_old_way(monkeypatch, n)
         world, _, _ = run_epoch(world, Chain())
         assert (ref_tick >= 0).any()
-        assert world.last_contact_tick.tobytes() == ref_tick.tobytes()
-        assert world.last_contact_dist.tobytes() == ref_dist.tobytes()
+        ticks = _absolute_ticks(world, world.last_contact_tick)
+        assert ticks.tobytes() == ref_tick.astype(np.int64).tobytes()
+        assert world.last_contact_dist.tobytes() == _q_of(ref_dist).tobytes()
+
+    def test_log_cells_hold_every_logged_value(self):
+        # Every logged distance is below the threshold, and so its q below
+        # 6.5535 m in units of 1e-4 m; every stored tick is at most
+        # 2 * _EPOCH_TICKS - 2 past the epoch, and a rebase drops only cells
+        # behind the retention horizon while the retention is shorter than
+        # the epoch's shift.
+        assert credit.IMMEDIATE_THRESHOLD * 1e4 < 0xFFFF
+        assert simulation.RETENTION_TICKS < simulation._EPOCH_TICKS
+        assert 2 * simulation._EPOCH_TICKS - 2 < simulation._NEVER == 0xFFFF
+
+    def test_rebase_drops_the_cells_before_the_new_epoch(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_EPOCH_TICKS", 8)
+        world = build_world(SimConfig(n_agents=70, ticks=1, **SMALL))
+        stored = [0, 7, 8, 14, 0xFFFF]
+        world.last_contact_tick[-1, : len(stored)] = stored
+        world.last_contact_tick[0, -len(stored) :] = stored
+        world.contact_epoch = 16
+        simulation._rebase_contact_log(world)
+        shifted = [0xFFFF, 0xFFFF, 0, 6, 0xFFFF]
+        assert world.last_contact_tick[-1, : len(stored)].tolist() == shifted
+        assert world.last_contact_tick[0, -len(stored) :].tolist() == shifted
+        assert world.contact_epoch == 24
+        assert np.count_nonzero(world.last_contact_tick != 0xFFFF) == 4
+
+    def test_rebases_keep_every_output(self, monkeypatch):
+        # A 5-tick retention and an 8-tick epoch shift rebase the log at ticks
+        # 15, 23, 31 and 39; the run writes what the same run writes with the
+        # default epoch, which does not move in 40 ticks.
+        monkeypatch.setattr(simulation, "RETENTION_TICKS", 5)
+        config = SimConfig(n_agents=40, ticks=40, seed=4, p_inf=0.1, **SMALL)
+        ref_lines, lines = [], []
+        ref_world, ref_chain, ref_metrics = _run(config, ref_lines)
+        monkeypatch.setattr(simulation, "_EPOCH_TICKS", 8)
+        world, chain, metrics = _run(config, lines)
+        assert (ref_world.contact_epoch, world.contact_epoch) == (0, 32)
+
+        def alerts(chain):
+            kinds = (TxKind.TT, TxKind.AT)
+            txs = (tx for b in chain for tx in b.transactions)
+            return [(tx.kind, tx.payload) for tx in txs if tx.kind in kinds]
+
+        assert lines == ref_lines
+        assert alerts(chain) == alerts(ref_chain)
+        assert metrics.rows == ref_metrics.rows
+        # Some report after a rebase lists a contact logged before it.
+        reports = [json.loads(line) for line in lines]
+        assert any(
+            r["tick"] >= 15 and any(c["tick"] < 15 for c in r["contacts"]) for r in reports
+        )
 
     def test_epoch_allocates_no_pair_sized_buffers(self):
-        # At 2000 agents one float64 per unordered pair is 16 MB; the
-        # pair-list kernel held about ten such buffers each tick.
+        # At 2000 agents one float64 per unordered pair is 16 MB (15.3 MiB);
+        # the pair-list kernel held about ten such buffers each tick. The
+        # world, its contact log included, is built before tracing starts,
+        # and the run peaked at 3.9 MiB: a single such buffer would pass the bound.
         world = build_world(SimConfig(n_agents=2000, ticks=2, seed=1, p_inf=0.0, **SMALL))
         tracemalloc.start()
         try:
@@ -426,7 +508,7 @@ class TestCreditKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestWorldBuild:
@@ -678,7 +760,8 @@ class TestTraceLine:
         ],
     )
     def test_template_is_the_json_record(self, distances):
-        # The log holds float32 distances, so they reach the writer as such.
+        # The kernel measures float32 distances, and the writer gets the q
+        # that the log holds of them.
         node = "ab" * 32
         node_hex = [f"{k:064x}" for k in range(len(distances))] + [node]
         dists = np.array(distances, dtype=np.float32)
@@ -691,7 +774,8 @@ class TestTraceLine:
                 for k in peers.tolist()
             ],
         }
-        line = simulation._TraceText(node_hex).line(17, len(distances), peers, dists, 3 * peers)
+        q = simulation._distance_units(dists)
+        line = simulation._TraceText(node_hex).line(17, len(distances), peers, q, 3 * peers)
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -704,11 +788,13 @@ class TestDistanceText:
         # The float32 values within 4 ulps of each tie (k + 0.5) * 1e-4.
         ties = ((np.arange(20_000) + 0.5) * 1e-4).astype(np.float32).view(np.int32)
         near = (ties[:, None] + np.arange(-4, 5)).ravel().view(np.float32)
-        assert simulation._distance_texts(near) == _rounded_texts(near)
+        texts = simulation._distance_texts(simulation._distance_units(near))
+        assert texts == _rounded_texts(near)
 
     def test_seeded_sample(self):
         dists = np.random.default_rng(28).uniform(0.0, 2.0, 200_000).astype(np.float32)
-        assert simulation._distance_texts(dists) == _rounded_texts(dists)
+        texts = simulation._distance_texts(simulation._distance_units(dists))
+        assert texts == _rounded_texts(dists)
 
     def test_long_threshold_grows_the_table_and_writes_the_same_lines(self, monkeypatch):
         # Distances up to 6.5 m pass the 20,001 strings a 2 m run needs.
@@ -718,7 +804,13 @@ class TestDistanceText:
         lines, ref_lines = [], []
         _run(config, lines)
 
-        def record_line(text, tick, i, peers, dists, ticks):
+        # The reference writes each distance from a float32 log kept beside
+        # the run's.
+        _, ref_dist = _log_the_old_way(monkeypatch, config.n_agents)
+
+        def record_line(text, tick, i, peers, q, ticks):
+            rows, cols = simulation._log_cells(config.n_agents, i)
+            dists = ref_dist[rows[peers], cols[peers]]
             record = {
                 "tick": tick,
                 "node_id": text.node_hex[i],
