@@ -9,6 +9,7 @@ altered record.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -22,12 +23,15 @@ from .ledger import (
     Block,
     Chain,
     ChainTail,
+    TxKind,
     WindowDomainError,
     WindowHistoryError,
     encode_block_full,
     make_genesis,
     mined_block,
     pack_nonce,
+    signing_digest,
+    trace_digests,
     verify_transactions,
     whash_state,
 )
@@ -271,6 +275,34 @@ def _check_signatures(block: Block, verdicts: Sequence[bool]) -> ValidationResul
     return ValidationResult(True)
 
 
+def _check_alarms(
+    block: Block, below: set[bytes]
+) -> tuple[ValidationResult, set[bytes]]:
+    """The alarm clause, and the signing digests of the block's TTs.
+
+    Each AT's payload must be the 32-byte
+    :func:`~proxichain.ledger.signing_digest` of a TT in ``below`` (those of
+    the blocks below) or of one earlier in the block; the first AT that
+    names neither rejects the block. The digests cover every TT of the
+    block, whatever the result."""
+    result = ValidationResult(True)
+    named: set[bytes] = set()
+    for tx in block.transactions:
+        if tx.kind is TxKind.TT:
+            named.add(signing_digest(tx))
+        elif (
+            tx.kind is TxKind.AT
+            and result.accepted
+            and tx.payload not in below
+            and tx.payload not in named
+        ):
+            size = len(tx.payload)
+            what = "no earlier TT" if size == 32 else f"a {size}-byte payload"
+            detail = f"AT from {tx.sender.hex()[:12]} names {what}"
+            result = ValidationResult(False, "alarm", detail)
+    return result, named
+
+
 def _check_blocks(
     blocks: Sequence[Block],
     batch: Sequence[Block],
@@ -309,16 +341,24 @@ def validate_block(
 ) -> ValidationResult:
     """Accept or reject a block proposed on the current tip.
 
-    Clauses checked, each with its own rejection reason: index continuity
-    ("index"), tip linkage ("stale"), window range ("window"), size bound
-    ("overflow"), digest recomputation ("digest"), difficulty prefix
-    ("prefix" or "entitlement"), transaction signatures ("signature").
+    Clauses checked in this order, each with its own rejection reason:
+    index continuity ("index"), tip linkage ("stale"), window range
+    ("window"), size bound ("overflow"), digest recomputation ("digest"),
+    difficulty prefix ("prefix" or "entitlement"), transaction signatures
+    ("signature"), and every AT naming a TT below it or earlier in the
+    block ("alarm"). The TTs below are the tail's ``trace_digests`` on a
+    :class:`~proxichain.ledger.ChainTail`, and are hashed from every block
+    of any other sequence, which keeps no memo.
     """
     if block.index != len(blocks):
         return ValidationResult(False, "index", f"expected {len(blocks)}, got {block.index}")
     if blocks and block.prev_hash != blocks[-1].block_hash:
         return ValidationResult(False, "stale", "prev_hash does not match the tip")
-    return _check_blocks(blocks, [block], expected_level)[0]
+    result = _check_blocks(blocks, [block], expected_level)[0]
+    if not result.accepted:
+        return result
+    below = blocks.trace_digests if isinstance(blocks, ChainTail) else trace_digests(blocks)
+    return _check_alarms(block, below)[0]
 
 
 def append_block(
@@ -372,10 +412,11 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     Block 0 must equal the fixed genesis block. Entitlement is not
     re-checked: credit at mining time is not part of the chain record. Every
     mined block must still clear at least the easy prefix, and every digest,
-    linkage, window, size and signature rule applies; a block with a broken
-    link is still checked against every other rule, and a block whose stored
-    index is wrong against none. The violations are those of
-    :func:`validate_block` applied block by block.
+    linkage, window, size, signature and alarm rule applies; a block with a
+    broken link is still checked against every other rule, and a block
+    whose stored index is wrong against none. The violations are those of
+    :func:`validate_block` applied block by block, so an AT may name a TT
+    in any block before its own, one that breaks a rule included.
 
     The blocks are checked in segments of at most ``_SEGMENT_TX``
     transactions (a larger block is a segment of its own). Each segment's
@@ -383,7 +424,9 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     calling thread checks the segment's other clauses, so the signature
     jobs held at once are those of one segment. On more than one segment,
     the segments share one store of parsed keys, so each sender's key is
-    parsed once per call.
+    parsed once per call. The alarm clause then walks the blocks in order,
+    each segment's once its other clauses are checked, gathering the TT
+    digests below each block as it goes.
     """
     found: list[ChainViolation] = []
     segments: list[list[Block]] = []
@@ -404,10 +447,20 @@ def verify_chain(blocks: Sequence[Block]) -> list[ChainViolation]:
     # A one-segment chain keeps no store: its sorted chunks hold one parsed
     # key at a time.
     keys = {} if len(segments) > 1 else None
-    for segment in segments:
-        for block, result in zip(segment, _check_blocks(blocks, segment, DL_EASY, keys)):
-            if not result.accepted:
-                found.append(ChainViolation(block.index, result.reason, result.detail))
+    checked = itertools.chain.from_iterable(
+        _check_blocks(blocks, segment, DL_EASY, keys) for segment in segments
+    )
+    traces = trace_digests(blocks[:1])
+    for i in range(1, len(blocks)):
+        alarms, named = _check_alarms(blocks[i], traces)
+        traces |= named
+        if blocks[i].index != i:
+            continue
+        result = next(checked)
+        if result.accepted:
+            result = alarms
+        if not result.accepted:
+            found.append(ChainViolation(i, result.reason, result.detail))
     # Stable: a block's linkage violation stays ahead of its other one.
     found.sort(key=lambda violation: violation.index)
     if blocks and blocks[0] != make_genesis():

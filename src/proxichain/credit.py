@@ -47,7 +47,9 @@ def _check_field(
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integer else "a number"
         raise TypeError(f"{name} must be {what}, got {value!r}")
-    if not (integer or math.isfinite(value)) or not low <= value <= high:
+    if not (integer or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
 
 

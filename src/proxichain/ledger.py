@@ -70,7 +70,7 @@ class TxKind(Enum):
     TT = "TT"          # trace: immediate-distance contact ids + timestamps
     QT = "QT"          # query against the infected-users pool
     RT = "RT"          # request for a trace check
-    AT = "AT"          # alarm pushed to exposed contacts
+    AT = "AT"          # alarm answering a TT, named by its signing digest
     REGISTRY = "RegistryTX"
 
 
@@ -110,6 +110,24 @@ def tx_signing_bytes(kind: TxKind, sender: bytes, payload: bytes, timestamp: int
         + struct.pack("<Q", timestamp)
         + _lp(payload)
     )
+
+
+def signing_digest(tx: Transaction) -> bytes:
+    """SHA-256 of the message ``tx``'s signature covers. It leaves the
+    signature out, so a re-signed transaction keeps it; an AT's payload is
+    this digest of the TT it answers."""
+    return hashlib.sha256(tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp)).digest()
+
+
+def trace_digests(blocks: Iterable[Block]) -> set[bytes]:
+    """The :func:`signing_digest` of every TT in ``blocks``: what an AT may
+    name."""
+    return {
+        signing_digest(tx)
+        for block in blocks
+        for tx in block.transactions
+        if tx.kind is TxKind.TT
+    }
 
 
 def make_transaction(
@@ -161,13 +179,7 @@ def verify_transactions(
     verdicts = iter(
         verify_many(
             [
-                (
-                    tx.sender_pubkey,
-                    hashlib.sha256(
-                        tx_signing_bytes(tx.kind, tx.sender, tx.payload, tx.timestamp)
-                    ).digest(),
-                    tx.signature,
-                )
+                (tx.sender_pubkey, signing_digest(tx), tx.signature)
                 for tx, ok in zip(txs, id_ok)
                 if ok
             ],
@@ -195,8 +207,10 @@ def transaction_size(tx: Transaction) -> int:
     return 25 + len(tx.sender) + len(tx.sender_pubkey) + len(tx.payload) + len(tx.signature)
 
 
-# Trace/alarm payloads are (node_id, tick) pairs and nothing else: no names,
-# no positions. Keeping the codec here makes that restriction inspectable.
+# Trace payloads are (node_id, tick) pairs and nothing else: no names, no
+# positions. Keeping the codec here makes that restriction inspectable. An
+# alarm carries no list of its own: its payload is the trace's
+# ``signing_digest``.
 
 # One payload record: a 32-byte node id and a u64 tick, 40 bytes unpadded.
 _CONTACT_RECORD = np.dtype([("peer", np.uint8, (32,)), ("tick", "<u8")])
@@ -467,10 +481,12 @@ class ChainTail(Sequence[HeldBlock]):
     written to ``file``, an open text file, as its ``chain.jsonl`` line
     when it is appended, so the file equals :func:`save_chain`'s.
 
-    A tail lasts one run, and it carries two stores for that run: the last
-    window state :func:`whash_state` computed on it (dropped on append),
-    and ``parsed_keys``, the parsed sender keys that validation on the tail
-    reads and adds to (see :func:`proxichain.identity.verify_many`).
+    A tail lasts one run, and it carries three stores for that run: the
+    last window state :func:`whash_state` computed on it (dropped on
+    append), ``parsed_keys``, the parsed sender keys that validation on the
+    tail reads and adds to (see :func:`proxichain.identity.verify_many`),
+    and ``trace_digests``, the :func:`trace_digests` of every block
+    appended, which the alarm clause reads in place of the evicted blocks.
 
     ``simulation.run_epoch`` may hand the blocks to a forked process, whose
     copy of the tail appends them and writes their lines to its copy of
@@ -484,6 +500,7 @@ class ChainTail(Sequence[HeldBlock]):
         self._height = 0
         self._window_memo: Optional[tuple] = None
         self.parsed_keys: dict = {}
+        self.trace_digests: set[bytes] = set()
         self.append(make_genesis())
 
     def __len__(self) -> int:
@@ -508,6 +525,7 @@ class ChainTail(Sequence[HeldBlock]):
     def append(self, block: Block) -> None:
         """Hold ``block`` as the new tip, after writing its line."""
         self.file.write(block_to_json_line(block) + "\n")
+        self.trace_digests |= trace_digests((block,))
         self._blocks.append(HeldBlock(block))
         if len(self._blocks) > WINDOW_MAX:
             del self._blocks[0]

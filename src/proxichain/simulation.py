@@ -8,7 +8,9 @@ immediate contacts (below 2 m) are logged for later trace evidence, and two
 infection processes (2 m and 5 m exposure radius) advance on shared random
 draws so their cumulative counts are comparable tick by tick within a single
 run. Diagnosed agents emit trace transactions listing only (node id, tick)
-pairs; background submission/query traffic fills the rest of each block.
+pairs, and the manager answers each with an alarm that names the trace by its
+signing digest; background submission/query traffic fills the rest of each
+block.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .ledger import (
     make_transaction,
     make_transactions,
     next_block,
+    signing_digest,
     transaction_size,
     whash_window_for,
 )
@@ -95,14 +98,16 @@ RETENTION_TICKS = 14_000
 N_AUTHORIZED = 4
 INITIAL_INFECTED = 1
 
-# The contact log stores a tick as ``uint16`` ticks since the world's
-# ``contact_epoch``, ``_NEVER`` meaning no contact. Before a tick would be
-# stored 2 * _EPOCH_TICKS - 1 past the epoch, the epoch moves on by
-# _EPOCH_TICKS and the cells older than the new epoch are dropped. Those are
-# then at least _EPOCH_TICKS ticks old; with RETENTION_TICKS below that, they
-# are behind the retention horizon already, so no trace would list them.
+# The contact log stores tick t as the ``uint16`` 1 + t - ``contact_epoch``,
+# and ``_NEVER`` (0) for no contact, so a log no contact has reached is all
+# zero pages: the block process, forked before the first contact, never maps
+# them. Before a tick would be stored as 2 * _EPOCH_TICKS, past 0xFFFF, the
+# epoch moves on by _EPOCH_TICKS and the cells older than the new epoch are
+# dropped. Those are then at least _EPOCH_TICKS ticks old; with
+# RETENTION_TICKS below that, they are behind the retention horizon already,
+# so no trace would list them.
 _EPOCH_TICKS = 2**15
-_NEVER = 0xFFFF
+_NEVER = 0
 
 # Agent i of the run with seed s derives its key from s * _KEY_SEED_STRIDE + i.
 _KEY_SEED_STRIDE = 1_000_003
@@ -152,9 +157,9 @@ class SimConfig:
         # Every key seed must fit the signed 64 bits it is packed into.
         max_seed = (2**63 - 1 - last_agent) // _KEY_SEED_STRIDE
         _check_field("seed", self.seed, 0, max_seed, integer=True)
-        _check_field("infection_radius", self.infection_radius, 0.0)
-        if self.infection_radius == 0:
-            raise ValueError("infection_radius must be positive")
+        _check_field("infection_radius", self.infection_radius)
+        if self.infection_radius <= 0:
+            raise ValueError(f"infection_radius must be positive, got {self.infection_radius!r}")
         _check_field("p_inf", self.p_inf, 0.0, 1.0)
         if not isinstance(self.policy, CreditPolicy):
             raise TypeError(f"policy must be a CreditPolicy, got {self.policy!r}")
@@ -221,8 +226,8 @@ class WorldState:
     iup: InfectedUsersPool
     # Immediate-contact log, kept only in worlds built with identities. Cell
     # [o - 1, i] holds pair (i, (i + o) mod n), as ``_score_contacts`` meets it,
-    # in 4 bytes: the pair's last contact tick, as ticks since
-    # ``contact_epoch`` (``_NEVER`` if it has none), and the distance then, as
+    # in 4 bytes: the pair's last contact tick t, as 1 + t - ``contact_epoch``
+    # (``_NEVER``, 0, if it has none), and the distance then, as
     # q = rint(float64(float32(d)) * 1e4) units of 1e-4 m (``_distance_units``).
     last_contact_tick: Optional[np.ndarray] = None   # uint16 (n // 2, n)
     last_contact_dist: Optional[np.ndarray] = None   # uint16 (n // 2, n)
@@ -270,7 +275,7 @@ def build_world(config: SimConfig, with_identities: bool = True) -> WorldState:
     contact_tick = contact_dist = None
     if with_identities:
         # Only run_epoch logs contacts, and it refuses a world without keys.
-        contact_tick = np.full((n // 2, n), _NEVER, dtype=np.uint16)
+        contact_tick = np.zeros((n // 2, n), dtype=np.uint16)
         contact_dist = np.zeros((n // 2, n), dtype=np.uint16)
         base = config.seed * _KEY_SEED_STRIDE
         identities = [generate_identity(Role.LIGHT, seed=base + i) for i in range(n)]
@@ -424,15 +429,12 @@ def _distance_units(d: np.ndarray) -> np.ndarray:
 
 def _rebase_contact_log(world: WorldState) -> None:
     """Move the contact log's epoch on by ``_EPOCH_TICKS``: cells logged
-    before the new epoch become ``_NEVER`` and the rest shift down. The log
-    is walked ``_OFFSET_BLOCK`` rows at a time, so no pair-sized mask is
-    made."""
+    before the new epoch, stored as at most ``_EPOCH_TICKS``, become
+    ``_NEVER`` and the rest shift down. Both passes work in place, so no
+    pair-sized buffer is made."""
     log = world.last_contact_tick
-    for start in range(0, len(log), _OFFSET_BLOCK):
-        block = log[start : start + _OFFSET_BLOCK]
-        kept = (block >= _EPOCH_TICKS) & (block != _NEVER)
-        np.subtract(block, _EPOCH_TICKS, out=block, where=kept)
-        block[~kept] = _NEVER
+    np.maximum(log, _EPOCH_TICKS, out=log)
+    log -= _EPOCH_TICKS
     world.contact_epoch += _EPOCH_TICKS
 
 
@@ -450,9 +452,9 @@ def _score_contacts(world: WorldState, t: int) -> int:
     epoch is first moved on as far as tick t needs (``_EPOCH_TICKS``).
     """
     n, half = world.n, world.n // 2
-    while t - world.contact_epoch >= 2 * _EPOCH_TICKS - 1:
+    while 1 + t - world.contact_epoch >= 2 * _EPOCH_TICKS:
         _rebase_contact_log(world)
-    log_tick = t - world.contact_epoch
+    log_tick = 1 + t - world.contact_epoch
     prox = world.credit.prox
     px, py = _partner_coordinates(world)
     pairs = 0
@@ -553,23 +555,29 @@ def _emit_trace(
 
     The report's ``contacts.jsonl`` line, written by ``text``, goes to
     ``trace_sink``. ``node_bytes`` holds every agent's node id as a
-    ``(n, 32)`` byte array, from which the TT/AT payload is built in bulk.
+    ``(n, 32)`` byte array, from which the TT payload is built in bulk. The
+    AT that alarms the listed contacts carries the TT's
+    :func:`~proxichain.ledger.signing_digest`, not the list again.
     """
     rows, cols = _log_cells(world.n, i)
     row_ticks = world.last_contact_tick[rows, cols]
     row_ticks[i] = _NEVER  # agent i never lists itself
-    # The retention horizon in ticks since the log's epoch.
-    horizon = max(now - RETENTION_TICKS, 0) - world.contact_epoch
-    peers = np.flatnonzero((row_ticks >= horizon) & (row_ticks != _NEVER))
-    ticks = row_ticks[peers].astype(np.int64) + world.contact_epoch
+    # The retention horizon as the log stores it. It is at least 1, so
+    # ``_NEVER`` lies below it: the epoch moves to e only at a tick of at
+    # least e + _EPOCH_TICKS - 1, and RETENTION_TICKS < _EPOCH_TICKS.
+    horizon = 1 + max(now - RETENTION_TICKS, 0) - world.contact_epoch
+    peers = np.flatnonzero(row_ticks >= horizon)
+    ticks = row_ticks[peers].astype(np.int64) + (world.contact_epoch - 1)
     payload = encode_contact_pairs(node_bytes[peers], ticks)
-    world.pending.append(make_transaction(world.identities[i], TxKind.TT, payload, now))
+    trace = make_transaction(world.identities[i], TxKind.TT, payload, now)
+    world.pending.append(trace)
     world.iup.add(world.identities[i].node_id, now)
     dists = world.last_contact_dist[rows[peers], cols[peers]]
     trace_sink(text.line(now, i, peers, dists, ticks))
     if peers.size:
         # The manager alarms every listed contact; they become notified.
-        world.pending.append(make_transaction(world.manager, TxKind.AT, payload, now))
+        alarm = make_transaction(world.manager, TxKind.AT, signing_digest(trace), now)
+        world.pending.append(alarm)
         world.notified[peers] = True
 
 

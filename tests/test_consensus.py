@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import itertools
 import os
 import pickle
@@ -29,11 +31,15 @@ from proxichain.consensus import (
 )
 from proxichain.identity import Role, generate_identity, publish_registry
 from proxichain.ledger import (
+    WINDOW_MAX,
     Block,
     Chain,
+    ChainTail,
     TxKind,
+    encode_transaction,
     make_transaction,
     next_block,
+    signing_digest,
     whash_digest,
     whash_window_for,
 )
@@ -767,6 +773,140 @@ class TestVerifyChain:
         chain[3] = mine(chain[:3], forged, DL_EASY).block
         reasons = {(v.index, v.reason) for v in verify_chain(chain)}
         assert {(3, "linkage"), (3, "signature")} <= reasons
+
+
+ALARMER = generate_identity(Role.MANAGER, seed=604)
+TRACER = generate_identity(Role.LIGHT, seed=605)
+
+
+def _trace(k: int):
+    return make_transaction(TRACER, TxKind.TT, b"contacts" + bytes([k]), k)
+
+
+def _alarm(payload: bytes):
+    return make_transaction(ALARMER, TxKind.AT, payload, 50)
+
+
+def _mined(chain, *txs):
+    return mine(chain, _candidate(chain, txs=txs, timestamp=len(chain)), DL_EASY).block
+
+
+@pytest.fixture(params=["chain", "tail"])
+def store(request):
+    """An empty chain as a plain Chain or as a ChainTail, which keeps the
+    TT digests of its evicted blocks."""
+    return Chain() if request.param == "chain" else ChainTail(io.StringIO())
+
+
+class TestAlarmClause:
+    """An AT's payload is the signing digest of a TT earlier in the chain or
+    earlier in its own block."""
+
+    def test_alarm_after_its_trace_in_the_block_is_accepted(self, store):
+        trace = _trace(1)
+        append_block(store, _mined(store, trace, _alarm(signing_digest(trace))))
+        assert len(store) == 2
+
+    def test_alarm_before_its_trace_in_the_block_is_refused(self, store):
+        trace = _trace(1)
+        with pytest.raises(BlockRejectedError, match="^alarm: AT from .* names no earlier TT$"):
+            append_block(store, _mined(store, _alarm(signing_digest(trace)), trace))
+        assert len(store) == 1
+
+    def test_alarm_of_an_evicted_block_is_accepted(self, store):
+        # Past WINDOW_MAX blocks the tail no longer holds the trace's block.
+        trace = _trace(1)
+        append_block(store, _mined(store, trace))
+        for _ in range(WINDOW_MAX):
+            append_block(store, _mined(store))
+        if isinstance(store, ChainTail):
+            with pytest.raises(IndexError):
+                store[1]
+        append_block(store, _mined(store, _alarm(signing_digest(trace))))
+
+    def test_alarm_naming_a_later_trace_is_refused(self, store):
+        trace = _trace(1)
+        with pytest.raises(BlockRejectedError, match="^alarm: "):
+            append_block(store, _mined(store, _alarm(signing_digest(trace))))
+        # Nor does a refused block's trace count for a later alarm.
+        with pytest.raises(BlockRejectedError, match="^alarm: "):
+            append_block(store, _mined(store, trace, _alarm(bytes(32))))
+        with pytest.raises(BlockRejectedError, match="^alarm: "):
+            append_block(store, _mined(store, _alarm(signing_digest(trace))))
+        assert len(store) == 1
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [(bytes(32), "no earlier TT"), (b"\x07", "a 1-byte payload"), (b"", "a 0-byte payload")],
+        ids=["unknown-digest", "one-byte", "empty"],
+    )
+    def test_alarm_naming_no_trace_is_refused(self, store, payload, named):
+        append_block(store, _mined(store, _trace(1)))
+        block = _mined(store, _alarm(payload))
+        result = validate_block(store, block, DL_EASY)
+        assert (result.accepted, result.reason) == (False, "alarm")
+        assert result.detail == f"AT from {ALARMER.node_id.hex()[:12]} names {named}"
+
+    def test_trace_is_named_by_its_signing_digest(self):
+        # Not by the digest of its encoding, which covers the signature: a
+        # re-signed trace keeps every alarm that names it.
+        trace = _trace(1)
+        resigned = dataclasses.replace(trace, signature=bytes(64))
+        assert signing_digest(resigned) == signing_digest(trace)
+        chain = Chain()
+        append_block(chain, _mined(chain, trace))
+        append_block(chain, _mined(chain, _alarm(signing_digest(resigned))))
+        wrong = hashlib.sha256(encode_transaction(trace)).digest()
+        result = validate_block(chain, _mined(chain, _alarm(wrong)), DL_EASY)
+        assert result.reason == "alarm"
+
+    def test_signature_clause_comes_first(self):
+        chain = Chain()
+        forged = dataclasses.replace(_alarm(bytes(32)), payload=bytes([1]) * 32)
+        result = validate_block(chain, _mined(chain, forged), DL_EASY)
+        assert result.reason == "signature"
+
+
+class TestVerifyChainAlarms:
+    def _chain(self):
+        """Block 1 traces, block 2 alarms it, block 3 alarms the trace of
+        block 4 and block 5 alarms it again, block 6 alarms nothing any
+        trace has."""
+        early, late = _trace(1), _trace(2)
+        chain = Chain()
+        for txs in (
+            [early, _trace(3)],
+            [_alarm(signing_digest(early))],
+            [_alarm(signing_digest(late))],
+            [late],
+            [_alarm(signing_digest(late))],
+            [_alarm(bytes(32))],
+        ):
+            chain.append(_mined(chain, *txs))
+        return chain
+
+    def test_each_misnamed_alarm_is_reported(self):
+        manager = ALARMER.node_id.hex()[:12]
+        assert [(v.index, v.reason, v.detail) for v in verify_chain(self._chain())] == [
+            (3, "alarm", f"AT from {manager} names no earlier TT"),
+            (6, "alarm", f"AT from {manager} names no earlier TT"),
+        ]
+
+    def test_traces_carry_across_segments(self, monkeypatch):
+        monkeypatch.setattr(consensus, "_SEGMENT_TX", 1)
+        assert [(v.index, v.reason) for v in verify_chain(self._chain())] == [
+            (3, "alarm"), (6, "alarm"),
+        ]
+
+    def test_a_trace_in_a_block_that_breaks_a_rule_still_counts(self):
+        # Block 1's stored index and block 4's timestamp are wrong; the
+        # alarms of blocks 2 and 5 still name their traces.
+        chain = self._chain()
+        chain[1] = dataclasses.replace(chain[1], index=9)
+        chain[4] = dataclasses.replace(chain[4], timestamp=999)
+        assert [(v.index, v.reason) for v in verify_chain(chain)] == [
+            (1, "index"), (3, "alarm"), (4, "digest"), (6, "alarm"),
+        ]
 
 
 class TestAnalyticModel:

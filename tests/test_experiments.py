@@ -45,6 +45,7 @@ from proxichain.ledger import (
     encode_block_full,
     load_chain,
     make_transaction,
+    signing_digest,
     tx_signing_bytes,
 )
 from proxichain.simulation import SimConfig, run_epoch
@@ -56,6 +57,19 @@ TINY_SIM = SimConfig(
 
 def _tiny_spec(out_dir: str, name: str = "tiny") -> ExperimentSpec:
     return ExperimentSpec(name=name, sim=TINY_SIM, whash_values=(0,), output_dir=out_dir)
+
+
+def _assert_alarms_name_traces(chain) -> int:
+    """Every AT's payload is the 32-byte signing digest of a TT before it in
+    the chain; returns the number of ATs."""
+    traces, alarms = set(), 0
+    for tx in (tx for block in chain for tx in block.transactions):
+        if tx.kind is TxKind.TT:
+            traces.add(signing_digest(tx))
+        elif tx.kind is TxKind.AT:
+            assert len(tx.payload) == 32 and tx.payload in traces
+            alarms += 1
+    return alarms
 
 
 class TestSpec:
@@ -202,6 +216,7 @@ class TestCtExperiment:
 
         chain = load_chain(paths.chain_jsonl)
         assert verify_chain(chain) == []
+        assert _assert_alarms_name_traces(chain) == 2
 
         restored = load_spec(paths.spec_json)
         assert restored == _tiny_spec(str(tmp_path))
@@ -222,12 +237,12 @@ class TestCtExperiment:
             (
                 dict(seed=0),
                 dict(metrics_csv="05e0a063", credits_csv="e0eadf36", contacts_jsonl="7ffce712",
-                     chain_jsonl="c6785b0d", iup_json="bf8b3b0b"),
+                     chain_jsonl="d3ec8ba3", iup_json="bf8b3b0b"),
             ),
             (
                 dict(seed=3),
                 dict(metrics_csv="12ddbcf5", credits_csv="9f8d4f67", contacts_jsonl="b03825e9",
-                     chain_jsonl="dbe60a99", iup_json="fc4c522d"),
+                     chain_jsonl="5cdc140e", iup_json="fc4c522d"),
             ),
         ],
         ids=["seed0", "seed3"],
@@ -532,6 +547,24 @@ class TestCtValidator:
         assert len(forked) == cores - 1
         _assert_reaped(forked)
 
+    @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "validator"])
+    def test_alarm_naming_no_trace_exits_2(self, cores, tmp_path, capsys, forked, monkeypatch):
+        """The run's alarms name a digest that no trace has; the block
+        holding the first is refused for the alarm clause, in process or in
+        the block process, which reads the tail's own store of digests."""
+        monkeypatch.setattr(identity, "_CORES", cores)
+        monkeypatch.setattr(simulation, "signing_digest", lambda tx: bytes(32))
+        out = tmp_path / "run"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(_tiny_spec(str(out))))
+        assert cli.main(["ct-run", "--config", str(spec_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        manager = simulation.build_world(TINY_SIM).manager.node_id.hex()[:12]
+        assert err == [f"block rejected: alarm: AT from {manager} names no earlier TT"]
+        TestCtExperiment._assert_crashed_mid_run(out)
+        assert len(forked) == cores - 1
+        _assert_reaped(forked)
+
     def test_refusal_is_polled_once_per_tick(self, tmp_path, forked, monkeypatch):
         """With ticks long enough for the block process to add a block, a
         refusal ends the run at the end of the tick after the one that sent
@@ -668,7 +701,8 @@ class TestCtValidator:
             )
             with open(paths.chain_jsonl, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            assert digest == "77c2fd5741664cc14edf6b3f4180f0a0a9d2ba9fcff8be6e0cb480182b8550f9"
+            assert digest == "9c49700dba0c063fcea34e706c871e2e81b03570d556ed2b9f9ae9608b513e88"
+        assert _assert_alarms_name_traces(load_chain(paths.chain_jsonl)) > 0
         assert len(forked) == 1
         _assert_reaped(forked)
 
@@ -992,6 +1026,14 @@ class TestCli:
         bad.write_text("{broken")
         assert cli.main(["ct-run", "--config", str(bad)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("radius", ["-1", "0"])
+    def test_ct_run_radius_must_be_positive(self, radius, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["ct-run", "--radius", radius, "--out", str(out)]) == cli.EXIT_CONFIG
+        message = f"infection_radius must be positive, got {radius}.0"
+        assert capsys.readouterr().err == f"config error: bad override: {message}\n"
+        assert not out.exists()
+
     def test_loc_eval_exit_ok(self, tmp_path, capsys):
         code = cli.main(
             ["loc-eval", "--snr", "inf", "--trials", "30", "--out", str(tmp_path)]
@@ -1051,6 +1093,8 @@ class TestCli:
             ("ct-run", {"sim": {"attacker_id": 500, "attack_tick": 1}}, []),
             ("ct-run", {}, ["--blocks", "-3"]),
             ("ct-run", {}, ["--radius", "nan"]),
+            ("ct-run", {}, ["--radius", "-1"]),
+            ("ct-run", {}, ["--radius", "0"]),
             ("mine-bench", {"whash_values": [0.0]}, []),
             ("ct-run", {"output_dir": 5}, []),
             ("mine-bench", {}, ["--max-trials", "0"]),
@@ -1080,7 +1124,8 @@ class TestCli:
             "removed-distance_noise_std", "removed-violator_id",
             "removed-policy-alpha_d", "string-omega_na", "attacker_id-out-of-range",
             "negative-blocks",
-            "nan-radius", "float-whash", "numeric-output_dir", "zero-max-trials",
+            "nan-radius", "negative-radius", "zero-radius", "float-whash",
+            "numeric-output_dir", "zero-max-trials",
             "negative-max-trials", "zero-max-trials-new-out", "spec-not-utf8",
             "spec-nested-too-deep",
             "attack-without-tick", "false-claim-without-claimer",
@@ -1238,6 +1283,30 @@ class TestVerifyChainMalformed:
             f"{len(signed)} violation(s) in {len(blocks)} blocks: signature {len(signed)}"
         )
         assert "Traceback" not in err
+
+    def test_misnamed_alarm_is_reported(self, tiny_chain_blocks, tmp_path, capsys):
+        """Block 4's alarm, re-signed by the manager over a digest no trace
+        has, and every block from it re-mined: one ``alarm`` violation."""
+        # build_world derives the manager's key from seed * 1_000_003 - 1.
+        manager = generate_identity(Role.MANAGER, seed=TINY_SIM.seed * 1_000_003 - 1)
+        blocks = [block_from_dict(body) for body in tiny_chain_blocks]
+        k = 4
+        txs = list(blocks[k].transactions)
+        at = next(j for j, tx in enumerate(txs) if tx.kind is TxKind.AT)
+        assert txs[at].sender == manager.node_id
+        txs[at] = make_transaction(manager, TxKind.AT, bytes(32), txs[at].timestamp)
+        blocks[k] = replace(blocks[k], transactions=tuple(txs))
+        for i in range(k, len(blocks)):
+            candidate = replace(blocks[i], prev_hash=blocks[i - 1].block_hash)
+            blocks[i] = mine(blocks[:i], candidate, DL_EASY).block
+        path = _write_mangled([block_to_dict(b) for b in blocks], lambda b: b, tmp_path)
+        assert cli.main(["verify-chain", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"block {k}: alarm AT from {manager.node_id.hex()[:12]} names no earlier TT",
+            f"1 violation(s) in {len(blocks)} blocks: alarm 1",
+        ]
 
     def test_summary_counts_each_reason(self, tiny_chain_blocks, tmp_path, capsys):
         def mangle(blocks):

@@ -44,6 +44,7 @@ from proxichain.ledger import (
     make_transactions,
     next_block,
     save_chain,
+    signing_digest,
     tx_signing_bytes,
     verify_transactions,
     whash_digest,
@@ -628,7 +629,12 @@ def _template_cases():
     the size bound and every block of a tiny seeded run."""
     chain = Chain()
     append_block(chain, _mine_next(chain, 0))
-    kinds = make_transactions([(SENDER, kind, bytes([k])) for k, kind in enumerate(TxKind)], 7)
+    # The AT names the TT before it in the block, as the alarm clause asks.
+    kinds = []
+    for k, kind in enumerate(TxKind):
+        payload = signing_digest(kinds[1]) if kind is TxKind.AT else bytes([k])
+        kinds.append(make_transaction(SENDER, kind, payload, 7))
+    assert kinds[1].kind is TxKind.TT
     append_block(chain, _mine_next(chain, 1, kinds, timestamp=11))
     big = _tx(bytes(MAX_BLOCK_BYTES - 600), ts=12)
     append_block(chain, _mine_next(chain, 2, [big], timestamp=12))

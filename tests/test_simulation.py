@@ -23,6 +23,7 @@ from proxichain.ledger import (
     block_from_dict,
     encode_block_full,
     make_transaction,
+    signing_digest,
 )
 from proxichain.simulation import (
     CreditStore,
@@ -46,8 +47,8 @@ SMALL = dict(tx_per_block_mean=20, n_blocks=6)
 
 
 def _contact_pairs(payload: bytes) -> list[tuple[bytes, int]]:
-    """The (node id, tick) records of a trace or alarm payload, after its
-    u32 count, which must match them."""
+    """The (node id, tick) records of a trace payload, after its u32 count,
+    which must match them."""
     (count,) = struct.unpack_from("<I", payload)
     pairs = list(struct.iter_unpack("<32sQ", payload[4:]))
     assert len(pairs) == count
@@ -181,7 +182,7 @@ class TestBoundaries:
         # 0-1 are exactly 2 m apart; 0-2 and 2-3 exactly 10 m; all else farther.
         world.positions[:] = [[0.0, 0.0], [2.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
         world, _, metrics = run_epoch(world, Chain())
-        assert (world.last_contact_tick == 0xFFFF).all()
+        assert (world.last_contact_tick == 0).all()
         assert metrics.observed_pairs == 3
         assert world.credit.prox[1] == 2.0 / credit.LAMBDA_PLUS
         assert world.credit.prox[0] == (2.0 + 10.0) / credit.LAMBDA_PLUS
@@ -290,8 +291,8 @@ def _q_of(dists):
 
 
 def _absolute_ticks(world, log_ticks):
-    """The ticks that contact-log tick cells stand for, -1 for never."""
-    return np.where(log_ticks == 0xFFFF, -1, log_ticks.astype(np.int64) + world.contact_epoch)
+    """The ticks that contact-log tick cells stand for, -1 for never (0)."""
+    return np.where(log_ticks == 0, -1, log_ticks.astype(np.int64) + world.contact_epoch - 1)
 
 
 def _pair_list_kernel(world, t, pairs, old_log):
@@ -321,7 +322,7 @@ def _pair_list_kernel(world, t, pairs, old_log):
     for a, b in ((ii[imm], jj[imm]), (jj[imm], ii[imm])):
         old_tick[a, b] = t
         old_dist[a, b] = d[imm]
-        world.last_contact_tick[a, b] = t - world.contact_epoch
+        world.last_contact_tick[a, b] = 1 + t - world.contact_epoch
         world.last_contact_dist[a, b] = _q_of(old_dist[a, b])
     return int(np.count_nonzero(observed))
 
@@ -331,7 +332,7 @@ def _reference_run(config, monkeypatch, pairs, trace_lines):
     the world, the metrics and the log written the old way."""
     n = config.n_agents
     world = build_world(config)
-    world.last_contact_tick = np.full((n, n), 0xFFFF, dtype=np.uint16)
+    world.last_contact_tick = np.zeros((n, n), dtype=np.uint16)
     world.last_contact_dist = np.zeros((n, n), dtype=np.uint16)
     old_log = (np.full((n, n), -1, dtype=np.int32), np.zeros((n, n), dtype=np.float32))
     with monkeypatch.context() as patch:
@@ -351,7 +352,7 @@ def _dense_log(world):
     _, i, j, own = _half_log_cells(n)
     half_tick = world.last_contact_tick.ravel()
     half_q = world.last_contact_dist.ravel()
-    assert (half_tick[~own] == 0xFFFF).all()  # repeated pairs are never written
+    assert (half_tick[~own] == 0).all()  # repeated pairs are never written
     tick = np.full((n, n), -1, dtype=np.int64)
     q = np.zeros((n, n), dtype=np.uint16)
     for a, b in ((i[own], j[own]), (j[own], i[own])):
@@ -418,7 +419,7 @@ class TestCreditKernel:
         _assert_same_contacts(world, metrics, lines, old_log, ref_metrics, ref_lines)
         assert np.array_equal(metrics.prox_final, ref_metrics.prox_final)
         if n >= 33:
-            assert (world.last_contact_tick != 0xFFFF).any()
+            assert world.last_contact_tick.any()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 33, 64, 257])
     def test_matches_upper_triangle_reference(self, n, monkeypatch):
@@ -448,27 +449,30 @@ class TestCreditKernel:
 
     def test_log_cells_hold_every_logged_value(self):
         # Every logged distance is below the threshold, and so its q below
-        # 6.5535 m in units of 1e-4 m; every stored tick is at most
-        # 2 * _EPOCH_TICKS - 2 past the epoch, and a rebase drops only cells
-        # behind the retention horizon while the retention is shorter than
-        # the epoch's shift.
+        # 6.5535 m in units of 1e-4 m; every tick is stored as 1 + its ticks
+        # past the epoch, at most 2 * _EPOCH_TICKS - 1, above the 0 that
+        # means never, and a rebase drops only cells behind the retention
+        # horizon while the retention is shorter than the epoch's shift.
         assert credit.IMMEDIATE_THRESHOLD * 1e4 < 0xFFFF
         assert simulation.RETENTION_TICKS < simulation._EPOCH_TICKS
-        assert 2 * simulation._EPOCH_TICKS - 2 < simulation._NEVER == 0xFFFF
+        assert 2 * simulation._EPOCH_TICKS - 1 == 0xFFFF
+        assert simulation._NEVER == 0
 
     def test_rebase_drops_the_cells_before_the_new_epoch(self, monkeypatch):
         monkeypatch.setattr(simulation, "_EPOCH_TICKS", 8)
         world = build_world(SimConfig(n_agents=70, ticks=1, **SMALL))
-        stored = [0, 7, 8, 14, 0xFFFF]
+        # Ticks 16, 23, 24 and 30 and never, with the epoch at 16; the new
+        # epoch 24 keeps 24 and 30.
+        stored = [1, 8, 9, 15, 0]
         world.last_contact_tick[-1, : len(stored)] = stored
         world.last_contact_tick[0, -len(stored) :] = stored
         world.contact_epoch = 16
         simulation._rebase_contact_log(world)
-        shifted = [0xFFFF, 0xFFFF, 0, 6, 0xFFFF]
+        shifted = [0, 0, 1, 7, 0]
         assert world.last_contact_tick[-1, : len(stored)].tolist() == shifted
         assert world.last_contact_tick[0, -len(stored) :].tolist() == shifted
         assert world.contact_epoch == 24
-        assert np.count_nonzero(world.last_contact_tick != 0xFFFF) == 4
+        assert np.count_nonzero(world.last_contact_tick) == 4
 
     def test_rebases_keep_every_output(self, monkeypatch):
         # A 5-tick retention and an 8-tick epoch shift rebase the log at ticks
@@ -509,6 +513,23 @@ class TestCreditKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_world_allocates_one_contact_log(self):
+        # At 2000 agents the contact log takes 4 bytes a cell, 7.6 MiB, and
+        # the rest of the world (2000 identities, positions, the credit
+        # store) took 0.7 MiB; a second pair-sized array, even one of bools
+        # (1.9 MiB), would pass the bound. A first small world loads the key
+        # library outside the trace.
+        build_world(SimConfig(n_agents=2, ticks=1, **SMALL))
+        tracemalloc.start()
+        try:
+            world = build_world(SimConfig(n_agents=2000, ticks=2, seed=1, p_inf=0.0, **SMALL))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = world.last_contact_tick.size
+        assert cells == world.last_contact_dist.size == 1000 * 2000
+        assert peak < 4 * cells + 2**20
 
 
 class TestWorldBuild:
@@ -579,15 +600,25 @@ class TestEpoch:
             n_agents=30, ticks=60, p_inf=0.3, seed=3, tx_per_block_mean=25, n_blocks=4
         )
         world, chain, _ = _run(config)
-        alarms = [tx for b in chain for tx in b.transactions if tx.kind is TxKind.AT]
         node_index = {ident.node_id: k for k, ident in enumerate(world.identities)}
+        # Each AT names, by its 32-byte signing digest, a TT earlier in the
+        # chain, and the contacts that TT lists are the ones notified.
+        traces = {}
         notified_by_alarm = set()
-        for tx in alarms:
-            assert tx.sender == world.manager.node_id
-            for peer, _ in _contact_pairs(tx.payload):
-                notified_by_alarm.add(node_index[peer])
-        for i in notified_by_alarm:
-            assert world.infected()[i] or world.notified[i]
+        alarms = 0
+        for tx in (tx for b in chain for tx in b.transactions):
+            if tx.kind is TxKind.TT:
+                traces[signing_digest(tx)] = tx
+            elif tx.kind is TxKind.AT:
+                alarms += 1
+                assert tx.sender == world.manager.node_id
+                assert len(tx.payload) == 32 and tx.payload in traces
+                trace = traces[tx.payload]
+                assert trace.timestamp == tx.timestamp
+                for peer, _ in _contact_pairs(trace.payload):
+                    notified_by_alarm.add(node_index[peer])
+        assert alarms
+        assert notified_by_alarm == set(np.flatnonzero(world.notified).tolist())
 
     def test_false_claim_is_punished_not_traced(self):
         config = SimConfig(
